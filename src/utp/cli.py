@@ -27,7 +27,6 @@ from .operators import (
     identity,
     is_muub,
     is_perfectly_distinguishable,
-    matrix_from_literal,
     omega,
     pauli,
 )
@@ -44,7 +43,6 @@ from .testers import (
     ProjectiveMeasurement,
     PureState,
     Tester,
-    _vector_from_literal,
     bell_basis,
     computational_basis,
     outcome_distribution,
@@ -125,7 +123,7 @@ def resolve_operator(spec: str, dim: int) -> UnitaryOperator:
     if name == "shift":
         return clock_shift_pair(dim)[1]
     if os.path.exists(spec):
-        return UnitaryOperator(matrix_from_literal(_load_json_file(spec)))
+        return UnitaryOperator.from_literal(_load_json_file(spec))
     raise UsageError(
         f"unknown operator name {spec!r}; expected one of {', '.join(OPERATOR_NAMES)} "
         "or a JSON file path"
@@ -144,14 +142,7 @@ def resolve_projective(spec: str, dim: int) -> ProjectiveMeasurement:
             raise UsageError(f"su2 measurement is qubit-only; got --dim {dim}")
         return su2_basis(parse_angle(parts[0]), parse_angle(parts[1]))
     if os.path.exists(spec):
-        data = _load_json_file(spec)
-        try:
-            states = data["states"]
-        except (KeyError, TypeError):
-            raise UsageError(f"{spec} does not hold a projective measurement (missing 'states')")
-        return ProjectiveMeasurement(
-            tuple(PureState(_vector_from_literal(s)) for s in states)
-        )
+        return ProjectiveMeasurement.from_literal(_load_json_file(spec))
     raise UsageError(
         f"unknown measurement {spec!r}; expected computational, su2:theta,phi, "
         "or a JSON file path"
@@ -159,10 +150,12 @@ def resolve_projective(spec: str, dim: int) -> ProjectiveMeasurement:
 
 
 def resolve_povm(spec: str, dim: int) -> Povm:
+    """A POVM file, or any projective measurement (named or a file) as its rank-1 POVM."""
     if os.path.exists(spec):
         data = _load_json_file(spec)
-        if isinstance(data, dict) and "elements" in data:
-            return Povm(tuple(matrix_from_literal(e) for e in data["elements"]))
+        if isinstance(data, dict) and "states" in data:
+            return povm_from_projective(ProjectiveMeasurement.from_literal(data))
+        return Povm.from_literal(data)
     return povm_from_projective(resolve_projective(spec, dim))
 
 
@@ -170,14 +163,7 @@ def resolve_mes(spec: str, dim: int) -> MesMeasurement:
     if spec.lower() == "bell":
         return bell_basis(dim)
     if os.path.exists(spec):
-        data = _load_json_file(spec)
-        try:
-            return MesMeasurement(
-                int(data["local_dim"]),
-                tuple(PureState(_vector_from_literal(s)) for s in data["states"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"{spec} does not hold an MES measurement: {exc}")
+        return MesMeasurement.from_literal(_load_json_file(spec))
     raise UsageError(f"unknown MES measurement {spec!r}; expected bell or a JSON file path")
 
 
@@ -192,7 +178,7 @@ def resolve_input(spec: str, m: ProjectiveMeasurement) -> PureState:
         amps[k] = 1.0
         return PureState(amps)
     if os.path.exists(spec):
-        return PureState(_vector_from_literal(_load_json_file(spec)))
+        return PureState.from_literal(_load_json_file(spec))
     raise UsageError(
         f"unknown input state {spec!r}; expected chi:K, e:K, or a JSON file path"
     )
@@ -346,12 +332,13 @@ def cmd_mes_bound(args) -> str:
     return _json_line({f"bound_{_unit(args)}": b.value, "argmax": list(b.argmax)})
 
 
-def _add_common(p: argparse.ArgumentParser, *, operators: bool = True) -> None:
-    if operators:
-        p.add_argument("--v", required=True, help="first operator (name or JSON path)")
-        p.add_argument("--w", required=True, help="second operator (name or JSON path)")
-        p.add_argument("--dim", type=int, default=2, help="dimension for named operators")
-    p.add_argument("--log-base", choices=("2", "e"), default="2")
+def _add_common(p: argparse.ArgumentParser, *, log_base: bool = True) -> None:
+    """--v, --w and --dim; --log-base only for subcommands that print entropies."""
+    p.add_argument("--v", required=True, help="first operator (name or JSON path)")
+    p.add_argument("--w", required=True, help="second operator (name or JSON path)")
+    p.add_argument("--dim", type=int, default=2, help="dimension for named operators")
+    if log_base:
+        p.add_argument("--log-base", choices=("2", "e"), default="2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, choices=("i-sigmay", "i-omega"))
     p.add_argument("--grid", type=int, default=101, help="points per axis")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    p.add_argument("--log-base", choices=("2", "e"), default="2")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("search", help="minimize pair uncertainty over pure inputs")
@@ -395,16 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-base", choices=("2", "e"), default="2")
     p.set_defaults(func=cmd_muub_check)
 
     p = sub.add_parser("distinguish", help="single-shot perfect distinguishability")
-    _add_common(p)
+    _add_common(p, log_base=False)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("game", help="Monte Carlo guessing game")
-    _add_common(p)
+    _add_common(p, log_base=False)
     p.add_argument("--measurement", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, required=True)

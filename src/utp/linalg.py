@@ -45,43 +45,6 @@ def as_complex_vector(v, dim: int | None = None) -> np.ndarray:
     return w
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("trace of a non-square matrix")
-    return complex(np.trace(a))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def inner(v, w) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    v = as_complex_vector(v)
-    w = as_complex_vector(w, dim=v.size)
-    return complex(np.vdot(v, w))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_complex_vector(v)))
-
-
 def operator_norm(a) -> float:
     """Largest singular value."""
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, is_unitary
+from .linalg import DEFAULT_TOL, as_complex_matrix, as_complex_vector, is_unitary
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -52,6 +52,13 @@ class UnitaryOperator:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return UnitaryOperator(self.matrix @ other.matrix)
+
+    def to_literal(self) -> dict:
+        return array_to_literal(self.matrix)
+
+    @classmethod
+    def from_literal(cls, data) -> "UnitaryOperator":
+        return cls(array_from_literal(data, ndim=2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,23 +239,42 @@ def equal_up_to_phase(a: UnitaryOperator, b: UnitaryOperator, tol: float = DEFAU
     return phase_aligned_distance(a, b) <= tol
 
 
-def matrix_to_literal(m: np.ndarray) -> dict:
-    """JSON-friendly literal {"dim": d, "re": [[..]], "im": [[..]]} for a square matrix."""
-    m = as_complex_matrix(m)
-    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
+def literal_field(data, key: str, what: str, kind: type = object):
+    """Field ``key`` of a JSON literal describing ``what``, checked to be a ``kind``.
+
+    Raises ValueError naming the literal when ``data`` is not an object,
+    lacks the field, or holds a value of another type there.
+    """
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"malformed {what} literal: missing field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed {what} literal: field {key!r} is not a {kind.__name__}")
+    return value
 
 
-def matrix_from_literal(data: dict) -> np.ndarray:
+def array_to_literal(a: np.ndarray) -> dict:
+    """JSON-friendly literal {"dim": d, "re": [..], "im": [..]} of a vector or square matrix."""
+    a = np.asarray(a, dtype=complex)
+    return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def array_from_literal(data, ndim: int) -> np.ndarray:
+    """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal."""
+    what = "vector" if ndim == 1 else "matrix"
+    d, re, im = (literal_field(data, key, what) for key in ("dim", "re", "im"))
     try:
-        d = int(data["dim"])
-        m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix literal: {exc}") from exc
-    return as_complex_matrix(m, rows=d, cols=d)
+        d = int(d)
+        a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} literal: {exc}") from exc
+    if ndim == 1:
+        return as_complex_vector(a, dim=d)
+    return as_complex_matrix(a, rows=d, cols=d)
 
 
 def unitary_to_json(u: UnitaryOperator) -> str:
-    return json.dumps(matrix_to_literal(u.matrix))
+    return json.dumps(u.to_literal())
 
 
 def unitary_from_json(text: str) -> UnitaryOperator:
@@ -257,4 +283,4 @@ def unitary_from_json(text: str) -> UnitaryOperator:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
-    return UnitaryOperator(matrix_from_literal(data))
+    return UnitaryOperator.from_literal(data)

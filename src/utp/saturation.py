@@ -41,6 +41,7 @@ from .testers import (
     PureState,
     Tester,
     is_trivial_measurement,
+    weyl_operators,
 )
 from .uncertainty import (
     EntropyValue,
@@ -401,16 +402,6 @@ def _dft_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
 
 
-def _weyl_operators(d: int) -> list[np.ndarray]:
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    phase = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return [
-        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b)
-        for a in range(d)
-        for b in range(d)
-    ]
-
-
 def _find_flat_projective_basis(
     a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
 ) -> tuple[np.ndarray, str] | None:
@@ -458,22 +449,23 @@ def _find_flat_projective_basis(
 
 def _find_flat_mes_operators(
     a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
-) -> tuple[list[np.ndarray], str] | None:
+) -> tuple[np.ndarray, str] | None:
     """MES-measurement unitaries {M_i} with all |Tr(M_i† a M_j)/d|^2 = 1/d^2.
 
     Searches rotations M_i = X N_i of the Weyl operators; the identity
     rotation covers the Weyl-covariant instances.
     """
     d = a.shape[0]
-    weyl = _weyl_operators(d)
+    weyl = weyl_operators(d)
+    flat = weyl.reshape(d * d, d * d).conj()
     target = 1.0 / (d * d)
 
-    def deviation_for(x: np.ndarray) -> float:
+    def squared_overlaps(x: np.ndarray) -> np.ndarray:
+        """|Tr(N_i† b N_j) / d|^2 for b = x† a x, as one product of vec'd operators."""
         b = x.conj().T @ a @ x
-        o = np.array([[np.trace(ni.conj().T @ b @ nj) / d for nj in weyl] for ni in weyl])
-        return float(np.abs(np.abs(o) ** 2 - target).max())
+        return np.abs(flat @ (b @ weyl).reshape(d * d, d * d).T / d) ** 2
 
-    if deviation_for(np.eye(d, dtype=complex)) <= tol:
+    if np.abs(squared_overlaps(np.eye(d, dtype=complex)) - target).max() <= tol:
         return weyl, "row-construction"
 
     generators = _hermitian_generators(d)
@@ -481,9 +473,7 @@ def _find_flat_mes_operators(
     def objective(coeffs: np.ndarray) -> float:
         h = sum(c * g for c, g in zip(coeffs, generators))
         x = scipy.linalg.expm(1j * h)
-        b = x.conj().T @ a @ x
-        o = np.array([[np.trace(ni.conj().T @ b @ nj) / d for nj in weyl] for ni in weyl])
-        return float(((np.abs(o) ** 2 - target) ** 2).sum())
+        return float(((squared_overlaps(x) - target) ** 2).sum())
 
     rng = np.random.default_rng(seed)
     x0s = [rng.uniform(-np.pi, np.pi, len(generators)) for _ in range(restarts)]
@@ -492,8 +482,8 @@ def _find_flat_mes_operators(
         return None
     h = sum(c * g for c, g in zip(best_c, generators))
     x = scipy.linalg.expm(1j * h)
-    if deviation_for(x) <= tol:
-        return [x @ n for n in weyl], "numerical-search"
+    if np.abs(squared_overlaps(x) - target).max() <= tol:
+        return x @ weyl, "numerical-search"
     return None
 
 

@@ -26,10 +26,40 @@ from .linalg import (
     eig_unitary,
     is_hermitian,
 )
-from .operators import UnitaryOperator, matrix_from_literal, matrix_to_literal
+from .operators import UnitaryOperator, array_from_literal, array_to_literal, literal_field
 
 POVM_SUM_TOL = 1e-8  # element sums accumulate error over d^2 terms
 MES_RESHAPE_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeDistribution:
+    """Probability vector over measurement outcomes.
+
+    Entries may carry numerical noise of at most 1e-12 outside [0, 1];
+    they are clamped on construction.  The total must be 1 within 1e-9.
+    """
+
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        p = np.asarray(self.probs, dtype=float).reshape(-1)
+        if p.size == 0:
+            raise ValueError("empty distribution")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
+        if p.min() < -1e-12 or p.max() > 1 + 1e-12:
+            raise ValueError(
+                f"probabilities outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
+            )
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
+        p = np.clip(p, 0.0, 1.0)
+        p.flags.writeable = False
+        object.__setattr__(self, "probs", p)
+
+    def __len__(self) -> int:
+        return self.probs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +80,13 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+    def to_literal(self) -> dict:
+        return array_to_literal(self.amplitudes)
+
+    @classmethod
+    def from_literal(cls, data) -> "PureState":
+        return cls(array_from_literal(data, ndim=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +127,14 @@ class ProjectiveMeasurement:
         x = as_complex_matrix(x)
         return cls(tuple(PureState(x[:, i]) for i in range(x.shape[1])))
 
+    def to_literal(self) -> dict:
+        return {"states": [s.to_literal() for s in self.states]}
+
+    @classmethod
+    def from_literal(cls, data) -> "ProjectiveMeasurement":
+        states = literal_field(data, "states", "projective measurement", list)
+        return cls(tuple(PureState.from_literal(s) for s in states))
+
 
 def computational_basis(d: int) -> ProjectiveMeasurement:
     return ProjectiveMeasurement.from_matrix(np.eye(d, dtype=complex))
@@ -125,6 +170,13 @@ class DensityMatrix:
         a = psi.amplitudes
         return cls(np.outer(a, a.conj()))
 
+    def to_literal(self) -> dict:
+        return array_to_literal(self.matrix)
+
+    @classmethod
+    def from_literal(cls, data) -> "DensityMatrix":
+        return cls(array_from_literal(data, ndim=2))
+
 
 @dataclass(frozen=True, eq=False)
 class Povm:
@@ -159,6 +211,14 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
+
+    def to_literal(self) -> dict:
+        return {"elements": [array_to_literal(e) for e in self.elements]}
+
+    @classmethod
+    def from_literal(cls, data) -> "Povm":
+        elements = literal_field(data, "elements", "POVM", list)
+        return cls(tuple(array_from_literal(e, ndim=2) for e in elements))
 
 
 def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
@@ -210,11 +270,33 @@ class MesMeasurement:
 
     @classmethod
     def from_unitaries(cls, ops) -> "MesMeasurement":
+        """The basis |nu_i> = (N_i (x) I)|Phi> = vec(N_i) / sqrt(d) (row-major vec)."""
         ops = [as_complex_matrix(o) for o in ops]
         d = ops[0].shape[0]
-        phi = mes_state(d).amplitudes
-        states = tuple(PureState(np.kron(o, np.eye(d)) @ phi) for o in ops)
-        return cls(d, states)
+        return cls(d, tuple(PureState(o.reshape(-1) / math.sqrt(d)) for o in ops))
+
+    def to_literal(self) -> dict:
+        return {"local_dim": self.local_dim, "states": [s.to_literal() for s in self.states]}
+
+    @classmethod
+    def from_literal(cls, data) -> "MesMeasurement":
+        local_dim = literal_field(data, "local_dim", "MES measurement", int)
+        states = literal_field(data, "states", "MES measurement", list)
+        return cls(local_dim, tuple(PureState.from_literal(s) for s in states))
+
+
+# tester kind -> (input type, measurement type)
+_TESTER_KINDS = {
+    "projective": (PureState, ProjectiveMeasurement),
+    "mes": (PureState, MesMeasurement),
+    "povm": (DensityMatrix, Povm),
+}
+
+
+def _tester_types(kind) -> tuple[type, type]:
+    if not isinstance(kind, str) or kind not in _TESTER_KINDS:
+        raise ValueError(f"unknown tester kind {kind!r}")
+    return _TESTER_KINDS[kind]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,19 +309,10 @@ class Tester:
 
     def __post_init__(self) -> None:
         kind = self.kind
-        if kind == "projective":
-            ok = isinstance(self.input, PureState) and isinstance(
-                self.measurement, ProjectiveMeasurement
-            )
-        elif kind == "mes":
-            ok = isinstance(self.input, PureState) and isinstance(
-                self.measurement, MesMeasurement
-            )
-        elif kind == "povm":
-            ok = isinstance(self.input, DensityMatrix) and isinstance(self.measurement, Povm)
-        else:
-            raise ValueError(f"unknown tester kind {kind!r}")
-        if not ok:
+        input_type, measurement_type = _tester_types(kind)
+        if not (
+            isinstance(self.input, input_type) and isinstance(self.measurement, measurement_type)
+        ):
             raise ValueError(f"input/measurement types do not match kind {kind!r}")
         if self.input.dim != self.measurement.dim:
             raise ValueError(
@@ -279,39 +352,44 @@ def mes_state(d: int) -> PureState:
     return PureState(phi)
 
 
-def bell_basis(d: int) -> MesMeasurement:
-    """Weyl-Heisenberg MES basis {(X^a Z^b (x) I)|Phi>} for a, b in 0..d-1.
+def weyl_operators(d: int) -> np.ndarray:
+    """The d^2 Weyl operators X^a Z^b, a-major, as a (d^2, d, d) stack.
 
-    X is the cyclic shift |j> -> |j+1 mod d| and Z = diag(exp(2 pi i j / d)).
-    For d = 2 these are the four Bell states.
+    X is the cyclic shift |j> -> |j+1 mod d> and Z = diag(exp(2 pi i j / d)),
+    so (X^a Z^b)[i, j] = exp(2 pi i b j / d) when i = j + a mod d, else 0.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    phase = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b))
-    return MesMeasurement.from_unitaries(ops)
+    k = np.arange(d)
+    hits = (k[None, :, None] - k[None, None, :] - k[:, None, None]) % d == 0  # [a, i, j]
+    phases = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)  # [b, j]
+    ops = np.where(hits[:, None, :, :], phases[None, :, None, :], 0)
+    return ops.reshape(d * d, d, d)
 
 
-def outcome_distribution(t: Tester, u: UnitaryOperator):
+def bell_basis(d: int) -> MesMeasurement:
+    """Weyl-Heisenberg MES basis {(X^a Z^b (x) I)|Phi>} for a, b in 0..d-1.
+
+    For d = 2 these are the four Bell states.
+    """
+    return MesMeasurement.from_unitaries(weyl_operators(d))
+
+
+def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
     """Outcome probabilities of tester ``t`` applied to the unitary ``u``.
 
     projective: p_i = |<chi_i| U |psi>|^2
-    mes:        p_i = |<nu_i| (U (x) I) |Phi>|^2
+    mes:        p_i = |<nu_i| (U (x) I) |Phi>|^2, where (U (x) I)|Phi>
+                is the row-major vec of U times the reshaped |Phi>
     povm:       p_k = Tr(M_k U rho U†)
     """
-    from .uncertainty import OutcomeDistribution
-
     if t.dim != u.dim:
         raise ValueError(f"dimension mismatch: tester {t.dim} vs operator {u.dim}")
     if t.kind == "projective":
         amps = t.measurement.matrix.conj().T @ (u.matrix @ t.input.amplitudes)
         p = np.abs(amps) ** 2
     elif t.kind == "mes":
-        evolved = np.kron(u.matrix, np.eye(u.dim)) @ t.input.amplitudes
+        evolved = (u.matrix @ t.input.amplitudes.reshape(u.dim, u.dim)).reshape(-1)
         amps = t.measurement.matrix.conj().T @ evolved
         p = np.abs(amps) ** 2
     else:
@@ -358,34 +436,10 @@ def is_trivial_measurement(
 
 # --- JSON serialization ----------------------------------------------------
 
-def _vector_to_literal(v: np.ndarray) -> dict:
-    v = as_complex_vector(v)
-    return {"dim": v.size, "re": v.real.tolist(), "im": v.imag.tolist()}
-
-
-def _vector_from_literal(data: dict) -> np.ndarray:
-    try:
-        d = int(data["dim"])
-        v = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed vector literal: {exc}") from exc
-    return as_complex_vector(v, dim=d)
-
-
 def tester_to_json(t: Tester) -> str:
-    if t.kind == "projective":
-        input_data = _vector_to_literal(t.input.amplitudes)
-        meas_data = {"states": [_vector_to_literal(s.amplitudes) for s in t.measurement.states]}
-    elif t.kind == "mes":
-        input_data = _vector_to_literal(t.input.amplitudes)
-        meas_data = {
-            "local_dim": t.measurement.local_dim,
-            "states": [_vector_to_literal(s.amplitudes) for s in t.measurement.states],
-        }
-    else:
-        input_data = matrix_to_literal(t.input.matrix)
-        meas_data = {"elements": [matrix_to_literal(e) for e in t.measurement.elements]}
-    return json.dumps({"kind": t.kind, "input": input_data, "measurement": meas_data})
+    return json.dumps(
+        {"kind": t.kind, "input": t.input.to_literal(), "measurement": t.measurement.to_literal()}
+    )
 
 
 def tester_from_json(text: str) -> Tester:
@@ -394,26 +448,8 @@ def tester_from_json(text: str) -> Tester:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
-    try:
-        kind = data["kind"]
-        input_data = data["input"]
-        meas_data = data["measurement"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"tester JSON missing field: {exc}") from exc
-    if kind == "projective":
-        state = PureState(_vector_from_literal(input_data))
-        m = ProjectiveMeasurement(
-            tuple(PureState(_vector_from_literal(s)) for s in meas_data["states"])
-        )
-        return Tester.projective(state, m)
-    if kind == "mes":
-        m = MesMeasurement(
-            int(meas_data["local_dim"]),
-            tuple(PureState(_vector_from_literal(s)) for s in meas_data["states"]),
-        )
-        return Tester.mes(m)
-    if kind == "povm":
-        rho = DensityMatrix(matrix_from_literal(input_data))
-        m = Povm(tuple(matrix_from_literal(e) for e in meas_data["elements"]))
-        return Tester.povm(rho, m)
-    raise ValueError(f"unknown tester kind {kind!r}")
+    kind = literal_field(data, "kind", "tester")
+    input_type, measurement_type = _tester_types(kind)
+    state = input_type.from_literal(literal_field(data, "input", "tester"))
+    m = measurement_type.from_literal(literal_field(data, "measurement", "tester"))
+    return Tester(kind, state, m)

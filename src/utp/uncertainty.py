@@ -25,6 +25,7 @@ from .linalg import operator_norm, psd_sqrt
 from .operators import UnitaryOperator
 from .testers import (
     MesMeasurement,
+    OutcomeDistribution,
     Povm,
     ProjectiveMeasurement,
     PureState,
@@ -34,36 +35,6 @@ from .testers import (
 
 NATURAL = math.e
 ZERO_PROBABILITY = 1e-15  # below this, a probability is logged as an exact zero
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Probability vector over measurement outcomes.
-
-    Entries may carry numerical noise of at most 1e-12 outside [0, 1];
-    they are clamped on construction.  The total must be 1 within 1e-9.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.size == 0:
-            raise ValueError("empty distribution")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < -1e-12 or p.max() > 1 + 1e-12:
-            raise ValueError(
-                f"probabilities outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
-            )
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
-
-    def __len__(self) -> int:
-        return self.probs.size
 
 
 @dataclass(frozen=True)

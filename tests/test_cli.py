@@ -5,7 +5,7 @@ import pytest
 
 from utp import cli
 from utp.linalg import ConvergenceError
-from utp.operators import matrix_to_literal
+from utp.operators import array_to_literal
 
 
 def test_bound_golden(run_cli):
@@ -133,7 +133,7 @@ def test_povm_bound_matches_projective(run_cli):
 
 def test_povm_bound_from_json_file(run_cli, tmp_path):
     path = tmp_path / "povm.json"
-    path.write_text(json.dumps({"elements": [matrix_to_literal(np.eye(2) / 2)] * 2}))
+    path.write_text(json.dumps({"elements": [array_to_literal(np.eye(2) / 2)] * 2}))
     code, out, _ = run_cli(
         ["povm-bound", "--v", "identity", "--w", "pauli-x", "--measurement", str(path)]
     )
@@ -160,7 +160,7 @@ def test_mes_bound_dim3(run_cli):
 def test_operator_from_json_file(run_cli, tmp_path):
     path = tmp_path / "hadamard.json"
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    path.write_text(json.dumps(matrix_to_literal(h)))
+    path.write_text(json.dumps(array_to_literal(h)))
     code, out, _ = run_cli(
         ["bound", "--v", "identity", "--w", str(path), "--measurement", "computational"]
     )
@@ -186,6 +186,30 @@ def test_malformed_json_exits_2(run_cli, tmp_path):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, literal",
+    [
+        ("povm-bound", "--measurement", {"elements": 5}),
+        ("bound", "--measurement", {"states": 5}),
+        ("bound", "--measurement", {"states": None}),
+        ("bound", "--measurement", [1, 2]),
+        ("mes-bound", "--measurement", {"local_dim": 2, "states": 5}),
+        ("mes-bound", "--measurement", {"local_dim": None, "states": []}),
+        ("entropy", "--input", {"dim": 2, "re": "x", "im": 0}),
+    ],
+)
+def test_malformed_literal_file_exits_2(run_cli, tmp_path, command, flag, literal):
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(literal))
+    argv = [command, "--v", "identity", "--w", "identity", flag, str(path)]
+    if command == "entropy":
+        argv += ["--measurement", "computational"]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
 def test_non_unitary_json_exits_2(run_cli, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]}))
@@ -206,6 +230,23 @@ def test_bad_angle_exits_2(run_cli):
                             "--measurement", "su2:frog,0"])
     assert code == 2
     assert "angle" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--pair", "i-omega", "--grid", "3"],
+        ["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"],
+        ["distinguish", "--v", "pauli-x", "--w", "pauli-z"],
+        ["game", "--v", "identity", "--w", "pauli-x", "--measurement", "computational",
+         "--input", "e:0", "--trials", "10"],
+    ],
+)
+def test_log_base_refused_where_ignored(run_cli, argv):
+    code, out, err = run_cli([*argv, "--log-base", "e"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --log-base e" in err
 
 
 def test_unknown_subcommand_exits_2(run_cli):

@@ -3,33 +3,9 @@ import pytest
 
 from utp import linalg
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-
-def test_matmul_identity_and_involution():
-    assert np.allclose(linalg.matmul(I2, SX), SX)
-    assert np.allclose(linalg.matmul(SX, SX), I2)
-
-
-def test_matmul_hand_product():
-    # sigma_x sigma_z worked out entry by entry
-    assert np.allclose(linalg.matmul(SX, SZ), np.array([[0, -1], [1, 0]]))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        linalg.matmul(np.eye(2), np.eye(3))
-
-
-def test_adjoint():
-    assert np.allclose(linalg.adjoint(SY), SY)
-    assert np.allclose(linalg.adjoint(np.diag([1j, 1])), np.diag([-1j, 1]))
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(linalg.adjoint(linalg.adjoint(a)), a)
 
 
 def test_rejects_nonfinite():
@@ -130,12 +106,3 @@ def test_psd_sqrt_rejects_bad_input():
         linalg.psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_trace_kron_inner_norm():
-    assert linalg.trace(np.eye(5)) == pytest.approx(5.0)
-    assert np.allclose(linalg.kron(I2, I2), np.eye(4))
-    assert linalg.inner([1, 0], [0, 1]) == 0
-    # conjugate-linear in the first argument
-    assert linalg.inner([1j, 0], [1, 0]) == pytest.approx(-1j)
-    assert linalg.norm([3, 4]) == pytest.approx(5.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from utp.testers import (
     tester_from_json,
     tester_to_json,
     trivial_tester,
+    weyl_operators,
 )
 
 
@@ -177,7 +180,31 @@ def test_bell_basis_d2_states():
         assert abs(abs(np.vdot(state.amplitudes, expect)) - 1) < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_weyl_operators_match_matrix_power_formula(d):
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    phase = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    reference = [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b)
+        for a in range(d)
+        for b in range(d)
+    ]
+    assert np.abs(weyl_operators(d) - np.array(reference)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mes_outcomes_match_kron_formula(d):
+    rng = np.random.default_rng(d)
+    m = bell_basis(d)
+    t = Tester.mes(m)
+    for _ in range(5):
+        u = UnitaryOperator(haar_matrix(d, rng))
+        evolved = np.kron(u.matrix, np.eye(d)) @ mes_state(d).amplitudes
+        expected = np.abs(m.matrix.conj().T @ evolved) ** 2
+        assert np.abs(outcome_distribution(t, u).probs - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 16, 32])
 def test_bell_basis_orthonormal_and_entangled(d):
     basis = bell_basis(d)
     x = basis.matrix
@@ -256,6 +283,37 @@ def test_tester_json_rejects_malformed():
         tester_from_json("{")
     with pytest.raises(ValueError, match="unknown tester kind"):
         tester_from_json('{"kind": "x", "input": {}, "measurement": {}}')
+
+
+@pytest.mark.parametrize(
+    "measurement",
+    [{}, {"states": 5}, {"states": None}, [], {"states": [{"dim": 2, "re": [1, 0]}]}],
+)
+def test_tester_json_rejects_malformed_measurement(measurement):
+    data = json.loads(tester_to_json(Tester.projective(qubit_state(1, 0), computational_basis(2))))
+    data["measurement"] = measurement
+    with pytest.raises(ValueError, match="malformed"):
+        tester_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"input": {}, "measurement": {}}',
+        '{"kind": ["projective"], "input": {}, "measurement": {}}',
+        json.dumps(
+            {
+                "kind": "mes",
+                "input": {"dim": 4, "re": [2**-0.5, 0, 0, 2**-0.5], "im": [0, 0, 0, 0]},
+                "measurement": {"local_dim": "2", "states": []},
+            }
+        ),
+    ],
+)
+def test_tester_json_rejects_malformed_fields(text):
+    with pytest.raises(ValueError, match="malformed|unknown tester kind"):
+        tester_from_json(text)
 
 
 def test_trivial_tester_random_pairs():
