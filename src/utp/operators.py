@@ -82,18 +82,13 @@ class UnitaryBasis:
             raise ValueError(
                 f"basis size {len(elements)} is neither d={d} nor d^2={d * d}"
             )
-        for i, p in enumerate(elements):
-            for q in elements[i + 1 :]:
-                ip = hs_inner(p, q)
-                if abs(ip) > DEFAULT_TOL:
-                    raise ValueError(
-                        f"basis elements are not HS-orthogonal: |Tr(P†Q)| = {abs(ip):.3e}"
-                    )
-        # |Tr(P† P)| = d holds exactly for any unitary; kept as a guard.
-        for p in elements:
-            if abs(abs(hs_inner(p, p)) - d) > DEFAULT_TOL:
-                raise ValueError("basis element does not have HS norm sqrt(d)")
         object.__setattr__(self, "elements", elements)
+        # |Tr(P_i† P_i)| = d holds exactly for any unitary; the diagonal is a guard.
+        dev = np.abs(hs_table(self, self) - d * np.eye(len(elements))).max()
+        if dev > DEFAULT_TOL:
+            raise ValueError(
+                f"basis elements are not HS-orthogonal: |Tr(P_i† P_j)| is {dev:.3e} off d·δ_ij"
+            )
 
     @property
     def dim(self) -> int:
@@ -151,6 +146,13 @@ def hs_inner(a: UnitaryOperator, b: UnitaryOperator) -> complex:
     return complex(np.trace(a.matrix.conj().T @ b.matrix))
 
 
+def hs_table(b1: UnitaryBasis, b2: UnitaryBasis) -> np.ndarray:
+    """|Tr(P_i† Q_j)| for P_i in ``b1`` and Q_j in ``b2``, one product of vec'd operators."""
+    p = np.stack([e.matrix.reshape(-1) for e in b1.elements])
+    q = np.stack([e.matrix.reshape(-1) for e in b2.elements])
+    return np.abs(p.conj() @ q.T)
+
+
 def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Decide whether two unitary bases are mutually unbiased.
 
@@ -165,9 +167,7 @@ def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tup
         raise ValueError("bases must share dimension and subspace dimension")
     d = b1.dim
     expected = d * d / b1.subspace_dim
-    overlaps = np.array(
-        [[abs(hs_inner(p, q)) ** 2 for q in b2.elements] for p in b1.elements]
-    )
+    overlaps = hs_table(b1, b2) ** 2
     kappa = float(overlaps.mean())
     constant = bool(np.abs(overlaps - kappa).max() <= tol)
     flag = constant and abs(kappa - expected) <= tol

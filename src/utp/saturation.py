@@ -31,6 +31,7 @@ from .operators import (
     UnitaryBasis,
     UnitaryOperator,
     _hull_distance_to_origin,
+    hs_table,
     identity,
     omega,
     pauli,
@@ -41,14 +42,11 @@ from .testers import (
     PureState,
     Tester,
     is_trivial_measurement,
+    mes_overlap_table,
+    overlap_table,
     weyl_operators,
 )
-from .uncertainty import (
-    EntropyValue,
-    mes_bound,
-    pair_uncertainty,
-    projective_bound,
-)
+from .uncertainty import EntropicBound, EntropyValue, pair_uncertainty, snap_to_one
 
 GAP_FLOOR = -1e-9  # the bound is a true lower bound; gaps below this are a bug
 SATURATION_GAP_BITS = 1e-6  # "achieves the bound" threshold after a search
@@ -59,8 +57,7 @@ class SaturationReport:
     """Outcome of a saturation attempt for one measurement and operator pair."""
 
     achieved: EntropyValue
-    bound: EntropyValue
-    gap: float
+    bound: EntropicBound
     tester: Tester
     trivial: bool
     method: str
@@ -68,10 +65,13 @@ class SaturationReport:
     def __post_init__(self) -> None:
         if self.method not in ("row-construction", "numerical-search"):
             raise ValueError(f"unknown method {self.method!r}")
-        if abs(self.gap - (self.achieved.value - self.bound.value)) > 1e-12:
-            raise ValueError("gap field does not match achieved - bound")
         if self.gap < GAP_FLOOR:
             raise ValueError(f"achieved {self.achieved.value} undercuts the bound by {-self.gap}")
+
+    @property
+    def gap(self) -> float:
+        """achieved - bound, in the base of both."""
+        return self.achieved.value - self.bound.value
 
     @property
     def saturates(self) -> bool:
@@ -94,6 +94,20 @@ class SweepRecord:
             raise ValueError("bound_bits is not -log2(max_overlap)")
         if self.max_overlap < self.diag_overlap - 1e-12:
             raise ValueError("max_overlap below diagonal overlap")
+
+
+def _report(
+    tester: Tester, v: UnitaryOperator, w: UnitaryOperator, overlaps: np.ndarray,
+    trivial: bool, method: str, base: float,
+) -> SaturationReport:
+    """Report of ``tester`` on (v, w) against the bound of its overlap table."""
+    return SaturationReport(
+        achieved=pair_uncertainty(tester, v, w, base),
+        bound=EntropicBound.from_overlaps(overlaps, base),
+        tester=tester,
+        trivial=trivial,
+        method=method,
+    )
 
 
 def sweep_pair(name: str) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -151,7 +165,10 @@ def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
 
 
 def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: float = 1e-12):
-    """(max_overlap, diag_overlap) arrays, closed form vs matrices cross-checked."""
+    """(max_overlap, diag_overlap, bound_bits) arrays, closed form vs matrices cross-checked.
+
+    bound_bits follows the bounds' rule that a maximum within TIE_TOL of 1 is 1.
+    """
     v, w = sweep_pair(pair)
     a = w.matrix @ v.matrix.conj().T
     x = _su2_matrix(theta, phi)
@@ -168,16 +185,14 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: fl
         raise ArithmeticError(
             f"closed-form/matrix overlap mismatch {dev:.3e} exceeds {check_tol:.0e}"
         )
-    return p.max(axis=(-2, -1)), p[..., 0, 0]
+    max_overlap = p.max(axis=(-2, -1))
+    return max_overlap, p[..., 0, 0], -np.log2(snap_to_one(max_overlap)) + 0.0
 
 
 def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
     """Overlap surface sample at one (theta, phi), cross-checked both ways."""
-    max_overlap, diag = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))
-    return SweepRecord(
-        float(theta), float(phi), float(max_overlap), float(diag),
-        float(-np.log2(max_overlap) + 0.0),
-    )
+    arrays = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))
+    return SweepRecord(float(theta), float(phi), *(float(a) for a in arrays))
 
 
 def su2_overlap_surface(pair: str, grid: int) -> list[SweepRecord]:
@@ -187,8 +202,7 @@ def su2_overlap_surface(pair: str, grid: int) -> list[SweepRecord]:
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, np.pi, grid)
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    max_overlap, diag = _surface_arrays(pair, th, ph)
-    bound_bits = -np.log2(max_overlap) + 0.0
+    max_overlap, diag, bound_bits = _surface_arrays(pair, th, ph)
     return [
         SweepRecord(
             float(th[i, j]), float(ph[i, j]),
@@ -235,7 +249,7 @@ def saturating_tester_by_construction(
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
     x = m.matrix
-    overlaps = np.abs(x.conj().T @ (w.matrix @ v.matrix.conj().T) @ x) ** 2
+    overlaps = overlap_table(x, w.matrix @ v.matrix.conj().T)
     global_max = overlaps.max()
     for i in range(m.dim):
         column = overlaps[:, i]
@@ -244,16 +258,8 @@ def saturating_tester_by_construction(
             continue
         if support.max() - support.min() <= tol and abs(support.max() - global_max) <= tol:
             tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, i]), m)
-            achieved = pair_uncertainty(tester, v, w, base)
-            bound = projective_bound(m, v, w, base)
-            return SaturationReport(
-                achieved=achieved,
-                bound=EntropyValue(bound.value, base),
-                gap=achieved.value - bound.value,
-                tester=tester,
-                trivial=is_trivial_measurement(m, v, w),
-                method="row-construction",
-            )
+            trivial = is_trivial_measurement(m, v, w)
+            return _report(tester, v, w, overlaps, trivial, "row-construction", base)
     return None
 
 
@@ -328,21 +334,14 @@ def search_min_uncertainty(
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
     d = m.dim
-    bound = projective_bound(m, v, w, base)
     x = m.matrix
+    a = w.matrix @ v.matrix.conj().T
+    overlaps = overlap_table(x, a)
 
-    if _is_phase_of_identity(w.matrix @ v.matrix.conj().T):
+    if _is_phase_of_identity(a):
         # w = phase * v: every basis is trivial and any chi_i input gives 0.
         tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]), m)
-        achieved = pair_uncertainty(tester, v, w, base)
-        return SaturationReport(
-            achieved=achieved,
-            bound=EntropyValue(bound.value, base),
-            gap=achieved.value - bound.value,
-            tester=tester,
-            trivial=True,
-            method="numerical-search",
-        )
+        return _report(tester, v, w, overlaps, True, "numerical-search", base)
 
     bv = x.conj().T @ v.matrix
     bw = x.conj().T @ w.matrix
@@ -366,15 +365,8 @@ def search_min_uncertainty(
     ]
     best_x, _, _ = _multistart_nelder_mead(objective, x0s, budget)
     tester = Tester.projective(PureState(_hypersphere_state(best_x, d)), m)
-    achieved = pair_uncertainty(tester, v, w, base)
-    return SaturationReport(
-        achieved=achieved,
-        bound=EntropyValue(bound.value, base),
-        gap=achieved.value - bound.value,
-        tester=tester,
-        trivial=is_trivial_measurement(m, v, w),
-        method="numerical-search",
-    )
+    trivial = is_trivial_measurement(m, v, w)
+    return _report(tester, v, w, overlaps, trivial, "numerical-search", base)
 
 
 def _hermitian_generators(d: int) -> list[np.ndarray]:
@@ -417,7 +409,7 @@ def _find_flat_projective_basis(
     target = 1.0 / d
 
     def deviation(x: np.ndarray) -> float:
-        return float(np.abs(np.abs(x.conj().T @ a @ x) ** 2 - target).max())
+        return float(np.abs(overlap_table(x, a) - target).max())
 
     eigvecs = np.column_stack([vec for _, vec in eig_unitary(a)])
     dft = _dft_matrix(d)
@@ -433,7 +425,7 @@ def _find_flat_projective_basis(
     def objective(coeffs: np.ndarray) -> float:
         h = sum(c * g for c, g in zip(coeffs, generators))
         x = x0_base @ scipy.linalg.expm(1j * h)
-        return float(((np.abs(x.conj().T @ a @ x) ** 2 - target) ** 2).sum())
+        return float(((overlap_table(x, a) - target) ** 2).sum())
 
     rng = np.random.default_rng(seed)
     x0s = [rng.uniform(-np.pi, np.pi, len(generators)) for _ in range(restarts)]
@@ -457,13 +449,12 @@ def _find_flat_mes_operators(
     """
     d = a.shape[0]
     weyl = weyl_operators(d)
-    flat = weyl.reshape(d * d, d * d).conj()
+    states = weyl / math.sqrt(d)  # the Bell states, reshaped
     target = 1.0 / (d * d)
 
     def squared_overlaps(x: np.ndarray) -> np.ndarray:
-        """|Tr(N_i† b N_j) / d|^2 for b = x† a x, as one product of vec'd operators."""
-        b = x.conj().T @ a @ x
-        return np.abs(flat @ (b @ weyl).reshape(d * d, d * d).T / d) ** 2
+        """|<nu_i| (b (x) I) |nu_j>|^2 over the Bell states for b = x† a x."""
+        return mes_overlap_table(states, x.conj().T @ a @ x)
 
     if np.abs(squared_overlaps(np.eye(d, dtype=complex)) - target).max() <= tol:
         return weyl, "row-construction"
@@ -523,63 +514,39 @@ def muub_certify_by_saturation(
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
 
+    find_flat = _find_flat_mes_operators if full_space else _find_flat_projective_basis
     reports: list[tuple[SaturationReport | None, ...]] = []
-    traces = np.zeros((b2.subspace_dim, b1.subspace_dim))
-    all_found = True
     for m_idx, wm in enumerate(b2.elements):
         row: list[SaturationReport | None] = []
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
-            traces[m_idx, n_idx] = abs(np.trace(a))
             pair_seed = seed + 7919 * m_idx + n_idx
-            if _is_phase_of_identity(a):
-                # overlap 1 in every basis: this pair can never saturate log d
-                row.append(None)
-                all_found = False
-                continue
-            if full_space:
-                found = _find_flat_mes_operators(a, tol, budget, restarts, pair_seed)
-                if found is None:
-                    row.append(None)
-                    all_found = False
-                    continue
-                ops, method = found
-                primed = [op @ ops[0].conj().T @ vn.matrix for op in ops]
-                measurement = MesMeasurement.from_unitaries(primed)
-                tester = Tester.mes(measurement)
-                bound = mes_bound(measurement, vn, wm, base)
-                trivial = False
-            else:
-                found = _find_flat_projective_basis(a, tol, budget, restarts, pair_seed)
-                if found is None:
-                    row.append(None)
-                    all_found = False
-                    continue
-                x, method = found
-                measurement = ProjectiveMeasurement.from_matrix(x)
-                tester = Tester.projective(
-                    PureState(vn.matrix.conj().T @ x[:, 0]), measurement
-                )
-                bound = projective_bound(measurement, vn, wm, base)
-                trivial = is_trivial_measurement(measurement, vn, wm)
-            achieved = pair_uncertainty(tester, vn, wm, base)
-            row.append(
-                SaturationReport(
-                    achieved=achieved,
-                    bound=EntropyValue(bound.value, base),
-                    gap=achieved.value - bound.value,
-                    tester=tester,
-                    trivial=trivial,
-                    method=method,
-                )
+            # a phase of the identity has overlap 1 in every basis: it can never saturate log d
+            found = None if _is_phase_of_identity(a) else find_flat(
+                a, tol, budget, restarts, pair_seed
             )
+            if found is None:
+                row.append(None)
+                continue
+            flat, method = found
+            if full_space:
+                primed = [op @ flat[0].conj().T @ vn.matrix for op in flat]
+                measurement = MesMeasurement.from_unitaries(primed)
+                tester, trivial = Tester.mes(measurement), False
+            else:
+                measurement = ProjectiveMeasurement.from_matrix(flat)
+                tester = Tester.projective(PureState(vn.matrix.conj().T @ flat[:, 0]), measurement)
+                trivial = is_trivial_measurement(measurement, vn, wm)
+            row.append(_report(tester, vn, wm, measurement.overlaps(a), trivial, method, base))
         reports.append(tuple(row))
 
-    certified = all_found and bool(np.abs(traces - expected_trace).max() <= tol)
+    trace_moduli = hs_table(b2, b1)
+    all_found = all(r is not None for row in reports for r in row)
+    certified = all_found and bool(np.abs(trace_moduli - expected_trace).max() <= tol)
     return MuubCertification(
         certified=certified,
         reports=tuple(reports),
-        trace_moduli=traces,
+        trace_moduli=trace_moduli,
         expected_trace=expected_trace,
     )
 

@@ -32,6 +32,20 @@ POVM_SUM_TOL = 1e-8  # element sums accumulate error over d^2 terms
 MES_RESHAPE_TOL = 1e-8
 
 
+def overlap_table(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Squared overlaps |<x_i| a |x_j>|^2 between the columns of ``x``."""
+    return np.abs(x.conj().T @ a @ x) ** 2
+
+
+def mes_overlap_table(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|Tr(R_i† a R_j)|^2 over a (n, d, d) stack ``r``, one product of vec'd operators.
+
+    For R_i the row-major reshape of |nu_i>, this is |<nu_i| (a (x) I) |nu_j>|^2.
+    """
+    n = r.shape[0]
+    return np.abs(r.reshape(n, -1).conj() @ (a @ r).reshape(n, -1).T) ** 2
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Probability vector over measurement outcomes.
@@ -121,6 +135,10 @@ class ProjectiveMeasurement:
     def matrix(self) -> np.ndarray:
         """Unitary whose columns are the basis states."""
         return self.matrix_of(self.states)
+
+    def overlaps(self, a: np.ndarray) -> np.ndarray:
+        """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
+        return overlap_table(self.matrix, a)
 
     @classmethod
     def from_matrix(cls, x) -> "ProjectiveMeasurement":
@@ -248,10 +266,9 @@ class MesMeasurement:
         dev = np.abs(x.conj().T @ x - np.eye(d * d)).max()
         if dev > DEFAULT_TOL:
             raise ValueError(f"MES basis is not orthonormal: deviation {dev:.3e}")
-        for s in states:
-            n = s.amplitudes.reshape(d, d) * math.sqrt(d)
-            if np.abs(n.conj().T @ n - np.eye(d)).max() > MES_RESHAPE_TOL:
-                raise ValueError("MES basis element is not maximally entangled")
+        n = x.T.reshape(d * d, d, d) * math.sqrt(d)
+        if np.abs(n.conj().transpose(0, 2, 1) @ n - np.eye(d)).max() > MES_RESHAPE_TOL:
+            raise ValueError("MES basis element is not maximally entangled")
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "states", states)
 
@@ -262,6 +279,11 @@ class MesMeasurement:
     @property
     def matrix(self) -> np.ndarray:
         return np.column_stack([s.amplitudes for s in self.states])
+
+    def overlaps(self, a: np.ndarray) -> np.ndarray:
+        """|<nu_i| (a (x) I) |nu_j>|^2 for the basis states nu_i; a acts on the first factor."""
+        d = self.local_dim
+        return mes_overlap_table(self.matrix.T.reshape(d * d, d, d), a)
 
     def unitaries(self) -> list[np.ndarray]:
         """The unitaries N_i with |nu_i> = (N_i (x) I)|Phi>."""
@@ -424,14 +446,10 @@ def is_trivial_measurement(
     """True iff every basis vector of ``m`` is an eigenvector of w v† within tol."""
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
-    a = w.matrix @ v.matrix.conj().T
-    for s in m.states:
-        chi = s.amplitudes
-        image = a @ chi
-        residual = image - np.vdot(chi, image) * chi
-        if np.linalg.norm(residual) >= tol:
-            return False
-    return True
+    x = m.matrix
+    images = w.matrix @ v.matrix.conj().T @ x
+    residuals = images - (x.conj() * images).sum(axis=0) * x
+    return bool((np.linalg.norm(residuals, axis=0) < tol).all())
 
 
 # --- JSON serialization ----------------------------------------------------

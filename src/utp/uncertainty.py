@@ -35,6 +35,7 @@ from .testers import (
 
 NATURAL = math.e
 ZERO_PROBABILITY = 1e-15  # below this, a probability is logged as an exact zero
+TIE_TOL = 1e-12  # overlaps this close to each other tie; a maximum this close to 1 is 1
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,25 @@ class EntropicBound:
     base: float
     argmax: tuple[int, int]
     max_overlap: float
+
+    @classmethod
+    def from_overlaps(
+        cls, overlaps: np.ndarray, base: float = 2.0, power: float = 1.0
+    ) -> "EntropicBound":
+        """The bound -power * log max(overlaps) of an overlap table, and its argmax.
+
+        Ties and a maximum near 1 follow the two rules stated on ``projective_bound``.
+        """
+        top = float(overlaps.max())
+        i, j = np.unravel_index(int(np.argmax(overlaps >= top - TIE_TOL)), overlaps.shape)
+        m = float(snap_to_one(top))
+        value = float(-power * _log(m, base)) + 0.0
+        return cls(value, base, (int(i), int(j)), m)
+
+
+def snap_to_one(overlap):
+    """``overlap`` with each value within TIE_TOL of 1, or above 1, set to exactly 1."""
+    return np.where(overlap >= 1.0 - TIE_TOL, 1.0, overlap)
 
 
 def _log(x: np.ndarray | float, base: float):
@@ -89,29 +109,22 @@ def pair_uncertainty(
     return EntropyValue(hv.value + hw.value, base)
 
 
-def _bound_from_overlaps(overlaps: np.ndarray, base: float, power: float = 1.0) -> EntropicBound:
-    flat = int(np.argmax(overlaps))
-    argmax = np.unravel_index(flat, overlaps.shape)
-    # overlaps of unit vectors (and norms of PSD-root products) cannot
-    # exceed 1; anything above is roundoff and would give a negative bound
-    m = min(float(overlaps[argmax]), 1.0)
-    value = float(-power * _log(m, base)) + 0.0
-    return EntropicBound(value, base, (int(argmax[0]), int(argmax[1])), m)
-
-
 def projective_bound(
     m: ProjectiveMeasurement, v: UnitaryOperator, w: UnitaryOperator, base: float = 2.0
 ) -> EntropicBound:
     """Measurement-only bound -log max_{i,j} |<chi_i| w v† |chi_j>|^2.
 
     Holds for every input state of a tester carrying this measurement.
-    The returned argmax is the first (row-major) maximizing pair (i, j).
+    The returned argmax is the first (row-major) pair (i, j) whose overlap
+    lies within TIE_TOL = 1e-12 of the maximum, so roundoff does not pick
+    among pairs equal in exact arithmetic.  A maximum within TIE_TOL of 1
+    counts as 1 (bound exactly 0): overlaps cannot exceed 1, and roundoff
+    around 1 would print a bound of about ±1e-16.  The MES and POVM bounds
+    follow the same two rules.
     """
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
-    x = m.matrix
-    o = x.conj().T @ (w.matrix @ v.matrix.conj().T) @ x
-    return _bound_from_overlaps(np.abs(o) ** 2, base)
+    return EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
 
 
 def mes_bound(
@@ -120,10 +133,7 @@ def mes_bound(
     """MES-measurement bound -log max_{i,j} |<nu_i| (w v† (x) I) |nu_j>|^2."""
     if m.local_dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
-    x = m.matrix
-    big = np.kron(w.matrix @ v.matrix.conj().T, np.eye(v.dim))
-    o = x.conj().T @ big @ x
-    return _bound_from_overlaps(np.abs(o) ** 2, base)
+    return EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
 
 
 def povm_bound(
@@ -140,7 +150,7 @@ def povm_bound(
     roots_v = [psd_sqrt(v.matrix.conj().T @ e @ v.matrix) for e in m.elements]
     roots_w = [psd_sqrt(w.matrix.conj().T @ e @ w.matrix) for e in m.elements]
     norms = np.array([[operator_norm(a @ b) for b in roots_w] for a in roots_v])
-    return _bound_from_overlaps(norms, base, power=2.0)
+    return EntropicBound.from_overlaps(norms, base, power=2.0)
 
 
 def variance_uncertainty(u: UnitaryOperator, psi: PureState) -> float:

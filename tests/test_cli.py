@@ -157,6 +157,16 @@ def test_mes_bound_dim3(run_cli):
     assert json.loads(out)["bound_bits"] >= 0.0
 
 
+@pytest.mark.parametrize("dim, argmax", [(3, [0, 7]), (32, [0, 993])])
+def test_mes_bound_tie_and_near_one_rules(run_cli, dim, argmax):
+    # each Weyl-basis overlap occurs d^2 times exactly, so the first row-major pair
+    # within 1e-12 of the maximum is reported; a maximum overlap that rounds to
+    # just below 1 still prints a bound of exactly 0
+    code, out, _ = run_cli(["mes-bound", "--v", "clock", "--w", "shift", "--dim", str(dim)])
+    assert code == 0
+    assert out == json.dumps({"bound_bits": 0.0, "argmax": argmax}) + "\n"
+
+
 def test_operator_from_json_file(run_cli, tmp_path):
     path = tmp_path / "hadamard.json"
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)

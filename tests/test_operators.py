@@ -19,6 +19,7 @@ from utp.operators import (
     unitary_from_json,
     unitary_to_json,
 )
+from utp.testers import weyl_operators
 
 
 def r_basis_elements():
@@ -141,6 +142,27 @@ def test_muub_completeness_sum():
 def test_unitary_basis_rejects_non_orthogonal():
     with pytest.raises(ValueError, match="HS-orthogonal"):
         UnitaryBasis((identity(2), identity(2)))
+
+
+@pytest.fixture(scope="module")
+def weyl_32():
+    """The 1024 Weyl operators at d = 32, the advertised full-space size."""
+    return tuple(UnitaryOperator(o) for o in weyl_operators(32))
+
+
+def test_unitary_basis_full_space_d32(weyl_32):
+    assert UnitaryBasis(weyl_32).subspace_dim == 1024
+
+
+def test_unitary_basis_d32_rejects_phase_multiple(weyl_32):
+    copy = weyl_32[:-1] + (UnitaryOperator(1j * weyl_32[5].matrix),)
+    with pytest.raises(ValueError, match="HS-orthogonal"):
+        UnitaryBasis(copy)
+
+
+def test_is_muub_d32_identical_bases(weyl_32):
+    b = UnitaryBasis(weyl_32)
+    assert is_muub(b, b) == (False, 1.0)
 
 
 def test_unitary_basis_rejects_bad_count():

@@ -125,6 +125,12 @@ def test_sweep_ordering_and_csv():
     assert '"' not in text
 
 
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+def test_sweep_bound_bits_never_negative(pair):
+    # a maximum overlap that rounds to 1 + 2e-16 must not print a negative bound
+    assert min(r.bound_bits for r in su2_overlap_surface(pair, 201)) >= 0.0
+
+
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError, match="grid"):
         su2_overlap_surface("i-omega", 1)

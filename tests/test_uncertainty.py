@@ -18,6 +18,7 @@ from utp.testers import (
     trivial_tester,
 )
 from utp.uncertainty import (
+    EntropicBound,
     OutcomeDistribution,
     mes_bound,
     pair_uncertainty,
@@ -93,6 +94,35 @@ def test_mes_bound_quarter_turn():
     b = mes_bound(bell_basis(2), identity(2), omega(-1))
     assert b.value == pytest.approx(1.0, abs=1e-9)
     assert b.max_overlap == pytest.approx(0.5, abs=1e-12)
+
+
+def _first_within_tie_tol(table: np.ndarray) -> tuple[int, int]:
+    """The documented tie rule: first row-major entry within 1e-12 of the maximum."""
+    flat = np.flatnonzero(table.reshape(-1) >= table.max() - 1e-12)[0]
+    i, j = np.unravel_index(flat, table.shape)
+    return int(i), int(j)
+
+
+def test_from_overlaps_tie_and_near_one_rules():
+    b = EntropicBound.from_overlaps(np.array([[0.25, 0.5 - 1e-13], [0.5, 0.25]]))
+    assert b.argmax == (0, 1)
+    assert b.max_overlap == 0.5
+    b = EntropicBound.from_overlaps(np.array([[0.0, 1.0 - 2e-16], [1.0 - 3e-16, 0.0]]))
+    assert (b.value, b.argmax, b.max_overlap) == (0.0, (0, 1), 1.0)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_mes_bound_matches_kron_reference(d):
+    rng = np.random.default_rng(40 + d)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    m = bell_basis(d)
+    a = w.matrix @ v.matrix.conj().T
+    # the definition |<nu_i| (w v† (x) I) |nu_j>|^2 as a dense d^2 x d^2 product
+    reference = np.abs(m.matrix.conj().T @ np.kron(a, np.eye(d)) @ m.matrix) ** 2
+    assert np.abs(m.overlaps(a) - reference).max() <= 1e-12
+    b = mes_bound(m, v, w)
+    assert b.max_overlap == pytest.approx(reference.max(), abs=1e-12)
+    assert b.argmax == _first_within_tie_tol(reference)
 
 
 def test_povm_bound_projective_reduction():
