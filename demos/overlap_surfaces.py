@@ -21,12 +21,11 @@ GRID = 101
 
 
 def describe(pair: str) -> None:
-    records = su2_overlap_surface(pair, GRID)
-    max_overlap = np.array([r.max_overlap for r in records])
-    bound_bits = np.array([r.bound_bits for r in records])
-    lowest = records[int(np.argmin(max_overlap))]
+    surface = su2_overlap_surface(pair, GRID)
+    max_overlap, bound_bits = surface.max_overlap, surface.bound_bits
+    lowest = surface[int(np.argmin(max_overlap))]
     print(f"pair {pair}:")
-    print(f"  grid {GRID}x{GRID}, {len(records)} samples")
+    print(f"  grid {GRID}x{GRID}, {len(surface)} samples")
     print(f"  min max-overlap {max_overlap.min():.12f} "
           f"at theta={lowest.theta:.6f}, phi={lowest.phi:.6f}")
     print(f"  strongest bound {bound_bits.max():.12f} bits")

@@ -31,6 +31,7 @@ from .operators import (
     pauli,
 )
 from .saturation import (
+    SWEEP_COLUMNS,
     muub_certify_by_saturation,
     search_min_uncertainty,
     su2_basis,
@@ -239,24 +240,15 @@ def cmd_entropy(args) -> str:
 
 
 def cmd_sweep(args) -> str:
-    records = su2_overlap_surface(args.pair, args.grid)
-    log.info("sweep %s over %d points", args.pair, len(records))
+    surface = su2_overlap_surface(args.pair, args.grid)
+    log.info(
+        "sweep %s over %d points, closed-form deviation %.3e",
+        args.pair, len(surface), surface.max_deviation,
+    )
     if args.output == "json":
-        return _json_line(
-            {
-                "records": [
-                    {
-                        "theta": r.theta,
-                        "phi": r.phi,
-                        "max_overlap": r.max_overlap,
-                        "diag_overlap": r.diag_overlap,
-                        "bound_bits": r.bound_bits,
-                    }
-                    for r in records
-                ]
-            }
-        )
-    return sweep_to_csv(records)
+        rows = zip(*(c.tolist() for c in surface.columns()))
+        return _json_line({"records": [dict(zip(SWEEP_COLUMNS, r)) for r in rows]})
+    return sweep_to_csv(surface)
 
 
 def cmd_search(args) -> str:

@@ -79,6 +79,21 @@ class SaturationReport:
         return self.gap < SATURATION_GAP_BITS
 
 
+SWEEP_COLUMNS = ("theta", "phi", "max_overlap", "diag_overlap", "bound_bits")
+
+
+def _check_sweep(max_overlap, diag_overlap, bound_bits) -> None:
+    """The sweep invariants, on scalars or on whole columns.
+
+    bound_bits is -log2 of the maximum after the near-1 rule of ``snap_to_one``,
+    and the maximum overlap is at least the diagonal one.
+    """
+    if np.count_nonzero(np.abs(bound_bits + np.log2(snap_to_one(max_overlap))) > 1e-12):
+        raise ValueError("bound_bits is not -log2(max_overlap)")
+    if np.count_nonzero(max_overlap < diag_overlap - 1e-12):
+        raise ValueError("max_overlap below diagonal overlap")
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One (theta, phi) sample of an overlap surface."""
@@ -90,10 +105,46 @@ class SweepRecord:
     bound_bits: float
 
     def __post_init__(self) -> None:
-        if abs(self.bound_bits - (-np.log2(self.max_overlap) + 0.0)) > 1e-12:
-            raise ValueError("bound_bits is not -log2(max_overlap)")
-        if self.max_overlap < self.diag_overlap - 1e-12:
-            raise ValueError("max_overlap below diagonal overlap")
+        _check_sweep(self.max_overlap, self.diag_overlap, self.bound_bits)
+
+
+@dataclass(frozen=True, eq=False)
+class SweepSurface:
+    """An overlap surface as five equal-length columns, theta-outer row-major.
+
+    ``max_deviation`` is the largest closed-form-versus-matrix deviation over
+    the grid.  ``surface[k]`` builds the ``SweepRecord`` of row k on demand;
+    a slice gives a list of them.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    max_overlap: np.ndarray
+    diag_overlap: np.ndarray
+    bound_bits: np.ndarray
+    max_deviation: float
+
+    def __post_init__(self) -> None:
+        n = np.size(self.theta)
+        for name in SWEEP_COLUMNS:
+            c = np.array(getattr(self, name), dtype=float)
+            if c.shape != (n,):
+                raise ValueError(f"sweep column {name} has shape {c.shape}, want ({n},)")
+            c.flags.writeable = False
+            object.__setattr__(self, name, c)
+        _check_sweep(self.max_overlap, self.diag_overlap, self.bound_bits)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns, in the order of ``SWEEP_COLUMNS``."""
+        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
+
+    def __len__(self) -> int:
+        return self.theta.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return SweepRecord(*(float(c[k]) for c in self.columns()))
 
 
 def _report(
@@ -165,9 +216,11 @@ def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
 
 
 def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: float = 1e-12):
-    """(max_overlap, diag_overlap, bound_bits) arrays, closed form vs matrices cross-checked.
+    """(max_overlap, diag_overlap, bound_bits, deviation), closed form vs matrices cross-checked.
 
-    bound_bits follows the bounds' rule that a maximum within TIE_TOL of 1 is 1.
+    deviation is the largest closed-form-versus-matrix difference, at most
+    ``check_tol``.  bound_bits follows the bounds' rule that a maximum within
+    TIE_TOL of 1 is 1.
     """
     v, w = sweep_pair(pair)
     a = w.matrix @ v.matrix.conj().T
@@ -175,53 +228,53 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: fl
     o = np.einsum("...ki,kl,...lj->...ij", x.conj(), a, x)
     p = np.abs(o) ** 2
     diag_cf, off_cf = _closed_form_overlaps(pair, theta, phi)
-    dev = max(
+    dev = float(max(
         np.abs(p[..., 0, 0] - diag_cf).max(),
         np.abs(p[..., 1, 1] - diag_cf).max(),
         np.abs(p[..., 0, 1] - off_cf).max(),
         np.abs(p[..., 1, 0] - off_cf).max(),
-    )
+    ))
     if dev > check_tol:
         raise ArithmeticError(
             f"closed-form/matrix overlap mismatch {dev:.3e} exceeds {check_tol:.0e}"
         )
     max_overlap = p.max(axis=(-2, -1))
-    return max_overlap, p[..., 0, 0], -np.log2(snap_to_one(max_overlap)) + 0.0
+    return max_overlap, p[..., 0, 0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
 
 
 def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
     """Overlap surface sample at one (theta, phi), cross-checked both ways."""
-    arrays = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))
+    arrays = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))[:3]
     return SweepRecord(float(theta), float(phi), *(float(a) for a in arrays))
 
 
-def su2_overlap_surface(pair: str, grid: int) -> list[SweepRecord]:
+def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     """Overlap surface over the [0, pi] x [0, pi] grid, theta-outer row-major."""
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, np.pi, grid)
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    max_overlap, diag, bound_bits = _surface_arrays(pair, th, ph)
-    return [
-        SweepRecord(
-            float(th[i, j]), float(ph[i, j]),
-            float(max_overlap[i, j]), float(diag[i, j]), float(bound_bits[i, j]),
-        )
-        for i in range(grid)
-        for j in range(grid)
-    ]
+    max_overlap, diag, bound_bits, dev = _surface_arrays(pair, th, ph)
+    return SweepSurface(
+        th.ravel(), ph.ravel(), max_overlap.ravel(), diag.ravel(), bound_bits.ravel(), dev
+    )
 
 
-def sweep_to_csv(records) -> str:
+def _format_column(c: np.ndarray) -> np.ndarray:
+    """``{:.12g}`` strings of ``c`` as an object array, each distinct value formatted once.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 keep their own strings.
+    """
+    bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
+    text = np.array([f"{x:.12g}" for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
+
+
+def sweep_to_csv(surface: SweepSurface) -> str:
     """CSV rendering with 12 significant digits per field."""
-    lines = ["theta,phi,max_overlap,diag_overlap,bound_bits"]
-    for r in records:
-        lines.append(
-            f"{r.theta:.12g},{r.phi:.12g},{r.max_overlap:.12g},"
-            f"{r.diag_overlap:.12g},{r.bound_bits:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = map(",".join, zip(*(_format_column(c) for c in surface.columns())))
+    return "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
 
 
 def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,6 +108,7 @@ class ProjectiveMeasurement:
     """Complete orthonormal basis of rank-1 projectors."""
 
     states: tuple[PureState, ...]
+    matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -116,25 +117,18 @@ class ProjectiveMeasurement:
         d = states[0].dim
         if len(states) != d or any(s.dim != d for s in states):
             raise ValueError(f"projective measurement needs exactly d={d} states of dimension d")
-        x = self.matrix_of(states)
+        x = np.column_stack([s.amplitudes for s in states])
         gram = x.conj().T @ x
         dev = np.abs(gram - np.eye(d)).max()
         if dev > DEFAULT_TOL:
             raise ValueError(f"measurement basis is not orthonormal: deviation {dev:.3e}")
+        x.flags.writeable = False
         object.__setattr__(self, "states", states)
-
-    @staticmethod
-    def matrix_of(states) -> np.ndarray:
-        return np.column_stack([s.amplitudes for s in states])
+        object.__setattr__(self, "matrix", x)
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Unitary whose columns are the basis states."""
-        return self.matrix_of(self.states)
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
@@ -254,6 +248,7 @@ class MesMeasurement:
 
     local_dim: int
     states: tuple[PureState, ...]
+    matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
 
     def __post_init__(self) -> None:
         d = int(self.local_dim)
@@ -269,16 +264,14 @@ class MesMeasurement:
         n = x.T.reshape(d * d, d, d) * math.sqrt(d)
         if np.abs(n.conj().transpose(0, 2, 1) @ n - np.eye(d)).max() > MES_RESHAPE_TOL:
             raise ValueError("MES basis element is not maximally entangled")
+        x.flags.writeable = False
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "matrix", x)
 
     @property
     def dim(self) -> int:
         return self.local_dim * self.local_dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([s.amplitudes for s in self.states])
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<nu_i| (a (x) I) |nu_j>|^2 for the basis states nu_i; a acts on the first factor."""

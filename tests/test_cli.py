@@ -6,6 +6,7 @@ import pytest
 from utp import cli
 from utp.linalg import ConvergenceError
 from utp.operators import array_to_literal
+from utp.saturation import SweepRecord, su2_overlap_surface
 
 
 def test_bound_golden(run_cli):
@@ -82,6 +83,65 @@ def test_sweep_json_output(run_cli):
     payload = json.loads(out)
     assert len(payload["records"]) == 9
     assert payload["records"][0]["max_overlap"] == pytest.approx(1.0)
+
+
+def _reference_sweep_output(records, output: str) -> str:
+    """The per-record rendering that the columnar one must match byte for byte."""
+    if output == "json":
+        return json.dumps(
+            {
+                "records": [
+                    {
+                        "theta": r.theta,
+                        "phi": r.phi,
+                        "max_overlap": r.max_overlap,
+                        "diag_overlap": r.diag_overlap,
+                        "bound_bits": r.bound_bits,
+                    }
+                    for r in records
+                ]
+            }
+        ) + "\n"
+    lines = ["theta,phi,max_overlap,diag_overlap,bound_bits"]
+    for r in records:
+        lines.append(
+            f"{r.theta:.12g},{r.phi:.12g},{r.max_overlap:.12g},"
+            f"{r.diag_overlap:.12g},{r.bound_bits:.12g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_output_matches_per_record_rendering(run_cli, pair, output):
+    code, out, _ = run_cli(["sweep", "--pair", pair, "--grid", "51", "--output", output])
+    assert code == 0
+    assert out == _reference_sweep_output(list(su2_overlap_surface(pair, 51)), output)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_cli_builds_no_records(run_cli, monkeypatch, output):
+    built = []
+    check = SweepRecord.__post_init__
+
+    def counting(self):
+        built.append(1)
+        check(self)
+
+    monkeypatch.setattr(SweepRecord, "__post_init__", counting)
+    code, out, _ = run_cli(["sweep", "--pair", "i-omega", "--grid", "51", "--output", output])
+    assert code == 0 and out
+    assert built == []
+    su2_overlap_surface("i-omega", 3)[0]  # the counter sees a record built on demand
+    assert built == [1]
+
+
+def test_sweep_info_log_reports_deviation(run_cli, monkeypatch):
+    monkeypatch.setenv("UTP_LOG", "info")
+    code, out, err = run_cli(["sweep", "--pair", "i-sigmay", "--grid", "21"])
+    assert code == 0
+    deviation = float(err.split("closed-form deviation ")[1].split()[0])
+    assert 0.0 <= deviation <= 1e-12
 
 
 def test_search_reproducible_bytes(run_cli):

@@ -13,7 +13,9 @@ from utp.operators import (
     pauli,
 )
 from utp.saturation import (
+    SWEEP_COLUMNS,
     SweepRecord,
+    SweepSurface,
     muub_certify_by_saturation,
     saturating_tester_by_construction,
     search_min_uncertainty,
@@ -111,6 +113,65 @@ def test_sweep_record_invariants():
         SweepRecord(0.0, 0.0, 0.25, 0.5, 2.0)
 
 
+@pytest.mark.parametrize(
+    "pair, theta, phi", [("i-sigmay", np.pi / 4, 9e-7), ("i-omega", np.pi / 4, np.pi / 2 - 1.3e-6)]
+)
+def test_sweep_point_near_one_follows_snap_rule(pair, theta, phi):
+    # the maximum lies within (6.9e-13, 1e-12) of 1: snapped to 1, so the bound is 0,
+    # which differs from the unsnapped -log2(max) by more than 1e-12
+    point = su2_overlap_point(pair, theta, phi)
+    assert 1.0 - 1e-12 < point.max_overlap < 1.0 - 6.9e-13
+    assert point.bound_bits == 0.0
+
+
+def _columns(**changes):
+    cols = {
+        "theta": [0.0, 0.0, 0.5],
+        "phi": [0.0, 1.0, 0.0],
+        "max_overlap": [0.5, 1.0, 0.25],
+        "diag_overlap": [0.5, 0.25, 0.125],
+        "bound_bits": [1.0, 0.0, 2.0],
+    }
+    cols.update(changes)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+def test_sweep_surface_invariants_match_record():
+    SweepSurface(**_columns(), max_deviation=0.0)
+    for changes, record in [
+        ({"bound_bits": [1.0, 3.0, 2.0]}, (0.0, 1.0, 1.0, 0.25, 3.0)),
+        ({"diag_overlap": [0.5, 0.25, 0.5]}, (0.5, 0.0, 0.25, 0.5, 2.0)),
+    ]:
+        with pytest.raises(ValueError) as from_record:
+            SweepRecord(*record)
+        with pytest.raises(ValueError) as from_surface:
+            SweepSurface(**_columns(**changes), max_deviation=0.0)
+        assert str(from_surface.value) == str(from_record.value)
+    with pytest.raises(ValueError, match="shape"):
+        SweepSurface(**_columns(phi=[0.0, 1.0]), max_deviation=0.0)
+
+
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+def test_sweep_surface_indexing(pair):
+    grid = 9
+    surface = su2_overlap_surface(pair, grid)
+    assert len(surface) == grid * grid
+    assert 0.0 <= surface.max_deviation <= 1e-12
+    angles = np.linspace(0.0, np.pi, grid)
+    for k, l in [(0, 0), (2, 5), (4, 4), (8, 8), (8, 1)]:
+        assert surface[k * grid + l] == su2_overlap_point(pair, angles[k], angles[l])
+    assert surface[-1] == surface[len(surface) - 1]
+    assert surface[3:7] == [surface[3], surface[4], surface[5], surface[6]]
+    assert surface[::40] == [surface[0], surface[40], surface[80]]
+    assert list(surface) == surface[:]
+    with pytest.raises(IndexError):
+        surface[grid * grid]
+    columns = surface.columns()
+    assert all(c is getattr(surface, name) for c, name in zip(columns, SWEEP_COLUMNS))
+    with pytest.raises(ValueError):
+        columns[2][0] = 0.0  # columns are read-only
+
+
 def test_sweep_ordering_and_csv():
     records = su2_overlap_surface("i-omega", 3)
     assert len(records) == 9
@@ -123,6 +184,16 @@ def test_sweep_ordering_and_csv():
     assert len(lines) == 10
     # numeric-only fields, no quoting
     assert '"' not in text
+
+
+def test_sweep_csv_formats_every_row_as_the_per_row_format():
+    # repeated values are formatted once; -0.0 and 0.0 still print differently
+    cols = _columns(theta=[-0.0, 0.0, 0.0], phi=[1e-300, 1.0, np.pi])
+    text = sweep_to_csv(SweepSurface(**cols, max_deviation=0.0))
+    rows = zip(*(cols[name].tolist() for name in SWEEP_COLUMNS))
+    expected = [",".join(f"{x:.12g}" for x in row) for row in rows]
+    assert text == "\n".join([",".join(SWEEP_COLUMNS), *expected]) + "\n"
+    assert text.split("\n")[1].startswith("-0,1e-300,")
 
 
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])

@@ -36,6 +36,14 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("m", [computational_basis(3), bell_basis(3)], ids=["projective", "mes"])
+def test_measurement_matrix_is_stored_read_only(m):
+    assert m.matrix is m.matrix
+    assert np.array_equal(m.matrix, np.column_stack([s.amplitudes for s in m.states]))
+    with pytest.raises(ValueError):
+        m.matrix[0, 0] = 0.0
+
+
 def test_projective_requires_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         ProjectiveMeasurement((qubit_state(1, 0), qubit_state(np.sqrt(0.5), np.sqrt(0.5))))
