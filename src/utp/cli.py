@@ -31,12 +31,12 @@ from .operators import (
     pauli,
 )
 from .saturation import (
-    SWEEP_COLUMNS,
     muub_certify_by_saturation,
     search_min_uncertainty,
     su2_basis,
     su2_overlap_surface,
     sweep_to_csv,
+    sweep_to_json,
 )
 from .testers import (
     MesMeasurement,
@@ -246,8 +246,7 @@ def cmd_sweep(args) -> str:
         args.pair, len(surface), surface.max_deviation,
     )
     if args.output == "json":
-        rows = zip(*(c.tolist() for c in surface.columns()))
-        return _json_line({"records": [dict(zip(SWEEP_COLUMNS, r)) for r in rows]})
+        return sweep_to_json(surface)
     return sweep_to_csv(surface)
 
 

@@ -11,8 +11,13 @@ trial ``i`` owns words ``2 i`` (operator choice) and ``2 i + 1``
 (outcome).  Because the stream is counter-addressable, any trial can be
 regenerated independently: advance the counter by ``(2 i) // 4`` blocks
 (Philox emits four 64-bit words per counter increment), discard
-``(2 i) % 4`` words, and read two.  Transcripts are therefore
-bit-reproducible regardless of evaluation order or chunking.
+``(2 i) % 4`` words, and read two.
+
+``run_game`` draws the trials from one generator in consecutive chunks of
+``GAME_CHUNK`` and adds up the outcome counts chunk by chunk, so its
+memory does not grow with the trial count.  Consecutive draws continue
+the same word stream, so the counts equal those of drawing every trial
+at once, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import numpy as np
 from .operators import UnitaryOperator
 from .testers import Tester, outcome_distribution
 from .uncertainty import EntropyValue, shannon_entropy
+
+GAME_CHUNK = 1 << 16  # trials drawn per block; bounds run_game's memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +86,6 @@ def empirical_entropy(counts, base: float = 2.0) -> EntropyValue:
     return shannon_entropy(counts / total, base)
 
 
-def _sample_outcomes(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cum, uniforms, side="right")
-
-
 def run_game(cfg: GameConfig) -> GameTranscript:
     """Simulate the guessing game; deterministic per seed.
 
@@ -93,21 +96,20 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     pw = outcome_distribution(cfg.tester, cfg.w).probs
     n_outcomes = pv.size
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    uniforms = rng.random((cfg.trials, 2))
-    picks_v = uniforms[:, 0] < cfg.operator_bias
-
     # clip guards against cumsum roundoff pushing the last edge below 1
     cum_v = np.clip(np.cumsum(pv), 0.0, 1.0)
     cum_w = np.clip(np.cumsum(pw), 0.0, 1.0)
     cum_v[-1] = cum_w[-1] = 1.0
-    outcomes = np.where(
-        picks_v,
-        _sample_outcomes(cum_v, uniforms[:, 1]),
-        _sample_outcomes(cum_w, uniforms[:, 1]),
-    )
-    counts_v = np.bincount(outcomes[picks_v], minlength=n_outcomes)
-    counts_w = np.bincount(outcomes[~picks_v], minlength=n_outcomes)
+
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    counts_v = np.zeros(n_outcomes, dtype=np.int64)
+    counts_w = np.zeros(n_outcomes, dtype=np.int64)
+    for start in range(0, cfg.trials, GAME_CHUNK):
+        uniforms = rng.random((min(GAME_CHUNK, cfg.trials - start), 2))
+        picks_v = uniforms[:, 0] < cfg.operator_bias
+        for counts, cum, picked in ((counts_v, cum_v, picks_v), (counts_w, cum_w, ~picks_v)):
+            outcomes = np.searchsorted(cum, uniforms[picked, 1], side="right")
+            counts += np.bincount(outcomes, minlength=n_outcomes)
 
     empirical = 0.0
     for counts in (counts_v, counts_w):

@@ -8,7 +8,6 @@ package never touches LAPACK directly and every tolerance is explicit.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -84,6 +83,8 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]
     d = u.shape[0]
     if not is_unitary(u, tol):
         raise ValueError(f"matrix is not unitary within tol={tol}")
+    import scipy.linalg  # loaded on first use: numpy alone serves the closed-form bounds
+
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except Exception as exc:  # pragma: no cover - LAPACK failure

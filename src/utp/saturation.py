@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .linalg import DEFAULT_TOL, eig_unitary
 from .operators import (
@@ -83,14 +81,17 @@ SWEEP_COLUMNS = ("theta", "phi", "max_overlap", "diag_overlap", "bound_bits")
 
 
 def _check_sweep(max_overlap, diag_overlap, bound_bits) -> None:
-    """The sweep invariants, on scalars or on whole columns.
+    """The sweep invariants, on the floats of one record or on whole columns.
 
     bound_bits is -log2 of the maximum after the near-1 rule of ``snap_to_one``,
-    and the maximum overlap is at least the diagonal one.
+    and the maximum overlap is at least the diagonal one; a NaN fails both.
+    Floats take plain float arithmetic: a numpy call on a scalar costs more
+    than the whole check.
     """
-    if np.count_nonzero(np.abs(bound_bits + np.log2(snap_to_one(max_overlap))) > 1e-12):
+    log2, all_ = (math.log2, bool) if isinstance(max_overlap, float) else (np.log2, np.all)
+    if not all_(abs(bound_bits + log2(snap_to_one(max_overlap))) <= 1e-12):
         raise ValueError("bound_bits is not -log2(max_overlap)")
-    if np.count_nonzero(max_overlap < diag_overlap - 1e-12):
+    if not all_(max_overlap >= diag_overlap - 1e-12):
         raise ValueError("max_overlap below diagonal overlap")
 
 
@@ -145,6 +146,9 @@ class SweepSurface:
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         return SweepRecord(*(float(c[k]) for c in self.columns()))
+
+    def __iter__(self):
+        return map(SweepRecord, *(c.tolist() for c in self.columns()))
 
 
 def _report(
@@ -261,20 +265,30 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     )
 
 
-def _format_column(c: np.ndarray) -> np.ndarray:
-    """``{:.12g}`` strings of ``c`` as an object array, each distinct value formatted once.
+def _format_column(c: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each value of ``c`` as an object array, each distinct value formatted once.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 keep their own strings.
     """
     bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
-    text = np.array([f"{x:.12g}" for x in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse]
 
 
 def sweep_to_csv(surface: SweepSurface) -> str:
     """CSV rendering with 12 significant digits per field."""
-    lines = map(",".join, zip(*(_format_column(c) for c in surface.columns())))
+    lines = map(",".join, zip(*(_format_column(c, "{:.12g}".format) for c in surface.columns())))
     return "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
+
+
+def sweep_to_json(surface: SweepSurface) -> str:
+    """``{"records": [...]}`` with one object per row, as ``json.dumps`` writes it.
+
+    ``repr`` is how ``json.dumps`` writes a finite float, and every sweep value is finite.
+    """
+    row = "{{" + ", ".join(f'"{name}": {{}}' for name in SWEEP_COLUMNS) + "}}"
+    lines = map(row.format, *(_format_column(c, repr) for c in surface.columns()))
+    return '{"records": [' + ", ".join(lines) + "]}\n"
 
 
 def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -336,6 +350,8 @@ def _multistart_nelder_mead(objective, x0s, budget: int):
     the outcome does not depend on evaluation order; leftover budget is
     spent polishing from the best point found.
     """
+    import scipy.optimize  # loaded on first use: only the searches need it
+
     per_start = max(1, budget // max(1, len(x0s)))
     best = (math.inf, -1, None)
     used = 0
@@ -442,6 +458,13 @@ def _hermitian_generators(d: int) -> list[np.ndarray]:
     return gens
 
 
+def _rotation(coeffs: np.ndarray, generators: list[np.ndarray]) -> np.ndarray:
+    """The unitary exp(i sum_k c_k G_k) of the flat-basis searches."""
+    import scipy.linalg  # loaded on first use: only the searches need it
+
+    return scipy.linalg.expm(1j * sum(c * g for c, g in zip(coeffs, generators)))
+
+
 def _dft_matrix(d: int) -> np.ndarray:
     j = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
@@ -476,8 +499,7 @@ def _find_flat_projective_basis(
     x0_base = eigvecs @ dft
 
     def objective(coeffs: np.ndarray) -> float:
-        h = sum(c * g for c, g in zip(coeffs, generators))
-        x = x0_base @ scipy.linalg.expm(1j * h)
+        x = x0_base @ _rotation(coeffs, generators)
         return float(((overlap_table(x, a) - target) ** 2).sum())
 
     rng = np.random.default_rng(seed)
@@ -485,8 +507,7 @@ def _find_flat_projective_basis(
     best_c, _, _ = _multistart_nelder_mead(objective, x0s, budget)
     if best_c is None:
         return None
-    h = sum(c * g for c, g in zip(best_c, generators))
-    x = x0_base @ scipy.linalg.expm(1j * h)
+    x = x0_base @ _rotation(best_c, generators)
     if deviation(x) <= tol:
         return x, "numerical-search"
     return None
@@ -515,8 +536,7 @@ def _find_flat_mes_operators(
     generators = _hermitian_generators(d)
 
     def objective(coeffs: np.ndarray) -> float:
-        h = sum(c * g for c, g in zip(coeffs, generators))
-        x = scipy.linalg.expm(1j * h)
+        x = _rotation(coeffs, generators)
         return float(((squared_overlaps(x) - target) ** 2).sum())
 
     rng = np.random.default_rng(seed)
@@ -524,8 +544,7 @@ def _find_flat_mes_operators(
     best_c, _, _ = _multistart_nelder_mead(objective, x0s, budget)
     if best_c is None:
         return None
-    h = sum(c * g for c, g in zip(best_c, generators))
-    x = scipy.linalg.expm(1j * h)
+    x = _rotation(best_c, generators)
     if np.abs(squared_overlaps(x) - target).max() <= tol:
         return x @ weyl, "numerical-search"
     return None

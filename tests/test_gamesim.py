@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import haar_matrix, random_state
+from utp import gamesim
 from utp.gamesim import GameConfig, empirical_entropy, run_game, transcript_to_json
 from utp.operators import UnitaryOperator, identity, omega, pauli
 from utp.saturation import su2_basis
-from utp.testers import ProjectiveMeasurement, PureState, Tester, computational_basis
+from utp.testers import (
+    ProjectiveMeasurement,
+    PureState,
+    Tester,
+    computational_basis,
+    outcome_distribution,
+)
 from utp.uncertainty import pair_uncertainty
 
 
@@ -141,3 +148,59 @@ def test_rng_stream_is_splittable_per_trial():
         if offset:
             g.random(offset)
         assert np.array_equal(g.random(2), table[i])
+
+
+def _philox_uniforms(seed: int, first: int, count: int) -> np.ndarray:
+    """Words first .. first+count-1 of the keyed Philox stream, reached by a counter jump."""
+    block, offset = divmod(first, 4)
+    g = np.random.Generator(np.random.Philox(key=seed).advance(block))
+    if offset:
+        g.random(offset)
+    return g.random(count)
+
+
+def _unchunked_counts(cfg: GameConfig, uniforms: np.ndarray):
+    """Outcome counts from a (trials, 2) table of uniforms, all trials at once."""
+    pv = outcome_distribution(cfg.tester, cfg.v).probs
+    pw = outcome_distribution(cfg.tester, cfg.w).probs
+    picks_v = uniforms[:, 0] < cfg.operator_bias
+    cum_v = np.clip(np.cumsum(pv), 0.0, 1.0)
+    cum_w = np.clip(np.cumsum(pw), 0.0, 1.0)
+    cum_v[-1] = cum_w[-1] = 1.0
+    outcomes = np.where(
+        picks_v,
+        np.searchsorted(cum_v, uniforms[:, 1], side="right"),
+        np.searchsorted(cum_w, uniforms[:, 1], side="right"),
+    )
+    return (
+        np.bincount(outcomes[picks_v], minlength=pv.size),
+        np.bincount(outcomes[~picks_v], minlength=pv.size),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, 5001])
+def test_game_counts_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(77)
+    m = ProjectiveMeasurement.from_matrix(haar_matrix(3, rng))
+    cfg = GameConfig(
+        tester=Tester.projective(PureState(random_state(3, rng)), m),
+        v=UnitaryOperator(haar_matrix(3, rng)),
+        w=UnitaryOperator(haar_matrix(3, rng)),
+        trials=5000,
+        seed=31337,
+        operator_bias=0.37,
+    )
+    whole = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, 2))
+    # the oracle: every trial's two words regenerated on their own by counter jumps
+    per_trial = np.array([_philox_uniforms(cfg.seed, 2 * i, 2) for i in range(cfg.trials)])
+    assert np.array_equal(per_trial, whole)
+    reference = _unchunked_counts(cfg, whole)
+
+    unchunked = run_game(cfg)
+    monkeypatch.setattr(gamesim, "GAME_CHUNK", chunk)
+    chunked = run_game(cfg)
+    assert np.array_equal(chunked.counts_v, reference[0])
+    assert np.array_equal(chunked.counts_w, reference[1])
+    assert reference[0].sum() not in (0, cfg.trials)  # both sides are played
+    assert transcript_to_json(chunked) == transcript_to_json(unchunked)
+    assert chunked.guess_success_rate == unchunked.guess_success_rate

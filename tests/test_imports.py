@@ -1,4 +1,5 @@
-"""Module structure of the package: sibling imports sit at module top and form a DAG."""
+"""Module structure of the package: sibling imports sit at module top and form a DAG, and
+scipy is imported only inside the functions that need it."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,32 @@ def test_sibling_import_graph_is_acyclic():
     for m in MODULES:
         visit(m)
     assert sorted(order) == MODULES
+
+
+# the only functions that may import scipy; everything else runs on numpy alone
+SCIPY_IMPORTERS = {
+    "linalg.eig_unitary",  # scipy.linalg.schur
+    "saturation._multistart_nelder_mead",  # scipy.optimize.minimize
+    "saturation._rotation",  # scipy.linalg.expm
+}
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def _scipy_imports(node: ast.AST, function: str | None = None):
+    """(innermost enclosing function or None, line) of each scipy import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if _imports_scipy(child):
+            yield function, child.lineno
+        is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scipy_imports(child, child.name if is_function else function)
+
+
+def test_scipy_is_imported_only_where_a_search_runs():
+    sites = [(m, f, line) for m in MODULES for f, line in _scipy_imports(_tree(m))]
+    assert [f"{m}:{line}" for m, f, line in sites if f is None] == [], "module-level scipy import"
+    assert {f"{m}.{f}" for m, f, _ in sites} == SCIPY_IMPORTERS

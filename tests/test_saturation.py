@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from utp.saturation import (
     su2_overlap_point,
     su2_overlap_surface,
     sweep_to_csv,
+    sweep_to_json,
     zero_bound_witness,
 )
 from utp.testers import computational_basis, outcome_distribution, trivial_tester
@@ -151,6 +154,18 @@ def test_sweep_surface_invariants_match_record():
         SweepSurface(**_columns(phi=[0.0, 1.0]), max_deviation=0.0)
 
 
+def test_sweep_invariants_refuse_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="bound_bits"):
+        SweepRecord(0.0, 0.0, nan, 0.5, 1.0)
+    with pytest.raises(ValueError, match="bound_bits"):
+        SweepSurface(**_columns(max_overlap=[nan, 1.0, 0.25]), max_deviation=0.0)
+    with pytest.raises(ValueError, match="diagonal"):
+        SweepRecord(0.0, 0.0, 0.5, nan, 1.0)
+    with pytest.raises(ValueError, match="diagonal"):
+        SweepSurface(**_columns(diag_overlap=[0.5, nan, 0.125]), max_deviation=0.0)
+
+
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
 def test_sweep_surface_indexing(pair):
     grid = 9
@@ -194,6 +209,14 @@ def test_sweep_csv_formats_every_row_as_the_per_row_format():
     expected = [",".join(f"{x:.12g}" for x in row) for row in rows]
     assert text == "\n".join([",".join(SWEEP_COLUMNS), *expected]) + "\n"
     assert text.split("\n")[1].startswith("-0,1e-300,")
+
+
+def test_sweep_json_is_json_dumps_of_the_rows():
+    cols = _columns(theta=[-0.0, 0.0, 0.0], phi=[1e-300, 1.0, np.pi])
+    text = sweep_to_json(SweepSurface(**cols, max_deviation=0.0))
+    rows = zip(*(cols[name].tolist() for name in SWEEP_COLUMNS))
+    assert text == json.dumps({"records": [dict(zip(SWEEP_COLUMNS, r)) for r in rows]}) + "\n"
+    assert text.startswith('{"records": [{"theta": -0.0, "phi": 1e-300, ')
 
 
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
