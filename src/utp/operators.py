@@ -132,11 +132,26 @@ def clock_shift_pair(d: int) -> tuple[UnitaryOperator, UnitaryOperator]:
     """
     if d < 2:
         raise ValueError("clock/shift pair needs dimension >= 2")
-    js = np.arange(-(d // 2), (d - 1) // 2 + 1)
+    js = _centred_indices(d)
     clock = np.diag(np.exp(2j * np.pi * js / d))
-    fourier = np.exp(2j * np.pi * np.outer(js, js) / d) / math.sqrt(d)  # columns |b_k>
+    fourier = dft_matrix(d)  # columns |b_k>
     shift = (fourier * np.exp(-2j * np.pi * js / d)[None, :]) @ fourier.conj().T
     return UnitaryOperator(clock), UnitaryOperator(shift)
+
+
+def _centred_indices(d: int) -> np.ndarray:
+    """-floor(d/2), ..., floor((d-1)/2)."""
+    return np.arange(-(d // 2), (d - 1) // 2 + 1)
+
+
+def dft_matrix(d: int) -> np.ndarray:
+    """The centred discrete Fourier transform exp(i 2 pi j k / d) / sqrt(d), j, k centred.
+
+    It differs from the uncentred DFT only by diagonal phases on its rows and
+    columns, so both map an eigenbasis to a basis with the same overlap moduli.
+    """
+    js = _centred_indices(d)
+    return np.exp(2j * np.pi * np.outer(js, js) / d) / math.sqrt(d)
 
 
 def hs_inner(a: UnitaryOperator, b: UnitaryOperator) -> complex:
@@ -178,11 +193,15 @@ def haar_random_unitary(d: int, seed: int) -> UnitaryOperator:
     """Haar-random unitary via QR of a complex Gaussian, deterministic per seed."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    return UnitaryOperator(haar_matrix(d, np.random.default_rng(seed)))
+
+
+def haar_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random d x d unitary matrix: QR of a complex Gaussian drawn from ``rng``."""
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
-    return UnitaryOperator(q * phases.conj()[None, :])
+    return q * phases.conj()[None, :]
 
 
 def _hull_distance_to_origin(points: np.ndarray) -> float:

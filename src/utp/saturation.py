@@ -5,19 +5,28 @@ This module answers four questions about a unitary pair (v, w):
 * does a given measurement admit a *saturating* tester, one whose pair
   uncertainty equals the measurement-only bound (row construction)?
 * what is the minimum pair uncertainty over all pure inputs for a fixed
-  measurement (multi-start derivative-free search)?
+  measurement (a batch of starts descending the unit sphere together)?
 * can every cross pair drawn from two unitary bases saturate the maximal
-  bound, certifying the bases as mutually unbiased?
+  bound, certifying the bases as mutually unbiased (a Fourier construction,
+  else a descent on U(d) to a basis in which all overlaps are flat)?
 * for a perfectly distinguishable pair, which concrete non-trivial
   tester achieves zero uncertainty?
 
 It also evaluates the closed-form overlap surfaces for the two qubit
 operator pairs used as worked examples, cross-checked at every grid
 point against dense matrix products.
+
+Every search is one numpy routine, ``_descend``: Riemannian Polak-Ribiere+
+conjugate gradients with Armijo backtracking and closed-form gradients (Absil,
+Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008; on
+U(d) after Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008).  A search's
+budget counts objective values, and its report says how many it used and
+whether the budget, rather than its stopping rule, ended it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -29,6 +38,8 @@ from .operators import (
     UnitaryBasis,
     UnitaryOperator,
     _hull_distance_to_origin,
+    dft_matrix,
+    haar_matrix,
     hs_table,
     identity,
     omega,
@@ -40,11 +51,12 @@ from .testers import (
     PureState,
     Tester,
     is_trivial_measurement,
-    mes_overlap_table,
     overlap_table,
     weyl_operators,
 )
 from .uncertainty import EntropicBound, EntropyValue, pair_uncertainty, snap_to_one
+
+log = logging.getLogger(__name__)
 
 GAP_FLOOR = -1e-9  # the bound is a true lower bound; gaps below this are a bug
 SATURATION_GAP_BITS = 1e-6  # "achieves the bound" threshold after a search
@@ -52,13 +64,20 @@ SATURATION_GAP_BITS = 1e-6  # "achieves the bound" threshold after a search
 
 @dataclass(frozen=True, eq=False)
 class SaturationReport:
-    """Outcome of a saturation attempt for one measurement and operator pair."""
+    """Outcome of a saturation attempt for one measurement and operator pair.
+
+    ``evaluations`` counts the objective values a search used (0 for
+    ``row-construction``); ``converged`` is false when the evaluation budget,
+    not the search's stopping rule, ended it.
+    """
 
     achieved: EntropyValue
     bound: EntropicBound
     tester: Tester
     trivial: bool
     method: str
+    evaluations: int
+    converged: bool
 
     def __post_init__(self) -> None:
         if self.method not in ("row-construction", "numerical-search"):
@@ -153,7 +172,7 @@ class SweepSurface:
 
 def _report(
     tester: Tester, v: UnitaryOperator, w: UnitaryOperator, overlaps: np.ndarray,
-    trivial: bool, method: str, base: float,
+    trivial: bool, method: str, base: float, evaluations: int = 0, converged: bool = True,
 ) -> SaturationReport:
     """Report of ``tester`` on (v, w) against the bound of its overlap table."""
     return SaturationReport(
@@ -162,6 +181,8 @@ def _report(
         tester=tester,
         trivial=trivial,
         method=method,
+        evaluations=evaluations,
+        converged=converged,
     )
 
 
@@ -330,55 +351,121 @@ def saturating_tester_by_construction(
     return None
 
 
-def _hypersphere_state(x: np.ndarray, d: int) -> np.ndarray:
-    """Unit state from 2d-2 real parameters (d-1 magnitude angles, d-1 phases)."""
-    g = x[: d - 1]
-    beta = x[d - 1 :]
-    prefix = np.concatenate(([1.0], np.cumprod(np.sin(g))))
-    mags = np.empty(d)
-    mags[: d - 1] = prefix[: d - 1] * np.cos(g)
-    mags[d - 1] = prefix[d - 1]
-    amps = mags.astype(complex)
-    amps[1:] *= np.exp(1j * beta)
-    return amps
+ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
+MAX_HALVINGS = 30  # backtracking halvings before a start counts as stationary
+GRADIENT_TOL = 1e-10  # a start whose gradient norm falls below this has converged
+STALL_DECREASE = 1e-14  # a start whose step lowers f by less than this fraction has stalled
+BOUND_REACHED = 1e-14  # nats above the bound at which an input search stops
 
 
-def _multistart_nelder_mead(objective, x0s, budget: int):
-    """Deterministic multi-start Nelder-Mead with a shared evaluation budget.
+@dataclass(frozen=True, eq=False)
+class _Descent:
+    """A batch of starts after ``_descend``; one objective value per start."""
 
-    Results are reduced with the total order (value, restart index), so
-    the outcome does not depend on evaluation order; leftover budget is
-    spent polishing from the best point found.
+    x: np.ndarray
+    f: np.ndarray
+    evaluations: int
+    converged: bool  # False when the budget, not the stopping rule, ended the run
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a_k, b_k> for each start k of two batches."""
+    n = a.shape[0]
+    return (a.conj() * b).real.reshape(n, -1).sum(axis=1)
+
+
+def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: float) -> _Descent:
+    """Riemannian Polak-Ribiere+ conjugate gradients with Armijo backtracking.
+
+    ``x`` holds one start per leading index, and every start moves at once;
+    it is updated in place.
+    ``cost_grad(x)`` gives the objective of each start and its gradient, in a
+    representation where Re<g, eta> is the derivative along the curve
+    ``line(x, eta)(t, rows)``; ``transport(x, eta)`` carries a direction to
+    the tangent space at x.  A start stops when its gradient norm falls below
+    GRADIENT_TOL, or when backtracking finds no decrease or one below
+    STALL_DECREASE of its value (rounding noise); every start stops once one
+    reaches ``target``, a value none can improve on.  ``budget`` counts
+    objective values, one per start per trial point; a run that would exceed
+    it stops where it is, not converged.
     """
-    import scipy.optimize  # loaded on first use: only the searches need it
-
-    per_start = max(1, budget // max(1, len(x0s)))
-    best = (math.inf, -1, None)
-    used = 0
-    for idx, x0 in enumerate(x0s):
-        if used >= budget:
+    n = x.shape[0]
+    f, g = cost_grad(x)
+    used = n
+    eta = -g
+    gg = _inner(g, g)
+    step = 1.0 / np.sqrt(np.maximum(gg, 1e-300))  # first trial: a unit-length move
+    active = np.sqrt(gg) > GRADIENT_TOL
+    while active.any() and f.min() > target:
+        rows = np.flatnonzero(active)
+        slope = _inner(g[rows], eta[rows])
+        at = line(x[rows], eta[rows])
+        t = step[rows]
+        # Armijo backtracking, every start of ``rows`` at once; fancy indexing copies
+        x_new, f_new, g_new = x[rows], f[rows], g[rows]
+        accepted = np.zeros(rows.size, dtype=bool)
+        pending = np.arange(rows.size)
+        for _ in range(MAX_HALVINGS):
+            if used + pending.size > budget:
+                return _Descent(x, f, used, False)
+            xt = at(t[pending], pending)
+            ft, gt = cost_grad(xt)
+            used += pending.size
+            ok = ft <= f_new[pending] + ARMIJO_SLOPE * t[pending] * slope[pending]
+            done = pending[ok]
+            accepted[done] = True
+            x_new[done], f_new[done], g_new[done] = xt[ok], ft[ok], gt[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            t[pending] *= 0.5
+        # a start that found no decrease is stationary to working precision
+        active[rows[~accepted]] = False
+        moved = rows[accepted]
+        if moved.size == 0:
             break
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": min(per_start, budget - used), "xatol": 1e-8, "fatol": 1e-11},
+        x_new, f_new, g_new = x_new[accepted], f_new[accepted], g_new[accepted]
+        beta = np.maximum(0.0, _inner(g_new, g_new - transport(x_new, g[moved])) / gg[moved])
+        eta_new = -g_new + beta.reshape((-1,) + (1,) * (x.ndim - 1)) * transport(x_new, eta[moved])
+        uphill = _inner(g_new, eta_new) >= 0
+        eta_new[uphill] = -g_new[uphill]
+        decrease = f[moved] - f_new
+        # next first trial: the step that repeats this decrease on the new slope
+        step[moved] = 2.0 * decrease / np.maximum(-_inner(g_new, eta_new), 1e-300)
+        gg[moved] = _inner(g_new, g_new)
+        active[moved] = (np.sqrt(gg[moved]) > GRADIENT_TOL) & (
+            decrease > STALL_DECREASE * np.abs(f[moved])
         )
-        used += res.nfev
-        candidate = (float(res.fun), idx, res.x)
-        if candidate[:2] < best[:2]:
-            best = candidate
-    if best[2] is not None and used < budget:
-        res = scipy.optimize.minimize(
-            objective,
-            best[2],
-            method="Nelder-Mead",
-            options={"maxfev": budget - used, "xatol": 1e-10, "fatol": 1e-13},
-        )
-        used += res.nfev
-        if float(res.fun) < best[0]:
-            best = (float(res.fun), best[1], res.x)
-    return best[2], best[0], used
+        x[moved], f[moved], g[moved], eta[moved] = x_new, f_new, g_new, eta_new
+    return _Descent(x, f, used, True)
+
+
+def _validate_search(budget: int, restarts: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
+def _log_search(name: str, method: str, evaluations: int, starts: int, converged: bool) -> None:
+    log.info(
+        "%s: %s, %d evaluations from %d starts, converged %s",
+        name, method, evaluations, starts, converged,
+    )
+
+
+def _sphere_line(psi: np.ndarray, eta: np.ndarray):
+    """Normalised psi + t eta, for each selected start."""
+
+    def at(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        y = psi[rows] + t[:, None] * eta[rows]
+        return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+    return at
+
+
+def _sphere_tangent(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return eta - _inner(psi, eta)[:, None] * psi
 
 
 def search_min_uncertainty(
@@ -392,14 +479,16 @@ def search_min_uncertainty(
 ) -> SaturationReport:
     """Minimize the pair uncertainty over pure inputs for a fixed measurement.
 
-    Pure states are parameterized by 2d-2 angles and explored with
-    multi-start Nelder-Mead under a total evaluation budget; the best
-    tester found is reported (budget exhaustion returns best-so-far,
+    Runs ``restarts`` complex-normal starts from ``default_rng(seed)`` at once
+    through Riemannian conjugate gradients on the unit sphere, with the
+    closed-form gradient of H(|X† v psi|^2) + H(|X† w psi|^2).  ``budget``
+    counts objective values, one per start per trial point; the search stops
+    early once a start reaches the bound.  The best input found is reported,
+    with ``converged`` false when the budget ended the search (best-so-far,
     never a claim of optimality).  Deterministic for fixed
     (seed, budget, restarts).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _validate_search(budget, restarts)
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
     d = m.dim
@@ -410,144 +499,166 @@ def search_min_uncertainty(
     if _is_phase_of_identity(a):
         # w = phase * v: every basis is trivial and any chi_i input gives 0.
         tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]), m)
-        return _report(tester, v, w, overlaps, True, "numerical-search", base)
+        _log_search("input search", "numerical-search", 0, 0, True)
+        return _report(tester, v, w, overlaps, True, "numerical-search", base, 0, True)
 
-    bv = x.conj().T @ v.matrix
-    bw = x.conj().T @ w.matrix
-    log_base = math.log(base)
+    # rows of b are the amplitudes of both sides: H_v + H_w = -sum p ln p over all 2d
+    b = np.vstack((x.conj().T @ v.matrix, x.conj().T @ w.matrix))
 
-    def objective(params: np.ndarray) -> float:
-        amps = _hypersphere_state(params, d)
-        total = 0.0
-        for b in (bv, bw):
-            p = np.abs(b @ amps) ** 2
-            q = p[p > 1e-15]
-            total -= float((q * np.log(q)).sum())
-        return total / log_base
+    def cost_grad(psi: np.ndarray):
+        amps = psi @ b.T
+        p = amps.real ** 2 + amps.imag ** 2
+        ln_p = np.log(np.maximum(p, 1e-300))  # p ln p -> 0 as p -> 0
+        g = -2.0 * ((ln_p + 1.0) * amps) @ b.conj()
+        return -(p * ln_p).sum(axis=1), _sphere_tangent(psi, g)
 
     rng = np.random.default_rng(seed)
-    x0s = [
-        np.concatenate(
-            (rng.uniform(0.0, np.pi / 2, d - 1), rng.uniform(0.0, 2 * np.pi, d - 1))
-        )
-        for _ in range(restarts)
-    ]
-    best_x, _, _ = _multistart_nelder_mead(objective, x0s, budget)
-    tester = Tester.projective(PureState(_hypersphere_state(best_x, d)), m)
+    starts = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
+    starts = starts[: min(restarts, budget)]
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    floor = EntropicBound.from_overlaps(overlaps, math.e).value + BOUND_REACHED
+    run = _descend(cost_grad, _sphere_line, _sphere_tangent, starts, budget, floor)
+    best = run.x[int(np.argmin(run.f))]
+    _log_search("input search", "numerical-search", run.evaluations, len(starts), run.converged)
+    tester = Tester.projective(PureState(best), m)
     trivial = is_trivial_measurement(m, v, w)
-    return _report(tester, v, w, overlaps, trivial, "numerical-search", base)
+    return _report(
+        tester, v, w, overlaps, trivial, "numerical-search", base, run.evaluations, run.converged
+    )
 
 
-def _hermitian_generators(d: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann basis of traceless Hermitian d x d matrices."""
-    gens = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[i, j] = s[j, i] = 1.0
-            gens.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = -1j
-            a[j, i] = 1j
-            gens.append(a)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -l
-        gens.append(math.sqrt(2.0 / (l * (l + 1))) * np.diag(diag).astype(complex))
-    return gens
+def _unitary_line(x: np.ndarray, eta: np.ndarray):
+    """exp(t eta) x for skew-Hermitian eta, from one eigendecomposition of i eta."""
+    lam, vecs = np.linalg.eigh(1j * eta)  # eta = -i V diag(lam) V†
+    vx = vecs.conj().swapaxes(-1, -2) @ x
+
+    def at(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * t[:, None] * lam[rows])
+        return (vecs[rows] * phases[:, None, :]) @ vx[rows]
+
+    return at
 
 
-def _rotation(coeffs: np.ndarray, generators: list[np.ndarray]) -> np.ndarray:
-    """The unitary exp(i sum_k c_k G_k) of the flat-basis searches."""
-    import scipy.linalg  # loaded on first use: only the searches need it
-
-    return scipy.linalg.expm(1j * sum(c * g for c, g in zip(coeffs, generators)))
+def _same_direction(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Directions on U(d) are right-invariant skew-Hermitian generators: no transport."""
+    return eta
 
 
-def _dft_matrix(d: int) -> np.ndarray:
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
+@dataclass(frozen=True, eq=False)
+class _Found:
+    """A flat basis (or the MES unitaries) and how it was obtained.
+
+    Unpacks as ``(matrix, method)``; ``evaluations`` is 0 for a construction.
+    """
+
+    matrix: np.ndarray
+    method: str
+    evaluations: int
+
+    def __iter__(self):
+        return iter((self.matrix, self.method))
+
+
+def _search_flat_unitary(
+    name: str, a: np.ndarray, table, adjoint, level: float,
+    tol: float, budget: int, restarts: int, seed: int,
+) -> _Found | None:
+    """A unitary X whose table T(X† a X) is flat at ``level`` within tol, or None.
+
+    ``table`` is linear in b = X† a X and ``adjoint`` is its adjoint map.  Minimises
+    f(X) = sum (|T|^2 - level)^2 on U(d) by ``_descend`` along exp(t eta) X, from
+    Haar starts drawn one after another from ``default_rng(seed)`` until one is
+    flat, ``restarts`` are spent or ``budget`` objective values are used.
+    """
+    d = a.shape[0]
+
+    def cost_grad(x: np.ndarray):
+        xh = x.conj().swapaxes(-1, -2)
+        ax = a @ x
+        t = table(xh @ ax)
+        r = t.real ** 2 + t.imag ** 2 - level
+        k = adjoint(4.0 * r * t)
+        gamma = ax @ k.conj().swapaxes(-1, -2) + a.conj().T @ x @ k
+        w = gamma @ xh
+        return (r * r).sum(axis=(-2, -1)), 0.5 * (w - w.conj().swapaxes(-1, -2))
+
+    def deviation(x: np.ndarray) -> float:
+        t = table(x.conj().T @ a @ x)
+        return float(np.abs(np.abs(t) ** 2 - level).max())
+
+    rng = np.random.default_rng(seed)
+    used, converged, starts = 0, True, 0
+    found = None
+    while found is None and starts < restarts and used < budget:
+        starts += 1
+        run = _descend(
+            cost_grad, _unitary_line, _same_direction, haar_matrix(d, rng)[None],
+            budget - used, tol * tol,
+        )
+        used += run.evaluations
+        converged = run.converged
+        if deviation(run.x[0]) <= tol:
+            found = run.x[0]
+    method = "numerical-search" if found is not None else "not-found"
+    _log_search(name, method, used, starts, found is not None or converged)
+    return None if found is None else _Found(found, "numerical-search", used)
 
 
 def _find_flat_projective_basis(
     a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
-) -> tuple[np.ndarray, str] | None:
+) -> _Found | None:
     """Basis X with all |<x_i| a |x_j>|^2 = 1/d within tol, or None.
 
     Analytic candidates first: the discrete Fourier transform of an
     eigenbasis of ``a`` is flat whenever the DFT of the eigenvalue
     sequence has constant modulus, which covers every mutually unbiased
-    instance in low dimension.  Falls back to a budgeted derivative-free
-    search over basis changes exp(i sum_k c_k G_k).
+    instance in low dimension.  Falls back to a budgeted gradient search on
+    U(d) (``_search_flat_unitary``); ``budget`` counts objective values.
     """
     d = a.shape[0]
-    target = 1.0 / d
-
-    def deviation(x: np.ndarray) -> float:
-        return float(np.abs(overlap_table(x, a) - target).max())
-
     eigvecs = np.column_stack([vec for _, vec in eig_unitary(a)])
-    dft = _dft_matrix(d)
+    dft = dft_matrix(d)
     orders = permutations(range(d)) if d <= 4 else [tuple(range(d))]
     for order in orders:
         candidate = eigvecs[:, list(order)] @ dft
-        if deviation(candidate) <= tol:
-            return candidate, "row-construction"
+        if np.abs(overlap_table(candidate, a) - 1.0 / d).max() <= tol:
+            _log_search("flat-basis search", "row-construction", 0, 0, True)
+            return _Found(candidate, "row-construction", 0)
 
-    generators = _hermitian_generators(d)
-    x0_base = eigvecs @ dft
+    def same(b: np.ndarray) -> np.ndarray:
+        return b
 
-    def objective(coeffs: np.ndarray) -> float:
-        x = x0_base @ _rotation(coeffs, generators)
-        return float(((overlap_table(x, a) - target) ** 2).sum())
-
-    rng = np.random.default_rng(seed)
-    x0s = [rng.uniform(-np.pi, np.pi, len(generators)) for _ in range(restarts)]
-    best_c, _, _ = _multistart_nelder_mead(objective, x0s, budget)
-    if best_c is None:
-        return None
-    x = x0_base @ _rotation(best_c, generators)
-    if deviation(x) <= tol:
-        return x, "numerical-search"
-    return None
+    return _search_flat_unitary(
+        "flat-basis search", a, same, same, 1.0 / d, tol, budget, restarts, seed
+    )
 
 
 def _find_flat_mes_operators(
     a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
-) -> tuple[np.ndarray, str] | None:
+) -> _Found | None:
     """MES-measurement unitaries {M_i} with all |Tr(M_i† a M_j)/d|^2 = 1/d^2.
 
-    Searches rotations M_i = X N_i of the Weyl operators; the identity
-    rotation covers the Weyl-covariant instances.
+    Searches rotations M_i = X N_i of the Weyl operators N_i: the identity
+    rotation covers the Weyl-covariant instances, and a budgeted gradient
+    search on U(d) (``_search_flat_unitary``) the rest.
     """
     d = a.shape[0]
     weyl = weyl_operators(d)
-    states = weyl / math.sqrt(d)  # the Bell states, reshaped
-    target = 1.0 / (d * d)
+    level = 1.0 / (d * d)
 
-    def squared_overlaps(x: np.ndarray) -> np.ndarray:
-        """|<nu_i| (b (x) I) |nu_j>|^2 over the Bell states for b = x† a x."""
-        return mes_overlap_table(states, x.conj().T @ a @ x)
+    def table(b: np.ndarray) -> np.ndarray:
+        """T_ij = Tr(N_i† b N_j) / d, for each b of a stack."""
+        return np.einsum("ikl,...jkl->...ij", weyl.conj(), b[..., None, :, :] @ weyl) / d
 
-    if np.abs(squared_overlaps(np.eye(d, dtype=complex)) - target).max() <= tol:
-        return weyl, "row-construction"
+    def adjoint(g: np.ndarray) -> np.ndarray:
+        """K = (1/d) sum_ij G_ij N_i N_j†: Re Tr(K† db) = Re sum conj(G_ij) dT_ij."""
+        return np.einsum("...ij,iab,jcb->...ac", g, weyl, weyl.conj()) / d
 
-    generators = _hermitian_generators(d)
-
-    def objective(coeffs: np.ndarray) -> float:
-        x = _rotation(coeffs, generators)
-        return float(((squared_overlaps(x) - target) ** 2).sum())
-
-    rng = np.random.default_rng(seed)
-    x0s = [rng.uniform(-np.pi, np.pi, len(generators)) for _ in range(restarts)]
-    best_c, _, _ = _multistart_nelder_mead(objective, x0s, budget)
-    if best_c is None:
-        return None
-    x = _rotation(best_c, generators)
-    if np.abs(squared_overlaps(x) - target).max() <= tol:
-        return x @ weyl, "numerical-search"
-    return None
+    if np.abs(np.abs(table(a)) ** 2 - level).max() <= tol:
+        _log_search("MES search", "row-construction", 0, 0, True)
+        return _Found(weyl, "row-construction", 0)
+    found = _search_flat_unitary("MES search", a, table, adjoint, level, tol, budget, restarts, seed)
+    return None if found is None else _Found(found.matrix @ weyl, found.method, found.evaluations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,8 +689,10 @@ def muub_certify_by_saturation(
     maximal bound; certification requires all pairs to succeed and the
     cross-check |Tr(W_m V_n†)| = sqrt(d) (1 for the full space) to
     hold within ``tol``.  Search failures are reported as not-found
-    within budget, never as nonexistence.
+    within budget, never as nonexistence.  ``budget`` counts objective values
+    per cross pair.
     """
+    _validate_search(budget, restarts)
     if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
         raise ValueError("bases must share dimension and subspace dimension")
     d = b1.dim
@@ -600,7 +713,7 @@ def muub_certify_by_saturation(
             if found is None:
                 row.append(None)
                 continue
-            flat, method = found
+            flat = found.matrix
             if full_space:
                 primed = [op @ flat[0].conj().T @ vn.matrix for op in flat]
                 measurement = MesMeasurement.from_unitaries(primed)
@@ -609,7 +722,10 @@ def muub_certify_by_saturation(
                 measurement = ProjectiveMeasurement.from_matrix(flat)
                 tester = Tester.projective(PureState(vn.matrix.conj().T @ flat[:, 0]), measurement)
                 trivial = is_trivial_measurement(measurement, vn, wm)
-            row.append(_report(tester, vn, wm, measurement.overlaps(a), trivial, method, base))
+            row.append(_report(
+                tester, vn, wm, measurement.overlaps(a), trivial, found.method, base,
+                found.evaluations,
+            ))
         reports.append(tuple(row))
 
     trace_moduli = hs_table(b2, b1)

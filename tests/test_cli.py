@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,40 @@ def test_search_reproducible_bytes(run_cli):
     payload = json.loads(out1)
     assert payload["achieved_bits"] == pytest.approx(1.0, abs=1e-3)
     assert payload["trivial"] is False
+
+
+SEARCH_ARGV = ["search", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/5,0.3"]
+MUUB_ARGV = ["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"]
+
+
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, MUUB_ARGV], ids=["search", "muub-check"])
+@pytest.mark.parametrize("flag, value", [("--budget", "0"), ("--budget", "-5"),
+                                         ("--restarts", "0"), ("--restarts", "-2")])
+def test_empty_budget_or_restarts_exit_2(run_cli, argv, flag, value):
+    code, out, err = run_cli(argv + [flag, value])
+    assert code == 2 and out == ""
+    assert flag[2:] in err
+
+
+def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch):
+    monkeypatch.delenv("UTP_LOG", raising=False)
+    _, quiet, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
+    assert err == ""
+    monkeypatch.setenv("UTP_LOG", "info")
+    code, out, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
+    assert code == 0 and out == quiet  # stdout bytes do not depend on the log level
+    (line,) = err.splitlines()
+    used = re.fullmatch(
+        r"INFO input search: numerical-search, (\d+) evaluations from 20 starts, converged False",
+        line,
+    )
+    assert used and int(used.group(1)) <= 60
+    # chirp-free qubit bases: each of the four pairs logs its flat-basis construction
+    code, _, err = run_cli(MUUB_ARGV)
+    lines = err.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert all(line.endswith("row-construction, 0 evaluations from 0 starts, converged True")
+               for line in lines)
 
 
 def test_game_reproducible_bytes(run_cli):

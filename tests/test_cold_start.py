@@ -1,9 +1,9 @@
-"""What a fresh `utp` process imports: numpy only, unless a search runs.
+"""What a fresh `utp` process imports: numpy only, unless a Schur eigenbasis is needed.
 
 One child interpreter runs the subcommands in order through ``cli.run`` and
 reports, after each one, its stdout and the ``scipy`` modules loaded so far.
-The search and certification outputs are pinned to bytes produced by the
-eagerly importing code, so loading scipy later changes no result.
+The certification outputs are pinned to bytes produced by the eagerly
+importing code, so loading scipy later changes no result.
 """
 
 import json
@@ -26,27 +26,34 @@ NUMPY_ONLY = [
     ["sweep", "--pair", "i-omega", "--grid", "5"],
 ]
 
-# (argv, stdout, the scipy subpackage it loads), run in this order after NUMPY_ONLY
-SEARCH_BACKED = [
-    # the Fourier construction certifies every cross pair: Schur, no optimiser
-    (["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"],
-     '{"certified": true, "kappa": 1.9999999999999996}\n', "scipy.linalg"),
-    # every cross pair is Hermitian, so no Fourier candidate is flat and the expm search runs
-    (["muub-check", "--basis1", "omega-minus,omega-plus", "--basis2", "pauli-z,pauli-x",
-      "--budget", "300", "--restarts", "3", "--seed", "4"],
-     '{"certified": false, "kappa": null}\n', "scipy.optimize"),
+# (argv, stdout, achieved_bits of the Nelder-Mead search this replaced on the same input):
+# the gradient searches run on numpy alone and must do no worse
+SEARCHES = [
     (["search", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/5,0.3",
       "--budget", "300", "--restarts", "3", "--seed", "2"],
-     '{"achieved_bits": 0.9943914987465556, "bound_bits": 0.890314882109364, '
-     '"gap_bits": 0.10407661663719159, "trivial": false, "method": "numerical-search", '
-     '"input_re": [0.978193959851042, -0.14709796467187797], '
-     '"input_im": [0.0, 0.1466245739987979]}\n', "scipy.optimize"),
+     '{"achieved_bits": 0.9943914987464941, "bound_bits": 0.890314882109364, '
+     '"gap_bits": 0.10407661663713008, "trivial": false, "method": "numerical-search", '
+     '"input_re": [0.17338229193653543, -0.46874003233951894], '
+     '"input_im": [-0.5526703396514663, 0.6669159306799575]}\n', 0.9943914987465556),
     (["search", "--v", "clock", "--w", "shift", "--dim", "3", "--measurement", "computational",
       "--budget", "400", "--restarts", "4", "--seed", "7"],
-     '{"achieved_bits": 2.436281459276131e-08, "bound_bits": 0.0, '
-     '"gap_bits": 2.436281459276131e-08, "trivial": false, "method": "numerical-search", '
-     '"input_re": [0.9999999998170562, 6.360633474366972e-06, -1.598491986118817e-05], '
-     '"input_im": [0.0, 2.5576529022430256e-07, 8.357444381340366e-06]}\n', "scipy.optimize"),
+     '{"achieved_bits": 0.0, "bound_bits": 0.0, "gap_bits": 0.0, "trivial": false, '
+     '"method": "numerical-search", '
+     '"input_re": [-1.877871446955256e-11, 0.30569987880666005, 1.5959648798691698e-09], '
+     '"input_im": [-1.6091835766035964e-09, -0.952127924229509, 1.7029697013368685e-10]}\n',
+     2.436281459276131e-08),
+]
+
+# (argv, stdout) of muub-check, run last: both load scipy.linalg (Schur) and nothing else
+CERTIFICATIONS = [
+    # the Fourier construction certifies every cross pair
+    (["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"],
+     '{"certified": true, "kappa": 1.9999999999999996}\n'),
+    # every cross pair is Hermitian, so no Fourier candidate is flat and the gradient search
+    # runs; the |Tr(W V+)| check still refuses the pair
+    (["muub-check", "--basis1", "omega-minus,omega-plus", "--basis2", "pauli-z,pauli-x",
+      "--budget", "300", "--restarts", "3", "--seed", "4"],
+     '{"certified": false, "kappa": null}\n'),
 ]
 
 CHILD = """
@@ -81,16 +88,21 @@ def _run_in_order(argvs):
 
 
 def test_only_searches_load_scipy():
-    steps = _run_in_order(NUMPY_ONLY + [argv for argv, _, _ in SEARCH_BACKED])
-    imported, *numpy_only = steps[: 1 + len(NUMPY_ONLY)]
+    searches = [argv for argv, _, _ in SEARCHES]
+    steps = _run_in_order(NUMPY_ONLY + searches + [argv for argv, _ in CERTIFICATIONS])
+    imported, *rest = steps
     assert imported[2] == []
-    for argv, (code, out, scipy) in zip(NUMPY_ONLY, numpy_only):
+    for argv, (code, out, scipy) in zip(NUMPY_ONLY + searches, rest):
         assert code == 0 and out, argv[0]
         assert scipy == [], f"{argv[0]} loaded {scipy[:3]}"
 
-    searched = steps[1 + len(NUMPY_ONLY) :]
-    for (argv, golden, loads), (code, out, scipy) in zip(SEARCH_BACKED, searched):
+    searched = rest[len(NUMPY_ONLY) : len(NUMPY_ONLY) + len(SEARCHES)]
+    for (argv, golden, nelder_mead_bits), (_, out, _) in zip(SEARCHES, searched):
+        assert out == golden, argv
+        assert json.loads(out)["achieved_bits"] <= nelder_mead_bits + 1e-12, argv
+
+    certified = rest[len(NUMPY_ONLY) + len(SEARCHES) :]
+    for (argv, golden), (code, out, scipy) in zip(CERTIFICATIONS, certified):
         assert (code, out) == (0, golden), argv
-        assert loads in scipy, argv
-        if loads == "scipy.linalg":
-            assert not [m for m in scipy if m.startswith("scipy.optimize")], argv
+        assert "scipy.linalg" in scipy, argv
+        assert not [m for m in scipy if m.startswith("scipy.optimize")], argv

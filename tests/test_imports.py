@@ -70,12 +70,8 @@ def test_sibling_import_graph_is_acyclic():
     assert sorted(order) == MODULES
 
 
-# the only functions that may import scipy; everything else runs on numpy alone
-SCIPY_IMPORTERS = {
-    "linalg.eig_unitary",  # scipy.linalg.schur
-    "saturation._multistart_nelder_mead",  # scipy.optimize.minimize
-    "saturation._rotation",  # scipy.linalg.expm
-}
+# the only function that may import scipy; everything else runs on numpy alone
+SCIPY_IMPORTERS = {"linalg.eig_unitary"}  # scipy.linalg.schur
 
 
 def _imports_scipy(node: ast.AST) -> bool:
@@ -97,3 +93,31 @@ def test_scipy_is_imported_only_where_a_search_runs():
     sites = [(m, f, line) for m in MODULES for f, line in _scipy_imports(_tree(m))]
     assert [f"{m}:{line}" for m, f, line in sites if f is None] == [], "module-level scipy import"
     assert {f"{m}.{f}" for m, f, _ in sites} == SCIPY_IMPORTERS
+
+
+def _names_scipy_optimize(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.optimize") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.optimize") or (
+            module == "scipy" and any(alias.name == "optimize" for alias in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "optimize"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "scipy"
+    )
+
+
+def _scipy_optimize_lines(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if _names_scipy_optimize(node)]
+
+
+def test_no_module_names_scipy_optimize():
+    # every search is a numpy gradient descent; no path of the package uses scipy.optimize
+    assert [f"{m}:{line}" for m in MODULES for line in _scipy_optimize_lines(_tree(m))] == []
+    for text in ("import scipy.optimize", "from scipy import optimize",
+                 "from scipy.optimize import minimize", "import scipy\nscipy.optimize.minimize(f)"):
+        assert _scipy_optimize_lines(ast.parse(text)), text

@@ -88,6 +88,18 @@ def test_clock_shift_hs_norm(d):
     assert abs(hs_inner(q, q)) == pytest.approx(d, abs=1e-9)
 
 
+def test_clock_shift_pair_is_bit_identical_to_its_formula():
+    # the pair now reads the shared centred DFT; its matrices must not move by a bit
+    for d in range(2, 33):
+        js = np.arange(-(d // 2), (d - 1) // 2 + 1)
+        clock = np.diag(np.exp(2j * np.pi * js / d))
+        fourier = np.exp(2j * np.pi * np.outer(js, js) / d) / np.sqrt(d)
+        shift = (fourier * np.exp(-2j * np.pi * js / d)[None, :]) @ fourier.conj().T
+        p, q = clock_shift_pair(d)
+        assert np.array_equal(p.matrix, clock) and np.array_equal(q.matrix, shift), d
+        assert np.array_equal(operators.dft_matrix(d), fourier), d
+
+
 def test_clock_shift_rejects_small_dim():
     with pytest.raises(ValueError):
         clock_shift_pair(1)

@@ -331,6 +331,90 @@ def test_search_deterministic():
     assert r1.saturates
 
 
+@pytest.mark.parametrize("d", [8, 16])
+def test_criterion_10_search_reaches_log_d_at_larger_d(d):
+    # the criterion-10 family beyond d = 3: the search must close the gap to log2 d
+    rng = np.random.default_rng(2718 + d)
+    for k in range(2):
+        m, v, w = flat_instance(d, int(rng.integers(2**31)))
+        report = search_min_uncertainty(m, v, w, seed=k)
+        assert abs(report.achieved.value - np.log2(d)) <= 1e-6
+        assert report.saturates and report.converged
+
+
+def test_search_between_bound_and_construction_up_to_d32():
+    # sampled dimensions keep this loop near a second: at every d the search may not
+    # undercut the bound, and may not stop above what the row construction reaches
+    rng = np.random.default_rng(1618)
+    for d in [2, 3, 5, 7, 12, 20, 32]:
+        m, v, w = flat_instance(d, int(rng.integers(2**31)))
+        constructed = saturating_tester_by_construction(m, v, w)
+        searched = search_min_uncertainty(m, v, w, seed=d)
+        assert searched.achieved.value >= searched.bound.value - 1e-9
+        assert searched.achieved.value <= constructed.achieved.value + 1e-6
+        from utp.testers import ProjectiveMeasurement
+
+        generic = search_min_uncertainty(
+            ProjectiveMeasurement.from_matrix(haar_matrix(d, rng)),
+            UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng)),
+            budget=1000, seed=d,
+        )
+        assert generic.achieved.value >= generic.bound.value - 1e-9
+
+
+def test_search_reports_its_budget():
+    m, v, w = flat_instance(4, 3)
+    report = search_min_uncertainty(m, v, w, budget=50, seed=0)
+    assert not report.converged
+    assert 0 < report.evaluations <= 50
+    full = search_min_uncertainty(m, v, w, seed=0)
+    assert full.converged and 50 < full.evaluations <= 5000
+    assert saturating_tester_by_construction(m, v, w).evaluations == 0
+
+
+@pytest.mark.parametrize("budget, restarts", [(0, 20), (-5, 20), (100, 0), (100, -2)])
+def test_searches_refuse_empty_budget_or_restarts(budget, restarts):
+    m, v, w = flat_instance(2, 0)
+    with pytest.raises(ValueError, match="budget|restarts"):
+        search_min_uncertainty(m, v, w, budget=budget, restarts=restarts)
+    b1 = UnitaryBasis((identity(2), pauli("Y")))
+    b2 = UnitaryBasis((omega(-1), omega(+1)))
+    with pytest.raises(ValueError, match="budget|restarts"):
+        muub_certify_by_saturation(b1, b2, budget=budget, restarts=restarts)
+
+
+def test_search_gradients_match_central_differences(monkeypatch):
+    # every search hands its objective to _descend: check each gradient there against
+    # a central difference along a random direction, at d = 3 where Weyl operators are complex
+    from utp import saturation
+
+    captured = []
+
+    def capture(cost_grad, line, transport, x, budget, target):
+        captured.append((cost_grad, line, x.copy()))
+        return saturation._Descent(x, np.zeros(x.shape[0]), 0, True)
+
+    monkeypatch.setattr(saturation, "_descend", capture)
+    rng = np.random.default_rng(99)
+    for d in (2, 3):
+        m, v, w = flat_instance(d, d)
+        search_min_uncertainty(m, v, w, restarts=3)
+        a = haar_matrix(d, rng)
+        saturation._find_flat_projective_basis(a, 1e-9, 10, 1, d)
+        saturation._find_flat_mes_operators(a, 1e-9, 10, 1, d)
+    assert len(captured) == 6
+    h = 1e-6
+    for cost_grad, line, x in captured:
+        _, g = cost_grad(x)
+        eta = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        if x.ndim == 3:  # directions on U(d) are skew-Hermitian generators
+            eta = eta - eta.conj().swapaxes(-1, -2)
+        at, rows = line(x, eta), np.arange(x.shape[0])
+        step = np.full(rows.size, h)
+        central = (cost_grad(at(step, rows))[0] - cost_grad(at(-step, rows))[0]) / (2 * h)
+        assert np.allclose(central, saturation._inner(g, eta), rtol=1e-6, atol=1e-8)
+
+
 def test_search_beats_dense_grid_oracle():
     # brute-force oracle: scan the full qubit input manifold on a fine grid;
     # the continuous search must do at least as well as the best grid node
@@ -388,6 +472,52 @@ def test_certify_full_space_muub():
         for report in row:
             assert report.achieved.value == pytest.approx(2.0, abs=1e-6)
             assert report.tester.kind == "mes"
+
+
+def _chirp_d5_bases():
+    clock = clock_shift_pair(5)[0].matrix
+    j = np.arange(5)
+    chirp = np.diag(np.exp(1j * np.pi * j * j * 6 / 5))  # every Gauss sum has modulus sqrt(5)
+    powers = [np.linalg.matrix_power(clock, k) for k in range(5)]
+    return (
+        UnitaryBasis(tuple(UnitaryOperator(p) for p in powers)),
+        UnitaryBasis(tuple(UnitaryOperator(chirp @ p) for p in powers)),
+    )
+
+
+def test_certify_chirp_d5_by_search():
+    # each W V+ here is diagonal with degenerate eigenvalues: no Fourier candidate is
+    # flat, so every one of the 25 pairs needs the gradient search on U(5)
+    b1, b2 = _chirp_d5_bases()
+    cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
+    assert cert.certified
+    reports = [r for row in cert.reports for r in row]
+    assert len(reports) == 25 and all(r is not None for r in reports)
+    for r in reports:
+        assert r.method == "numerical-search" and r.converged
+        assert 0 < r.evaluations <= 500
+        assert r.achieved.value == pytest.approx(np.log2(5), abs=1e-6)
+
+
+def test_certify_full_space_muub_by_search():
+    # conjugating both bases by one Haar unitary keeps them MUUB, but the Weyl
+    # operators are no longer flat for any pair: the MES search must find the rotation
+    u = haar_matrix(2, np.random.default_rng(11))
+    sx, sy, sz = (pauli(c).matrix for c in "XYZ")
+    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    even = [(np.eye(2) + 1j * (a * sx + b * sy + c * sz)) / 2 for a, b, c in signs]
+    paulis = [pauli(c).matrix for c in "IXYZ"]
+    b1, b2 = (
+        UnitaryBasis(tuple(UnitaryOperator(u @ m @ u.conj().T) for m in ms))
+        for ms in (paulis, even)
+    )
+    cert = muub_certify_by_saturation(b1, b2, seed=3)
+    assert cert.certified
+    for row in cert.reports:
+        for report in row:
+            assert report.method == "numerical-search" and report.evaluations > 0
+            assert report.tester.kind == "mes"
+            assert report.achieved.value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_certify_rejects_identical_bases():
