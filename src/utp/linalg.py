@@ -7,6 +7,8 @@ package never touches LAPACK directly and every tolerance is explicit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -15,9 +17,20 @@ DEFAULT_TOL = 1e-9
 # degenerate cluster when ordering an eigenbasis.
 CLUSTER_GAP = 1e-7
 
+# eig_unitary's first stage leaves cosines closer than this in one run for its
+# second stage.  Each run's subspace is then accurate to ~eps / SPLIT_GAP; the
+# gap must stay below 2 sin(pi / 4d), the cosine margin of ``_clear_axis``.
+SPLIT_GAP = 1e-3
+
 
 class ConvergenceError(RuntimeError):
-    """An iterative decomposition failed to converge."""
+    """An eigensolver failed to converge, or its eigenpairs miss the residual check."""
+
+
+def validate_tol(tol: float) -> None:
+    """Refuse a tolerance that is negative, NaN or infinite: each decides yes/no wrongly."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def as_complex_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -65,16 +78,41 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     return np.abs(a.conj().T @ a - np.eye(d)).max() <= tol
 
 
+def _clear_axis(u: np.ndarray) -> float:
+    """A phase phi with every eigenvalue of u at least pi/(4d) in angle from +-i e^{i phi}.
+
+    Each eigenvalue angle is +-arccos of an eigenvalue of (u + u†)/2, so the
+    angles are known up to sign without eigenvectors.  phi + pi/2 is put in the
+    middle of the widest gap between all 2d candidates taken modulo pi, a gap
+    of at least pi/(2d).
+    """
+    a = np.arccos(np.clip(np.linalg.eigvalsh((u + u.conj().T) / 2), -1.0, 1.0))
+    points = np.sort(np.concatenate([a, -a]) % np.pi)
+    gaps = np.diff(points, append=points[0] + np.pi)
+    k = int(np.argmax(gaps))
+    return float(points[k] + gaps[k] / 2 - np.pi / 2)
+
+
 def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]:
     """Eigendecomposition of a unitary matrix with an orthonormal eigenbasis.
 
-    Uses the complex Schur form, which for a normal matrix is diagonal up
-    to roundoff, so the Schur vectors form an orthonormal eigenbasis even
-    when eigenvalues are degenerate.  Pairs are returned sorted by the
-    phase angle of the eigenvalue in [-pi, pi); eigenvalues closer than
-    ``CLUSTER_GAP`` in angle form a cluster whose vectors span the
-    corresponding invariant subspace (clusters straddling the branch cut
-    are kept together on the -pi side).
+    A unitary is normal, so for any phase phi the Hermitian matrices
+    F = (r + r†)/2 and G = (r - r†)/2i of r = e^{-i phi} u commute and share
+    u's eigenvectors, with eigenvalues cos(theta - phi) and sin(theta - phi).
+    One ``eigh`` of F splits the spectrum by cosine; in each run of cosines
+    closer than ``SPLIT_GAP``, an ``eigh`` of G compressed to the run's
+    subspace splits it by sine (simultaneous diagonalisation of commuting
+    Hermitian matrices, Horn & Johnson, *Matrix Analysis*, ch. 2).  phi is
+    chosen with no eigenvalue near e^{i(phi +- pi/2)}, so no run crosses
+    cos(theta - phi) = 0 and the sine is monotone along each run.  Every
+    step is unitary, so the basis is orthonormal even when eigenvalues are
+    degenerate.
+
+    Eigenvalues are the Rayleigh quotients <z|u|z>.  Pairs are returned
+    sorted by the phase angle of the eigenvalue in [-pi, pi); eigenvalues
+    closer than ``CLUSTER_GAP`` in angle form a cluster whose vectors span
+    the corresponding invariant subspace (clusters straddling the branch
+    cut are kept together on the -pi side).
 
     Raises if ``u`` is not unitary within ``tol`` or if the residual
     ``|u v - lambda v|`` exceeds ``10 * tol`` anywhere.
@@ -83,13 +121,18 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]
     d = u.shape[0]
     if not is_unitary(u, tol):
         raise ValueError(f"matrix is not unitary within tol={tol}")
-    import scipy.linalg  # loaded on first use: numpy alone serves the closed-form bounds
-
     try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except Exception as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"Schur iteration did not converge: {exc}") from exc
-    lam = np.diag(t)
+        r = np.exp(-1j * _clear_axis(u)) * u
+        cosines, z = np.linalg.eigh((r + r.conj().T) / 2)
+        sines = (r - r.conj().T) / 2j
+        breaks = np.flatnonzero(np.diff(cosines) >= SPLIT_GAP) + 1
+        for lo, hi in zip([0, *breaks], [*breaks, d]):
+            if hi - lo > 1:
+                run = z[:, lo:hi]
+                z[:, lo:hi] = run @ np.linalg.eigh(run.conj().T @ sines @ run)[1]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    lam = np.einsum("ij,ij->j", z.conj(), u @ z)
     angles = np.angle(lam)
     # Map angles within a cluster gap of pi onto the -pi side so the sort
     # does not split a degenerate cluster across the branch cut.

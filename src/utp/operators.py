@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, as_complex_vector, is_unitary
+from .linalg import DEFAULT_TOL, as_complex_matrix, as_complex_vector, is_unitary, validate_tol
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -178,6 +178,7 @@ def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tup
     following from the completeness sum over one basis).  Symmetric in its
     arguments since |Tr(P†Q)| = |Tr(Q†P)|.
     """
+    validate_tol(tol)
     if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
         raise ValueError("bases must share dimension and subspace dimension")
     d = b1.dim
@@ -239,6 +240,7 @@ def is_perfectly_distinguishable(
     its eigenvalues, so this reduces to an exact 2-D hull membership test
     with distance tolerance ``tol``.
     """
+    validate_tol(tol)
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     eigenvalues = np.linalg.eigvals(v.matrix.conj().T @ w.matrix)

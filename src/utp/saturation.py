@@ -33,7 +33,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, eig_unitary
+from .linalg import DEFAULT_TOL, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -203,18 +203,13 @@ def su2_basis(theta: float, phi: float) -> ProjectiveMeasurement:
     """
     if not (0.0 <= theta <= np.pi) or not (0.0 <= phi <= np.pi):
         raise ValueError(f"angles must lie in [0, pi], got theta={theta}, phi={phi}")
-    return ProjectiveMeasurement.from_matrix(_su2_matrix(np.asarray(theta), np.asarray(phi)))
+    return ProjectiveMeasurement.from_matrix(np.array(_su2_entries(theta, phi), dtype=complex))
 
 
-def _su2_matrix(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stacked basis matrices of shape theta.shape + (2, 2), columns chi_1, chi_2."""
+def _su2_entries(theta: np.ndarray, phi: np.ndarray):
+    """Entries x[k][i] of the basis matrices, columns chi_1, chi_2, each broadcast over the angles."""
     phase = np.exp(1j * phi)
-    x = np.empty(np.broadcast(theta, phi).shape + (2, 2), dtype=complex)
-    x[..., 0, 0] = np.cos(theta)
-    x[..., 1, 0] = phase * np.sin(theta)
-    x[..., 0, 1] = -np.sin(theta)
-    x[..., 1, 1] = phase * np.cos(theta)
-    return x
+    return (np.cos(theta), -np.sin(theta)), (phase * np.sin(theta), phase * np.cos(theta))
 
 
 def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
@@ -243,28 +238,31 @@ def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
 def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: float = 1e-12):
     """(max_overlap, diag_overlap, bound_bits, deviation), closed form vs matrices cross-checked.
 
+    theta and phi broadcast against each other, and every result has their
+    broadcast shape.  Each overlap <chi_i| a |chi_j> is summed entry by entry,
+    sum_kl (conj(x_ki) a_kl) x_lj, so no stack of 2x2 matrices is built.
     deviation is the largest closed-form-versus-matrix difference, at most
     ``check_tol``.  bound_bits follows the bounds' rule that a maximum within
     TIE_TOL of 1 is 1.
     """
     v, w = sweep_pair(pair)
     a = w.matrix @ v.matrix.conj().T
-    x = _su2_matrix(theta, phi)
-    o = np.einsum("...ki,kl,...lj->...ij", x.conj(), a, x)
-    p = np.abs(o) ** 2
+    x = _su2_entries(theta, phi)
+    p = [[np.abs(sum(np.conj(x[k][i]) * a[k, l] * x[l][j] for k in (0, 1) for l in (0, 1))) ** 2
+          for j in (0, 1)] for i in (0, 1)]
     diag_cf, off_cf = _closed_form_overlaps(pair, theta, phi)
     dev = float(max(
-        np.abs(p[..., 0, 0] - diag_cf).max(),
-        np.abs(p[..., 1, 1] - diag_cf).max(),
-        np.abs(p[..., 0, 1] - off_cf).max(),
-        np.abs(p[..., 1, 0] - off_cf).max(),
+        np.abs(p[0][0] - diag_cf).max(),
+        np.abs(p[1][1] - diag_cf).max(),
+        np.abs(p[0][1] - off_cf).max(),
+        np.abs(p[1][0] - off_cf).max(),
     ))
     if dev > check_tol:
         raise ArithmeticError(
             f"closed-form/matrix overlap mismatch {dev:.3e} exceeds {check_tol:.0e}"
         )
-    max_overlap = p.max(axis=(-2, -1))
-    return max_overlap, p[..., 0, 0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
+    max_overlap = np.maximum(np.maximum(p[0][0], p[0][1]), np.maximum(p[1][0], p[1][1]))
+    return max_overlap, p[0][0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
 
 
 def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
@@ -279,10 +277,10 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
         raise ValueError("grid must be at least 2 points per axis")
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, np.pi, grid)
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    max_overlap, diag, bound_bits, dev = _surface_arrays(pair, th, ph)
+    max_overlap, diag, bound_bits, dev = _surface_arrays(pair, thetas[:, None], phis[None, :])
     return SweepSurface(
-        th.ravel(), ph.ravel(), max_overlap.ravel(), diag.ravel(), bound_bits.ravel(), dev
+        np.repeat(thetas, grid), np.tile(phis, grid),
+        max_overlap.ravel(), diag.ravel(), bound_bits.ravel(), dev,
     )
 
 
@@ -692,6 +690,7 @@ def muub_certify_by_saturation(
     within budget, never as nonexistence.  ``budget`` counts objective values
     per cross pair.
     """
+    validate_tol(tol)
     _validate_search(budget, restarts)
     if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
         raise ValueError("bases must share dimension and subspace dimension")

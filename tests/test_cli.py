@@ -170,6 +170,18 @@ def test_empty_budget_or_restarts_exit_2(run_cli, argv, flag, value):
     assert flag[2:] in err
 
 
+DISTINGUISH_ARGV = ["distinguish", "--v", "identity", "--w", "pauli-x"]
+
+
+@pytest.mark.parametrize("argv", [DISTINGUISH_ARGV, MUUB_ARGV], ids=["distinguish", "muub-check"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tol_exits_2(run_cli, argv, value):
+    # each of these once printed a wrong yes/no with exit 0
+    code, out, err = run_cli(argv + ["--tol", value])
+    assert code == 2 and out == ""
+    assert "tol" in err
+
+
 def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch):
     monkeypatch.delenv("UTP_LOG", raising=False)
     _, quiet, err = run_cli(SEARCH_ARGV + ["--budget", "60"])

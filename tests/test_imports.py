@@ -1,7 +1,10 @@
 """Module structure of the package: sibling imports sit at module top and form a DAG, and
-scipy is imported only inside the functions that need it."""
+the package imports nothing beyond the standard library and numpy."""
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import utp
@@ -70,8 +73,8 @@ def test_sibling_import_graph_is_acyclic():
     assert sorted(order) == MODULES
 
 
-# the only function that may import scipy; everything else runs on numpy alone
-SCIPY_IMPORTERS = {"linalg.eig_unitary"}  # scipy.linalg.schur
+# the functions that may import scipy: none, the whole package runs on numpy alone
+SCIPY_IMPORTERS = set()
 
 
 def _imports_scipy(node: ast.AST) -> bool:
@@ -89,7 +92,7 @@ def _scipy_imports(node: ast.AST, function: str | None = None):
         yield from _scipy_imports(child, child.name if is_function else function)
 
 
-def test_scipy_is_imported_only_where_a_search_runs():
+def test_no_module_imports_scipy():
     sites = [(m, f, line) for m in MODULES for f, line in _scipy_imports(_tree(m))]
     assert [f"{m}:{line}" for m, f, line in sites if f is None] == [], "module-level scipy import"
     assert {f"{m}.{f}" for m, f, _ in sites} == SCIPY_IMPORTERS
@@ -121,3 +124,30 @@ def test_no_module_names_scipy_optimize():
     for text in ("import scipy.optimize", "from scipy import optimize",
                  "from scipy.optimize import minimize", "import scipy\nscipy.optimize.minimize(f)"):
         assert _scipy_optimize_lines(ast.parse(text)), text
+
+
+def _top_level_imports(tree: ast.AST) -> set[str]:
+    """First dotted component of every absolute import anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add((node.module or "").split(".")[0])
+    return names
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "utp"}
+    foreign = {
+        f"{m}: {name}" for m in MODULES for name in _top_level_imports(_tree(m)) - allowed
+    }
+    assert foreign == set()
+    assert _top_level_imports(ast.parse("def f():\n    import scipy.linalg")) == {"scipy"}
+    assert _top_level_imports(ast.parse("from . import linalg\nfrom os import path")) == {"os"}
+
+
+def test_declared_dependencies_are_numpy_alone():
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    names = [re.match(r"[\w.-]+", dep).group() for dep in project["project"]["dependencies"]]
+    assert names == ["numpy"]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import haar_matrix
 from utp import linalg
+from utp.operators import UnitaryOperator
+from utp.saturation import zero_bound_witness
+from utp.uncertainty import pair_uncertainty
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -64,6 +68,48 @@ def test_eig_unitary_degenerate_identity():
     basis = np.column_stack([vec for _, vec in pairs])
     assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
     assert np.allclose([lam for lam, _ in pairs], [1, 1, 1])
+
+
+def _hard_spectra(d: int, rng) -> dict[str, np.ndarray]:
+    """Eigenphases of each kind a two-stage Hermitian eigenbasis could get wrong."""
+    half = rng.uniform(0.0, np.pi, (d + 1) // 2)
+    quarter = rng.choice([-np.pi / 2, np.pi / 2])
+    return {
+        "haar": rng.uniform(-np.pi, np.pi, d),
+        "multiplicities": rng.choice(rng.uniform(-np.pi, np.pi, max(1, d // 3)), d),
+        "plus-minus": np.concatenate([half, -half])[:d],
+        "near-degenerate": rng.uniform(-np.pi, np.pi) + 1e-9 * rng.standard_normal(d),
+        "straddling-the-cut": np.pi + 1e-9 * rng.standard_normal(d),
+        # near +-i the sine is flat: eigenvalues there differ mostly in their cosines
+        "near-quarter-turn": quarter + rng.uniform(-5e-4, 5e-4, d),
+        "mirrored-about-quarter-turn": np.pi / 2 + 3e-4 * (-1.0) ** np.arange(d),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
+def test_eig_unitary_hard_spectra_up_to_d32(d):
+    rng = np.random.default_rng(100 + d)
+    for kind, phases in _hard_spectra(d, rng).items():
+        x = haar_matrix(d, rng)
+        u = (x * np.exp(1j * phases)) @ x.conj().T
+        pairs = linalg.eig_unitary(u)
+        lam = np.array([value for value, _ in pairs])
+        z = np.column_stack([vec for _, vec in pairs])
+        assert np.abs(z.conj().T @ z - np.eye(d)).max() <= 1e-12, kind
+        assert np.abs(u @ z - z * lam).max() <= 1e-12, kind
+        angles = np.angle(lam)
+        angles = np.where(angles > np.pi - linalg.CLUSTER_GAP, angles - 2 * np.pi, angles)
+        assert np.all(np.diff(angles) >= 0), kind
+
+    # the witness built from this eigenbasis still reaches zero pair uncertainty
+    phases = rng.uniform(-np.pi, np.pi, d)
+    phases[: min(d, 3)] = [0.0, np.pi] if d == 2 else [0.0, 2 * np.pi / 3, -2 * np.pi / 3]
+    x = haar_matrix(d, rng)
+    v = UnitaryOperator(haar_matrix(d, rng))
+    w = UnitaryOperator(v.matrix @ (x * np.exp(1j * phases)) @ x.conj().T)
+    found, tester, _ = zero_bound_witness(v, w)
+    assert found
+    assert pair_uncertainty(tester, v, w).value <= 1e-12
 
 
 def test_operator_norm():

@@ -24,12 +24,13 @@ from utp.saturation import (
     su2_basis,
     su2_overlap_point,
     su2_overlap_surface,
+    sweep_pair,
     sweep_to_csv,
     sweep_to_json,
     zero_bound_witness,
 )
 from utp.testers import computational_basis, outcome_distribution, trivial_tester
-from utp.uncertainty import pair_uncertainty
+from utp.uncertainty import pair_uncertainty, snap_to_one
 
 
 def flat_instance(d: int, seed: int):
@@ -100,6 +101,36 @@ def test_surface_matches_matrix_products(pair):
         m = su2_basis(r.theta, r.phi).matrix
         overlaps = np.abs(m.conj().T @ a @ m) ** 2
         assert overlaps.max() == pytest.approx(r.max_overlap, abs=1e-12)
+
+
+def _stacked_einsum_surface(pair: str, grid: int):
+    """The five columns by the kernel the sweep once used: one stacked 2x2 matrix per point."""
+    v, w = sweep_pair(pair)
+    a = w.matrix @ v.matrix.conj().T
+    angles = np.linspace(0.0, np.pi, grid)
+    th, ph = np.meshgrid(angles, angles, indexing="ij")
+    x = np.empty(th.shape + (2, 2), dtype=complex)
+    x[..., 0, 0] = np.cos(th)
+    x[..., 1, 0] = np.exp(1j * ph) * np.sin(th)
+    x[..., 0, 1] = -np.sin(th)
+    x[..., 1, 1] = np.exp(1j * ph) * np.cos(th)
+    p = np.abs(np.einsum("...ki,kl,...lj->...ij", x.conj(), a, x)) ** 2
+    max_overlap = p.max(axis=(-2, -1))
+    bound_bits = -np.log2(snap_to_one(max_overlap)) + 0.0
+    return [c.ravel() for c in (th, ph, max_overlap, p[..., 0, 0], bound_bits)]
+
+
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+def test_sweep_kernel_matches_stacked_einsum(pair):
+    # the entry-by-entry sums add the terms in another order than einsum: overlaps (at most 1)
+    # may move by a few ulps, and -log2 turns one ulp of an overlap m into <= 2^-52 / (m ln 2)
+    surface = su2_overlap_surface(pair, 101)
+    reference = _stacked_einsum_surface(pair, 101)
+    for name, new, old in zip(SWEEP_COLUMNS, surface.columns(), reference):
+        if pair == "i-sigmay" or name in ("theta", "phi"):
+            assert np.array_equal(new.view(np.int64), old.view(np.int64)), name
+        tol = 2e-15 if name == "bound_bits" else 1e-15
+        assert np.abs(new - old).max() <= tol, name
 
 
 def test_surface_spot_values():
@@ -381,6 +412,19 @@ def test_searches_refuse_empty_budget_or_restarts(budget, restarts):
     b2 = UnitaryBasis((omega(-1), omega(+1)))
     with pytest.raises(ValueError, match="budget|restarts"):
         muub_certify_by_saturation(b1, b2, budget=budget, restarts=restarts)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_deciders_refuse_bad_tol(tol):
+    b1 = UnitaryBasis((identity(2), pauli("Y")))
+    b2 = UnitaryBasis((omega(-1), omega(+1)))
+    for decide in (
+        lambda: is_muub(b1, b2, tol),
+        lambda: muub_certify_by_saturation(b1, b2, tol=tol),
+        lambda: is_perfectly_distinguishable(identity(2), pauli("X"), tol),
+    ):
+        with pytest.raises(ValueError, match="tol"):
+            decide()
 
 
 def test_search_gradients_match_central_differences(monkeypatch):
