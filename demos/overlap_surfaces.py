@@ -15,7 +15,7 @@ import pathlib
 
 import numpy as np
 
-from utp import su2_overlap_point, su2_overlap_surface, sweep_to_csv
+from utp import su2_overlap_point, su2_overlap_surface, sweep_csv_blocks
 
 GRID = 101
 
@@ -45,7 +45,8 @@ def main() -> None:
         if args.csv:
             args.csv.mkdir(parents=True, exist_ok=True)
             path = args.csv / f"surface_{pair.replace('-', '_')}.csv"
-            path.write_text(sweep_to_csv(su2_overlap_surface(pair, GRID)))
+            with path.open("w") as f:  # block by block: no whole-file string
+                f.writelines(sweep_csv_blocks(su2_overlap_surface(pair, GRID)))
             print(f"  wrote {path}")
         print()
 

@@ -35,8 +35,8 @@ from .saturation import (
     search_min_uncertainty,
     su2_basis,
     su2_overlap_surface,
-    sweep_to_csv,
-    sweep_to_json,
+    sweep_csv_blocks,
+    sweep_json_blocks,
 )
 from .testers import (
     MesMeasurement,
@@ -239,15 +239,16 @@ def cmd_entropy(args) -> str:
     )
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args):
+    """The rendering as an iterator of text blocks, over a surface already computed and checked."""
     surface = su2_overlap_surface(args.pair, args.grid)
     log.info(
         "sweep %s over %d points, closed-form deviation %.3e",
         args.pair, len(surface), surface.max_deviation,
     )
     if args.output == "json":
-        return sweep_to_json(surface)
-    return sweep_to_csv(surface)
+        return sweep_json_blocks(surface)
+    return sweep_csv_blocks(surface)
 
 
 def cmd_search(args) -> str:
@@ -426,6 +427,8 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         output = args.func(args)
+        for block in [output] if isinstance(output, str) else output:
+            sys.stdout.write(block)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -435,7 +438,10 @@ def run(argv) -> int:
     except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(output)
+    except BrokenPipeError:
+        # the reader stopped early, as `utp sweep | head` does; stdout goes to devnull so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

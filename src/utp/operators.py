@@ -8,7 +8,6 @@ bases, and single-shot perfect distinguishability of an operator pair.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -247,19 +246,6 @@ def is_perfectly_distinguishable(
     return _hull_distance_to_origin(eigenvalues) <= tol
 
 
-def phase_aligned_distance(a: UnitaryOperator, b: UnitaryOperator) -> float:
-    """Max entrywise deviation after aligning the global phase of ``a`` to ``b``."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ip = hs_inner(a, b)
-    phase = ip / abs(ip) if abs(ip) > 1e-15 else 1.0
-    return float(np.abs(a.matrix * phase - b.matrix).max())
-
-
-def equal_up_to_phase(a: UnitaryOperator, b: UnitaryOperator, tol: float = DEFAULT_TOL) -> bool:
-    return phase_aligned_distance(a, b) <= tol
-
-
 def literal_field(data, key: str, what: str, kind: type = object):
     """Field ``key`` of a JSON literal describing ``what``, checked to be a ``kind``.
 
@@ -292,16 +278,3 @@ def array_from_literal(data, ndim: int) -> np.ndarray:
     if ndim == 1:
         return as_complex_vector(a, dim=d)
     return as_complex_matrix(a, rows=d, cols=d)
-
-
-def unitary_to_json(u: UnitaryOperator) -> str:
-    return json.dumps(u.to_literal())
-
-
-def unitary_from_json(text: str) -> UnitaryOperator:
-    """Parse a matrix literal and validate the unitarity invariant."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
-    return UnitaryOperator.from_literal(data)

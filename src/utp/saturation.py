@@ -97,6 +97,8 @@ class SaturationReport:
 
 
 SWEEP_COLUMNS = ("theta", "phi", "max_overlap", "diag_overlap", "bound_bits")
+SWEEP_BLOCK_POINTS = 1 << 16  # grid points per kernel block, in whole theta rows
+RENDER_BLOCK_ROWS = 4096  # rows per rendered text block
 
 
 def _check_sweep(max_overlap, diag_overlap, bound_bits) -> None:
@@ -135,6 +137,11 @@ class SweepSurface:
     ``max_deviation`` is the largest closed-form-versus-matrix deviation over
     the grid.  ``surface[k]`` builds the ``SweepRecord`` of row k on demand;
     a slice gives a list of them.
+
+    Every column is a read-only float64 array.  A column passed in as one is
+    owned as is, not copied: whoever made it read-only hands it over and must
+    not write it through another view.  Any other column is copied, so the
+    surface shares no writable memory with its caller.
     """
 
     theta: np.ndarray
@@ -147,12 +154,16 @@ class SweepSurface:
     def __post_init__(self) -> None:
         n = np.size(self.theta)
         for name in SWEEP_COLUMNS:
-            c = np.array(getattr(self, name), dtype=float)
+            c = getattr(self, name)
+            if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and not c.flags.writeable):
+                c = np.array(c, dtype=float)
+                c.flags.writeable = False
             if c.shape != (n,):
                 raise ValueError(f"sweep column {name} has shape {c.shape}, want ({n},)")
-            c.flags.writeable = False
             object.__setattr__(self, name, c)
-        _check_sweep(self.max_overlap, self.diag_overlap, self.bound_bits)
+        for start in range(0, n, SWEEP_BLOCK_POINTS):  # in blocks: no full-length temporaries
+            block = slice(start, start + SWEEP_BLOCK_POINTS)
+            _check_sweep(self.max_overlap[block], self.diag_overlap[block], self.bound_bits[block])
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The five columns, in the order of ``SWEEP_COLUMNS``."""
@@ -272,16 +283,28 @@ def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
 
 
 def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
-    """Overlap surface over the [0, pi] x [0, pi] grid, theta-outer row-major."""
+    """Overlap surface over the [0, pi] x [0, pi] grid, theta-outer row-major.
+
+    The kernel runs over blocks of whole theta rows, about SWEEP_BLOCK_POINTS
+    points each, and fills preallocated columns, so its temporaries do not
+    grow with the grid.  Every operation is elementwise: the columns are bit
+    for bit those of one pass over the whole grid.
+    """
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
-    thetas = np.linspace(0.0, np.pi, grid)
-    phis = np.linspace(0.0, np.pi, grid)
-    max_overlap, diag, bound_bits, dev = _surface_arrays(pair, thetas[:, None], phis[None, :])
-    return SweepSurface(
-        np.repeat(thetas, grid), np.tile(phis, grid),
-        max_overlap.ravel(), diag.ravel(), bound_bits.ravel(), dev,
-    )
+    angles = np.linspace(0.0, np.pi, grid)
+    n = grid * grid
+    columns = np.repeat(angles, grid), np.tile(angles, grid), *(np.empty(n) for _ in range(3))
+    rows = max(1, SWEEP_BLOCK_POINTS // grid)
+    deviation = 0.0
+    for start in range(0, grid, rows):
+        *block, dev = _surface_arrays(pair, angles[start:start + rows, None], angles[None, :])
+        for column, values in zip(columns[2:], block):
+            column[start * grid:start * grid + values.size] = values.ravel()
+        deviation = max(deviation, dev)
+    for column in columns:
+        column.flags.writeable = False
+    return SweepSurface(*columns, deviation)
 
 
 def _format_column(c: np.ndarray, fmt) -> np.ndarray:
@@ -294,20 +317,57 @@ def _format_column(c: np.ndarray, fmt) -> np.ndarray:
     return text[inverse]
 
 
+def _row_blocks(surface: SweepSurface, formats):
+    """Per block of RENDER_BLOCK_ROWS rows: (row count, cells row-major as a tuple).
+
+    Column k goes through ``formats[k]``, each distinct value of the block
+    once; a ``None`` format leaves the column's floats to a %-template.
+    """
+    for start in range(0, len(surface), RENDER_BLOCK_ROWS):
+        block = [c[start:start + RENDER_BLOCK_ROWS] for c in surface.columns()]
+        cells = np.empty((block[0].size, len(block)), dtype=object)
+        for k, (c, fmt) in enumerate(zip(block, formats)):
+            cells[:, k] = c if fmt is None else _format_column(c, fmt)
+        yield block[0].size, tuple(cells.ravel().tolist())
+
+
+def sweep_csv_blocks(surface: SweepSurface):
+    """The CSV rendering as text blocks: the header, then RENDER_BLOCK_ROWS rows at a time.
+
+    12 significant digits per field.  The blocks hold slices of the surface's
+    columns and at most one block of text, so memory stays bounded whatever
+    the grid.
+    """
+    yield ",".join(SWEEP_COLUMNS) + "\n"
+    angle = "{:.12g}".format
+    for m, cells in _row_blocks(surface, (angle, angle, None, None, None)):
+        yield ("%s,%s,%.12g,%.12g,%.12g\n" * m) % cells
+
+
+def sweep_json_blocks(surface: SweepSurface):
+    """``{"records": [...]}`` as text blocks, RENDER_BLOCK_ROWS records at a time.
+
+    One object per row, as ``json.dumps`` writes it: ``repr`` is how it
+    writes a finite float, and every sweep value is finite.  Memory stays
+    bounded as for ``sweep_csv_blocks``.
+    """
+    row = "{" + ", ".join(f'"{name}": %s' for name in SWEEP_COLUMNS) + "}"
+    separator = ""
+    yield '{"records": ['
+    for m, cells in _row_blocks(surface, (repr,) * len(SWEEP_COLUMNS)):
+        yield separator + ", ".join([row] * m) % cells
+        separator = ", "
+    yield "]}\n"
+
+
 def sweep_to_csv(surface: SweepSurface) -> str:
-    """CSV rendering with 12 significant digits per field."""
-    lines = map(",".join, zip(*(_format_column(c, "{:.12g}".format) for c in surface.columns())))
-    return "\n".join([",".join(SWEEP_COLUMNS), *lines]) + "\n"
+    """The whole CSV rendering as one string."""
+    return "".join(sweep_csv_blocks(surface))
 
 
 def sweep_to_json(surface: SweepSurface) -> str:
-    """``{"records": [...]}`` with one object per row, as ``json.dumps`` writes it.
-
-    ``repr`` is how ``json.dumps`` writes a finite float, and every sweep value is finite.
-    """
-    row = "{{" + ", ".join(f'"{name}": {{}}' for name in SWEEP_COLUMNS) + "}}"
-    lines = map(row.format, *(_format_column(c, repr) for c in surface.columns()))
-    return '{"records": [' + ", ".join(lines) + "]}\n"
+    """The whole JSON rendering as one string."""
+    return "".join(sweep_json_blocks(surface))
 
 
 def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -100,7 +100,13 @@ class PureState:
 
     @classmethod
     def from_literal(cls, data) -> "PureState":
-        return cls(array_from_literal(data, ndim=1))
+        """The literal's state, divided by its norm once it passes the norm check.
+
+        A literal may be off unit norm by up to DEFAULT_TOL; left so, its outcome
+        probabilities could leave [0, 1] by more than ``OutcomeDistribution`` allows.
+        """
+        a = cls(array_from_literal(data, ndim=1)).amplitudes
+        return cls(a / np.linalg.norm(a))
 
 
 @dataclass(frozen=True, eq=False)

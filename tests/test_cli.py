@@ -1,13 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from utp import cli
+from utp import cli, saturation
 from utp.linalg import ConvergenceError
 from utp.operators import array_to_literal
-from utp.saturation import SweepRecord, su2_overlap_surface
+from utp.saturation import SweepRecord, su2_overlap_surface, sweep_to_csv, sweep_to_json
 
 
 def test_bound_golden(run_cli):
@@ -137,6 +142,78 @@ def test_sweep_cli_builds_no_records(run_cli, monkeypatch, output):
     assert built == [1]
 
 
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_blocks_across_theta_rows_match_one_shot(run_cli, monkeypatch, pair, output):
+    # 7-row text blocks straddle the 13-point theta rows; 169 rows make 25 blocks
+    surface = su2_overlap_surface(pair, 13)
+    render = {"csv": sweep_to_csv, "json": sweep_to_json}[output]
+    monkeypatch.setattr(saturation, "RENDER_BLOCK_ROWS", len(surface))
+    one_shot = render(surface)
+    monkeypatch.setattr(saturation, "RENDER_BLOCK_ROWS", 7)
+    code, out, _ = run_cli(["sweep", "--pair", pair, "--grid", "13", "--output", output])
+    assert code == 0
+    assert out == one_shot == render(surface) == _reference_sweep_output(list(surface), output)
+
+
+class _WriteCounter:
+    """A stdout that keeps only how many writes it saw and how many characters."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_streams_stdout_in_bounded_memory(monkeypatch, output):
+    # the traced peak is the five columns plus a kernel block and a text block; rendering
+    # the whole text at once needs ~26 MB (CSV) to ~43 MB (JSON) beyond the columns here
+    grid, allowance = 301, 12e6
+    sink = _WriteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.run(["sweep", "--pair", "i-omega", "--grid", str(grid), "--output", output])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.writes > 1 and sink.chars > 70 * grid * grid
+    assert peak < 5 * 8 * grid * grid + allowance
+
+
+def test_sweep_failing_late_block_writes_nothing(run_cli, monkeypatch):
+    closed_form = saturation._closed_form_overlaps
+
+    def off_in_last_rows(pair, theta, phi):
+        diag, off = closed_form(pair, theta, phi)
+        return diag + 1e-9 * (theta > 3.0), off
+
+    monkeypatch.setattr(saturation, "SWEEP_BLOCK_POINTS", 1000)
+    monkeypatch.setattr(saturation, "_closed_form_overlaps", off_in_last_rows)
+    code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "301"])
+    assert code == 1
+    assert out == ""
+    assert "numerical failure: closed-form/matrix overlap mismatch" in err
+
+
+def test_sweep_into_a_pipe_closed_early_exits_quietly():
+    # the reader takes the header and closes, so a later block meets a broken pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "utp.cli", "sweep", "--pair", "i-omega", "--grid", "301"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert child.stdout.readline() == b"theta,phi,max_overlap,diag_overlap,bound_bits\n"
+    child.stdout.close()
+    assert child.wait(timeout=120) == 0
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_sweep_info_log_reports_deviation(run_cli, monkeypatch):
     monkeypatch.setenv("UTP_LOG", "info")
     code, out, err = run_cli(["sweep", "--pair", "i-sigmay", "--grid", "21"])
@@ -246,6 +323,32 @@ def test_povm_bound_from_json_file(run_cli, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["bound_bits"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["entropy", "game"])
+@pytest.mark.parametrize("amplitudes", [[1.0, 0.0], [0.6, 0.8j]])
+def test_input_file_within_norm_tolerance_acts_as_normalised(
+    run_cli, tmp_path, command, amplitudes
+):
+    # a norm 9e-10 above 1 passes the 1e-9 state check, but unrescaled its outcome
+    # probabilities would exceed 1, or sum to 1 + 1.8e-9, past OutcomeDistribution's limits
+    exact = np.array(amplitudes) / np.linalg.norm(amplitudes)
+    outputs = []
+    for name, amps in [("off.json", exact * (1 + 9e-10)), ("exact.json", exact)]:
+        path = tmp_path / name
+        path.write_text(json.dumps(array_to_literal(amps)))
+        argv = [command, "--v", "identity", "--w", "pauli-x", "--measurement", "computational",
+                "--input", str(path)]
+        code, out, err = run_cli(argv + (["--trials", "1000"] if command == "game" else []))
+        assert code == 0, err
+        outputs.append(json.loads(out))
+    off, exact_out = outputs
+    assert off.keys() == exact_out.keys()
+    for key, value in off.items():
+        if isinstance(value, float):
+            assert value == pytest.approx(exact_out[key], abs=1e-12), key
+        else:
+            assert value == exact_out[key], key
 
 
 def test_mes_bound_bell(run_cli):

@@ -8,7 +8,6 @@ from utp.operators import (
     UnitaryBasis,
     UnitaryOperator,
     clock_shift_pair,
-    equal_up_to_phase,
     haar_random_unitary,
     hs_inner,
     identity,
@@ -16,8 +15,6 @@ from utp.operators import (
     is_perfectly_distinguishable,
     omega,
     pauli,
-    unitary_from_json,
-    unitary_to_json,
 )
 from utp.testers import weyl_operators
 
@@ -212,30 +209,23 @@ def test_orthogonal_clock_shift_distinguishable(d):
     assert is_perfectly_distinguishable(p, q)
 
 
-def test_equal_up_to_phase():
-    u = haar_random_unitary(3, seed=9)
-    rotated = UnitaryOperator(np.exp(0.7j) * u.matrix)
-    assert equal_up_to_phase(u, rotated)
-    assert not equal_up_to_phase(u, haar_random_unitary(3, seed=10))
-
-
 def test_json_roundtrip():
     u = haar_random_unitary(3, seed=3)
-    again = unitary_from_json(unitary_to_json(u))
+    again = UnitaryOperator.from_literal(json.loads(json.dumps(u.to_literal())))
     assert np.abs(again.matrix - u.matrix).max() < 1e-15
 
 
 def test_json_rejects_non_unitary():
-    bad = json.dumps({"dim": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]})
+    bad = {"dim": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]}
     with pytest.raises(ValueError, match="not unitary"):
-        unitary_from_json(bad)
+        UnitaryOperator.from_literal(bad)
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError, match="malformed JSON"):
-        unitary_from_json("{not json")
+    with pytest.raises(ValueError, match="malformed matrix literal: missing field 'dim'"):
+        UnitaryOperator.from_literal("{not json")
     with pytest.raises(ValueError, match="malformed matrix literal"):
-        unitary_from_json(json.dumps({"dim": 2, "re": [[1, 0], [0, 1]]}))
+        UnitaryOperator.from_literal({"dim": 2, "re": [[1, 0], [0, 1]]})
 
 
 def test_hull_distance_single_eigenvalue():

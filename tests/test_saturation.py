@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_matrix
+from utp import saturation
 from utp.operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -131,6 +132,40 @@ def test_sweep_kernel_matches_stacked_einsum(pair):
             assert np.array_equal(new.view(np.int64), old.view(np.int64)), name
         tol = 2e-15 if name == "bound_bits" else 1e-15
         assert np.abs(new - old).max() <= tol, name
+
+
+@pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
+@pytest.mark.parametrize("block_points", [None, 1000])
+def test_sweep_blocks_match_one_pass_over_the_grid(monkeypatch, pair, block_points):
+    # grid 300 spans two kernel blocks of about 2^16 points, or 100 blocks of 3 theta rows
+    grid = 300
+    if block_points is not None:
+        monkeypatch.setattr(saturation, "SWEEP_BLOCK_POINTS", block_points)
+    one_pass = saturation._surface_arrays
+    calls = []
+    monkeypatch.setattr(saturation, "_surface_arrays", lambda *a: calls.append(1) or one_pass(*a))
+    surface = su2_overlap_surface(pair, grid)
+    rows = saturation.SWEEP_BLOCK_POINTS // grid
+    assert len(calls) == -(-grid // rows) > 1
+    angles = np.linspace(0.0, np.pi, grid)
+    *values, deviation = one_pass(pair, angles[:, None], angles[None, :])
+    reference = [*np.meshgrid(angles, angles, indexing="ij"), *values]
+    for name, new, old in zip(SWEEP_COLUMNS, surface.columns(), reference):
+        assert np.array_equal(new.view(np.int64), old.ravel().view(np.int64)), name
+    assert surface.max_deviation == deviation
+
+
+def test_sweep_surface_owns_read_only_columns_without_copying():
+    frozen = _columns()
+    for c in frozen.values():
+        c.flags.writeable = False
+    surface = SweepSurface(**frozen, max_deviation=0.0)
+    assert all(getattr(surface, k) is c for k, c in frozen.items())
+    writable = _columns()
+    surface = SweepSurface(**writable, max_deviation=0.0)
+    for k, c in writable.items():  # a writable column is copied, and the caller's stays writable
+        assert getattr(surface, k) is not c and not np.shares_memory(getattr(surface, k), c)
+        assert c.flags.writeable and not getattr(surface, k).flags.writeable
 
 
 def test_surface_spot_values():
