@@ -51,7 +51,6 @@ from .testers import (
 )
 from .uncertainty import (
     mes_bound,
-    pair_uncertainty,
     povm_bound,
     projective_bound,
     shannon_entropy,
@@ -232,7 +231,7 @@ def cmd_entropy(args) -> str:
     unit = _unit(args)
     return _json_line(
         {
-            f"pair_uncertainty_{unit}": pair_uncertainty(t, v, w, base).value,
+            f"pair_uncertainty_{unit}": hv + hw,  # as pair_uncertainty sums them
             f"h_v_{unit}": hv,
             f"h_w_{unit}": hw,
         }
@@ -429,10 +428,7 @@ def run(argv) -> int:
         output = args.func(args)
         for block in [output] if isinstance(output, str) else output:
             sys.stdout.write(block)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:

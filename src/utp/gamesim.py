@@ -65,15 +65,6 @@ class GameTranscript:
     def trials(self) -> int:
         return int(self.counts_v.sum() + self.counts_w.sum())
 
-    @property
-    def empirical_distributions(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-operator outcome frequencies; None for a side with no trials."""
-        out = []
-        for counts in (self.counts_v, self.counts_w):
-            total = counts.sum()
-            out.append(counts / total if total > 0 else None)
-        return out[0], out[1]
-
 
 def empirical_entropy(counts, base: float = 2.0) -> EntropyValue:
     """Plug-in Shannon entropy of a frequency table."""

@@ -44,14 +44,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T)
-
-    def __matmul__(self, other: "UnitaryOperator") -> "UnitaryOperator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return UnitaryOperator(self.matrix @ other.matrix)
-
     def to_literal(self) -> dict:
         return array_to_literal(self.matrix)
 

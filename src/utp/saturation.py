@@ -571,8 +571,8 @@ def search_min_uncertainty(
         return -(p * ln_p).sum(axis=1), _sphere_tangent(psi, g)
 
     rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
-    starts = starts[: min(restarts, budget)]
+    n = min(restarts, budget)  # a start costs at least one evaluation: draw no more
+    starts = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     floor = EntropicBound.from_overlaps(overlaps, math.e).value + BOUND_REACHED
     run = _descend(cost_grad, _sphere_line, _sphere_tangent, starts, budget, floor)
@@ -606,15 +606,12 @@ def _same_direction(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
 class _Found:
     """A flat basis (or the MES unitaries) and how it was obtained.
 
-    Unpacks as ``(matrix, method)``; ``evaluations`` is 0 for a construction.
+    ``evaluations`` is 0 for a construction.
     """
 
     matrix: np.ndarray
     method: str
     evaluations: int
-
-    def __iter__(self):
-        return iter((self.matrix, self.method))
 
 
 def _search_flat_unitary(

@@ -1,7 +1,8 @@
 """Testers: an input state paired with a measurement, and their statistics.
 
 A tester probes an unknown unitary by sending a known state through it
-and measuring the output.  Three flavors are supported:
+and measuring the output.  The measurement's type is the tester's flavor
+(its ``kind``), and it holds the outcome formula (``probabilities``):
 
 * ``projective`` -- pure input state, orthonormal projective basis;
 * ``mes`` -- canonical maximally entangled input on H_d (x) H_d, measured
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +32,16 @@ from .operators import UnitaryOperator, array_from_literal, array_to_literal, li
 
 POVM_SUM_TOL = 1e-8  # element sums accumulate error over d^2 terms
 MES_RESHAPE_TOL = 1e-8
+
+
+def _orthonormal_columns(states: tuple[PureState, ...], what: str) -> np.ndarray:
+    """The states as the columns of a read-only matrix, refused unless orthonormal."""
+    x = np.column_stack([s.amplitudes for s in states])
+    dev = np.abs(x.conj().T @ x - np.eye(x.shape[1])).max()
+    if dev > DEFAULT_TOL:
+        raise ValueError(f"{what} is not orthonormal: deviation {dev:.3e}")
+    x.flags.writeable = False
+    return x
 
 
 def overlap_table(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -113,6 +125,8 @@ class PureState:
 class ProjectiveMeasurement:
     """Complete orthonormal basis of rank-1 projectors."""
 
+    kind: ClassVar[str] = "projective"
+    input_type: ClassVar[type] = PureState
     states: tuple[PureState, ...]
     matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
 
@@ -123,14 +137,8 @@ class ProjectiveMeasurement:
         d = states[0].dim
         if len(states) != d or any(s.dim != d for s in states):
             raise ValueError(f"projective measurement needs exactly d={d} states of dimension d")
-        x = np.column_stack([s.amplitudes for s in states])
-        gram = x.conj().T @ x
-        dev = np.abs(gram - np.eye(d)).max()
-        if dev > DEFAULT_TOL:
-            raise ValueError(f"measurement basis is not orthonormal: deviation {dev:.3e}")
-        x.flags.writeable = False
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "matrix", x)
+        object.__setattr__(self, "matrix", _orthonormal_columns(states, "measurement basis"))
 
     @property
     def dim(self) -> int:
@@ -139,6 +147,10 @@ class ProjectiveMeasurement:
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
         return overlap_table(self.matrix, a)
+
+    def probabilities(self, psi: PureState, u: UnitaryOperator) -> np.ndarray:
+        """p_i = |<chi_i| U |psi>|^2."""
+        return np.abs(self.matrix.conj().T @ (u.matrix @ psi.amplitudes)) ** 2
 
     @classmethod
     def from_matrix(cls, x) -> "ProjectiveMeasurement":
@@ -183,11 +195,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        a = psi.amplitudes
-        return cls(np.outer(a, a.conj()))
-
     def to_literal(self) -> dict:
         return array_to_literal(self.matrix)
 
@@ -198,37 +205,45 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operator-valued measure: Hermitian PSD elements summing to I."""
+    """Positive operator-valued measure: Hermitian PSD elements summing to I.
 
-    elements: tuple[np.ndarray, ...]
+    ``elements`` is one read-only (n, d, d) array.
+    """
+
+    kind: ClassVar[str] = "povm"
+    input_type: ClassVar[type] = DensityMatrix
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        elements = tuple(as_complex_matrix(e) for e in self.elements)
-        if not elements:
+        try:
+            e = np.array(self.elements, dtype=complex)
+        except ValueError as exc:  # ragged element shapes
+            raise ValueError("POVM elements must share one square shape") from exc
+        if not e.size:
             raise ValueError("POVM needs at least one element")
-        d = elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        frozen = []
-        for e in elements:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one square shape")
-            if not is_hermitian(e, DEFAULT_TOL):
-                raise ValueError("POVM element is not Hermitian")
-            lo = np.linalg.eigvalsh(e).min()
-            if lo < -DEFAULT_TOL:
-                raise ValueError(f"POVM element has eigenvalue {lo:.3e} < 0")
-            total += e
-            e = e.copy()
-            e.flags.writeable = False
-            frozen.append(e)
-        dev = np.abs(total - np.eye(d)).max()
+        if e.ndim != 3 or e.shape[1] != e.shape[2]:
+            raise ValueError("POVM elements must share one square shape")
+        if not np.isfinite(e).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        if np.abs(e - e.conj().transpose(0, 2, 1)).max() > DEFAULT_TOL:
+            raise ValueError("POVM element is not Hermitian")
+        lo = np.linalg.eigvalsh(e).min()
+        if lo < -DEFAULT_TOL:
+            raise ValueError(f"POVM element has eigenvalue {lo:.3e} < 0")
+        dev = np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()
         if dev > POVM_SUM_TOL:
             raise ValueError(f"POVM elements do not sum to identity: deviation {dev:.3e}")
-        object.__setattr__(self, "elements", tuple(frozen))
+        e.flags.writeable = False
+        object.__setattr__(self, "elements", e)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
+
+    def probabilities(self, rho: DensityMatrix, u: UnitaryOperator) -> np.ndarray:
+        """p_k = Tr(M_k U rho U†)."""
+        rotated = u.matrix @ rho.matrix @ u.matrix.conj().T
+        return np.array([np.trace(e @ rotated).real for e in self.elements])
 
     def to_literal(self) -> dict:
         return {"elements": [array_to_literal(e) for e in self.elements]}
@@ -241,7 +256,8 @@ class Povm:
 
 def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
     """Rank-1 POVM with elements |chi_i><chi_i|."""
-    return Povm(tuple(np.outer(s.amplitudes, s.amplitudes.conj()) for s in m.states))
+    x = m.matrix.T
+    return Povm(x[:, :, None] * x.conj()[:, None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +268,8 @@ class MesMeasurement:
     sqrt(d) * C is unitary.
     """
 
+    kind: ClassVar[str] = "mes"
+    input_type: ClassVar[type] = PureState
     local_dim: int
     states: tuple[PureState, ...]
     matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
@@ -263,14 +281,10 @@ class MesMeasurement:
             raise ValueError("local dimension must be >= 2")
         if len(states) != d * d or any(s.dim != d * d for s in states):
             raise ValueError(f"MES measurement needs d^2={d * d} states of dimension d^2")
-        x = np.column_stack([s.amplitudes for s in states])
-        dev = np.abs(x.conj().T @ x - np.eye(d * d)).max()
-        if dev > DEFAULT_TOL:
-            raise ValueError(f"MES basis is not orthonormal: deviation {dev:.3e}")
+        x = _orthonormal_columns(states, "MES basis")
         n = x.T.reshape(d * d, d, d) * math.sqrt(d)
         if np.abs(n.conj().transpose(0, 2, 1) @ n - np.eye(d)).max() > MES_RESHAPE_TOL:
             raise ValueError("MES basis element is not maximally entangled")
-        x.flags.writeable = False
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "matrix", x)
@@ -284,10 +298,10 @@ class MesMeasurement:
         d = self.local_dim
         return mes_overlap_table(self.matrix.T.reshape(d * d, d, d), a)
 
-    def unitaries(self) -> list[np.ndarray]:
-        """The unitaries N_i with |nu_i> = (N_i (x) I)|Phi>."""
-        d = self.local_dim
-        return [s.amplitudes.reshape(d, d) * math.sqrt(d) for s in self.states]
+    def probabilities(self, phi: PureState, u: UnitaryOperator) -> np.ndarray:
+        """p_i = |<nu_i| (U (x) I) |Phi>|^2; (U (x) I)|Phi> is the row-major vec of U Phi."""
+        evolved = (u.matrix @ phi.amplitudes.reshape(u.dim, u.dim)).reshape(-1)
+        return np.abs(self.matrix.conj().T @ evolved) ** 2
 
     @classmethod
     def from_unitaries(cls, ops) -> "MesMeasurement":
@@ -306,62 +320,51 @@ class MesMeasurement:
         return cls(local_dim, tuple(PureState.from_literal(s) for s in states))
 
 
-# tester kind -> (input type, measurement type)
-_TESTER_KINDS = {
-    "projective": (PureState, ProjectiveMeasurement),
-    "mes": (PureState, MesMeasurement),
-    "povm": (DensityMatrix, Povm),
-}
-
-
-def _tester_types(kind) -> tuple[type, type]:
-    if not isinstance(kind, str) or kind not in _TESTER_KINDS:
-        raise ValueError(f"unknown tester kind {kind!r}")
-    return _TESTER_KINDS[kind]
+_MEASUREMENT_TYPES = (ProjectiveMeasurement, MesMeasurement, Povm)
 
 
 @dataclass(frozen=True, eq=False)
 class Tester:
-    """A pair (input state, measurement); kind selects the flavor."""
+    """A pair (input state, measurement); the measurement's type is the flavor."""
 
-    kind: str
     input: PureState | DensityMatrix
     measurement: ProjectiveMeasurement | MesMeasurement | Povm
 
     def __post_init__(self) -> None:
-        kind = self.kind
-        input_type, measurement_type = _tester_types(kind)
-        if not (
-            isinstance(self.input, input_type) and isinstance(self.measurement, measurement_type)
-        ):
-            raise ValueError(f"input/measurement types do not match kind {kind!r}")
-        if self.input.dim != self.measurement.dim:
-            raise ValueError(
-                f"input dimension {self.input.dim} != measurement dimension {self.measurement.dim}"
-            )
-        if kind == "mes":
-            d = self.measurement.local_dim
-            if np.abs(self.input.amplitudes - mes_state(d).amplitudes).max() > DEFAULT_TOL:
+        m = self.measurement
+        if not isinstance(m, _MEASUREMENT_TYPES):
+            raise ValueError(f"not a measurement: {type(m).__name__}")
+        if not isinstance(self.input, m.input_type):
+            raise ValueError(f"a {m.kind} tester needs a {m.input_type.__name__} input")
+        if self.input.dim != m.dim:
+            raise ValueError(f"input dimension {self.input.dim} != measurement dimension {m.dim}")
+        if isinstance(m, MesMeasurement):
+            phi = mes_state(m.local_dim).amplitudes
+            if np.abs(self.input.amplitudes - phi).max() > DEFAULT_TOL:
                 raise ValueError("mes tester input must be the canonical MES")
+
+    @property
+    def kind(self) -> str:
+        return self.measurement.kind
 
     @property
     def dim(self) -> int:
         """Dimension of the tested operator (local dimension for mes kind)."""
-        if self.kind == "mes":
+        if isinstance(self.measurement, MesMeasurement):
             return self.measurement.local_dim
         return self.input.dim
 
     @classmethod
     def projective(cls, state: PureState, m: ProjectiveMeasurement) -> "Tester":
-        return cls("projective", state, m)
+        return cls(state, m)
 
     @classmethod
     def mes(cls, m: MesMeasurement) -> "Tester":
-        return cls("mes", mes_state(m.local_dim), m)
+        return cls(mes_state(m.local_dim), m)
 
     @classmethod
     def povm(cls, rho: DensityMatrix, m: Povm) -> "Tester":
-        return cls("povm", rho, m)
+        return cls(rho, m)
 
 
 def mes_state(d: int) -> PureState:
@@ -399,24 +402,11 @@ def bell_basis(d: int) -> MesMeasurement:
 def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
     """Outcome probabilities of tester ``t`` applied to the unitary ``u``.
 
-    projective: p_i = |<chi_i| U |psi>|^2
-    mes:        p_i = |<nu_i| (U (x) I) |Phi>|^2, where (U (x) I)|Phi>
-                is the row-major vec of U times the reshaped |Phi>
-    povm:       p_k = Tr(M_k U rho U†)
+    Each measurement type holds its formula in ``probabilities``.
     """
     if t.dim != u.dim:
         raise ValueError(f"dimension mismatch: tester {t.dim} vs operator {u.dim}")
-    if t.kind == "projective":
-        amps = t.measurement.matrix.conj().T @ (u.matrix @ t.input.amplitudes)
-        p = np.abs(amps) ** 2
-    elif t.kind == "mes":
-        evolved = (u.matrix @ t.input.amplitudes.reshape(u.dim, u.dim)).reshape(-1)
-        amps = t.measurement.matrix.conj().T @ evolved
-        p = np.abs(amps) ** 2
-    else:
-        rotated = u.matrix @ t.input.matrix @ u.matrix.conj().T
-        p = np.array([np.trace(e @ rotated).real for e in t.measurement.elements])
-    return OutcomeDistribution(p)
+    return OutcomeDistribution(t.measurement.probabilities(t.input, u))
 
 
 def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
@@ -466,7 +456,11 @@ def tester_from_json(text: str) -> Tester:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
     kind = literal_field(data, "kind", "tester")
-    input_type, measurement_type = _tester_types(kind)
-    state = input_type.from_literal(literal_field(data, "input", "tester"))
+    for measurement_type in _MEASUREMENT_TYPES:
+        if kind == measurement_type.kind:
+            break
+    else:
+        raise ValueError(f"unknown tester kind {kind!r}")
+    state = measurement_type.input_type.from_literal(literal_field(data, "input", "tester"))
     m = measurement_type.from_literal(literal_field(data, "measurement", "tester"))
-    return Tester(kind, state, m)
+    return Tester(state, m)

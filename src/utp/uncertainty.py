@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import operator_norm, psd_sqrt
+from .linalg import psd_sqrt
 from .operators import UnitaryOperator
 from .testers import (
     MesMeasurement,
@@ -153,9 +153,10 @@ def povm_bound(
     """
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between POVM and operators")
-    roots_v = [psd_sqrt(v.matrix.conj().T @ e @ v.matrix) for e in m.elements]
-    roots_w = [psd_sqrt(w.matrix.conj().T @ e @ w.matrix) for e in m.elements]
-    norms = np.array([[operator_norm(a @ b) for b in roots_w] for a in roots_v])
+    roots_v = psd_sqrt(v.matrix.conj().T @ m.elements @ v.matrix)
+    roots_w = psd_sqrt(w.matrix.conj().T @ m.elements @ w.matrix)
+    # one row of the table at a time: O(n d^2) memory, not O(n^2 d^2)
+    norms = np.array([np.linalg.norm(a @ roots_w, ord=2, axis=(-2, -1)) for a in roots_v])
     return EntropicBound.from_overlaps(norms, base, power=2.0)
 
 

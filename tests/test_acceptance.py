@@ -230,7 +230,7 @@ def test_criterion_10_search_consistency():
         x = haar_matrix(d, rng)
         dft = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
         v = UnitaryOperator(haar_matrix(d, rng))
-        w = UnitaryOperator(x @ dft @ x.conj().T) @ v
+        w = UnitaryOperator(x @ dft @ x.conj().T @ v.matrix)
         m = ProjectiveMeasurement.from_matrix(x)
         constructed = saturating_tester_by_construction(m, v, w)
         assert constructed is not None, f"construction failed on instance {k}"

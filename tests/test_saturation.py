@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def flat_instance(d: int, seed: int):
     x = haar_matrix(d, rng)
     dft = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
     v = UnitaryOperator(haar_matrix(d, rng))
-    w = UnitaryOperator(x @ dft @ x.conj().T) @ v
+    w = UnitaryOperator(x @ dft @ x.conj().T @ v.matrix)
     from utp.testers import ProjectiveMeasurement
 
     return ProjectiveMeasurement.from_matrix(x), v, w
@@ -438,6 +439,20 @@ def test_search_reports_its_budget():
     assert saturating_tester_by_construction(m, v, w).evaluations == 0
 
 
+def test_search_draws_no_more_starts_than_its_budget():
+    # 10^6 complex starts at d = 2 would take 32 MB; the budget admits 50 of them
+    m, v, w = flat_instance(2, 0)
+    search_min_uncertainty(m, v, w, budget=50, restarts=1)  # lazy imports are not counted
+    tracemalloc.start()
+    try:
+        report = search_min_uncertainty(m, v, w, budget=50, restarts=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert 0 < report.evaluations <= 50
+
+
 @pytest.mark.parametrize("budget, restarts", [(0, 20), (-5, 20), (100, 0), (100, -2)])
 def test_searches_refuse_empty_budget_or_restarts(budget, restarts):
     m, v, w = flat_instance(2, 0)
@@ -625,8 +640,8 @@ def test_flat_basis_search_fallback():
     a = np.diag([1.0, np.exp(2j * np.pi / 3)]).astype(complex)
     found = _find_flat_projective_basis(a, tol=1e-9, budget=5000, restarts=20, seed=0)
     assert found is not None
-    x, method = found
-    assert method == "numerical-search"
+    x = found.matrix
+    assert found.method == "numerical-search"
     assert np.abs(np.abs(x.conj().T @ a @ x) ** 2 - 0.5).max() <= 1e-9
 
 
@@ -666,9 +681,9 @@ def test_witness_agrees_with_distinguishability():
     for k in range(500):
         if k % 5 == 0:  # orthogonal pairs: always distinguishable
             d = 2 + (k // 5) % 2
-            g = UnitaryOperator(haar_matrix(d, rng))
+            g = haar_matrix(d, rng)
             v = UnitaryOperator(haar_matrix(d, rng))
-            w = g @ clock_shift_pair(d)[0] @ g.dagger() @ v
+            w = UnitaryOperator(g @ clock_shift_pair(d)[0].matrix @ g.conj().T @ v.matrix)
         else:
             d = 2 + k % 2
             v = UnitaryOperator(haar_matrix(d, rng))
@@ -687,10 +702,10 @@ def test_orthogonal_pairs_admit_zero_uncertainty_tester():
     rng = np.random.default_rng(42)
     for k in range(50):
         d = 2 + k % 2
-        g = UnitaryOperator(haar_matrix(d, rng))
-        u_perp = g @ clock_shift_pair(d)[0] @ g.dagger()
+        g = haar_matrix(d, rng)
+        u_perp = g @ clock_shift_pair(d)[0].matrix @ g.conj().T
         v = UnitaryOperator(haar_matrix(d, rng))
-        w = v @ u_perp
+        w = UnitaryOperator(v.matrix @ u_perp)
         assert abs(np.trace(v.matrix.conj().T @ w.matrix)) < 1e-9
         found, tester, trivial = zero_bound_witness(v, w)
         assert found and not trivial

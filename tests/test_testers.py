@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -83,17 +84,19 @@ def test_mes_measurement_rejects_separable_basis():
 
 def test_tester_kind_consistency():
     m = computational_basis(2)
-    with pytest.raises(ValueError, match="do not match kind"):
-        Tester("povm", qubit_state(1, 0), m)
-    with pytest.raises(ValueError, match="unknown tester kind"):
-        Tester("weird", qubit_state(1, 0), m)
+    with pytest.raises(ValueError, match="needs a DensityMatrix input"):
+        Tester(qubit_state(1, 0), povm_from_projective(m))
+    with pytest.raises(ValueError, match="needs a PureState input"):
+        Tester(DensityMatrix(np.eye(2) / 2), m)
+    with pytest.raises(ValueError, match="not a measurement"):
+        Tester(qubit_state(1, 0), "projective")
 
 
 def test_mes_tester_requires_canonical_input():
     m = bell_basis(2)
     rotated = PureState(m.states[3].amplitudes)
     with pytest.raises(ValueError, match="canonical"):
-        Tester("mes", rotated, m)
+        Tester(rotated, m)
 
 
 # --- outcome distributions ---------------------------------------------------
@@ -139,7 +142,8 @@ def test_projective_povm_agreement():
         psi = PureState(random_state(d, rng))
         u = UnitaryOperator(haar_matrix(d, rng))
         p_proj = outcome_distribution(Tester.projective(psi, m), u).probs
-        t_povm = Tester.povm(DensityMatrix.from_pure(psi), povm_from_projective(m))
+        rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        t_povm = Tester.povm(rho, povm_from_projective(m))
         p_povm = outcome_distribution(t_povm, u).probs
         assert np.abs(p_proj - p_povm).max() < 1e-12
 
@@ -217,7 +221,7 @@ def test_bell_basis_orthonormal_and_entangled(d):
     basis = bell_basis(d)
     x = basis.matrix
     assert np.abs(x.conj().T @ x - np.eye(d * d)).max() < 1e-12
-    for n in basis.unitaries():
+    for n in x.T.reshape(d * d, d, d) * np.sqrt(d):  # |nu_i> = (N_i (x) I)|Phi>
         assert np.abs(n.conj().T @ n - np.eye(d)).max() < 1e-12
 
 
@@ -284,6 +288,52 @@ def test_tester_json_rejects_invariant_violation():
     text = tester_to_json(t).replace('"re": [1.0, 0.0]', '"re": [1.0, 1.0]', 1)
     with pytest.raises(ValueError, match="normalized|orthonormal"):
         tester_from_json(text)
+
+
+def test_tester_kind_follows_measurement():
+    rho = DensityMatrix(np.eye(2) / 2)
+    assert Tester.projective(qubit_state(1, 0), computational_basis(2)).kind == "projective"
+    assert Tester.mes(bell_basis(2)).kind == "mes"
+    assert Tester.povm(rho, povm_from_projective(computational_basis(2))).kind == "povm"
+    with pytest.raises(ValueError, match="needs a PureState input"):
+        Tester(rho, bell_basis(2))
+    with pytest.raises(AttributeError):
+        Tester.mes(bell_basis(2)).kind = "povm"
+
+
+def test_povm_elements_are_one_read_only_stack():
+    povm = povm_from_projective(computational_basis(3))
+    assert povm.elements.shape == (3, 3, 3) and len(povm.elements) == 3
+    with pytest.raises(ValueError):
+        povm.elements[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="share one square shape"):
+        Povm((np.eye(2) / 2, np.eye(3) / 2))
+    with pytest.raises(ValueError, match="at least one element"):
+        Povm(())
+
+
+# tester_to_json bytes for one tester of each kind; the MES one by its SHA-256
+GOLDEN_PROJECTIVE_JSON = (
+    '{"kind": "projective", "input": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}, '
+    '"measurement": {"states": [{"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}, '
+    '{"dim": 2, "re": [0.0, 1.0], "im": [0.0, 0.0]}]}}'
+)
+GOLDEN_POVM_JSON = (
+    '{"kind": "povm", "input": {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], '
+    '"im": [[0.0, 0.0], [0.0, 0.0]]}, "measurement": {"elements": ['
+    '{"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}, '
+    '{"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]}}'
+)
+GOLDEN_MES_SHA256 = "35d2ad3eff3577877d7510487c9270a5e497a0a5fb56a79032fc6df07ac823d9"
+
+
+def test_tester_json_golden_bytes():
+    qubit = computational_basis(2)
+    assert tester_to_json(Tester.projective(qubit_state(1, 0), qubit)) == GOLDEN_PROJECTIVE_JSON
+    povm = Tester.povm(DensityMatrix(np.eye(2) / 2), povm_from_projective(qubit))
+    assert tester_to_json(povm) == GOLDEN_POVM_JSON
+    mes = tester_to_json(Tester.mes(bell_basis(2))).encode()
+    assert hashlib.sha256(mes).hexdigest() == GOLDEN_MES_SHA256
 
 
 def test_tester_json_rejects_malformed():

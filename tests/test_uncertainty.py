@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import haar_matrix, random_state
+from utp.linalg import operator_norm, psd_sqrt
 from utp.operators import UnitaryOperator, identity, omega, pauli
 from utp.saturation import su2_basis
 from utp.testers import (
@@ -14,6 +16,7 @@ from utp.testers import (
     Tester,
     bell_basis,
     computational_basis,
+    outcome_distribution,
     povm_from_projective,
     trivial_tester,
 )
@@ -215,7 +218,63 @@ def test_pair_uncertainty_povm_matches_projective():
     v = UnitaryOperator(haar_matrix(3, rng))
     w = UnitaryOperator(haar_matrix(3, rng))
     t1 = Tester.projective(psi, m)
-    t2 = Tester.povm(DensityMatrix.from_pure(psi), povm_from_projective(m))
+    t2 = Tester.povm(
+        DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj())), povm_from_projective(m)
+    )
     assert pair_uncertainty(t1, v, w).value == pytest.approx(
         pair_uncertainty(t2, v, w).value, abs=1e-9
     )
+
+
+def rank1_frame(d: int, n: int, rng) -> Povm:
+    """n rank-1 elements |r_k><r_k| from the rows of an n x d isometry: a tight frame."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    return Povm(np.conj(q)[:, :, None] * q[:, None, :])
+
+
+def per_element_povm_bound(m: Povm, v: UnitaryOperator, w: UnitaryOperator) -> EntropicBound:
+    """The POVM bound as one psd_sqrt per element and side and one operator_norm per pair."""
+    roots_v = [psd_sqrt(v.matrix.conj().T @ e @ v.matrix) for e in m.elements]
+    roots_w = [psd_sqrt(w.matrix.conj().T @ e @ w.matrix) for e in m.elements]
+    norms = np.array([[operator_norm(a @ b) for b in roots_w] for a in roots_v])
+    return EntropicBound.from_overlaps(norms, 2.0, power=2.0)
+
+
+@pytest.mark.parametrize("d, frame", [(2, False), (3, False), (5, False), (8, False),
+                                      (16, False), (32, False), (8, True)])
+def test_stacked_povm_and_outcomes_match_per_element_loops(d, frame):
+    rng = np.random.default_rng(100 + d)
+    x = haar_matrix(d, rng)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    m = ProjectiveMeasurement.from_matrix(x)
+    povm = rank1_frame(d, d * d, rng) if frame else povm_from_projective(m)
+    got, want = povm_bound(povm, v, w), per_element_povm_bound(povm, v, w)
+    assert (got.value, got.argmax, got.max_overlap) == (want.value, want.argmax, want.max_overlap)
+
+    psi = PureState(random_state(d, rng))
+    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    mes = Tester.mes(bell_basis(d))
+    for u in (v, w):
+        rotated = u.matrix @ rho.matrix @ u.matrix.conj().T
+        want_povm = [np.trace(e @ rotated).real for e in povm.elements]
+        want_projective = np.abs(x.conj().T @ (u.matrix @ psi.amplitudes)) ** 2
+        evolved = (u.matrix @ mes.input.amplitudes.reshape(d, d)).reshape(-1)
+        want_mes = np.abs(mes.measurement.matrix.conj().T @ evolved) ** 2
+        for t, want_p in ((Tester.povm(rho, povm), want_povm),
+                          (Tester.projective(psi, m), want_projective),
+                          (mes, want_mes)):
+            assert np.array_equal(outcome_distribution(t, u).probs, np.clip(want_p, 0.0, 1.0))
+
+
+def test_povm_bound_memory_is_one_row_at_a_time():
+    # all n^2 products of 64 elements at d = 8 at once would take 4 MB
+    rng = np.random.default_rng(8)
+    povm = rank1_frame(8, 64, rng)
+    v, w = UnitaryOperator(haar_matrix(8, rng)), UnitaryOperator(haar_matrix(8, rng))
+    tracemalloc.start()
+    try:
+        povm_bound(povm, v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
