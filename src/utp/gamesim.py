@@ -126,6 +126,7 @@ def transcript_to_json(t: GameTranscript) -> str:
             "counts_w": t.counts_w.tolist(),
             "empirical_bits": t.empirical_entropy_sum.value,
             "analytic_bits": t.analytic_entropy_sum.value,
+            "guess_success_rate": t.guess_success_rate,
             "seed": t.seed,
         }
     )

@@ -27,6 +27,10 @@ class ConvergenceError(RuntimeError):
     """An eigensolver failed to converge, or its eigenpairs miss the residual check."""
 
 
+class InvariantError(ArithmeticError):
+    """A computed quantity broke an invariant that holds in exact arithmetic."""
+
+
 def validate_tol(tol: float) -> None:
     """Refuse a tolerance that is negative, NaN or infinite: each decides yes/no wrongly."""
     if not (math.isfinite(tol) and tol >= 0):

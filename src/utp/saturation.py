@@ -33,6 +33,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .csvformat import format_rows
 from .linalg import DEFAULT_TOL, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
@@ -307,41 +308,32 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     return SweepSurface(*columns, deviation)
 
 
-def _format_column(c: np.ndarray, fmt) -> np.ndarray:
-    """``fmt`` of each value of ``c`` as an object array, each distinct value formatted once.
+def _repr_column(c: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of ``c`` as an object array, each distinct value formatted once.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 keep their own strings.
     """
     bits, inverse = np.unique(c.view(np.int64), return_inverse=True)
-    text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse]
 
 
-def _row_blocks(surface: SweepSurface, formats):
-    """Per block of RENDER_BLOCK_ROWS rows: (row count, cells row-major as a tuple).
-
-    Column k goes through ``formats[k]``, each distinct value of the block
-    once; a ``None`` format leaves the column's floats to a %-template.
-    """
+def _column_blocks(surface: SweepSurface):
+    """The surface's columns, RENDER_BLOCK_ROWS rows at a time."""
     for start in range(0, len(surface), RENDER_BLOCK_ROWS):
-        block = [c[start:start + RENDER_BLOCK_ROWS] for c in surface.columns()]
-        cells = np.empty((block[0].size, len(block)), dtype=object)
-        for k, (c, fmt) in enumerate(zip(block, formats)):
-            cells[:, k] = c if fmt is None else _format_column(c, fmt)
-        yield block[0].size, tuple(cells.ravel().tolist())
+        yield [c[start:start + RENDER_BLOCK_ROWS] for c in surface.columns()]
 
 
 def sweep_csv_blocks(surface: SweepSurface):
     """The CSV rendering as text blocks: the header, then RENDER_BLOCK_ROWS rows at a time.
 
-    12 significant digits per field.  The blocks hold slices of the surface's
-    columns and at most one block of text, so memory stays bounded whatever
-    the grid.
+    Every field is ``"%.12g" % x``, from one ``format_rows`` call per block.  The blocks
+    hold slices of the surface's columns and at most one block of text, so memory stays
+    bounded whatever the grid.
     """
     yield ",".join(SWEEP_COLUMNS) + "\n"
-    angle = "{:.12g}".format
-    for m, cells in _row_blocks(surface, (angle, angle, None, None, None)):
-        yield ("%s,%s,%.12g,%.12g,%.12g\n" * m) % cells
+    for block in _column_blocks(surface):
+        yield format_rows(np.stack(block, axis=1))
 
 
 def sweep_json_blocks(surface: SweepSurface):
@@ -354,8 +346,9 @@ def sweep_json_blocks(surface: SweepSurface):
     row = "{" + ", ".join(f'"{name}": %s' for name in SWEEP_COLUMNS) + "}"
     separator = ""
     yield '{"records": ['
-    for m, cells in _row_blocks(surface, (repr,) * len(SWEEP_COLUMNS)):
-        yield separator + ", ".join([row] * m) % cells
+    for block in _column_blocks(surface):
+        cells = np.stack([_repr_column(c) for c in block], axis=1)
+        yield separator + ", ".join([row] * len(cells)) % tuple(cells.ravel().tolist())
         separator = ", "
     yield "]}\n"
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    InvariantError,
     as_complex_matrix,
     as_complex_vector,
     eig_unitary,
@@ -402,11 +403,17 @@ def bell_basis(d: int) -> MesMeasurement:
 def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
     """Outcome probabilities of tester ``t`` applied to the unitary ``u``.
 
-    Each measurement type holds its formula in ``probabilities``.
+    Each measurement type holds its formula in ``probabilities``.  The tester and the
+    operator are already validated, so probabilities that fail the sum or range check
+    are a numerical failure: ``InvariantError``, not the ``ValueError`` of a bad vector.
     """
     if t.dim != u.dim:
         raise ValueError(f"dimension mismatch: tester {t.dim} vs operator {u.dim}")
-    return OutcomeDistribution(t.measurement.probabilities(t.input, u))
+    p = t.measurement.probabilities(t.input, u)
+    try:
+        return OutcomeDistribution(p)
+    except ValueError as exc:
+        raise InvariantError(f"{t.kind} tester outcome {exc}") from exc
 
 
 def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:

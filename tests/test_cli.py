@@ -13,6 +13,7 @@ from utp import cli, saturation
 from utp.linalg import ConvergenceError
 from utp.operators import array_to_literal
 from utp.saturation import SweepRecord, su2_overlap_surface, sweep_to_csv, sweep_to_json
+from utp.testers import ProjectiveMeasurement
 
 
 def test_bound_golden(run_cli):
@@ -484,6 +485,18 @@ def test_numerical_failure_exits_1(run_cli, monkeypatch):
     assert code == 1
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_outcome_probabilities_off_by_a_tenth_exit_1(run_cli, monkeypatch):
+    # a library invariant, not user input: probabilities summing to 1.1 are a numerical failure
+    probabilities = ProjectiveMeasurement.probabilities
+    monkeypatch.setattr(ProjectiveMeasurement, "probabilities",
+                        lambda self, psi, u: 1.1 * probabilities(self, psi, u))
+    code, out, err = run_cli(["entropy", "--v", "identity", "--w", "pauli-z",
+                              "--measurement", "su2:pi/4,0", "--input", "e:0"])
+    assert code == 1
+    assert out == ""
+    assert "numerical failure" in err and "sum to 1.1" in err
 
 
 def test_parse_angle():

@@ -104,3 +104,19 @@ def test_no_subcommand_loads_scipy():
     certified = rest[len(NUMPY_ONLY) + len(SEARCHES) :]
     for (argv, golden), (_, out, _) in zip(CERTIFICATIONS, certified):
         assert out == golden, argv
+
+
+def test_csv_tables_are_built_on_first_render_not_at_import():
+    child = (
+        "import utp.cli\n"
+        "from utp import csvformat, saturation\n"
+        "print(csvformat._tables.cache_info().currsize)\n"
+        "saturation.sweep_to_csv(saturation.su2_overlap_surface('i-omega', 2))\n"
+        "print(csvformat._tables.cache_info().currsize)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1"]

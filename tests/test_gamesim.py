@@ -130,8 +130,11 @@ def test_game_config_validation():
 
 def test_transcript_json_fields():
     payload = json.loads(transcript_to_json(run_game(equator_config(trials=50, seed=1))))
-    assert sorted(payload) == ["analytic_bits", "counts_v", "counts_w", "empirical_bits", "seed"]
+    assert sorted(payload) == [
+        "analytic_bits", "counts_v", "counts_w", "empirical_bits", "guess_success_rate", "seed",
+    ]
     assert payload["seed"] == 1
+    assert 0.0 <= payload["guess_success_rate"] <= 1.0
     assert sum(payload["counts_v"]) + sum(payload["counts_w"]) == 50
 
 

@@ -269,7 +269,7 @@ def test_sweep_ordering_and_csv():
 
 
 def test_sweep_csv_formats_every_row_as_the_per_row_format():
-    # repeated values are formatted once; -0.0 and 0.0 still print differently
+    # -0.0 and 0.0 print differently, and 1e-300 lies outside the kernel's scaled range
     cols = _columns(theta=[-0.0, 0.0, 0.0], phi=[1e-300, 1.0, np.pi])
     text = sweep_to_csv(SweepSurface(**cols, max_deviation=0.0))
     rows = zip(*(cols[name].tolist() for name in SWEEP_COLUMNS))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import haar_matrix, random_state
+from utp.linalg import InvariantError
 from utp.operators import UnitaryOperator, haar_random_unitary, identity, omega, pauli
 from utp.testers import (
     DensityMatrix,
     MesMeasurement,
+    OutcomeDistribution,
     Povm,
     ProjectiveMeasurement,
     PureState,
@@ -132,6 +134,17 @@ def test_outcomes_sum_to_one_random():
         p = outcome_distribution(t, u).probs
         assert abs(p.sum() - 1) < 1e-9
         assert p.min() >= 0
+
+
+def test_computed_outcomes_off_the_simplex_are_an_invariant_failure(monkeypatch):
+    # a vector passed in directly is bad input; the same vector computed from a valid
+    # tester is a numerical failure
+    with pytest.raises(ValueError, match="sum to 1.1"):
+        OutcomeDistribution(np.array([0.55, 0.55]))
+    monkeypatch.setattr(ProjectiveMeasurement, "probabilities", lambda self, psi, u: [0.55, 0.55])
+    t = Tester.projective(qubit_state(1, 0), computational_basis(2))
+    with pytest.raises(InvariantError, match="projective tester outcome probabilities sum to 1.1"):
+        outcome_distribution(t, identity(2))
 
 
 def test_projective_povm_agreement():
