@@ -7,8 +7,10 @@ This module answers four questions about a unitary pair (v, w):
 * what is the minimum pair uncertainty over all pure inputs for a fixed
   measurement (a batch of starts descending the unit sphere together)?
 * can every cross pair drawn from two unitary bases saturate the maximal
-  bound, certifying the bases as mutually unbiased (a Fourier construction,
-  else a descent on U(d) to a basis in which all overlaps are flat)?
+  bound, certifying the bases as mutually unbiased (a Fourier or
+  Zadoff-Chu construction from the pair's spectrum, a basis carried over
+  from an earlier pair with the same spectrum, else a descent on U(d) to a
+  basis in which all overlaps are flat)?
 * for a perfectly distinguishable pair, which concrete non-trivial
   tester achieves zero uncertainty?
 
@@ -29,12 +31,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from .csvformat import format_rows
-from .linalg import DEFAULT_TOL, eig_unitary, validate_tol
+from .linalg import DEFAULT_TOL, InvariantError, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -61,14 +65,26 @@ log = logging.getLogger(__name__)
 
 GAP_FLOOR = -1e-9  # the bound is a true lower bound; gaps below this are a bug
 SATURATION_GAP_BITS = 1e-6  # "achieves the bound" threshold after a search
+REPORT_METHODS = ("row-construction", "zadoff-chu-order", "spectral-transport", "numerical-search")
 
 
 @dataclass(frozen=True, eq=False)
 class SaturationReport:
     """Outcome of a saturation attempt for one measurement and operator pair.
 
-    ``evaluations`` counts the objective values a search used (0 for
-    ``row-construction``); ``converged`` is false when the evaluation budget,
+    ``method`` says how the tester was obtained:
+
+    * ``row-construction``: a closed form, an input v†|chi_i> or a Fourier
+      transform of an eigenbasis of w v†;
+    * ``zadoff-chu-order``: the Fourier transform of an eigenbasis ordered so
+      that the eigenvalues follow a Zadoff-Chu sequence up to one phase;
+    * ``spectral-transport``: a flat basis searched for an earlier pair of the
+      same certification whose spectrum agrees up to one phase, carried over
+      by the eigenbases of the two pairs;
+    * ``numerical-search``: a gradient search.
+
+    ``evaluations`` counts the objective values a search used (0 for the
+    three constructions); ``converged`` is false when the evaluation budget,
     not the search's stopping rule, ended it.
     """
 
@@ -81,7 +97,7 @@ class SaturationReport:
     converged: bool
 
     def __post_init__(self) -> None:
-        if self.method not in ("row-construction", "numerical-search"):
+        if self.method not in REPORT_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.gap < GAP_FLOOR:
             raise ValueError(f"achieved {self.achieved.value} undercuts the bound by {-self.gap}")
@@ -186,16 +202,26 @@ def _report(
     tester: Tester, v: UnitaryOperator, w: UnitaryOperator, overlaps: np.ndarray,
     trivial: bool, method: str, base: float, evaluations: int = 0, converged: bool = True,
 ) -> SaturationReport:
-    """Report of ``tester`` on (v, w) against the bound of its overlap table."""
-    return SaturationReport(
-        achieved=pair_uncertainty(tester, v, w, base),
-        bound=EntropicBound.from_overlaps(overlaps, base),
-        tester=tester,
-        trivial=trivial,
-        method=method,
-        evaluations=evaluations,
-        converged=converged,
-    )
+    """Report of ``tester`` on (v, w) against the bound of its overlap table.
+
+    Both sides are computed here, so an achieved value below the bound is a
+    numerical failure: ``InvariantError``, not the ``ValueError`` of a report
+    built by hand.
+    """
+    achieved = pair_uncertainty(tester, v, w, base)
+    bound = EntropicBound.from_overlaps(overlaps, base)
+    try:
+        return SaturationReport(
+            achieved=achieved,
+            bound=bound,
+            tester=tester,
+            trivial=trivial,
+            method=method,
+            evaluations=evaluations,
+            converged=converged,
+        )
+    except ValueError as exc:
+        raise InvariantError(f"{method} report: {exc}") from exc
 
 
 def sweep_pair(name: str) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -277,10 +303,22 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: fl
     return max_overlap, p[0][0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
 
 
+def _computed(build, *values):
+    """``build(*values)`` on values the kernel computed.
+
+    A sweep invariant that fails there is a numerical failure: ``InvariantError``,
+    not the ``ValueError`` of a record or surface built by hand.
+    """
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise InvariantError(f"overlap surface: {exc}") from exc
+
+
 def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
     """Overlap surface sample at one (theta, phi), cross-checked both ways."""
     arrays = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))[:3]
-    return SweepRecord(float(theta), float(phi), *(float(a) for a in arrays))
+    return _computed(SweepRecord, float(theta), float(phi), *(float(a) for a in arrays))
 
 
 def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
@@ -305,7 +343,7 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
         deviation = max(deviation, dev)
     for column in columns:
         column.flags.writeable = False
-    return SweepSurface(*columns, deviation)
+    return _computed(SweepSurface, *columns, deviation)
 
 
 def _repr_column(c: np.ndarray) -> np.ndarray:
@@ -652,33 +690,109 @@ def _search_flat_unitary(
     return None if found is None else _Found(found, "numerical-search", used)
 
 
+class _SpectrumClass(NamedTuple):
+    """A searched pair's eigenvalues, in its eigenbasis order E, and Y = E† X for its flat X."""
+
+    eigenvalues: np.ndarray
+    y: np.ndarray
+
+
+def _zadoff_chu(d: int, u: int) -> np.ndarray:
+    """exp(i pi u j (j + d mod 2) / d): its DFT has constant modulus whenever gcd(u, d) = 1."""
+    j = np.arange(d)
+    return np.exp(1j * np.pi * (u * j * (j + d % 2) % (2 * d)) / d)
+
+
+def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray | None:
+    """An order sigma with lam[sigma[j]] = mu target[j] for one phase mu, within tol in angle.
+
+    Both arguments hold d unit-modulus numbers.  The circle is cut in the
+    middle of the widest gap between target angles, at least 2 pi / d wide,
+    so no angle within tol of a target angle wraps across the cut.  Each
+    candidate mu takes one of ``lam`` onto the first target angle past the
+    cut; sorting the angles of lam / mu past the cut then matches them to
+    the sorted target angles.  Returns None when no mu matches.
+    """
+    two_pi = 2 * np.pi
+    phi = np.angle(target)
+    points = np.sort(phi % two_pi)
+    gaps = np.diff(points, append=points[0] + two_pi)
+    k = int(np.argmax(gaps))
+    cut = points[k] + gaps[k] / 2
+    ref = (phi - cut) % two_pi
+    targets = np.argsort(ref, kind="stable")
+    theta = np.angle(lam)
+    rel = (theta[None, :] - (theta - phi[targets[0]])[:, None] - cut) % two_pi  # one row per mu
+    picks = np.argsort(rel, axis=1, kind="stable")
+    matched = np.abs(np.take_along_axis(rel, picks, axis=1) - ref[targets]).max(axis=1) <= tol
+    if not matched.any():
+        return None
+    sigma = np.empty_like(targets)
+    sigma[targets] = picks[int(np.argmax(matched))]
+    return sigma
+
+
 def _find_flat_projective_basis(
-    a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
+    a: np.ndarray, tol: float, budget: int, restarts: int, seed: int,
+    classes: list[_SpectrumClass] | None = None,
 ) -> _Found | None:
     """Basis X with all |<x_i| a |x_j>|^2 = 1/d within tol, or None.
 
-    Analytic candidates first: the discrete Fourier transform of an
-    eigenbasis of ``a`` is flat whenever the DFT of the eigenvalue
-    sequence has constant modulus, which covers every mutually unbiased
-    instance in low dimension.  Falls back to a budgeted gradient search on
-    U(d) (``_search_flat_unitary``); ``budget`` counts objective values.
+    X† a X = Y† Λ Y for X = E Y, with E an eigenbasis of ``a`` and Λ its
+    eigenvalues, so a flat basis depends only on the spectrum, up to one
+    phase.  Candidates, in this order, each kept only if its overlaps pass the
+    flatness check:
+
+    * Fourier orders: E_σ F, with F the DFT, is flat exactly when the ordered
+      eigenvalues form a bi-unimodular sequence; every order at d <= 4, else
+      the angle-sorted one;
+    * Zadoff-Chu orders: for each u coprime to d, E ordered so that its
+      eigenvalues are mu exp(i pi u j (j + d mod 2) / d), bi-unimodular at
+      every d (Chu, IEEE Trans. IT 18, 1972), then the DFT;
+    * spectral transport: for a class of ``classes``, a pair a' searched
+      earlier with eigenbasis E' and flat basis X' = E' Y, whose eigenvalues
+      match these up to a phase mu: X = E_σ Y gives X† a X = mu X'† a' X';
+    * a budgeted gradient search on U(d) (``_search_flat_unitary``); ``budget``
+      counts objective values.  A basis it finds joins ``classes``.
     """
     d = a.shape[0]
-    eigvecs = np.column_stack([vec for _, vec in eig_unitary(a)])
+    pairs = eig_unitary(a)
+    lam = np.array([value for value, _ in pairs])
+    eigvecs = np.column_stack([vec for _, vec in pairs])
     dft = dft_matrix(d)
+
+    def flat(candidate: np.ndarray, method: str) -> _Found | None:
+        if np.abs(overlap_table(candidate, a) - 1.0 / d).max() > tol:
+            return None
+        _log_search("flat-basis search", method, 0, 0, True)
+        return _Found(candidate, method, 0)
+
+    # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
+    # such as (1, a, 1, -a) at d = 4
     orders = permutations(range(d)) if d <= 4 else [tuple(range(d))]
     for order in orders:
-        candidate = eigvecs[:, list(order)] @ dft
-        if np.abs(overlap_table(candidate, a) - 1.0 / d).max() <= tol:
-            _log_search("flat-basis search", "row-construction", 0, 0, True)
-            return _Found(candidate, "row-construction", 0)
+        if found := flat(eigvecs[:, list(order)] @ dft, "row-construction"):
+            return found
+    for u in range(1, d if d % 2 else 2 * d):  # the sequence has period d in u, 2d at even d
+        if math.gcd(u, d) == 1:
+            order = _match_up_to_phase(lam, _zadoff_chu(d, u), tol)
+            if order is not None and (found := flat(eigvecs[:, order] @ dft, "zadoff-chu-order")):
+                return found
+    classes = [] if classes is None else classes
+    for known in classes:
+        order = _match_up_to_phase(lam, known.eigenvalues, tol)
+        if order is not None and (found := flat(eigvecs[:, order] @ known.y, "spectral-transport")):
+            return found
 
     def same(b: np.ndarray) -> np.ndarray:
         return b
 
-    return _search_flat_unitary(
+    found = _search_flat_unitary(
         "flat-basis search", a, same, same, 1.0 / d, tol, budget, restarts, seed
     )
+    if found is not None:
+        classes.append(_SpectrumClass(lam, eigvecs.conj().T @ found.matrix))
+    return found
 
 
 def _find_flat_mes_operators(
@@ -738,7 +852,10 @@ def muub_certify_by_saturation(
     cross-check |Tr(W_m V_n†)| = sqrt(d) (1 for the full space) to
     hold within ``tol``.  Search failures are reported as not-found
     within budget, never as nonexistence.  ``budget`` counts objective values
-    per cross pair.
+    per cross pair.  A projective pair whose spectrum matches, up to a phase,
+    that of a pair searched earlier in this call reuses that basis
+    (``spectral-transport``) before it searches; a full-space pair that the
+    Weyl operators do not flatten is always searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -748,7 +865,9 @@ def muub_certify_by_saturation(
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
 
-    find_flat = _find_flat_mes_operators if full_space else _find_flat_projective_basis
+    # the spectrum classes this call has searched, for its later pairs to carry over
+    find_flat = (_find_flat_mes_operators if full_space
+                 else partial(_find_flat_projective_basis, classes=[]))
     reports: list[tuple[SaturationReport | None, ...]] = []
     for m_idx, wm in enumerate(b2.elements):
         row: list[SaturationReport | None] = []

@@ -260,7 +260,7 @@ def test_bad_tol_exits_2(run_cli, argv, value):
     assert "tol" in err
 
 
-def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch):
+def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch, tmp_path):
     monkeypatch.delenv("UTP_LOG", raising=False)
     _, quiet, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
     assert err == ""
@@ -279,6 +279,24 @@ def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch):
     assert code == 0 and len(lines) == 4
     assert all(line.endswith("row-construction, 0 evaluations from 0 starts, converged True")
                for line in lines)
+    # chirp d = 5 from JSON files: each of the 25 pairs is ordered as a Zadoff-Chu sequence
+    clock = np.diag(np.exp(2j * np.pi * np.arange(5) / 5))
+    chirp = np.diag(np.exp(1j * np.pi * np.arange(5) ** 2 * 6 / 5))
+    specs = []
+    for side, factor in (("v", np.eye(5)), ("w", chirp)):
+        paths = []
+        for k in range(5):
+            path = tmp_path / f"{side}{k}.json"
+            path.write_text(json.dumps(array_to_literal(factor @ np.linalg.matrix_power(clock, k))))
+            paths.append(str(path))
+        specs.append(",".join(paths))
+    code, out, err = run_cli(["muub-check", "--dim", "5", "--basis1", specs[0],
+                              "--basis2", specs[1], "--budget", "500"])
+    lines = err.splitlines()
+    assert code == 0 and json.loads(out)["certified"] is True
+    assert len(lines) == 25
+    assert all(line == "INFO flat-basis search: zadoff-chu-order, 0 evaluations from 0 starts, "
+               "converged True" for line in lines)
 
 
 def test_game_reproducible_bytes(run_cli):
@@ -485,6 +503,36 @@ def test_numerical_failure_exits_1(run_cli, monkeypatch):
     assert code == 1
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_sweep_bound_bits_off_by_1e9_exit_1(run_cli, monkeypatch):
+    # computed columns that break the sweep invariant are a numerical failure, not usage
+    surface_arrays = saturation._surface_arrays
+
+    def off(pair, theta, phi):
+        max_overlap, diag_overlap, bound_bits, deviation = surface_arrays(pair, theta, phi)
+        return max_overlap, diag_overlap, bound_bits + 1e-9, deviation
+
+    monkeypatch.setattr(saturation, "_surface_arrays", off)
+    code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "5"])
+    assert code == 1
+    assert out == ""
+    assert "numerical failure" in err and "bound_bits is not -log2(max_overlap)" in err
+
+
+def test_search_result_below_its_bound_exits_1(run_cli, monkeypatch):
+    # a computed achieved value that undercuts the bound is a numerical failure, not usage
+    pair_uncertainty = saturation.pair_uncertainty
+
+    def undercut(t, v, w, base=2.0):
+        value = pair_uncertainty(t, v, w, base)
+        return type(value)(value.value - 0.5, value.base)
+
+    monkeypatch.setattr(saturation, "pair_uncertainty", undercut)
+    code, out, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
+    assert code == 1
+    assert out == ""
+    assert "numerical failure" in err and "undercuts the bound" in err
 
 
 def test_outcome_probabilities_off_by_a_tenth_exit_1(run_cli, monkeypatch):

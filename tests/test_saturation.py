@@ -31,7 +31,14 @@ from utp.saturation import (
     sweep_to_json,
     zero_bound_witness,
 )
-from utp.testers import computational_basis, outcome_distribution, trivial_tester
+from utp.testers import (
+    ProjectiveMeasurement,
+    PureState,
+    Tester,
+    computational_basis,
+    outcome_distribution,
+    trivial_tester,
+)
 from utp.uncertainty import pair_uncertainty, snap_to_one
 
 
@@ -568,29 +575,144 @@ def test_certify_full_space_muub():
             assert report.tester.kind == "mes"
 
 
-def _chirp_d5_bases():
-    clock = clock_shift_pair(5)[0].matrix
-    j = np.arange(5)
-    chirp = np.diag(np.exp(1j * np.pi * j * j * 6 / 5))  # every Gauss sum has modulus sqrt(5)
-    powers = [np.linalg.matrix_power(clock, k) for k in range(5)]
-    return (
-        UnitaryBasis(tuple(UnitaryOperator(p) for p in powers)),
-        UnitaryBasis(tuple(UnitaryOperator(chirp @ p) for p in powers)),
-    )
+def _chirp_bases(d: int, u: np.ndarray | None = None):
+    """Clock powers against chirp times clock powers, conjugated by ``u`` if given.
+
+    Every W V† is diagonal in the clock basis with entries exp(i pi j^2 (d + 1) / d)
+    times a linear phase, whose Gauss sums all have modulus sqrt(d).
+    """
+    clock = clock_shift_pair(d)[0].matrix
+    j = np.arange(d)
+    chirp = np.diag(np.exp(1j * np.pi * j * j * (d + 1) / d))
+    powers = [np.linalg.matrix_power(clock, k) for k in range(d)]
+    sides = powers, [chirp @ p for p in powers]
+    if u is not None:
+        sides = tuple([u @ m @ u.conj().T for m in side] for side in sides)
+    return tuple(UnitaryBasis(tuple(UnitaryOperator(m) for m in side)) for side in sides)
 
 
-def test_certify_chirp_d5_by_search():
-    # each W V+ here is diagonal with degenerate eigenvalues: no Fourier candidate is
-    # flat, so every one of the 25 pairs needs the gradient search on U(5)
-    b1, b2 = _chirp_d5_bases()
+def test_certify_chirp_d5_by_search(monkeypatch):
+    # each W V+ here is diagonal with degenerate eigenvalues: no Fourier order is flat, and
+    # certification orders them as a Zadoff-Chu sequence instead.  The gradient search on
+    # U(5) keeps its coverage on the same 25 pairs, with certification's seeds and budget
+    b1, b2 = _chirp_bases(5)
+    logged = []
+    monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
+
+    def same(b):
+        return b
+
+    for m_idx, wm in enumerate(b2.elements):
+        for n_idx, vn in enumerate(b1.elements):
+            a = wm.matrix @ vn.matrix.conj().T
+            logged.clear()
+            found = saturation._search_flat_unitary(
+                "flat-basis search", a, same, same, 0.2, 1e-9, 500, 20, 7919 * m_idx + n_idx
+            )
+            assert found is not None and found.method == "numerical-search"
+            assert 0 < found.evaluations <= 500
+            ((_, method, evaluations, _, converged),) = logged
+            assert (method, evaluations, converged) == ("numerical-search", found.evaluations, True)
+            x = found.matrix
+            assert np.abs(np.abs(x.conj().T @ a @ x) ** 2 - 0.2).max() <= 1e-9
+            tester = Tester.projective(
+                PureState(vn.matrix.conj().T @ x[:, 0]), ProjectiveMeasurement.from_matrix(x)
+            )
+            assert pair_uncertainty(tester, vn, wm).value == pytest.approx(np.log2(5), abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 8, 11, 16])
+@pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "haar"])
+def test_certify_chirp_by_construction(d, conjugated):
+    u = haar_matrix(d, np.random.default_rng(d)) if conjugated else None
+    b1, b2 = _chirp_bases(d, u)
     cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
     assert cert.certified
     reports = [r for row in cert.reports for r in row]
-    assert len(reports) == 25 and all(r is not None for r in reports)
+    assert len(reports) == d * d and all(r is not None for r in reports)
     for r in reports:
-        assert r.method == "numerical-search" and r.converged
-        assert 0 < r.evaluations <= 500
-        assert r.achieved.value == pytest.approx(np.log2(5), abs=1e-6)
+        assert r.evaluations == 0 and r.method in ("row-construction", "zadoff-chu-order")
+        assert r.achieved.value == pytest.approx(np.log2(d), abs=1e-6)
+
+
+def test_zadoff_chu_order_at_d32():
+    # the advertised size: 8 seeded chirp pairs, each conjugated by its own Haar unitary.
+    # A search of budget 1 cannot flatten a d = 32 pair, so each must be constructed
+    rng = np.random.default_rng(32)
+    d = 32
+    clock = clock_shift_pair(d)[0].matrix
+    j = np.arange(d)
+    for _ in range(8):
+        k, phase = int(rng.integers(d)), np.exp(2j * np.pi * rng.random())
+        u = haar_matrix(d, rng)
+        diagonal = phase * np.exp(1j * np.pi * j * j * (d + 1) / d) * np.diag(
+            np.linalg.matrix_power(clock, k)
+        )
+        a = (u * diagonal) @ u.conj().T
+        found = saturation._find_flat_projective_basis(a, 1e-9, 1, 1, 0)
+        assert found is not None and found.method == "zadoff-chu-order" and found.evaluations == 0
+        x = found.matrix
+        assert np.abs(x.conj().T @ x - np.eye(d)).max() <= 1e-9
+        assert np.abs(np.abs(x.conj().T @ a @ x) ** 2 - 1 / d).max() <= 1e-9
+
+
+def test_match_up_to_phase_finds_the_order_or_none():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 5, 8, 32):
+        target = np.exp(2j * np.pi * rng.random(d))
+        target[: d // 2] = target[0]  # a degenerate value, as in a chirp spectrum
+        order = rng.permutation(d)
+        lam = np.empty(d, dtype=complex)
+        lam[order] = np.exp(1j * rng.uniform(-np.pi, np.pi)) * target
+        sigma = saturation._match_up_to_phase(lam, target, 1e-12)
+        assert sigma is not None and sorted(sigma) == list(range(d))
+        mu = lam[sigma] / target
+        assert np.abs(mu - mu[0]).max() <= 1e-12
+        if d > 1:
+            lam[order[-1]] *= np.exp(1e-6j)
+            assert saturation._match_up_to_phase(lam, target, 1e-9) is None
+
+
+def _clock_vs_shift_d3():
+    clock, shift = clock_shift_pair(3)
+    return tuple(
+        UnitaryBasis(tuple(UnitaryOperator(np.linalg.matrix_power(g.matrix, k)) for k in range(3)))
+        for g in (clock, shift)
+    )
+
+
+def test_certify_searches_each_spectrum_class_once():
+    # the 8 non-identity pairs of clock against shift share one spectrum up to phase, which
+    # is not Zadoff-Chu: one search, and 7 transports of its basis
+    b1, b2 = _clock_vs_shift_d3()
+    cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
+    assert not cert.certified
+    assert cert.reports[0][0] is None
+    reports = [r for row in cert.reports for r in row if r is not None]
+    assert len(reports) == 8
+    assert sum(r.evaluations > 0 for r in reports) == 1
+    assert [r.method for r in reports].count("spectral-transport") == 7
+    for r in reports:
+        assert r.achieved.value == pytest.approx(np.log2(3), abs=1e-6)
+
+
+def test_corrupt_spectrum_class_falls_back_to_search(monkeypatch):
+    # a stored basis that no longer flattens its class: every candidate it yields fails the
+    # flatness check, so each pair searches, and no report rests on an unflat basis
+    spin = haar_matrix(3, np.random.default_rng(1))
+    spectrum_class = saturation._SpectrumClass
+    monkeypatch.setattr(saturation, "_SpectrumClass", lambda lam, y: spectrum_class(lam, y @ spin))
+    b1, b2 = _clock_vs_shift_d3()
+    cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
+    assert not cert.certified and cert.reports[0][0] is None
+    assert sum(r is not None for row in cert.reports for r in row) == 8
+    for m_idx, row in enumerate(cert.reports):
+        for n_idx, r in enumerate(row):
+            if r is None:
+                continue
+            assert r.method == "numerical-search" and r.evaluations > 0
+            a = b2.elements[m_idx].matrix @ b1.elements[n_idx].matrix.conj().T
+            assert np.abs(r.tester.measurement.overlaps(a) - 1 / 3).max() <= 1e-9
 
 
 def test_certify_full_space_muub_by_search():
