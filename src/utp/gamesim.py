@@ -14,7 +14,7 @@ regenerated independently: advance the counter by ``(2 i) // 4`` blocks
 ``(2 i) % 4`` words, and read two.
 
 ``run_game`` draws the trials from one generator in consecutive chunks of
-``GAME_CHUNK`` and adds up the outcome counts chunk by chunk, so its
+``GAME_CHUNK`` and adds up its fine-bin counts chunk by chunk, so its
 memory does not grow with the trial count.  Consecutive draws continue
 the same word stream, so the counts equal those of drawing every trial
 at once, whatever the chunk size.
@@ -31,7 +31,7 @@ from .operators import UnitaryOperator
 from .testers import Tester, outcome_distribution
 from .uncertainty import EntropyValue, shannon_entropy
 
-GAME_CHUNK = 1 << 16  # trials drawn per block; bounds run_game's memory
+GAME_CHUNK = 1 << 15  # trials drawn per block; bounds run_game's memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +92,25 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     cum_w = np.clip(np.cumsum(pw), 0.0, 1.0)
     cum_v[-1] = cum_w[-1] = 1.0
 
+    # Fine bins between the union of both sides' edges fix both outcomes at once: a
+    # uniform in bin k lies in [edges[k-1], edges[k]), which holds no edge of either side.
+    edges = np.sort(np.concatenate((cum_v, cum_w)))
+    edges = edges[np.diff(edges, prepend=-1.0) > 0]  # np.union1d would import numpy.ma
+    m = edges.size
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    counts_v = np.zeros(n_outcomes, dtype=np.int64)
-    counts_w = np.zeros(n_outcomes, dtype=np.int64)
+    fine = np.zeros(2 * m, dtype=np.int64)  # [v bins, then w bins]
     for start in range(0, cfg.trials, GAME_CHUNK):
         uniforms = rng.random((min(GAME_CHUNK, cfg.trials - start), 2))
-        picks_v = uniforms[:, 0] < cfg.operator_bias
-        for counts, cum, picked in ((counts_v, cum_v, picks_v), (counts_w, cum_w, ~picks_v)):
-            outcomes = np.searchsorted(cum, uniforms[picked, 1], side="right")
-            counts += np.bincount(outcomes, minlength=n_outcomes)
+        key = np.searchsorted(edges, uniforms[:, 1], side="right")
+        key += m * (uniforms[:, 0] >= cfg.operator_bias)
+        fine += np.bincount(key, minlength=2 * m)
+
+    # bin k's outcome on one side is searchsorted(cum, u, "right") for any u in the bin
+    below = np.concatenate(([-np.inf], edges[:-1]))
+    counts_v = np.zeros(n_outcomes, dtype=np.int64)
+    counts_w = np.zeros(n_outcomes, dtype=np.int64)
+    for counts, cum, side in ((counts_v, cum_v, fine[:m]), (counts_w, cum_w, fine[m:])):
+        np.add.at(counts, np.searchsorted(cum, below, side="right"), side)
 
     empirical = 0.0
     for counts in (counts_v, counts_w):

@@ -75,11 +75,8 @@ class UnitaryBasis:
             )
         object.__setattr__(self, "elements", elements)
         # |Tr(P_i† P_i)| = d holds exactly for any unitary; the diagonal is a guard.
-        dev = np.abs(hs_table(self, self) - d * np.eye(len(elements))).max()
-        if dev > DEFAULT_TOL:
-            raise ValueError(
-                f"basis elements are not HS-orthogonal: |Tr(P_i† P_j)| is {dev:.3e} off d·δ_ij"
-            )
+        p = np.stack([e.matrix for e in elements])
+        check_hs_orthogonal(p, d, "basis elements are not HS-orthogonal")
 
     @property
     def dim(self) -> int:
@@ -145,6 +142,21 @@ def dft_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(js, js) / d) / math.sqrt(d)
 
 
+def weyl_operators(d: int) -> np.ndarray:
+    """The d^2 Weyl operators X^a Z^b, a-major, as a (d^2, d, d) stack.
+
+    X is the cyclic shift |j> -> |j+1 mod d> and Z = diag(exp(2 pi i j / d)),
+    so (X^a Z^b)[i, j] = exp(2 pi i b j / d) when i = j + a mod d, else 0.
+    """
+    if d < 2:
+        raise ValueError("local dimension must be >= 2")
+    k = np.arange(d)
+    phases = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)  # [b, j]
+    ops = np.zeros((d, d, d, d), dtype=complex)  # [a, b, i, j]
+    ops[k[:, None], :, (k[:, None] + k) % d, k] = phases.T
+    return ops.reshape(d * d, d, d)
+
+
 def hs_inner(a: UnitaryOperator, b: UnitaryOperator) -> complex:
     """Hilbert-Schmidt inner product Tr(a† b)."""
     if a.dim != b.dim:
@@ -152,11 +164,22 @@ def hs_inner(a: UnitaryOperator, b: UnitaryOperator) -> complex:
     return complex(np.trace(a.matrix.conj().T @ b.matrix))
 
 
+def hs_moduli(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|Tr(P_i† Q_j)| between two stacks of operators (or |<p_i|q_j>| of vectors)."""
+    return np.abs(p.reshape(len(p), -1).conj() @ q.reshape(len(q), -1).T)
+
+
+def check_hs_orthogonal(p: np.ndarray, norm: float, what: str) -> None:
+    """Refuse the stack ``p`` unless |Tr(P_i† P_j)| = norm·δ_ij within DEFAULT_TOL."""
+    dev = np.abs(hs_moduli(p, p) - norm * np.eye(len(p))).max()
+    if not dev <= DEFAULT_TOL:
+        raise ValueError(f"{what}: |Tr(P_i† P_j)| is {dev:.3e} off {norm:g}·δ_ij")
+
+
 def hs_table(b1: UnitaryBasis, b2: UnitaryBasis) -> np.ndarray:
-    """|Tr(P_i† Q_j)| for P_i in ``b1`` and Q_j in ``b2``, one product of vec'd operators."""
-    p = np.stack([e.matrix.reshape(-1) for e in b1.elements])
-    q = np.stack([e.matrix.reshape(-1) for e in b2.elements])
-    return np.abs(p.conj() @ q.T)
+    """|Tr(P_i† Q_j)| for P_i in ``b1`` and Q_j in ``b2``."""
+    p, q = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
+    return hs_moduli(p, q)
 
 
 def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -884,7 +884,7 @@ def muub_certify_by_saturation(
             flat = found.matrix
             if full_space:
                 primed = [op @ flat[0].conj().T @ vn.matrix for op in flat]
-                measurement = MesMeasurement.from_unitaries(primed)
+                measurement = MesMeasurement(np.array(primed) / math.sqrt(d))
                 tester, trivial = Tester.mes(measurement), False
             else:
                 measurement = ProjectiveMeasurement.from_matrix(flat)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -29,20 +30,17 @@ from .linalg import (
     eig_unitary,
     is_hermitian,
 )
-from .operators import UnitaryOperator, array_from_literal, array_to_literal, literal_field
+from .operators import (
+    UnitaryOperator,
+    array_from_literal,
+    array_to_literal,
+    check_hs_orthogonal,
+    literal_field,
+    weyl_operators,
+)
 
 POVM_SUM_TOL = 1e-8  # element sums accumulate error over d^2 terms
 MES_RESHAPE_TOL = 1e-8
-
-
-def _orthonormal_columns(states: tuple[PureState, ...], what: str) -> np.ndarray:
-    """The states as the columns of a read-only matrix, refused unless orthonormal."""
-    x = np.column_stack([s.amplitudes for s in states])
-    dev = np.abs(x.conj().T @ x - np.eye(x.shape[1])).max()
-    if dev > DEFAULT_TOL:
-        raise ValueError(f"{what} is not orthonormal: deviation {dev:.3e}")
-    x.flags.writeable = False
-    return x
 
 
 def overlap_table(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -138,8 +136,11 @@ class ProjectiveMeasurement:
         d = states[0].dim
         if len(states) != d or any(s.dim != d for s in states):
             raise ValueError(f"projective measurement needs exactly d={d} states of dimension d")
+        x = np.column_stack([s.amplitudes for s in states])
+        check_hs_orthogonal(x.T, 1.0, "measurement basis is not orthonormal")
+        x.flags.writeable = False
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "matrix", _orthonormal_columns(states, "measurement basis"))
+        object.__setattr__(self, "matrix", x)
 
     @property
     def dim(self) -> int:
@@ -265,60 +266,67 @@ def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
 class MesMeasurement:
     """Orthonormal basis of d^2 maximally entangled bipartite states.
 
-    Each basis vector, reshaped to a d x d matrix C, must satisfy that
-    sqrt(d) * C is unitary.
+    ``elements`` is one read-only (d^2, d, d) array: R_i, the row-major reshape of the
+    basis state |nu_i> = sqrt(d) (R_i (x) I) |Phi>.  Each sqrt(d) R_i must be unitary.
     """
 
     kind: ClassVar[str] = "mes"
     input_type: ClassVar[type] = PureState
-    local_dim: int
-    states: tuple[PureState, ...]
-    matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        d = int(self.local_dim)
-        states = tuple(self.states)
-        if d < 2:
-            raise ValueError("local dimension must be >= 2")
-        if len(states) != d * d or any(s.dim != d * d for s in states):
-            raise ValueError(f"MES measurement needs d^2={d * d} states of dimension d^2")
-        x = _orthonormal_columns(states, "MES basis")
-        n = x.T.reshape(d * d, d, d) * math.sqrt(d)
-        if np.abs(n.conj().transpose(0, 2, 1) @ n - np.eye(d)).max() > MES_RESHAPE_TOL:
+        r = np.array(self.elements, dtype=complex)
+        d = r.shape[-1] if r.ndim == 3 else 0
+        if r.shape != (d * d, d, d) or d < 2:
+            raise ValueError("MES measurement needs a (d^2, d, d) stack, d >= 2")
+        check_hs_orthogonal(r, 1.0, "MES basis is not orthonormal")  # refuses NaN and Inf too
+        g = r.conj().transpose(0, 2, 1) @ r  # (sqrt(d) R_i)† (sqrt(d) R_i) - I, in place
+        g *= d
+        g -= np.eye(d)
+        if np.abs(g).max() > MES_RESHAPE_TOL:
             raise ValueError("MES basis element is not maximally entangled")
-        object.__setattr__(self, "local_dim", d)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "matrix", x)
+        r.flags.writeable = False
+        object.__setattr__(self, "elements", r)
+
+    @property
+    def local_dim(self) -> int:
+        return self.elements.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.local_dim * self.local_dim
+        return self.elements.shape[0]
+
+    @cached_property
+    def states(self) -> tuple[PureState, ...]:
+        return tuple(PureState(s) for s in self.elements.reshape(self.dim, -1))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only d^2 x d^2 matrix whose columns are the states."""
+        x = np.ascontiguousarray(self.elements.reshape(self.dim, -1).T)
+        x.flags.writeable = False
+        return x
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<nu_i| (a (x) I) |nu_j>|^2 for the basis states nu_i; a acts on the first factor."""
-        d = self.local_dim
-        return mes_overlap_table(self.matrix.T.reshape(d * d, d, d), a)
+        return mes_overlap_table(self.elements, a)
 
     def probabilities(self, phi: PureState, u: UnitaryOperator) -> np.ndarray:
         """p_i = |<nu_i| (U (x) I) |Phi>|^2; (U (x) I)|Phi> is the row-major vec of U Phi."""
         evolved = (u.matrix @ phi.amplitudes.reshape(u.dim, u.dim)).reshape(-1)
         return np.abs(self.matrix.conj().T @ evolved) ** 2
 
-    @classmethod
-    def from_unitaries(cls, ops) -> "MesMeasurement":
-        """The basis |nu_i> = (N_i (x) I)|Phi> = vec(N_i) / sqrt(d) (row-major vec)."""
-        ops = [as_complex_matrix(o) for o in ops]
-        d = ops[0].shape[0]
-        return cls(d, tuple(PureState(o.reshape(-1) / math.sqrt(d)) for o in ops))
-
     def to_literal(self) -> dict:
         return {"local_dim": self.local_dim, "states": [s.to_literal() for s in self.states]}
 
     @classmethod
     def from_literal(cls, data) -> "MesMeasurement":
-        local_dim = literal_field(data, "local_dim", "MES measurement", int)
-        states = literal_field(data, "states", "MES measurement", list)
-        return cls(local_dim, tuple(PureState.from_literal(s) for s in states))
+        d = literal_field(data, "local_dim", "MES measurement", int)
+        states = [PureState.from_literal(s)
+                  for s in literal_field(data, "states", "MES measurement", list)]
+        if d < 2 or len(states) != d * d or any(s.dim != d * d for s in states):
+            raise ValueError(f"MES measurement needs d^2={d * d} states of dimension d^2, d >= 2")
+        return cls(np.stack([s.amplitudes for s in states]).reshape(d * d, d, d))
 
 
 _MEASUREMENT_TYPES = (ProjectiveMeasurement, MesMeasurement, Povm)
@@ -377,19 +385,11 @@ def mes_state(d: int) -> PureState:
     return PureState(phi)
 
 
-def weyl_operators(d: int) -> np.ndarray:
-    """The d^2 Weyl operators X^a Z^b, a-major, as a (d^2, d, d) stack.
-
-    X is the cyclic shift |j> -> |j+1 mod d> and Z = diag(exp(2 pi i j / d)),
-    so (X^a Z^b)[i, j] = exp(2 pi i b j / d) when i = j + a mod d, else 0.
-    """
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
-    k = np.arange(d)
-    hits = (k[None, :, None] - k[None, None, :] - k[:, None, None]) % d == 0  # [a, i, j]
-    phases = np.exp(2j * np.pi * (np.outer(k, k) % d) / d)  # [b, j]
-    ops = np.where(hits[:, None, :, :], phases[None, :, None, :], 0)
-    return ops.reshape(d * d, d, d)
+def bell_elements(d: int) -> np.ndarray:
+    """The reshaped states R_i = N_i / sqrt(d) of ``bell_basis(d)``, N_i the Weyl operators."""
+    r = weyl_operators(d)
+    r /= math.sqrt(d)  # in place: no second d^4 array
+    return r
 
 
 def bell_basis(d: int) -> MesMeasurement:
@@ -397,7 +397,7 @@ def bell_basis(d: int) -> MesMeasurement:
 
     For d = 2 these are the four Bell states.
     """
-    return MesMeasurement.from_unitaries(weyl_operators(d))
+    return MesMeasurement(bell_elements(d))
 
 
 def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:

@@ -30,6 +30,7 @@ from .testers import (
     ProjectiveMeasurement,
     PureState,
     Tester,
+    bell_elements,
     outcome_distribution,
 )
 
@@ -136,10 +137,20 @@ def projective_bound(
 def mes_bound(
     m: MesMeasurement, v: UnitaryOperator, w: UnitaryOperator, base: float = 2.0
 ) -> EntropicBound:
-    """MES-measurement bound -log max_{i,j} |<nu_i| (w v† (x) I) |nu_j>|^2."""
+    """MES-measurement bound -log max_{i,j} |<nu_i| (w v† (x) I) |nu_j>|^2.
+
+    On the Weyl basis of ``bell_basis``, N_j N_i† is a phase times N_(j-i): every row
+    of the table permutes row 0, |Tr(a N_j)|^2 / d^2, which holds the max and argmax.
+    """
     if m.local_dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
-    return EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
+    a = w.matrix @ v.matrix.conj().T
+    d = m.local_dim
+    r = bell_elements(d)
+    if not np.array_equal(m.elements, r):
+        return EntropicBound.from_overlaps(m.overlaps(a), base)
+    traces = r.reshape(d * d, -1) @ a.T.reshape(-1)  # Tr(a R_j) = Tr(a N_j) / sqrt(d)
+    return EntropicBound.from_overlaps(np.abs(traces[None, :]) ** 2 / d, base)
 
 
 def povm_bound(

@@ -449,6 +449,21 @@ def test_malformed_literal_file_exits_2(run_cli, tmp_path, command, flag, litera
     assert err.startswith("error: malformed ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rows, invariant", [
+    (np.eye(4), "MES basis element is not maximally entangled"),  # separable
+    (np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2),
+     "MES basis is not orthonormal"),
+])
+def test_invalid_mes_file_exits_2(run_cli, tmp_path, rows, invariant):
+    path = tmp_path / "mes.json"
+    path.write_text(json.dumps({"local_dim": 2, "states": [array_to_literal(r) for r in rows]}))
+    code, out, err = run_cli(["mes-bound", "--v", "identity", "--w", "identity",
+                              "--measurement", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {invariant}") and err.count("\n") == 1
+
+
 def test_non_unitary_json_exits_2(run_cli, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]}))

@@ -6,7 +6,7 @@ import pytest
 from conftest import haar_matrix, random_state
 from utp import gamesim
 from utp.gamesim import GameConfig, empirical_entropy, run_game, transcript_to_json
-from utp.operators import UnitaryOperator, identity, omega, pauli
+from utp.operators import UnitaryOperator, clock_shift_pair, identity, omega, pauli
 from utp.saturation import su2_basis
 from utp.testers import (
     ProjectiveMeasurement,
@@ -205,3 +205,25 @@ def test_game_counts_do_not_depend_on_chunk_size(monkeypatch, chunk):
     assert reference[0].sum() not in (0, cfg.trials)  # both sides are played
     assert transcript_to_json(chunked) == transcript_to_json(unchunked)
     assert chunked.guess_success_rate == unchunked.guess_success_rate
+
+
+@pytest.mark.parametrize("d, sparse, bias, trials", [
+    (2, False, 0.5, 1), (2, True, 0.0, 999), (3, False, 1.0, 65537), (3, True, 0.37, 70001),
+    (7, False, 0.37, 4097), (16, True, 0.5, 65536), (32, False, 0.61, 70001),
+])
+def test_fine_bin_counts_match_the_per_side_reference(d, sparse, bias, trials):
+    # one search against the union of both sides' edges fixes both outcomes exactly
+    rng = np.random.default_rng(d + trials)
+    if sparse:  # |0> through clock and shift: most outcomes have probability 0
+        v, w = clock_shift_pair(d)
+        tester = Tester.projective(PureState(np.eye(d)[0]), computational_basis(d))
+    else:
+        m = ProjectiveMeasurement.from_matrix(haar_matrix(d, rng))
+        tester = Tester.projective(PureState(random_state(d, rng)), m)
+        v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    cfg = GameConfig(tester=tester, v=v, w=w, trials=trials, seed=trials, operator_bias=bias)
+    whole = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, 2))
+    reference = _unchunked_counts(cfg, whole)
+    transcript = run_game(cfg)
+    assert np.array_equal(transcript.counts_v, reference[0])
+    assert np.array_equal(transcript.counts_w, reference[1])

@@ -79,9 +79,8 @@ def test_povm_invariants():
 
 def test_mes_measurement_rejects_separable_basis():
     # the computational basis of C^4 is orthonormal but not entangled
-    states = tuple(PureState(np.eye(4)[:, i]) for i in range(4))
     with pytest.raises(ValueError, match="maximally entangled"):
-        MesMeasurement(2, states)
+        MesMeasurement(np.eye(4).reshape(4, 2, 2))
 
 
 def test_tester_kind_consistency():

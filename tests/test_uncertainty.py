@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,16 +7,26 @@ import pytest
 
 from conftest import haar_matrix, random_state
 from utp.linalg import operator_norm, psd_sqrt
-from utp.operators import UnitaryOperator, identity, omega, pauli
+from utp import testers
+from utp.operators import (
+    UnitaryOperator,
+    clock_shift_pair,
+    identity,
+    omega,
+    pauli,
+    weyl_operators,
+)
 from utp.saturation import su2_basis
 from utp.testers import (
     DensityMatrix,
+    MesMeasurement,
     Povm,
     ProjectiveMeasurement,
     PureState,
     Tester,
     bell_basis,
     computational_basis,
+    mes_overlap_table,
     outcome_distribution,
     povm_from_projective,
     trivial_tester,
@@ -126,6 +137,59 @@ def test_mes_bound_matches_kron_reference(d):
     b = mes_bound(m, v, w)
     assert b.max_overlap == pytest.approx(reference.max(), abs=1e-12)
     assert b.argmax == _first_within_tie_tol(reference)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 32])
+def test_weyl_row0_bound_matches_full_table(d):
+    # N_j N_i† is a phase times N_(j-i): row 0 holds every overlap of the Weyl table
+    rng = np.random.default_rng(700 + d)
+    m = bell_basis(d)
+    clock, shift = clock_shift_pair(d)
+    pairs = [(UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng)))]
+    if d < 32:  # the d^6 table is the cost; test_mes_bound_tie_and_near_one_rules has d = 32
+        pairs += [(UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))),
+                  (clock, shift)]
+    for v, w in pairs:
+        full = EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T))
+        b = mes_bound(m, v, w)
+        assert b.argmax == full.argmax
+        assert abs(b.value - full.value) <= 1e-14
+        assert abs(b.max_overlap - full.max_overlap) <= 1e-14
+
+
+def test_non_weyl_mes_basis_takes_the_full_table(monkeypatch):
+    # X N_i with X Haar is an MES basis too, but its table rows do not permute row 0
+    calls = []
+
+    def counted(r, a):
+        calls.append(r.shape)
+        return mes_overlap_table(r, a)
+
+    monkeypatch.setattr(testers, "mes_overlap_table", counted)
+    for d in (2, 3, 5):
+        rng = np.random.default_rng(900 + d)
+        m = MesMeasurement(haar_matrix(d, rng) @ weyl_operators(d) / np.sqrt(d))
+        v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+        reference = np.abs(
+            m.matrix.conj().T @ np.kron(w.matrix @ v.matrix.conj().T, np.eye(d)) @ m.matrix
+        ) ** 2
+        b = mes_bound(m, v, w)
+        assert calls[-1] == (d * d, d, d)
+        assert b.max_overlap == pytest.approx(reference.max(), abs=1e-12)
+        assert b.argmax == _first_within_tie_tol(reference)
+    assert len(calls) == 3
+
+
+def test_bell_bound_at_d32_never_builds_the_table(monkeypatch, run_cli):
+    def refuse(r, a):
+        raise AssertionError("the d^2 x d^2 table was built")
+
+    monkeypatch.setattr(testers, "mes_overlap_table", refuse)
+    clock, shift = clock_shift_pair(32)
+    assert mes_bound(bell_basis(32), clock, shift).argmax == (0, 993)
+    code, out, _ = run_cli(["mes-bound", "--v", "clock", "--w", "shift", "--dim", "32"])
+    assert code == 0
+    assert json.loads(out)["argmax"] == [0, 993]
 
 
 def test_povm_bound_projective_reduction():
