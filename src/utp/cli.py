@@ -9,6 +9,7 @@ environment variable (quiet | info | debug).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -58,17 +59,8 @@ from .uncertainty import (
 
 log = logging.getLogger("utp")
 
-OPERATOR_NAMES = (
-    "identity",
-    "i",
-    "pauli-x",
-    "pauli-y",
-    "pauli-z",
-    "clock",
-    "shift",
-    "omega-minus",
-    "omega-plus",
-)
+OPERATOR_NAMES = ("identity", "i", "pauli-x", "pauli-y", "pauli-z", "clock", "shift",
+                  "omega-minus", "omega-plus")
 
 
 class UsageError(ValueError):
@@ -108,26 +100,28 @@ def _load_json_file(path: str) -> dict:
 def resolve_operator(spec: str, dim: int) -> UnitaryOperator:
     """Named operator from the registry, or a matrix literal from a JSON file."""
     name = spec.lower()
-    if name in ("identity", "i"):
-        return identity(dim)
-    if name in ("pauli-x", "pauli-y", "pauli-z"):
-        if dim != 2:
+    if name in OPERATOR_NAMES:
+        if dim != 2 and name.startswith(("pauli-", "omega-")):
             raise UsageError(f"{spec} is a qubit operator; got --dim {dim}")
-        return pauli(name[-1])
-    if name in ("omega-minus", "omega-plus"):
-        if dim != 2:
-            raise UsageError(f"{spec} is a qubit operator; got --dim {dim}")
-        return omega(-1 if name.endswith("minus") else +1)
-    if name == "clock":
-        return clock_shift_pair(dim)[0]
-    if name == "shift":
-        return clock_shift_pair(dim)[1]
+        return _named_operator(name, dim)
     if os.path.exists(spec):
         return UnitaryOperator.from_literal(_load_json_file(spec))
     raise UsageError(
         f"unknown operator name {spec!r}; expected one of {', '.join(OPERATOR_NAMES)} "
         "or a JSON file path"
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _named_operator(name: str, dim: int) -> UnitaryOperator:
+    """A registry operator, built once per (name, dim): it is frozen and read-only."""
+    if name in ("identity", "i"):
+        return identity(dim)
+    if name.startswith("pauli-"):
+        return pauli(name[-1])
+    if name.startswith("omega-"):
+        return omega(-1 if name.endswith("minus") else +1)
+    return clock_shift_pair(dim)[0 if name == "clock" else 1]
 
 
 def resolve_projective(spec: str, dim: int) -> ProjectiveMeasurement:
@@ -302,10 +296,8 @@ def cmd_game(args) -> str:
     )
     transcript = run_game(cfg)
     if args.output == "csv":
-        lines = ["outcome,count_v,count_w"]
-        for k in range(transcript.counts_v.size):
-            lines.append(f"{k},{transcript.counts_v[k]},{transcript.counts_w[k]}")
-        return "\n".join(lines) + "\n"
+        rows = enumerate(zip(transcript.counts_v.tolist(), transcript.counts_w.tolist()))
+        return "outcome,count_v,count_w\n" + "".join(f"{k},{a},{b}\n" for k, (a, b) in rows)
     return transcript_to_json(transcript) + "\n"
 
 
@@ -332,7 +324,9 @@ def _add_common(p: argparse.ArgumentParser, *, log_base: bool = True) -> None:
         p.add_argument("--log-base", choices=("2", "e"), default="2")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="utp",
         description="Entropic uncertainty of unitary-operator pairs under quantum testers.",

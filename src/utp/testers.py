@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -126,25 +126,23 @@ class ProjectiveMeasurement:
 
     kind: ClassVar[str] = "projective"
     input_type: ClassVar[type] = PureState
-    states: tuple[PureState, ...]
-    matrix: np.ndarray = field(init=False, repr=False)  # read-only, columns are the states
+    matrix: np.ndarray  # read-only, columns are the states
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("measurement needs at least one basis state")
-        d = states[0].dim
-        if len(states) != d or any(s.dim != d for s in states):
-            raise ValueError(f"projective measurement needs exactly d={d} states of dimension d")
-        x = np.column_stack([s.amplitudes for s in states])
+        x = as_complex_matrix(self.matrix).copy()
+        if not x.size or x.shape[1] != x.shape[0]:
+            raise ValueError(f"projective measurement needs exactly d={len(x)} states of dimension d")
         check_hs_orthogonal(x.T, 1.0, "measurement basis is not orthonormal")
         x.flags.writeable = False
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "matrix", x)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrix.shape[0]
+
+    @cached_property
+    def states(self) -> tuple[PureState, ...]:
+        return tuple(PureState(s) for s in self.matrix.T)
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
@@ -156,8 +154,7 @@ class ProjectiveMeasurement:
 
     @classmethod
     def from_matrix(cls, x) -> "ProjectiveMeasurement":
-        x = as_complex_matrix(x)
-        return cls(tuple(PureState(x[:, i]) for i in range(x.shape[1])))
+        return cls(x)
 
     def to_literal(self) -> dict:
         return {"states": [s.to_literal() for s in self.states]}
@@ -165,7 +162,10 @@ class ProjectiveMeasurement:
     @classmethod
     def from_literal(cls, data) -> "ProjectiveMeasurement":
         states = literal_field(data, "states", "projective measurement", list)
-        return cls(tuple(PureState.from_literal(s) for s in states))
+        columns = [PureState.from_literal(s).amplitudes for s in states]
+        if not columns or any(c.size != len(columns) for c in columns):
+            raise ValueError("projective measurement needs exactly d states of dimension d")
+        return cls(np.column_stack(columns))
 
 
 def computational_basis(d: int) -> ProjectiveMeasurement:
@@ -385,10 +385,12 @@ def mes_state(d: int) -> PureState:
     return PureState(phi)
 
 
+@lru_cache(maxsize=1)
 def bell_elements(d: int) -> np.ndarray:
-    """The reshaped states R_i = N_i / sqrt(d) of ``bell_basis(d)``, N_i the Weyl operators."""
+    """Read-only states R_i = N_i / sqrt(d) of ``bell_basis(d)`` (N_i Weyl), kept for the last d."""
     r = weyl_operators(d)
     r /= math.sqrt(d)  # in place: no second d^4 array
+    r.flags.writeable = False
     return r
 
 
@@ -463,10 +465,8 @@ def tester_from_json(text: str) -> Tester:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
     kind = literal_field(data, "kind", "tester")
-    for measurement_type in _MEASUREMENT_TYPES:
-        if kind == measurement_type.kind:
-            break
-    else:
+    measurement_type = next((t for t in _MEASUREMENT_TYPES if t.kind == kind), None)
+    if measurement_type is None:
         raise ValueError(f"unknown tester kind {kind!r}")
     state = measurement_type.input_type.from_literal(literal_field(data, "input", "tester"))
     m = measurement_type.from_literal(literal_field(data, "measurement", "tester"))

@@ -586,3 +586,47 @@ def test_log_quiet_by_default(run_cli, monkeypatch):
     code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "3"])
     assert code == 0
     assert err == ""
+
+
+# --- one parser and one set of named operators per process ------------------------
+
+def test_shared_parser_recovers_from_errors_and_help(run_cli):
+    cli.build_parser.cache_clear()  # the first call below builds the parser
+    code, out, err = run_cli(["bound", "--v", "identity"])
+    assert (code, out) == (2, "") and "required" in err
+    code, out, _ = run_cli(["--help"])
+    assert code == 0 and out.startswith("usage: utp")
+    code, out, _ = run_cli(["mes-bound", "--help"])
+    assert code == 0 and out.startswith("usage: utp mes-bound")
+    assert run_cli(["frobnicate"])[:2] == (2, "")
+    code, out, err = run_cli(["bound", "--v", "identity", "--w", "pauli-x",
+                              "--measurement", "computational"])
+    assert (code, out, err) == (0, '{"bound_bits": 0.0, "argmax": [0, 1]}\n', "")
+
+
+def test_log_env_is_read_on_every_call(run_cli, monkeypatch):
+    argv = ["sweep", "--pair", "i-omega", "--grid", "3"]
+    monkeypatch.delenv("UTP_LOG", raising=False)
+    assert run_cli(argv)[2] == ""
+    monkeypatch.setenv("UTP_LOG", "info")
+    assert "sweep i-omega over 9 points" in run_cli(argv)[2]
+    monkeypatch.setenv("UTP_LOG", "quiet")
+    assert run_cli(argv)[2] == ""
+
+
+def test_named_operators_are_shared_and_read_only(tmp_path):
+    clock = cli.resolve_operator("clock", 3)
+    assert cli.resolve_operator("CLOCK", 3) is clock
+    assert cli.resolve_operator("pauli-y", 2) is cli.resolve_operator("Pauli-Y", 2)
+    assert cli.resolve_operator("clock", 5) is not clock
+    with pytest.raises(ValueError, match="read-only"):
+        clock.matrix[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        clock.matrix = np.eye(3)
+    # a file is read again on every call: its contents may change in between
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(array_to_literal(np.eye(2))))
+    first = cli.resolve_operator(str(path), 2)
+    path.write_text(json.dumps(array_to_literal(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    assert np.array_equal(cli.resolve_operator(str(path), 2).matrix, [[0, 1], [1, 0]])
+    assert np.array_equal(first.matrix, np.eye(2))

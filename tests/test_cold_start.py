@@ -7,11 +7,14 @@ Schur eigenbasis from ``scipy.linalg`` produced, so the numpy eigenbasis
 changes no result.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from utp import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,3 +123,40 @@ def test_csv_tables_are_built_on_first_render_not_at_import():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "1"]
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(monkeypatch):
+    """20 in-process calls over all nine subcommands construct the top-level parser once."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    calls = NUMPY_ONLY + [argv for argv, _, _ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
+    calls = (calls * 2)[:20]
+    assert len(calls) == 20 and len({argv[0] for argv in calls}) == 9
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in calls:
+        assert cli.run(argv) == 0, argv
+    assert built.count("utp") == 1 and len(built) == 10  # the top level and nine subcommands
+
+    child = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import utp.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"]

@@ -49,12 +49,12 @@ def test_measurement_matrix_is_stored_read_only(m):
 
 def test_projective_requires_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
-        ProjectiveMeasurement((qubit_state(1, 0), qubit_state(np.sqrt(0.5), np.sqrt(0.5))))
+        ProjectiveMeasurement(np.column_stack([[1, 0], [np.sqrt(0.5), np.sqrt(0.5)]]))
 
 
 def test_projective_requires_complete():
     with pytest.raises(ValueError, match="exactly d"):
-        ProjectiveMeasurement((PureState(np.array([1.0, 0, 0])), PureState(np.array([0, 1.0, 0]))))
+        ProjectiveMeasurement(np.eye(3)[:, :2])  # two states of dimension 3
 
 
 def test_density_matrix_invariants():

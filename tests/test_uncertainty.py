@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -342,3 +343,71 @@ def test_povm_bound_memory_is_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# --- properties at sampled dimensions up to the advertised d = 32 ---------------
+
+SAMPLED_DIMS = (5, 8, 16, 32)
+
+
+def random_density(d: int, rng) -> DensityMatrix:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@functools.cache
+def sampled_mes(d: int) -> tuple[MesMeasurement, np.ndarray, MesMeasurement]:
+    """The Bell basis, a Haar u, and the basis (u (x) I)|nu_i>, whose table is the full product.
+
+    Cached: at d = 32 each MES basis takes ~0.2 s to validate.
+    """
+    u = haar_matrix(d, np.random.default_rng(4000 + d))
+    return bell_basis(d), u, MesMeasurement(u @ weyl_operators(d) / np.sqrt(d))
+
+
+@pytest.mark.parametrize("d", SAMPLED_DIMS)
+def test_bound_inequality_at_sampled_d(d):
+    rng = np.random.default_rng(5000 + d)
+    for _ in range(1 if d == 32 else 3):  # the POVM bound's n^2 operator norms are the cost
+        v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+        m = ProjectiveMeasurement(haar_matrix(d, rng))
+        t = Tester.projective(PureState(random_state(d, rng)), m)
+        assert pair_uncertainty(t, v, w).value >= projective_bound(m, v, w).value - 1e-9
+        povm = rank1_frame(d, d + 1, rng)
+        t = Tester.povm(random_density(d, rng), povm)
+        assert pair_uncertainty(t, v, w).value >= povm_bound(povm, v, w).value - 1e-9
+        bell, _, rotated = sampled_mes(d)
+        for mes in (bell, rotated):
+            b = mes_bound(mes, v, w)
+            assert pair_uncertainty(Tester.mes(mes), v, w).value >= b.value - 1e-9
+            assert -1e-12 <= b.value <= 2 * math.log2(d) + 1e-12
+
+
+@pytest.mark.parametrize("d", SAMPLED_DIMS)
+def test_unitary_covariance_at_sampled_d(d):
+    # rotating the operators by u and the measurement by u leaves every bound unchanged
+    rng = np.random.default_rng(6000 + d)
+    bell, u, rotated = sampled_mes(d)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    uv, uw = UnitaryOperator(u @ v.matrix), UnitaryOperator(u @ w.matrix)
+    m = ProjectiveMeasurement(haar_matrix(d, rng))
+    assert projective_bound(ProjectiveMeasurement(u @ m.matrix), uv, uw).value == pytest.approx(
+        projective_bound(m, v, w).value, abs=1e-9
+    )
+    povm = rank1_frame(d, d + 1, rng)
+    assert povm_bound(Povm(u @ povm.elements @ u.conj().T), uv, uw).value == pytest.approx(
+        povm_bound(povm, v, w).value, abs=1e-9
+    )
+    assert mes_bound(rotated, uv, uw).value == pytest.approx(mes_bound(bell, v, w).value, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", SAMPLED_DIMS)
+def test_povm_reduces_to_projective_at_sampled_d(d):
+    rng = np.random.default_rng(7000 + d)
+    for _ in range(1 if d == 32 else 3):
+        m = ProjectiveMeasurement(haar_matrix(d, rng))
+        v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+        assert povm_bound(povm_from_projective(m), v, w).value == pytest.approx(
+            projective_bound(m, v, w).value, abs=1e-9
+        )
