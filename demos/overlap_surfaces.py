@@ -23,14 +23,14 @@ GRID = 101
 def describe(pair: str) -> None:
     surface = su2_overlap_surface(pair, GRID)
     max_overlap, bound_bits = surface.max_overlap, surface.bound_bits
-    lowest = surface[int(np.argmin(max_overlap))]
+    i, j = divmod(int(np.argmin(max_overlap)), GRID)  # row i * GRID + j is (angles[i], angles[j])
     print(f"pair {pair}:")
     print(f"  grid {GRID}x{GRID}, {len(surface)} samples")
     print(f"  min max-overlap {max_overlap.min():.12f} "
-          f"at theta={lowest.theta:.6f}, phi={lowest.phi:.6f}")
+          f"at theta={surface.angles[i]:.6f}, phi={surface.angles[j]:.6f}")
     print(f"  strongest bound {bound_bits.max():.12f} bits")
     peak = su2_overlap_point(pair, np.pi / 4, np.pi / 2)
-    print(f"  trivial-tester peak at (pi/4, pi/2): max-overlap {peak.max_overlap:.12f}")
+    print(f"  trivial-tester peak at (pi/4, pi/2): max-overlap {peak['max_overlap']:.12f}")
     # sanity: where the bound is strongest, the surface sits at 1/2
     n_at_half = int(np.sum(np.abs(max_overlap - 0.5) <= 1e-9))
     print(f"  samples pinned at overlap 1/2: {n_at_half}")

@@ -97,7 +97,7 @@ def _clear_axis(u: np.ndarray) -> float:
     return float(points[k] + gaps[k] / 2 - np.pi / 2)
 
 
-def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]:
+def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary matrix with an orthonormal eigenbasis.
 
     A unitary is normal, so for any phase phi the Hermitian matrices
@@ -112,8 +112,9 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]
     step is unitary, so the basis is orthonormal even when eigenvalues are
     degenerate.
 
-    Eigenvalues are the Rayleigh quotients <z|u|z>.  Pairs are returned
-    sorted by the phase angle of the eigenvalue in [-pi, pi); eigenvalues
+    Returns (eigenvalues, eigenvectors) as ``np.linalg.eigh`` does: column j
+    of the second is the eigenvector of the j-th eigenvalue.  Eigenvalues are
+    the Rayleigh quotients <z|u|z>, sorted by phase angle in [-pi, pi); eigenvalues
     closer than ``CLUSTER_GAP`` in angle form a cluster whose vectors span
     the corresponding invariant subspace (clusters straddling the branch
     cut are kept together on the -pi side).
@@ -147,7 +148,7 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]
     residual = np.abs(u @ z - z * lam[None, :]).max()
     if residual > 10 * tol:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds {10 * tol:.3e}")
-    return [(complex(lam[i]), z[:, i].copy()) for i in range(d)]
+    return lam, z
 
 
 def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:

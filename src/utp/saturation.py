@@ -119,83 +119,68 @@ RENDER_BLOCK_ROWS = 4096  # rows per rendered text block
 
 
 def _check_sweep(max_overlap, diag_overlap, bound_bits) -> None:
-    """The sweep invariants, on the floats of one record or on whole columns.
+    """The sweep invariants, on whole columns or one block of them.
 
     bound_bits is -log2 of the maximum after the near-1 rule of ``snap_to_one``,
     and the maximum overlap is at least the diagonal one; a NaN fails both.
-    Floats take plain float arithmetic: a numpy call on a scalar costs more
-    than the whole check.
     """
-    log2, all_ = (math.log2, bool) if isinstance(max_overlap, float) else (np.log2, np.all)
-    if not all_(abs(bound_bits + log2(snap_to_one(max_overlap))) <= 1e-12):
+    if not np.all(np.abs(bound_bits + np.log2(snap_to_one(max_overlap))) <= 1e-12):
         raise ValueError("bound_bits is not -log2(max_overlap)")
-    if not all_(max_overlap >= diag_overlap - 1e-12):
+    if not np.all(max_overlap >= diag_overlap - 1e-12):
         raise ValueError("max_overlap below diagonal overlap")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (theta, phi) sample of an overlap surface."""
-
-    theta: float
-    phi: float
-    max_overlap: float
-    diag_overlap: float
-    bound_bits: float
-
-    def __post_init__(self) -> None:
-        _check_sweep(self.max_overlap, self.diag_overlap, self.bound_bits)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepSurface:
-    """An overlap surface as five equal-length columns, theta-outer row-major.
+    """An overlap surface over a g x g angle grid, theta-outer row-major.
 
+    ``angles`` holds the g grid angles; row k of the surface is
+    (theta, phi) = (angles[k // g], angles[k % g]).  ``max_overlap``,
+    ``diag_overlap`` and ``bound_bits`` hold one value per row, g^2 each.
     ``max_deviation`` is the largest closed-form-versus-matrix deviation over
-    the grid.  ``surface[k]`` builds the ``SweepRecord`` of row k on demand;
-    a slice gives a list of them.
+    the grid.
 
-    Every column is a read-only float64 array.  A column passed in as one is
+    Every array is a read-only float64 array.  An array passed in as one is
     owned as is, not copied: whoever made it read-only hands it over and must
-    not write it through another view.  Any other column is copied, so the
+    not write it through another view.  Any other array is copied, so the
     surface shares no writable memory with its caller.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
+    angles: np.ndarray
     max_overlap: np.ndarray
     diag_overlap: np.ndarray
     bound_bits: np.ndarray
     max_deviation: float
 
     def __post_init__(self) -> None:
-        n = np.size(self.theta)
-        for name in SWEEP_COLUMNS:
+        g = np.size(self.angles)
+        for name in ("angles", *SWEEP_COLUMNS[2:]):
             c = getattr(self, name)
             if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and not c.flags.writeable):
                 c = np.array(c, dtype=float)
                 c.flags.writeable = False
-            if c.shape != (n,):
-                raise ValueError(f"sweep column {name} has shape {c.shape}, want ({n},)")
+            shape = (g,) if name == "angles" else (g * g,)
+            if c.shape != shape:
+                raise ValueError(f"sweep {name} has shape {c.shape}, want {shape}")
             object.__setattr__(self, name, c)
-        for start in range(0, n, SWEEP_BLOCK_POINTS):  # in blocks: no full-length temporaries
+        for start in range(0, g * g, SWEEP_BLOCK_POINTS):  # in blocks: no full-length temporaries
             block = slice(start, start + SWEEP_BLOCK_POINTS)
             _check_sweep(self.max_overlap[block], self.diag_overlap[block], self.bound_bits[block])
 
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The five columns, in the order of ``SWEEP_COLUMNS``."""
-        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
+    def columns(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """The five columns over ``rows``, in the order of ``SWEEP_COLUMNS``.
+
+        theta and phi are gathered from ``angles`` for those rows only; the
+        other three are views of the surface's read-only columns.
+        """
+        r = range(len(self))[rows]
+        k = np.arange(r.start, r.stop, r.step)
+        g = self.angles.size
+        return (self.angles[k // g], self.angles[k % g],
+                self.max_overlap[rows], self.diag_overlap[rows], self.bound_bits[rows])
 
     def __len__(self) -> int:
-        return self.theta.size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        return SweepRecord(*(float(c[k]) for c in self.columns()))
-
-    def __iter__(self):
-        return map(SweepRecord, *(c.tolist() for c in self.columns()))
+        return self.max_overlap.size
 
 
 def _report(
@@ -307,7 +292,7 @@ def _computed(build, *values):
     """``build(*values)`` on values the kernel computed.
 
     A sweep invariant that fails there is a numerical failure: ``InvariantError``,
-    not the ``ValueError`` of a record or surface built by hand.
+    not the ``ValueError`` of a surface built by hand.
     """
     try:
         return build(*values)
@@ -315,10 +300,15 @@ def _computed(build, *values):
         raise InvariantError(f"overlap surface: {exc}") from exc
 
 
-def su2_overlap_point(pair: str, theta: float, phi: float) -> SweepRecord:
-    """Overlap surface sample at one (theta, phi), cross-checked both ways."""
-    arrays = _surface_arrays(pair, np.asarray(float(theta)), np.asarray(float(phi)))[:3]
-    return _computed(SweepRecord, float(theta), float(phi), *(float(a) for a in arrays))
+def su2_overlap_point(pair: str, theta: float, phi: float) -> dict[str, float]:
+    """Overlap surface sample at one (theta, phi), cross-checked both ways.
+
+    The five values are keyed by ``SWEEP_COLUMNS``.
+    """
+    theta, phi = float(theta), float(phi)
+    arrays = _surface_arrays(pair, np.asarray(theta), np.asarray(phi))[:3]
+    _computed(_check_sweep, *arrays)
+    return dict(zip(SWEEP_COLUMNS, (theta, phi, *map(float, arrays))))
 
 
 def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
@@ -332,18 +322,17 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
     angles = np.linspace(0.0, np.pi, grid)
-    n = grid * grid
-    columns = np.repeat(angles, grid), np.tile(angles, grid), *(np.empty(n) for _ in range(3))
+    columns = [np.empty(grid * grid) for _ in range(3)]
     rows = max(1, SWEEP_BLOCK_POINTS // grid)
     deviation = 0.0
     for start in range(0, grid, rows):
         *block, dev = _surface_arrays(pair, angles[start:start + rows, None], angles[None, :])
-        for column, values in zip(columns[2:], block):
+        for column, values in zip(columns, block):
             column[start * grid:start * grid + values.size] = values.ravel()
         deviation = max(deviation, dev)
-    for column in columns:
-        column.flags.writeable = False
-    return _computed(SweepSurface, *columns, deviation)
+    for array in (angles, *columns):
+        array.flags.writeable = False
+    return _computed(SweepSurface, angles, *columns, deviation)
 
 
 def _repr_column(c: np.ndarray) -> np.ndarray:
@@ -356,12 +345,6 @@ def _repr_column(c: np.ndarray) -> np.ndarray:
     return text[inverse]
 
 
-def _column_blocks(surface: SweepSurface):
-    """The surface's columns, RENDER_BLOCK_ROWS rows at a time."""
-    for start in range(0, len(surface), RENDER_BLOCK_ROWS):
-        yield [c[start:start + RENDER_BLOCK_ROWS] for c in surface.columns()]
-
-
 def sweep_csv_blocks(surface: SweepSurface):
     """The CSV rendering as text blocks: the header, then RENDER_BLOCK_ROWS rows at a time.
 
@@ -370,7 +353,8 @@ def sweep_csv_blocks(surface: SweepSurface):
     bounded whatever the grid.
     """
     yield ",".join(SWEEP_COLUMNS) + "\n"
-    for block in _column_blocks(surface):
+    for start in range(0, len(surface), RENDER_BLOCK_ROWS):
+        block = surface.columns(slice(start, start + RENDER_BLOCK_ROWS))
         yield format_rows(np.stack(block, axis=1))
 
 
@@ -384,7 +368,8 @@ def sweep_json_blocks(surface: SweepSurface):
     row = "{" + ", ".join(f'"{name}": %s' for name in SWEEP_COLUMNS) + "}"
     separator = ""
     yield '{"records": ['
-    for block in _column_blocks(surface):
+    for start in range(0, len(surface), RENDER_BLOCK_ROWS):
+        block = surface.columns(slice(start, start + RENDER_BLOCK_ROWS))
         cells = np.stack([_repr_column(c) for c in block], axis=1)
         yield separator + ", ".join([row] * len(cells)) % tuple(cells.ravel().tolist())
         separator = ", "
@@ -756,9 +741,7 @@ def _find_flat_projective_basis(
       counts objective values.  A basis it finds joins ``classes``.
     """
     d = a.shape[0]
-    pairs = eig_unitary(a)
-    lam = np.array([value for value, _ in pairs])
-    eigvecs = np.column_stack([vec for _, vec in pairs])
+    lam, eigvecs = eig_unitary(a)
     dft = dft_matrix(d)
 
     def flat(candidate: np.ndarray, method: str) -> _Found | None:
@@ -960,8 +943,7 @@ def zero_bound_witness(
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     d = v.dim
-    pairs = eig_unitary(v.matrix.conj().T @ w.matrix)
-    eigenvalues = np.array([lam for lam, _ in pairs])
+    eigenvalues, eigvecs = eig_unitary(v.matrix.conj().T @ w.matrix)
     if _hull_distance_to_origin(eigenvalues) > tol:
         return False, None, False
     combo = _convex_weights_for_zero(eigenvalues, max(tol, 1e-12))
@@ -970,7 +952,7 @@ def zero_bound_witness(
     indices, weights = combo
     chi = np.zeros(d, dtype=complex)
     for idx, weight in zip(indices, weights):
-        chi += math.sqrt(weight) * pairs[idx][1]
+        chi += math.sqrt(weight) * eigvecs[:, idx]
     chi /= np.linalg.norm(chi)
     e1 = v.matrix @ chi
     e2 = w.matrix @ chi

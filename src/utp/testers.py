@@ -429,9 +429,9 @@ def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
     """
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    pairs = eig_unitary(w.matrix @ v.matrix.conj().T)
-    basis = ProjectiveMeasurement.from_matrix(np.column_stack([vec for _, vec in pairs]))
-    psi = PureState(v.matrix.conj().T @ pairs[0][1])
+    _, eigvecs = eig_unitary(w.matrix @ v.matrix.conj().T)
+    basis = ProjectiveMeasurement.from_matrix(eigvecs)
+    psi = PureState(v.matrix.conj().T @ eigvecs[:, 0])
     return Tester.projective(psi, basis)
 
 

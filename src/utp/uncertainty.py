@@ -146,8 +146,10 @@ def mes_bound(
         raise ValueError("dimension mismatch between measurement and operators")
     a = w.matrix @ v.matrix.conj().T
     d = m.local_dim
-    r = bell_elements(d)
-    if not np.array_equal(m.elements, r):
+    r = m.elements
+    # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail
+    weyl = np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and np.array_equal(r, bell_elements(d))
+    if not weyl:
         return EntropicBound.from_overlaps(m.overlaps(a), base)
     traces = r.reshape(d * d, -1) @ a.T.reshape(-1)  # Tr(a R_j) = Tr(a N_j) / sqrt(d)
     return EntropicBound.from_overlaps(np.abs(traces[None, :]) ** 2 / d, base)

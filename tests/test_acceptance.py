@@ -111,7 +111,7 @@ def test_criterion_02_sigmay_surface(run_cli):
     assert _row(table, 25, 25)[2] == pytest.approx(0.5, abs=1e-9)
     # pi/8 is not a node of the 101-point grid; evaluate the surface there
     point = su2_overlap_point("i-sigmay", np.pi / 8, np.pi / 2)
-    assert point.max_overlap == pytest.approx(0.5, abs=1e-9)
+    assert point["max_overlap"] == pytest.approx(0.5, abs=1e-9)
 
 
 @criterion(3, "zero-bound witness for clock/shift pairs")

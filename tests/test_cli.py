@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from utp import cli, saturation
-from utp.linalg import ConvergenceError
+from utp.linalg import ConvergenceError, InvariantError
 from utp.operators import array_to_literal
-from utp.saturation import SweepRecord, su2_overlap_surface, sweep_to_csv, sweep_to_json
+from utp.saturation import su2_overlap_surface, sweep_to_csv, sweep_to_json
 from utp.testers import ProjectiveMeasurement
 
 
@@ -92,28 +92,29 @@ def test_sweep_json_output(run_cli):
     assert payload["records"][0]["max_overlap"] == pytest.approx(1.0)
 
 
-def _reference_sweep_output(records, output: str) -> str:
-    """The per-record rendering that the columnar one must match byte for byte."""
+def _reference_sweep_output(surface, output: str) -> str:
+    """The per-row rendering that the block-wise one must match byte for byte."""
+    rows = list(zip(*(c.tolist() for c in surface.columns())))
     if output == "json":
         return json.dumps(
             {
                 "records": [
                     {
-                        "theta": r.theta,
-                        "phi": r.phi,
-                        "max_overlap": r.max_overlap,
-                        "diag_overlap": r.diag_overlap,
-                        "bound_bits": r.bound_bits,
+                        "theta": theta,
+                        "phi": phi,
+                        "max_overlap": max_overlap,
+                        "diag_overlap": diag_overlap,
+                        "bound_bits": bound_bits,
                     }
-                    for r in records
+                    for theta, phi, max_overlap, diag_overlap, bound_bits in rows
                 ]
             }
         ) + "\n"
     lines = ["theta,phi,max_overlap,diag_overlap,bound_bits"]
-    for r in records:
+    for theta, phi, max_overlap, diag_overlap, bound_bits in rows:
         lines.append(
-            f"{r.theta:.12g},{r.phi:.12g},{r.max_overlap:.12g},"
-            f"{r.diag_overlap:.12g},{r.bound_bits:.12g}"
+            f"{theta:.12g},{phi:.12g},{max_overlap:.12g},"
+            f"{diag_overlap:.12g},{bound_bits:.12g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -123,24 +124,7 @@ def _reference_sweep_output(records, output: str) -> str:
 def test_sweep_output_matches_per_record_rendering(run_cli, pair, output):
     code, out, _ = run_cli(["sweep", "--pair", pair, "--grid", "51", "--output", output])
     assert code == 0
-    assert out == _reference_sweep_output(list(su2_overlap_surface(pair, 51)), output)
-
-
-@pytest.mark.parametrize("output", ["csv", "json"])
-def test_sweep_cli_builds_no_records(run_cli, monkeypatch, output):
-    built = []
-    check = SweepRecord.__post_init__
-
-    def counting(self):
-        built.append(1)
-        check(self)
-
-    monkeypatch.setattr(SweepRecord, "__post_init__", counting)
-    code, out, _ = run_cli(["sweep", "--pair", "i-omega", "--grid", "51", "--output", output])
-    assert code == 0 and out
-    assert built == []
-    su2_overlap_surface("i-omega", 3)[0]  # the counter sees a record built on demand
-    assert built == [1]
+    assert out == _reference_sweep_output(su2_overlap_surface(pair, 51), output)
 
 
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
@@ -154,7 +138,7 @@ def test_sweep_blocks_across_theta_rows_match_one_shot(run_cli, monkeypatch, pai
     monkeypatch.setattr(saturation, "RENDER_BLOCK_ROWS", 7)
     code, out, _ = run_cli(["sweep", "--pair", pair, "--grid", "13", "--output", output])
     assert code == 0
-    assert out == one_shot == render(surface) == _reference_sweep_output(list(surface), output)
+    assert out == one_shot == render(surface) == _reference_sweep_output(surface, output)
 
 
 class _WriteCounter:
@@ -170,8 +154,8 @@ class _WriteCounter:
 
 @pytest.mark.parametrize("output", ["csv", "json"])
 def test_sweep_streams_stdout_in_bounded_memory(monkeypatch, output):
-    # the traced peak is the five columns plus a kernel block and a text block; rendering
-    # the whole text at once needs ~26 MB (CSV) to ~43 MB (JSON) beyond the columns here
+    # the traced peak is the three computed columns plus a kernel block and a text block;
+    # rendering the whole text at once needs ~26 MB (CSV) to ~43 MB (JSON) beyond them here
     grid, allowance = 301, 12e6
     sink = _WriteCounter()
     monkeypatch.setattr(sys, "stdout", sink)
@@ -183,7 +167,7 @@ def test_sweep_streams_stdout_in_bounded_memory(monkeypatch, output):
         tracemalloc.stop()
     assert code == 0
     assert sink.writes > 1 and sink.chars > 70 * grid * grid
-    assert peak < 5 * 8 * grid * grid + allowance
+    assert peak < 3 * 8 * grid * grid + allowance
 
 
 def test_sweep_failing_late_block_writes_nothing(run_cli, monkeypatch):
@@ -533,6 +517,8 @@ def test_sweep_bound_bits_off_by_1e9_exit_1(run_cli, monkeypatch):
     assert code == 1
     assert out == ""
     assert "numerical failure" in err and "bound_bits is not -log2(max_overlap)" in err
+    with pytest.raises(InvariantError, match="bound_bits is not"):  # one sample is checked too
+        saturation.su2_overlap_point("i-omega", 0.3, 0.4)
 
 
 def test_search_result_below_its_bound_exits_1(run_cli, monkeypatch):

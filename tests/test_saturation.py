@@ -18,7 +18,6 @@ from utp.operators import (
 )
 from utp.saturation import (
     SWEEP_COLUMNS,
-    SweepRecord,
     SweepSurface,
     muub_certify_by_saturation,
     saturating_tester_by_construction,
@@ -103,13 +102,13 @@ def test_closed_form_identity_on_grid():
 def test_surface_matches_matrix_products(pair):
     # su2_overlap_surface cross-checks internally at 1e-12; re-derive the
     # maximum here from plain matrix products as an independent oracle
-    records = su2_overlap_surface(pair, 21)
+    theta, phi, max_overlap, _, _ = su2_overlap_surface(pair, 21).columns(slice(None, None, 17))
     v, w = identity(2), pauli("Y") if pair == "i-sigmay" else omega(-1)
     a = w.matrix @ v.matrix.conj().T
-    for r in records[:: 17]:
-        m = su2_basis(r.theta, r.phi).matrix
+    for t, f, peak in zip(theta, phi, max_overlap):
+        m = su2_basis(t, f).matrix
         overlaps = np.abs(m.conj().T @ a @ m) ** 2
-        assert overlaps.max() == pytest.approx(r.max_overlap, abs=1e-12)
+        assert overlaps.max() == pytest.approx(peak, abs=1e-12)
 
 
 def _stacked_einsum_surface(pair: str, grid: int):
@@ -177,17 +176,18 @@ def test_sweep_surface_owns_read_only_columns_without_copying():
 
 
 def test_surface_spot_values():
-    assert su2_overlap_point("i-sigmay", np.pi / 4, np.pi / 2).max_overlap == pytest.approx(1.0)
-    assert su2_overlap_point("i-sigmay", 0.0, 0.77).max_overlap == pytest.approx(1.0)
-    assert su2_overlap_point("i-omega", np.pi / 4, 0.0).max_overlap == pytest.approx(0.5)
-    assert su2_overlap_point("i-sigmay", np.pi / 4, np.pi / 4).max_overlap == pytest.approx(0.5)
+    assert su2_overlap_point("i-sigmay", np.pi / 4, np.pi / 2)["max_overlap"] == pytest.approx(1.0)
+    assert su2_overlap_point("i-sigmay", 0.0, 0.77)["max_overlap"] == pytest.approx(1.0)
+    assert su2_overlap_point("i-omega", np.pi / 4, 0.0)["max_overlap"] == pytest.approx(0.5)
+    assert su2_overlap_point("i-sigmay", np.pi / 4, np.pi / 4)["max_overlap"] == pytest.approx(0.5)
 
 
 def test_sweep_record_invariants():
+    # one row: a 1 x 1 surface
     with pytest.raises(ValueError, match="bound_bits"):
-        SweepRecord(0.0, 0.0, 0.5, 0.5, 3.0)
+        SweepSurface([0.0], [0.5], [0.5], [3.0], max_deviation=0.0)
     with pytest.raises(ValueError, match="diagonal"):
-        SweepRecord(0.0, 0.0, 0.25, 0.5, 2.0)
+        SweepSurface([0.0], [0.25], [0.5], [2.0], max_deviation=0.0)
 
 
 @pytest.mark.parametrize(
@@ -197,17 +197,17 @@ def test_sweep_point_near_one_follows_snap_rule(pair, theta, phi):
     # the maximum lies within (6.9e-13, 1e-12) of 1: snapped to 1, so the bound is 0,
     # which differs from the unsnapped -log2(max) by more than 1e-12
     point = su2_overlap_point(pair, theta, phi)
-    assert 1.0 - 1e-12 < point.max_overlap < 1.0 - 6.9e-13
-    assert point.bound_bits == 0.0
+    assert 1.0 - 1e-12 < point["max_overlap"] < 1.0 - 6.9e-13
+    assert point["bound_bits"] == 0.0
 
 
 def _columns(**changes):
+    """A hand-built 2 x 2 surface: two angles, four rows."""
     cols = {
-        "theta": [0.0, 0.0, 0.5],
-        "phi": [0.0, 1.0, 0.0],
-        "max_overlap": [0.5, 1.0, 0.25],
-        "diag_overlap": [0.5, 0.25, 0.125],
-        "bound_bits": [1.0, 0.0, 2.0],
+        "angles": [0.0, 0.5],
+        "max_overlap": [0.5, 1.0, 0.25, 1.0],
+        "diag_overlap": [0.5, 0.25, 0.125, 0.5],
+        "bound_bits": [1.0, 0.0, 2.0, 0.0],
     }
     cols.update(changes)
     return {k: np.array(v) for k, v in cols.items()}
@@ -215,29 +215,25 @@ def _columns(**changes):
 
 def test_sweep_surface_invariants_match_record():
     SweepSurface(**_columns(), max_deviation=0.0)
-    for changes, record in [
-        ({"bound_bits": [1.0, 3.0, 2.0]}, (0.0, 1.0, 1.0, 0.25, 3.0)),
-        ({"diag_overlap": [0.5, 0.25, 0.5]}, (0.5, 0.0, 0.25, 0.5, 2.0)),
+    for changes, message in [
+        ({"bound_bits": [1.0, 3.0, 2.0, 0.0]}, "bound_bits is not -log2(max_overlap)"),
+        ({"diag_overlap": [0.5, 0.25, 0.5, 0.5]}, "max_overlap below diagonal overlap"),
     ]:
-        with pytest.raises(ValueError) as from_record:
-            SweepRecord(*record)
         with pytest.raises(ValueError) as from_surface:
             SweepSurface(**_columns(**changes), max_deviation=0.0)
-        assert str(from_surface.value) == str(from_record.value)
+        assert str(from_surface.value) == message
     with pytest.raises(ValueError, match="shape"):
-        SweepSurface(**_columns(phi=[0.0, 1.0]), max_deviation=0.0)
+        SweepSurface(**_columns(bound_bits=[1.0, 0.0, 2.0]), max_deviation=0.0)
+    with pytest.raises(ValueError, match="shape"):  # three angles want nine rows
+        SweepSurface(**_columns(angles=[0.0, 0.5, 1.0]), max_deviation=0.0)
 
 
 def test_sweep_invariants_refuse_nan():
     nan = float("nan")
     with pytest.raises(ValueError, match="bound_bits"):
-        SweepRecord(0.0, 0.0, nan, 0.5, 1.0)
-    with pytest.raises(ValueError, match="bound_bits"):
-        SweepSurface(**_columns(max_overlap=[nan, 1.0, 0.25]), max_deviation=0.0)
+        SweepSurface(**_columns(max_overlap=[nan, 1.0, 0.25, 1.0]), max_deviation=0.0)
     with pytest.raises(ValueError, match="diagonal"):
-        SweepRecord(0.0, 0.0, 0.5, nan, 1.0)
-    with pytest.raises(ValueError, match="diagonal"):
-        SweepSurface(**_columns(diag_overlap=[0.5, nan, 0.125]), max_deviation=0.0)
+        SweepSurface(**_columns(diag_overlap=[0.5, nan, 0.125, 0.5]), max_deviation=0.0)
 
 
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
@@ -247,27 +243,30 @@ def test_sweep_surface_indexing(pair):
     assert len(surface) == grid * grid
     assert 0.0 <= surface.max_deviation <= 1e-12
     angles = np.linspace(0.0, np.pi, grid)
-    for k, l in [(0, 0), (2, 5), (4, 4), (8, 8), (8, 1)]:
-        assert surface[k * grid + l] == su2_overlap_point(pair, angles[k], angles[l])
-    assert surface[-1] == surface[len(surface) - 1]
-    assert surface[3:7] == [surface[3], surface[4], surface[5], surface[6]]
-    assert surface[::40] == [surface[0], surface[40], surface[80]]
-    assert list(surface) == surface[:]
-    with pytest.raises(IndexError):
-        surface[grid * grid]
+    assert np.array_equal(surface.angles, angles)
     columns = surface.columns()
-    assert all(c is getattr(surface, name) for c, name in zip(columns, SWEEP_COLUMNS))
-    with pytest.raises(ValueError):
-        columns[2][0] = 0.0  # columns are read-only
+    for k, l in [(0, 0), (2, 5), (4, 4), (8, 8), (8, 1)]:
+        row = dict(zip(SWEEP_COLUMNS, (float(c[k * grid + l]) for c in columns)))
+        assert row == su2_overlap_point(pair, angles[k], angles[l])
+    for rows in [slice(3, 7), slice(None, None, 40), slice(-5, None), slice(70, 20, -9)]:
+        for part, whole in zip(surface.columns(rows), columns):
+            assert np.array_equal(part, whole[rows])
+    for c, name in zip(columns[2:], SWEEP_COLUMNS[2:]):  # views of the surface's own columns
+        assert np.shares_memory(c, getattr(surface, name)) and not c.flags.writeable
+    for array in (surface.angles, *columns[2:]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0  # the surface's arrays are read-only
 
 
 def test_sweep_ordering_and_csv():
-    records = su2_overlap_surface("i-omega", 3)
-    assert len(records) == 9
+    surface = su2_overlap_surface("i-omega", 3)
+    assert len(surface) == 9
     # theta-outer, row-major: first three rows share theta = 0
-    assert [r.theta for r in records[:3]] == [0.0, 0.0, 0.0]
-    assert records[3].theta == pytest.approx(np.pi / 2)
-    text = sweep_to_csv(records)
+    theta, phi = surface.columns()[:2]
+    assert theta[:3].tolist() == [0.0, 0.0, 0.0]
+    assert theta[3] == pytest.approx(np.pi / 2)
+    assert phi[:4].tolist() == [0.0, np.pi / 2, np.pi, 0.0]
+    text = sweep_to_csv(surface)
     lines = text.strip().split("\n")
     assert lines[0] == "theta,phi,max_overlap,diag_overlap,bound_bits"
     assert len(lines) == 10
@@ -277,26 +276,44 @@ def test_sweep_ordering_and_csv():
 
 def test_sweep_csv_formats_every_row_as_the_per_row_format():
     # -0.0 and 0.0 print differently, and 1e-300 lies outside the kernel's scaled range
-    cols = _columns(theta=[-0.0, 0.0, 0.0], phi=[1e-300, 1.0, np.pi])
+    cols = _columns(angles=[-0.0, 1e-300])
     text = sweep_to_csv(SweepSurface(**cols, max_deviation=0.0))
-    rows = zip(*(cols[name].tolist() for name in SWEEP_COLUMNS))
+    rows = zip([-0.0, -0.0, 1e-300, 1e-300], [-0.0, 1e-300, -0.0, 1e-300],
+               *(cols[name].tolist() for name in SWEEP_COLUMNS[2:]))
     expected = [",".join(f"{x:.12g}" for x in row) for row in rows]
     assert text == "\n".join([",".join(SWEEP_COLUMNS), *expected]) + "\n"
-    assert text.split("\n")[1].startswith("-0,1e-300,")
+    assert text.split("\n")[2].startswith("-0,1e-300,")
 
 
 def test_sweep_json_is_json_dumps_of_the_rows():
-    cols = _columns(theta=[-0.0, 0.0, 0.0], phi=[1e-300, 1.0, np.pi])
+    cols = _columns(angles=[-0.0, 1e-300])
     text = sweep_to_json(SweepSurface(**cols, max_deviation=0.0))
-    rows = zip(*(cols[name].tolist() for name in SWEEP_COLUMNS))
+    rows = zip([-0.0, -0.0, 1e-300, 1e-300], [-0.0, 1e-300, -0.0, 1e-300],
+               *(cols[name].tolist() for name in SWEEP_COLUMNS[2:]))
     assert text == json.dumps({"records": [dict(zip(SWEEP_COLUMNS, r)) for r in rows]}) + "\n"
-    assert text.startswith('{"records": [{"theta": -0.0, "phi": 1e-300, ')
+    assert text.startswith('{"records": [{"theta": -0.0, "phi": -0.0, ')
+    assert '{"theta": -0.0, "phi": 1e-300, ' in text
 
 
 @pytest.mark.parametrize("pair", ["i-sigmay", "i-omega"])
 def test_sweep_bound_bits_never_negative(pair):
     # a maximum overlap that rounds to 1 + 2e-16 must not print a negative bound
-    assert min(r.bound_bits for r in su2_overlap_surface(pair, 201)) >= 0.0
+    assert su2_overlap_surface(pair, 201).bound_bits.min() >= 0.0
+
+
+def test_sweep_surface_holds_the_angles_and_three_columns():
+    # the g angles and three g^2 columns, plus one kernel block while it is built: full-length
+    # theta and phi columns would add 16 MB at grid 1001
+    grid = 1001
+    tracemalloc.start()
+    try:
+        surface = su2_overlap_surface("i-omega", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
+    arrays = (surface.angles, surface.max_overlap, surface.diag_overlap, surface.bound_bits)
+    assert sum(a.nbytes for a in arrays) == 8 * (3 * grid * grid + grid)
 
 
 def test_sweep_rejects_bad_grid():
@@ -816,6 +833,33 @@ def test_witness_agrees_with_distinguishability():
             checked_found += 1
             assert pair_uncertainty(tester, v, w).value <= 1e-8
     assert checked_found >= 100  # the family must exercise the positive branch
+
+
+@pytest.mark.parametrize("d", [5, 8, 16, 32])
+def test_witness_agrees_with_distinguishability_at_sampled_d(d):
+    rng = np.random.default_rng(900 + d)
+    clock = clock_shift_pair(d)[0].matrix
+    found_count = 0
+    for kind in ("clock-offset", "clock-offset", "haar", "haar", "half-circle"):
+        v = UnitaryOperator(haar_matrix(d, rng))
+        g = haar_matrix(d, rng)
+        if kind == "clock-offset":  # v† w = g Z^j g† is traceless: always distinguishable
+            j = int(rng.integers(1, d))
+            w = UnitaryOperator(g @ np.linalg.matrix_power(clock, j) @ g.conj().T @ v.matrix)
+        elif kind == "haar":
+            w = UnitaryOperator(haar_matrix(d, rng))
+        else:  # every eigenphase of v† w within 1.2 of 0: the hull misses the origin
+            phases = rng.uniform(-1.2, 1.2, d)
+            w = UnitaryOperator(v.matrix @ (g * np.exp(1j * phases)) @ g.conj().T)
+        found, tester, _ = zero_bound_witness(v, w)
+        assert found == is_perfectly_distinguishable(v, w), kind
+        assert found or kind != "clock-offset"
+        if found:
+            found_count += 1
+            assert pair_uncertainty(tester, v, w).value <= 1e-8, kind
+        else:
+            assert tester is None
+    assert found_count >= 2
 
 
 def test_orthogonal_pairs_admit_zero_uncertainty_tester():

@@ -158,6 +158,19 @@ def test_weyl_row0_bound_matches_full_table(d):
         assert abs(b.max_overlap - full.max_overlap) <= 1e-14
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_mes_bound_builds_no_weyl_stack_for_a_rotated_basis(d):
+    # element 0 of (u (x) I)|nu_i> is u / sqrt(d), not I / sqrt(d): the Weyl stack is never needed
+    rng = np.random.default_rng(800 + d)
+    _, _, rotated = sampled_mes(d)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    testers.bell_elements.cache_clear()
+    b = mes_bound(rotated, v, w)
+    assert testers.bell_elements.cache_info().currsize == 0
+    full = EntropicBound.from_overlaps(rotated.overlaps(w.matrix @ v.matrix.conj().T))
+    assert (b.value, b.argmax, b.max_overlap) == (full.value, full.argmax, full.max_overlap)
+
+
 def test_non_weyl_mes_basis_takes_the_full_table(monkeypatch):
     # X N_i with X Haar is an MES basis too, but its table rows do not permute row 0
     calls = []
