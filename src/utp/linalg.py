@@ -17,11 +17,6 @@ DEFAULT_TOL = 1e-9
 # degenerate cluster when ordering an eigenbasis.
 CLUSTER_GAP = 1e-7
 
-# eig_unitary's first stage leaves cosines closer than this in one run for its
-# second stage.  Each run's subspace is then accurate to ~eps / SPLIT_GAP; the
-# gap must stay below 2 sin(pi / 4d), the cosine margin of ``_clear_axis``.
-SPLIT_GAP = 1e-3
-
 
 class ConvergenceError(RuntimeError):
     """An eigensolver failed to converge, or its eigenpairs miss the residual check."""
@@ -82,35 +77,18 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     return np.abs(a.conj().T @ a - np.eye(d)).max() <= tol
 
 
-def _clear_axis(u: np.ndarray) -> float:
-    """A phase phi with every eigenvalue of u at least pi/(4d) in angle from +-i e^{i phi}.
-
-    Each eigenvalue angle is +-arccos of an eigenvalue of (u + u†)/2, so the
-    angles are known up to sign without eigenvectors.  phi + pi/2 is put in the
-    middle of the widest gap between all 2d candidates taken modulo pi, a gap
-    of at least pi/(2d).
-    """
-    a = np.arccos(np.clip(np.linalg.eigvalsh((u + u.conj().T) / 2), -1.0, 1.0))
-    points = np.sort(np.concatenate([a, -a]) % np.pi)
-    gaps = np.diff(points, append=points[0] + np.pi)
-    k = int(np.argmax(gaps))
-    return float(points[k] + gaps[k] / 2 - np.pi / 2)
-
-
 def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary matrix with an orthonormal eigenbasis.
 
-    A unitary is normal, so for any phase phi the Hermitian matrices
-    F = (r + r†)/2 and G = (r - r†)/2i of r = e^{-i phi} u commute and share
-    u's eigenvectors, with eigenvalues cos(theta - phi) and sin(theta - phi).
-    One ``eigh`` of F splits the spectrum by cosine; in each run of cosines
-    closer than ``SPLIT_GAP``, an ``eigh`` of G compressed to the run's
-    subspace splits it by sine (simultaneous diagonalisation of commuting
-    Hermitian matrices, Horn & Johnson, *Matrix Analysis*, ch. 2).  phi is
-    chosen with no eigenvalue near e^{i(phi +- pi/2)}, so no run crosses
-    cos(theta - phi) = 0 and the sine is monotone along each run.  Every
-    step is unitary, so the basis is orthonormal even when eigenvalues are
-    degenerate.
+    For a phase phi with -1 not an eigenvalue of r = e^{-i phi} u, the Cayley
+    transform H = i (I - r)(I + r)^{-1} is Hermitian, shares u's eigenvectors
+    and has eigenvalues tan((theta - phi) / 2), strictly increasing in theta
+    on (phi - pi, phi + pi); one ``eigh`` of H is an eigenbasis of u.  Each
+    eigenvalue angle is +-arccos of an eigenvalue of (u + u†)/2, so the angles
+    are known up to sign without eigenvectors: phi + pi is put in the middle
+    of the widest gap between all 2d candidates, a gap of at least pi/d, which
+    keeps |tan| below 1/sin(pi/4d).  ``eigh`` returns a unitary basis, so it
+    is orthonormal even when eigenvalues are degenerate.
 
     Returns (eigenvalues, eigenvectors) as ``np.linalg.eigh`` does: column j
     of the second is the eigenvector of the j-th eigenvalue.  Eigenvalues are
@@ -126,15 +104,14 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     d = u.shape[0]
     if not is_unitary(u, tol):
         raise ValueError(f"matrix is not unitary within tol={tol}")
+    a = np.arccos(np.clip(np.linalg.eigvalsh((u + u.conj().T) / 2), -1.0, 1.0))
+    points = np.sort(np.concatenate([a, 2 * np.pi - a]))
+    gaps = np.diff(points, append=points[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    r = np.exp(-1j * (points[k] + gaps[k] / 2 - np.pi)) * u
     try:
-        r = np.exp(-1j * _clear_axis(u)) * u
-        cosines, z = np.linalg.eigh((r + r.conj().T) / 2)
-        sines = (r - r.conj().T) / 2j
-        breaks = np.flatnonzero(np.diff(cosines) >= SPLIT_GAP) + 1
-        for lo, hi in zip([0, *breaks], [*breaks, d]):
-            if hi - lo > 1:
-                run = z[:, lo:hi]
-                z[:, lo:hi] = run @ np.linalg.eigh(run.conj().T @ sines @ run)[1]
+        h = 1j * np.linalg.solve(np.eye(d) + r, np.eye(d) - r)
+        z = np.linalg.eigh((h + h.conj().T) / 2)[1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     lam = np.einsum("ij,ij->j", z.conj(), u @ z)

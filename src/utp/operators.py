@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, as_complex_vector, is_unitary, validate_tol
+from .linalg import (
+    DEFAULT_TOL,
+    as_complex_matrix,
+    as_complex_vector,
+    eig_unitary,
+    is_unitary,
+    validate_tol,
+)
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -219,28 +226,48 @@ def haar_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases.conj()[None, :]
 
 
-def _hull_distance_to_origin(points: np.ndarray) -> float:
-    """Distance from 0 to the convex hull of points on the unit circle.
+def _chord_weight(x: complex, y: complex) -> float:
+    """The t in [0, 1] for which x + t (y - x) is the point of the chord [x, y] nearest 0."""
+    xy = y - x
+    denom = abs(xy) ** 2
+    return 0.0 if denom < 1e-30 else float(np.clip(-(x * xy.conjugate()).real / denom, 0.0, 1.0))
 
-    Uses the circular-gap criterion: the origin lies inside the hull iff
-    no angular gap between consecutive points exceeds pi; otherwise the
-    nearest hull point lies on the chord closing the largest gap.
+
+def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np.ndarray]:
+    """Distance from 0 to the convex hull of points on the unit circle, and a witness.
+
+    Returns (distance, indices, weights): the hull point sum_i weights[i] *
+    points[indices[i]] mixes at most three points and is the nearest to 0.
+    Uses the circular-gap criterion: the origin lies outside the hull iff
+    some angular gap between consecutive points exceeds pi, and then the
+    nearest hull point lies on the chord closing the widest gap.  Inside, with
+    a the first point by angle, c the first at least pi further round and b
+    the point before c, no gap of the triangle abc exceeds pi, so it holds 0
+    with weights proportional to the opposite edges' Im(conj(x) y).  Those
+    weights lose accuracy as the triangle flattens, so its three chords are
+    tried too, and the mixture nearest 0 is returned with distance 0.0.
     """
-    ordered = points[np.argsort(np.angle(points))]
-    angles = np.angle(ordered)
+    order = np.argsort(np.angle(points))
+    angles = np.angle(points[order])
     gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
     k = int(np.argmax(gaps))
-    if gaps[k] <= np.pi:
-        return 0.0
-    # endpoints adjacent to the widest gap close the arc holding all points
-    a = ordered[k]
-    b = ordered[(k + 1) % len(ordered)]
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom < 1e-30:
-        return float(abs(a))
-    t = np.clip(-(a * ab.conjugate()).real / denom, 0.0, 1.0)
-    return float(abs(a + t * ab))
+    if gaps[k] > np.pi:
+        # endpoints adjacent to the widest gap close the arc holding all points
+        i, j = int(order[k]), int(order[(k + 1) % order.size])
+        a, b = points[i], points[j]
+        t = _chord_weight(a, b)
+        return float(abs(a + t * (b - a))), (i, j), np.array([1 - t, t])
+    # no gap exceeds pi, so c exists; min() only guards against rounding
+    c = min(int(np.searchsorted(angles, angles[0] + np.pi)), order.size - 1)
+    trio = order[[0, c - 1, c]]
+    x = points[trio]
+    areas = np.clip((x[[1, 2, 0]].conj() * x[[2, 0, 1]]).imag, 0.0, None)
+    mixtures = [(trio, areas / areas.sum())] if areas.sum() > 0 else []
+    for p, q in ((0, 1), (1, 2), (2, 0)):
+        t = _chord_weight(x[p], x[q])
+        mixtures.append((trio[[p, q]], np.array([1 - t, t])))
+    indices, weights = min(mixtures, key=lambda m: abs(m[1] @ points[m[0]]))
+    return 0.0, tuple(int(i) for i in indices), weights
 
 
 def is_perfectly_distinguishable(
@@ -257,8 +284,8 @@ def is_perfectly_distinguishable(
     validate_tol(tol)
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    eigenvalues = np.linalg.eigvals(v.matrix.conj().T @ w.matrix)
-    return _hull_distance_to_origin(eigenvalues) <= tol
+    eigenvalues, _ = eig_unitary(v.matrix.conj().T @ w.matrix)
+    return _hull_nearest_origin(eigenvalues)[0] <= tol
 
 
 def literal_field(data, key: str, what: str, kind: type = object):

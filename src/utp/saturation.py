@@ -32,7 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ from .linalg import DEFAULT_TOL, InvariantError, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
-    _hull_distance_to_origin,
+    _hull_nearest_origin,
     dft_matrix,
     haar_matrix,
     hs_table,
@@ -890,44 +890,6 @@ def muub_certify_by_saturation(
     )
 
 
-def _convex_weights_for_zero(eigenvalues: np.ndarray, tol: float):
-    """Convex weights over two or three eigenvalues whose mixture is ~0.
-
-    Chords between eigenvalue pairs are tried first; when no chord passes
-    near the origin (e.g. three equally spaced phases) a triangle of
-    eigenvalues containing the origin is found instead.
-    """
-    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
-    for i, j in combinations(range(eigenvalues.size), 2):
-        la, lb = eigenvalues[i], eigenvalues[j]
-        denom = abs(la - lb) ** 2
-        if denom < 1e-28:
-            continue
-        t = float(np.clip((-lb * (la - lb).conjugate()).real / denom, 0.0, 1.0))
-        residual = abs(t * la + (1 - t) * lb)
-        if best is None or residual < best[0]:
-            best = (residual, (i, j), np.array([t, 1 - t]))
-    if best is not None and best[0] <= tol:
-        return best[1], best[2]
-    for i, j, k in combinations(range(eigenvalues.size), 3):
-        trio = eigenvalues[[i, j, k]]
-        system = np.vstack([trio.real, trio.imag, np.ones(3)])
-        try:
-            weights = np.linalg.solve(system, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if weights.min() < -1e-9:
-            continue
-        weights = np.clip(weights, 0.0, None)
-        weights /= weights.sum()
-        residual = abs((weights * trio).sum())
-        if best is None or residual < best[0]:
-            best = (residual, (i, j, k), weights)
-    if best is not None and best[0] <= tol:
-        return best[1], best[2]
-    return None
-
-
 def zero_bound_witness(
     v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Tester | None, bool]:
@@ -940,19 +902,15 @@ def zero_bound_witness(
     Returns (found, tester, trivial-flag); found is False exactly when the
     pair is not perfectly distinguishable within ``tol``.
     """
+    validate_tol(tol)
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     d = v.dim
     eigenvalues, eigvecs = eig_unitary(v.matrix.conj().T @ w.matrix)
-    if _hull_distance_to_origin(eigenvalues) > tol:
+    distance, indices, weights = _hull_nearest_origin(eigenvalues)
+    if distance > tol:
         return False, None, False
-    combo = _convex_weights_for_zero(eigenvalues, max(tol, 1e-12))
-    if combo is None:  # hull says distinguishable; mixture search must agree
-        return False, None, False
-    indices, weights = combo
-    chi = np.zeros(d, dtype=complex)
-    for idx, weight in zip(indices, weights):
-        chi += math.sqrt(weight) * eigvecs[:, idx]
+    chi = eigvecs[:, list(indices)] @ np.sqrt(weights)
     chi /= np.linalg.norm(chi)
     e1 = v.matrix @ chi
     e2 = w.matrix @ chi

@@ -76,7 +76,7 @@ def test_eig_unitary_degenerate_identity():
 
 
 def _hard_spectra(d: int, rng) -> dict[str, np.ndarray]:
-    """Eigenphases of each kind a two-stage Hermitian eigenbasis could get wrong."""
+    """Eigenphases of each kind a Hermitian eigenbasis of a unitary could get wrong."""
     half = rng.uniform(0.0, np.pi, (d + 1) // 2)
     quarter = rng.choice([-np.pi / 2, np.pi / 2])
     return {
@@ -85,19 +85,28 @@ def _hard_spectra(d: int, rng) -> dict[str, np.ndarray]:
         "plus-minus": np.concatenate([half, -half])[:d],
         "near-degenerate": rng.uniform(-np.pi, np.pi) + 1e-9 * rng.standard_normal(d),
         "straddling-the-cut": np.pi + 1e-9 * rng.standard_normal(d),
-        # near +-i the sine is flat: eigenvalues there differ mostly in their cosines
+        # eigenvalues near +-i differ mostly in their real parts
         "near-quarter-turn": quarter + rng.uniform(-5e-4, 5e-4, d),
         "mirrored-about-quarter-turn": np.pi / 2 + 3e-4 * (-1.0) ** np.arange(d),
+        # the spectrum of every cross pair of the chirp MUUB bases
+        "chirp": np.pi * np.arange(d) ** 2 * (d + 1) / d,
+        # one cluster narrower than CLUSTER_GAP and one as wide as it
+        "cluster-1e-8": rng.uniform(-np.pi, np.pi) + 1e-8 * rng.uniform(-0.5, 0.5, d),
+        "cluster-1e-7": rng.uniform(-np.pi, np.pi) + 1e-7 * rng.uniform(-0.5, 0.5, d),
     }
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
-def test_eig_unitary_hard_spectra_up_to_d32(d):
+def test_eig_unitary_hard_spectra_up_to_d32(d, monkeypatch):
+    eigh, eigh_calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: eigh_calls.append(a) or eigh(*a))
     rng = np.random.default_rng(100 + d)
     for kind, phases in _hard_spectra(d, rng).items():
         x = haar_matrix(d, rng)
         u = (x * np.exp(1j * phases)) @ x.conj().T
+        eigh_calls.clear()
         lam, z = linalg.eig_unitary(u)
+        assert len(eigh_calls) == 1, kind
         assert np.abs(z.conj().T @ z - np.eye(d)).max() <= 1e-12, kind
         assert np.abs(u @ z - z * lam).max() <= 1e-12, kind
         angles = np.angle(lam)

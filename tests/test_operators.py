@@ -230,18 +230,18 @@ def test_json_rejects_malformed():
 
 def test_hull_distance_single_eigenvalue():
     # all-equal spectrum sits at distance 1 from the origin
-    assert operators._hull_distance_to_origin(np.array([1j, 1j, 1j])) == pytest.approx(1.0)
+    assert operators._hull_nearest_origin(np.array([1j, 1j, 1j]))[0] == pytest.approx(1.0)
 
 
 def test_hull_distance_antipodal():
-    assert operators._hull_distance_to_origin(np.array([1.0 + 0j, -1.0 + 0j])) == 0.0
+    assert operators._hull_nearest_origin(np.array([1.0 + 0j, -1.0 + 0j]))[0] == 0.0
 
 
 def test_hull_distance_near_antipodal_resolution():
     # chord between angles 0 and pi - eps passes at distance sin(eps/2)
     for eps in (1e-3, 1e-6, 1e-9):
         pts = np.array([1.0, np.exp(1j * (np.pi - eps))])
-        assert operators._hull_distance_to_origin(pts) == pytest.approx(
+        assert operators._hull_nearest_origin(pts)[0] == pytest.approx(
             np.sin(eps / 2), rel=1e-6
         )
 
@@ -250,4 +250,41 @@ def test_hull_distance_equally_spaced_roots():
     # cube roots of unity: chords sit at distance cos(pi/3) = 1/2 but the
     # origin is interior, so the hull distance is zero
     pts = np.exp(2j * np.pi * np.arange(3) / 3)
-    assert operators._hull_distance_to_origin(pts) == 0.0
+    assert operators._hull_nearest_origin(pts)[0] == 0.0
+
+
+def _hull_spectra(d: int, rng) -> dict[str, np.ndarray]:
+    """Eigenvalues on the unit circle, from generic to exactly degenerate."""
+    small = rng.uniform(-1e-6, 1e-6, max(0, d - 4))
+    phases = {
+        "uniform": rng.uniform(-np.pi, np.pi, d),
+        "within-1.2-of-0": rng.uniform(-1.2, 1.2, d),
+        "quarter-turns": rng.integers(0, 4, d) * np.pi / 2 + 1e-10 * rng.standard_normal(d),
+        "antipodal-with-repeats": np.concatenate([[0.0, 0.0, 1e-10, np.pi], small])[:d],
+    }
+    return {kind: np.exp(1j * p) for kind, p in phases.items()}
+
+
+def test_hull_witness_is_the_nearest_convex_mixture():
+    rng = np.random.default_rng(2024)
+    inside = outside = 0
+    for d in range(2, 33):
+        for _ in range(25):
+            for kind, pts in _hull_spectra(d, rng).items():
+                distance, indices, weights = operators._hull_nearest_origin(pts)
+                assert len(indices) == len(weights) <= 3, kind
+                assert weights.min() >= 0 and abs(weights.sum() - 1) <= 1e-12, kind
+                mixture = abs(weights @ pts[list(indices)])
+                if distance > 0:
+                    # brute force: the nearest hull point lies on some chord
+                    x, y = pts[:, None], pts[None, :]
+                    xy = y - x
+                    denom = np.abs(xy) ** 2
+                    t = np.clip(-(x * xy.conj()).real / np.where(denom < 1e-30, 1, denom), 0, 1)
+                    assert distance == pytest.approx(np.abs(x + t * xy).min(), abs=1e-14), kind
+                    assert mixture == pytest.approx(distance, abs=1e-14), kind
+                    outside += 1
+                else:
+                    assert distance == 0.0 and mixture <= 1e-12, kind
+                    inside += 1
+    assert inside >= 500 and outside >= 500

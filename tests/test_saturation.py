@@ -496,6 +496,7 @@ def test_deciders_refuse_bad_tol(tol):
         lambda: is_muub(b1, b2, tol),
         lambda: muub_certify_by_saturation(b1, b2, tol=tol),
         lambda: is_perfectly_distinguishable(identity(2), pauli("X"), tol),
+        lambda: zero_bound_witness(identity(2), pauli("X"), tol),
     ):
         with pytest.raises(ValueError, match="tol"):
             decide()
@@ -860,6 +861,20 @@ def test_witness_agrees_with_distinguishability_at_sampled_d(d):
         else:
             assert tester is None
     assert found_count >= 2
+    # v† w with eigenphases 0 and pi - eps, the rest between them: the hull passes
+    # sin(eps / 2) from the origin, on either side of each tol
+    for tol in (0.0, 1e-12, 1e-9, 1e-6):
+        for eps in sorted({0.0, 2 * np.arcsin(tol / 2), 2 * np.arcsin(2 * tol), 1e-9}):
+            phases = np.concatenate([[0.0, np.pi - eps], rng.uniform(0.1, 3.0, d - 2)])
+            g = haar_matrix(d, rng)
+            v = UnitaryOperator(haar_matrix(d, rng))
+            w = UnitaryOperator(v.matrix @ (g * np.exp(1j * phases)) @ g.conj().T)
+            found, tester, _ = zero_bound_witness(v, w, tol)
+            assert found == is_perfectly_distinguishable(v, w, tol), (tol, eps)
+            if eps > 0:
+                assert found == (np.sin(eps / 2) <= tol), (tol, eps)
+            if found:
+                assert pair_uncertainty(tester, v, w).value <= 1e-8, (tol, eps)
 
 
 def test_orthogonal_pairs_admit_zero_uncertainty_tester():
