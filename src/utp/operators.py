@@ -270,6 +270,23 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
+def _adjoint_product_hull(
+    v: UnitaryOperator, w: UnitaryOperator, tol: float
+) -> tuple[float, tuple[int, ...], np.ndarray, np.ndarray]:
+    """``_hull_nearest_origin`` of the eigenvalues of v†w, and their eigenvectors.
+
+    With factors unitary within DEFAULT_TOL, v†w is unitary only within
+    e_v + e_w + e_v e_w, e = |U†U - I| (spectral norm, bounded by Frobenius);
+    ``eig_unitary`` allows that on top of max(tol, DEFAULT_TOL) for rounding.
+    """
+    validate_tol(tol)
+    if v.dim != w.dim:
+        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
+    ev, ew = (float(np.linalg.norm(m.conj().T @ m - np.eye(v.dim))) for m in (v.matrix, w.matrix))
+    lam, z = eig_unitary(v.matrix.conj().T @ w.matrix, max(tol, DEFAULT_TOL) + ev + ew + ev * ew)
+    return *_hull_nearest_origin(lam), z
+
+
 def is_perfectly_distinguishable(
     v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
 ) -> bool:
@@ -281,11 +298,7 @@ def is_perfectly_distinguishable(
     its eigenvalues, so this reduces to an exact 2-D hull membership test
     with distance tolerance ``tol``.
     """
-    validate_tol(tol)
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    eigenvalues, _ = eig_unitary(v.matrix.conj().T @ w.matrix)
-    return _hull_nearest_origin(eigenvalues)[0] <= tol
+    return _adjoint_product_hull(v, w, tol)[0] <= tol
 
 
 def literal_field(data, key: str, what: str, kind: type = object):

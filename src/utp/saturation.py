@@ -42,7 +42,7 @@ from .linalg import DEFAULT_TOL, InvariantError, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
-    _hull_nearest_origin,
+    _adjoint_product_hull,
     dft_matrix,
     haar_matrix,
     hs_table,
@@ -902,12 +902,7 @@ def zero_bound_witness(
     Returns (found, tester, trivial-flag); found is False exactly when the
     pair is not perfectly distinguishable within ``tol``.
     """
-    validate_tol(tol)
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    d = v.dim
-    eigenvalues, eigvecs = eig_unitary(v.matrix.conj().T @ w.matrix)
-    distance, indices, weights = _hull_nearest_origin(eigenvalues)
+    distance, indices, weights, eigvecs = _adjoint_product_hull(v, w, tol)
     if distance > tol:
         return False, None, False
     chi = eigvecs[:, list(indices)] @ np.sqrt(weights)
@@ -916,7 +911,7 @@ def zero_bound_witness(
     e2 = w.matrix @ chi
     e2 = e2 - np.vdot(e1, e2) * e1
     e2 /= np.linalg.norm(e2)
-    q, _ = np.linalg.qr(np.column_stack([e1, e2, np.eye(d)]))
+    q, _ = np.linalg.qr(np.column_stack([e1, e2, np.eye(v.dim)]))
     measurement = ProjectiveMeasurement.from_matrix(q)
     tester = Tester.projective(PureState(chi), measurement)
     return True, tester, is_trivial_measurement(measurement, v, w)

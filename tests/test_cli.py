@@ -28,6 +28,19 @@ def test_distinguish_golden(run_cli):
     assert json.loads(out) == {"distinguishable": True}
 
 
+def test_distinguish_json_pair_at_the_validation_edge(run_cli, tmp_path):
+    # (1 + 4.9e-10) X and Z each pass the 1e-9 unitarity check; their product does not
+    paths = []
+    for name, m in (("v", [[0, 1], [1, 0]]), ("w", [[1, 0], [0, -1]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(array_to_literal((1 + 4.9e-10) * np.array(m, dtype=complex))))
+        paths.append(str(path))
+    for extra in ([], ["--tol", "1e-6"]):
+        code, out, _ = run_cli(["distinguish", "--v", paths[0], "--w", paths[1], *extra])
+        assert code == 0
+        assert json.loads(out) == {"distinguishable": True}
+
+
 def test_distinguish_negative(run_cli):
     code, out, _ = run_cli(["distinguish", "--v", "identity", "--w", "omega-minus"])
     assert code == 0

@@ -288,3 +288,18 @@ def test_hull_witness_is_the_nearest_convex_mixture():
                     assert distance == 0.0 and mixture <= 1e-12, kind
                     inside += 1
     assert inside >= 500 and outside >= 500
+
+
+def test_hull_witness_on_nearly_flat_triangles_off_the_axes():
+    # phases {phi, phi + pi - delta, phi + pi + delta / 3}: 0 lies inside a triangle
+    # whose weights lose accuracy near delta ~ sqrt(eps), the routine's known limit
+    rng = np.random.default_rng(2025)
+    worst = 0.0
+    for delta in 10.0 ** -np.arange(4, 11):
+        for phi in rng.uniform(-np.pi, np.pi, 200):
+            pts = np.exp(1j * (phi + np.array([0.0, np.pi - delta, np.pi + delta / 3])))
+            distance, indices, weights = operators._hull_nearest_origin(pts)
+            assert distance == 0.0, (phi, delta)
+            assert weights.min() >= 0 and abs(weights.sum() - 1) <= 1e-12, (phi, delta)
+            worst = max(worst, abs(weights @ pts[list(indices)]))
+    assert worst <= 1e-8

@@ -877,6 +877,32 @@ def test_witness_agrees_with_distinguishability_at_sampled_d(d):
                 assert pair_uncertainty(tester, v, w).value <= 1e-8, (tol, eps)
 
 
+def test_deciders_accept_pairs_at_the_validation_edge():
+    # each factor passes UnitaryOperator's 1e-9 check, while v† w is off by ~2e-9
+    x = UnitaryOperator((1 + 4.9e-10) * pauli("X").matrix)
+    z = UnitaryOperator((1 + 4.9e-10) * pauli("Z").matrix)
+    assert np.abs(x.matrix.conj().T @ z.matrix @ (x.matrix.conj().T @ z.matrix).conj().T
+                  - np.eye(2)).max() > 1.9e-9
+    for tol in (0.0, 1e-9, 1e-6):
+        assert is_perfectly_distinguishable(x, z, tol)
+        found, tester, _ = zero_bound_witness(x, z, tol)
+        chi = tester.input.amplitudes
+        assert found and abs(np.vdot(x.matrix @ chi, z.matrix @ chi)) <= 1e-8
+    # seeded Haar pairs moved off the unitary group by up to the validation tolerance
+    rng = np.random.default_rng(77)
+    for d in (2, 8, 32):
+        near = []
+        while len(near) < 6:
+            e = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = haar_matrix(d, rng) + 0.45e-9 * e / np.abs(e).max()
+            if np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-9:
+                near.append(UnitaryOperator(m))
+        for v, w in zip(near[::2], near[1::2]):
+            for tol in (0.0, 1e-9, 1e-6):
+                found = zero_bound_witness(v, w, tol)[0]
+                assert found == is_perfectly_distinguishable(v, w, tol), (d, tol)
+
+
 def test_orthogonal_pairs_admit_zero_uncertainty_tester():
     # traceless-unitary offsets make v and w = v u HS-orthogonal, hence
     # distinguishable: a non-trivial zero-uncertainty tester must exist
