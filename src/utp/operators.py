@@ -270,20 +270,27 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
+def product_unitarity_tol(
+    v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
+) -> float:
+    """The tolerance within which to check that v†w or w v† is unitary.
+
+    With factors unitary within DEFAULT_TOL, either product is unitary only within
+    e_v + e_w + e_v e_w, e = |U†U - I| (spectral norm, bounded by Frobenius);
+    this allows that on top of max(tol, DEFAULT_TOL) for rounding.
+    """
+    ev, ew = (float(np.linalg.norm(m.conj().T @ m - np.eye(v.dim))) for m in (v.matrix, w.matrix))
+    return max(tol, DEFAULT_TOL) + ev + ew + ev * ew
+
+
 def _adjoint_product_hull(
     v: UnitaryOperator, w: UnitaryOperator, tol: float
 ) -> tuple[float, tuple[int, ...], np.ndarray, np.ndarray]:
-    """``_hull_nearest_origin`` of the eigenvalues of v†w, and their eigenvectors.
-
-    With factors unitary within DEFAULT_TOL, v†w is unitary only within
-    e_v + e_w + e_v e_w, e = |U†U - I| (spectral norm, bounded by Frobenius);
-    ``eig_unitary`` allows that on top of max(tol, DEFAULT_TOL) for rounding.
-    """
+    """``_hull_nearest_origin`` of the eigenvalues of v†w, and their eigenvectors."""
     validate_tol(tol)
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    ev, ew = (float(np.linalg.norm(m.conj().T @ m - np.eye(v.dim))) for m in (v.matrix, w.matrix))
-    lam, z = eig_unitary(v.matrix.conj().T @ w.matrix, max(tol, DEFAULT_TOL) + ev + ew + ev * ew)
+    lam, z = eig_unitary(v.matrix.conj().T @ w.matrix, product_unitarity_tol(v, w, tol))
     return *_hull_nearest_origin(lam), z
 
 

@@ -36,6 +36,7 @@ from .operators import (
     array_to_literal,
     check_hs_orthogonal,
     literal_field,
+    product_unitarity_tol,
     weyl_operators,
 )
 
@@ -429,7 +430,7 @@ def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
     """
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    _, eigvecs = eig_unitary(w.matrix @ v.matrix.conj().T)
+    _, eigvecs = eig_unitary(w.matrix @ v.matrix.conj().T, product_unitarity_tol(v, w))
     basis = ProjectiveMeasurement.from_matrix(eigvecs)
     psi = PureState(v.matrix.conj().T @ eigvecs[:, 0])
     return Tester.projective(psi, basis)

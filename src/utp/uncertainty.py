@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_sqrt
 from .operators import UnitaryOperator
 from .testers import (
     MesMeasurement,
@@ -34,7 +33,6 @@ from .testers import (
     outcome_distribution,
 )
 
-NATURAL = math.e
 ZERO_PROBABILITY = 1e-15  # below this, a probability is logged as an exact zero
 TIE_TOL = 1e-12  # overlaps this close to each other tie; a maximum this close to 1 is 1
 
@@ -85,22 +83,15 @@ def snap_to_one(overlap):
 def _log(x: np.ndarray | float, base: float):
     if base == 2.0:
         return np.log2(x)
-    if base == NATURAL:
-        return np.log(x)
     return np.log(x) / math.log(base)
-
-
-def _entropy_of(p: np.ndarray, base: float) -> float:
-    mask = p > ZERO_PROBABILITY
-    q = p[mask]
-    return float(-(q * _log(q, base)).sum()) + 0.0  # normalize -0.0
 
 
 def shannon_entropy(p, base: float = 2.0) -> EntropyValue:
     """Shannon entropy -sum p log p with 0 log 0 = 0."""
     if not isinstance(p, OutcomeDistribution):
         p = OutcomeDistribution(np.asarray(p, dtype=float))
-    value = _entropy_of(p.probs, base)
+    q = p.probs[p.probs > ZERO_PROBABILITY]
+    value = float(-(q * _log(q, base)).sum()) + 0.0  # normalize -0.0
     cap = float(_log(len(p), base))
     if value < -1e-12 or value > cap + 1e-9:
         raise ValueError(f"entropy {value} outside [0, log {len(p)}]")
@@ -160,16 +151,23 @@ def povm_bound(
 ) -> EntropicBound:
     """POVM bound -2 log max_{i,j} || sqrt(M_i^(v)) sqrt(M_j^(w)) ||.
 
-    The rotated POVMs are M_i^(u) = u† M_i u, matching the outcome
-    statistics p_k = Tr(M_k u rho u†) of a povm tester, so that for
-    rank-1 projective POVMs this reduces exactly to ``projective_bound``.
+    M_i^(u) = u† M_i u matches a povm tester's p_k = Tr(M_k u rho u†), so rank-1
+    projective POVMs give exactly ``projective_bound``.  One ``eigh`` of the stack
+    gives M_i = F_i F_i† (eigenvectors times sqrt(eigenvalue)), and the norm is
+    || F_i† (v w†) F_j ||: a rank-1 table is one product.  Eigenvalues <= d eps
+    lambda_max(M_i) are cut to zero and F_i padded to the largest rank r left; as
+    ||[G; g]||^2 <= ||G||^2 + mu, cutting mu moves a norm by <= mu / (2 ||G||).
     """
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between POVM and operators")
-    roots_v = psd_sqrt(v.matrix.conj().T @ m.elements @ v.matrix)
-    roots_w = psd_sqrt(w.matrix.conj().T @ m.elements @ w.matrix)
-    # one row of the table at a time: O(n d^2) memory, not O(n^2 d^2)
-    norms = np.array([np.linalg.norm(a @ roots_w, ord=2, axis=(-2, -1)) for a in roots_v])
+    lam, vecs = np.linalg.eigh(m.elements)
+    lam = np.where(lam > m.dim * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
+    r, n = int(np.count_nonzero(lam, axis=1).max()), len(lam)
+    f = vecs[:, :, -r:] * np.sqrt(lam[:, None, -r:])  # (n, d, r): eigh sorts ascending
+    right = np.moveaxis(v.matrix @ w.matrix.conj().T @ f, 0, 1).reshape(m.dim, n * r)
+    # one row block of Phi† (v w†) Phi, Phi = [F_1 ... F_n], at a time: O(n r^2) memory
+    blocks = ((fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f)
+    norms = np.array([np.linalg.norm(b, ord=2, axis=(-2, -1)) for b in blocks])
     return EntropicBound.from_overlaps(norms, base, power=2.0)
 
 

@@ -260,6 +260,15 @@ def test_trivial_tester_sigma_z():
     assert np.allclose(magnitudes @ magnitudes.T, np.eye(2), atol=1e-12)
 
 
+def test_trivial_tester_at_the_validation_edge():
+    # each factor passes UnitaryOperator's 1e-9 check, while w v† is off by ~2e-9
+    x = UnitaryOperator((1 + 4.9e-10) * pauli("X").matrix)
+    z = UnitaryOperator((1 + 4.9e-10) * pauli("Z").matrix)
+    assert np.abs((z.matrix @ x.matrix.conj().T).conj().T @ z.matrix @ x.matrix.conj().T
+                  - np.eye(2)).max() > 1.9e-9
+    assert is_trivial_measurement(trivial_tester(x, z).measurement, x, z)
+
+
 def test_is_trivial_measurement_cases():
     eig_basis = trivial_tester(identity(2), pauli("Y")).measurement
     assert is_trivial_measurement(eig_basis, identity(2), pauli("Y"))

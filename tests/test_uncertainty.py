@@ -8,7 +8,7 @@ import pytest
 
 from conftest import haar_matrix, random_state
 from utp.linalg import operator_norm, psd_sqrt
-from utp import testers
+from utp import linalg, testers
 from utp.operators import (
     UnitaryOperator,
     clock_shift_pair,
@@ -304,10 +304,31 @@ def test_pair_uncertainty_povm_matches_projective():
     )
 
 
-def rank1_frame(d: int, n: int, rng) -> Povm:
-    """n rank-1 elements |r_k><r_k| from the rows of an n x d isometry: a tight frame."""
+def frame_vectors(d: int, n: int, rng) -> np.ndarray:
+    """d x n: columns r_k, the conjugated rows of an n x d isometry, a tight frame."""
     q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
-    return Povm(np.conj(q)[:, :, None] * q[:, None, :])
+    return q.conj().T
+
+
+def rank1_povm(x: np.ndarray) -> Povm:
+    """The elements |x_k><x_k| of the columns x_k of x."""
+    return Povm(x.T[:, :, None] * x.T.conj()[:, None, :])
+
+
+def rank1_frame(d: int, n: int, rng) -> Povm:
+    """n rank-1 elements |r_k><r_k| of a tight frame."""
+    return rank1_povm(frame_vectors(d, n, rng))
+
+
+def full_rank_frame(d: int, n: int, t: float, rng) -> Povm:
+    """Full-rank elements (1 - t) |r_k><r_k| + t I / n of a tight frame."""
+    return Povm((1 - t) * rank1_frame(d, n, rng).elements + t * np.eye(d) / n)
+
+
+def rank1_bound(x: np.ndarray, v: UnitaryOperator, w: UnitaryOperator) -> EntropicBound:
+    """The exact POVM bound of the elements |x_k><x_k|: the table |x_i† v w† x_j|."""
+    table = np.abs(x.conj().T @ v.matrix @ w.matrix.conj().T @ x)
+    return EntropicBound.from_overlaps(table, 2.0, power=2.0)
 
 
 def per_element_povm_bound(m: Povm, v: UnitaryOperator, w: UnitaryOperator) -> EntropicBound:
@@ -318,6 +339,12 @@ def per_element_povm_bound(m: Povm, v: UnitaryOperator, w: UnitaryOperator) -> E
     return EntropicBound.from_overlaps(norms, 2.0, power=2.0)
 
 
+def assert_bounds_agree(got: EntropicBound, want: EntropicBound) -> None:
+    assert got.argmax == want.argmax
+    assert abs(got.value - want.value) <= 1e-12
+    assert abs(got.max_overlap - want.max_overlap) <= 1e-12
+
+
 @pytest.mark.parametrize("d, frame", [(2, False), (3, False), (5, False), (8, False),
                                       (16, False), (32, False), (8, True)])
 def test_stacked_povm_and_outcomes_match_per_element_loops(d, frame):
@@ -325,9 +352,10 @@ def test_stacked_povm_and_outcomes_match_per_element_loops(d, frame):
     x = haar_matrix(d, rng)
     v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
     m = ProjectiveMeasurement.from_matrix(x)
-    povm = rank1_frame(d, d * d, rng) if frame else povm_from_projective(m)
-    got, want = povm_bound(povm, v, w), per_element_povm_bound(povm, v, w)
-    assert (got.value, got.argmax, got.max_overlap) == (want.value, want.argmax, want.max_overlap)
+    vectors = frame_vectors(d, d * d, rng) if frame else m.matrix
+    povm = rank1_povm(vectors) if frame else povm_from_projective(m)
+    # the rank-1 table |x_i† v w† x_j| is exact: no square root, no eigensolver
+    assert_bounds_agree(povm_bound(povm, v, w), rank1_bound(vectors, v, w))
 
     psi = PureState(random_state(d, rng))
     rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
@@ -345,17 +373,54 @@ def test_stacked_povm_and_outcomes_match_per_element_loops(d, frame):
 
 
 def test_povm_bound_memory_is_one_row_at_a_time():
-    # all n^2 products of 64 elements at d = 8 at once would take 4 MB
+    # 64 full-rank elements at d = 8: the whole (nd)^2 table of blocks would take 4 MB
     rng = np.random.default_rng(8)
-    povm = rank1_frame(8, 64, rng)
     v, w = UnitaryOperator(haar_matrix(8, rng)), UnitaryOperator(haar_matrix(8, rng))
-    tracemalloc.start()
-    try:
+    for povm in (rank1_frame(8, 64, rng), full_rank_frame(8, 64, 0.3, rng)):
+        tracemalloc.start()
+        try:
+            povm_bound(povm, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def mixed_rank_povms(d: int, rng) -> list[Povm]:
+    """{I/2, I/2}; a rank-2 element among rank-1 ones; full rank; an eigenvalue of 1e-10."""
+    x = haar_matrix(d, rng)
+    p = [np.outer(x[:, k], x[:, k].conj()) for k in range(d)]
+    return [
+        Povm([np.eye(d) / 2] * 2),
+        Povm([p[0] + p[1], *p[2:]]),
+        full_rank_frame(d, d + 3, 0.4, rng),
+        Povm([p[0] + 1e-10 * p[1], (1 - 1e-10) * p[1], *p[2:]]),
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_povm_bound_matches_per_element_roots_beyond_rank_1(d):
+    rng = np.random.default_rng(150 + d)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    for povm in mixed_rank_povms(d, rng):
+        assert_bounds_agree(povm_bound(povm, v, w), per_element_povm_bound(povm, v, w))
+
+
+def test_povm_bound_takes_one_eigh_and_no_square_root(monkeypatch):
+    rng = np.random.default_rng(9)
+    v, w = UnitaryOperator(haar_matrix(8, rng)), UnitaryOperator(haar_matrix(8, rng))
+    povms = [povm_from_projective(ProjectiveMeasurement(haar_matrix(8, rng))),
+             *mixed_rank_povms(8, rng)]
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
+    for name in ("psd_sqrt", "operator_norm"):
+        f = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k))
+    for povm in povms:
+        calls.clear()
         povm_bound(povm, v, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+        assert calls == ["eigh"]
 
 
 # --- properties at sampled dimensions up to the advertised d = 32 ---------------
@@ -382,7 +447,7 @@ def sampled_mes(d: int) -> tuple[MesMeasurement, np.ndarray, MesMeasurement]:
 @pytest.mark.parametrize("d", SAMPLED_DIMS)
 def test_bound_inequality_at_sampled_d(d):
     rng = np.random.default_rng(5000 + d)
-    for _ in range(1 if d == 32 else 3):  # the POVM bound's n^2 operator norms are the cost
+    for _ in range(1 if d == 32 else 3):  # at d = 32 the rotated MES basis's d^4 table is the cost
         v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
         m = ProjectiveMeasurement(haar_matrix(d, rng))
         t = Tester.projective(PureState(random_state(d, rng)), m)
@@ -418,7 +483,7 @@ def test_unitary_covariance_at_sampled_d(d):
 @pytest.mark.parametrize("d", SAMPLED_DIMS)
 def test_povm_reduces_to_projective_at_sampled_d(d):
     rng = np.random.default_rng(7000 + d)
-    for _ in range(1 if d == 32 else 3):
+    for _ in range(3):
         m = ProjectiveMeasurement(haar_matrix(d, rng))
         v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
         assert povm_bound(povm_from_projective(m), v, w).value == pytest.approx(
