@@ -209,9 +209,9 @@ def _operator_pair(args) -> tuple[UnitaryOperator, UnitaryOperator]:
 
 
 def cmd_bound(args) -> str:
+    """``bound``, ``povm-bound`` and ``mes-bound``: each sets its resolver and bound function."""
     v, w = _operator_pair(args)
-    m = resolve_projective(args.measurement, v.dim)
-    b = projective_bound(m, v, w, _base(args))
+    b = args.bound(args.resolve(args.measurement, v.dim), v, w, _base(args))
     return _json_line({f"bound_{_unit(args)}": b.value, "argmax": list(b.argmax)})
 
 
@@ -301,20 +301,6 @@ def cmd_game(args) -> str:
     return transcript_to_json(transcript) + "\n"
 
 
-def cmd_povm_bound(args) -> str:
-    v, w = _operator_pair(args)
-    m = resolve_povm(args.measurement, v.dim)
-    b = povm_bound(m, v, w, _base(args))
-    return _json_line({f"bound_{_unit(args)}": b.value, "argmax": list(b.argmax)})
-
-
-def cmd_mes_bound(args) -> str:
-    v, w = _operator_pair(args)
-    m = resolve_mes(args.measurement, v.dim)
-    b = mes_bound(m, v, w, _base(args))
-    return _json_line({f"bound_{_unit(args)}": b.value, "argmax": list(b.argmax)})
-
-
 def _add_common(p: argparse.ArgumentParser, *, log_base: bool = True) -> None:
     """--v, --w and --dim; --log-base only for subcommands that print entropies."""
     p.add_argument("--v", required=True, help="first operator (name or JSON path)")
@@ -336,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="projective measurement-only entropic bound")
     _add_common(p)
     p.add_argument("--measurement", required=True)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, resolve=resolve_projective, bound=projective_bound)
 
     p = sub.add_parser("entropy", help="pair uncertainty of a concrete tester")
     _add_common(p)
@@ -386,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("povm-bound", help="POVM entropic bound")
     _add_common(p)
     p.add_argument("--measurement", required=True, help="projective name or POVM JSON path")
-    p.set_defaults(func=cmd_povm_bound)
+    p.set_defaults(func=cmd_bound, resolve=resolve_povm, bound=povm_bound)
 
     p = sub.add_parser("mes-bound", help="MES-measurement entropic bound")
     _add_common(p)
     p.add_argument("--measurement", default="bell", help="bell (default) or JSON path")
-    p.set_defaults(func=cmd_mes_bound)
+    p.set_defaults(func=cmd_bound, resolve=resolve_mes, bound=mes_bound)
 
     return parser
 

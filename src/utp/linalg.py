@@ -129,22 +129,16 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix, or of each in a (..., d, d) stack.
+    """Hermitian PSD square root of a Hermitian PSD matrix.
 
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
     ``-tol`` is an error.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim <= 2:
-        m = as_complex_matrix(m)
-    elif not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    mh = m.conj().swapaxes(-1, -2)
-    if m.shape[-1] != m.shape[-2] or np.abs(m - mh).max() > tol:
+    m = as_complex_matrix(m)
+    if not is_hermitian(m, tol):
         raise ValueError(f"matrix is not Hermitian within tol={tol}")
     w, v = np.linalg.eigh(m)
     if w.min() < -tol:
         raise ValueError(f"matrix has eigenvalue {w.min():.3e} < -tol")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (root + root.conj().swapaxes(-1, -2)) / 2
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (root + root.conj().T) / 2

@@ -270,16 +270,21 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
+def unitarity_error(u: UnitaryOperator) -> float:
+    """|U†U - I| (spectral norm, bounded by Frobenius); validation allows ~d DEFAULT_TOL."""
+    return float(np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(u.dim)))
+
+
 def product_unitarity_tol(
     v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
 ) -> float:
     """The tolerance within which to check that v†w or w v† is unitary.
 
     With factors unitary within DEFAULT_TOL, either product is unitary only within
-    e_v + e_w + e_v e_w, e = |U†U - I| (spectral norm, bounded by Frobenius);
-    this allows that on top of max(tol, DEFAULT_TOL) for rounding.
+    e_v + e_w + e_v e_w, e = ``unitarity_error``; this allows that on top of
+    max(tol, DEFAULT_TOL) for rounding.
     """
-    ev, ew = (float(np.linalg.norm(m.conj().T @ m - np.eye(v.dim))) for m in (v.matrix, w.matrix))
+    ev, ew = unitarity_error(v), unitarity_error(w)
     return max(tol, DEFAULT_TOL) + ev + ew + ev * ew
 
 

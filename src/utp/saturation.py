@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -196,15 +198,7 @@ def _report(
     achieved = pair_uncertainty(tester, v, w, base)
     bound = EntropicBound.from_overlaps(overlaps, base)
     try:
-        return SaturationReport(
-            achieved=achieved,
-            bound=bound,
-            tester=tester,
-            trivial=trivial,
-            method=method,
-            evaluations=evaluations,
-            converged=converged,
-        )
+        return SaturationReport(achieved, bound, tester, trivial, method, evaluations, converged)
     except ValueError as exc:
         raise InvariantError(f"{method} report: {exc}") from exc
 
@@ -613,66 +607,22 @@ def _unitary_line(x: np.ndarray, eta: np.ndarray):
     return at
 
 
+def _same(b: np.ndarray) -> np.ndarray:
+    """The projective table, and its own adjoint: the identity map."""
+    return b
+
+
 def _same_direction(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Directions on U(d) are right-invariant skew-Hermitian generators: no transport."""
     return eta
 
 
-@dataclass(frozen=True, eq=False)
-class _Found:
-    """A flat basis (or the MES unitaries) and how it was obtained.
-
-    ``evaluations`` is 0 for a construction.
-    """
+class _Found(NamedTuple):
+    """A flat X (a basis, or the rotation M_i = X N_i of the Weyl operators) and its method."""
 
     matrix: np.ndarray
     method: str
     evaluations: int
-
-
-def _search_flat_unitary(
-    name: str, a: np.ndarray, table, adjoint, level: float,
-    tol: float, budget: int, restarts: int, seed: int,
-) -> _Found | None:
-    """A unitary X whose table T(X† a X) is flat at ``level`` within tol, or None.
-
-    ``table`` is linear in b = X† a X and ``adjoint`` is its adjoint map.  Minimises
-    f(X) = sum (|T|^2 - level)^2 on U(d) by ``_descend`` along exp(t eta) X, from
-    Haar starts drawn one after another from ``default_rng(seed)`` until one is
-    flat, ``restarts`` are spent or ``budget`` objective values are used.
-    """
-    d = a.shape[0]
-
-    def cost_grad(x: np.ndarray):
-        xh = x.conj().swapaxes(-1, -2)
-        ax = a @ x
-        t = table(xh @ ax)
-        r = t.real ** 2 + t.imag ** 2 - level
-        k = adjoint(4.0 * r * t)
-        gamma = ax @ k.conj().swapaxes(-1, -2) + a.conj().T @ x @ k
-        w = gamma @ xh
-        return (r * r).sum(axis=(-2, -1)), 0.5 * (w - w.conj().swapaxes(-1, -2))
-
-    def deviation(x: np.ndarray) -> float:
-        t = table(x.conj().T @ a @ x)
-        return float(np.abs(np.abs(t) ** 2 - level).max())
-
-    rng = np.random.default_rng(seed)
-    used, converged, starts = 0, True, 0
-    found = None
-    while found is None and starts < restarts and used < budget:
-        starts += 1
-        run = _descend(
-            cost_grad, _unitary_line, _same_direction, haar_matrix(d, rng)[None],
-            budget - used, tol * tol,
-        )
-        used += run.evaluations
-        converged = run.converged
-        if deviation(run.x[0]) <= tol:
-            found = run.x[0]
-    method = "numerical-search" if found is not None else "not-found"
-    _log_search(name, method, used, starts, found is not None or converged)
-    return None if found is None else _Found(found, "numerical-search", used)
 
 
 class _SpectrumClass(NamedTuple):
@@ -680,6 +630,20 @@ class _SpectrumClass(NamedTuple):
 
     eigenvalues: np.ndarray
     y: np.ndarray
+
+
+class _Flatness(NamedTuple):
+    """A flat X for one flavour: T = table(X† a X), linear in X† a X, has every |T_ij|^2 = level.
+
+    ``constructions(spectrum, tol)`` yields (X, method) candidates from
+    ``spectrum()``, which returns ``eig_unitary(a)`` and computes it on first call.
+    """
+
+    name: str
+    table: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    level: float
+    constructions: Callable[..., Iterable[tuple[np.ndarray, str]]]
 
 
 def _zadoff_chu(d: int, u: int) -> np.ndarray:
@@ -717,79 +681,41 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     return sigma
 
 
-def _find_flat_projective_basis(
-    a: np.ndarray, tol: float, budget: int, restarts: int, seed: int,
-    classes: list[_SpectrumClass] | None = None,
-) -> _Found | None:
-    """Basis X with all |<x_i| a |x_j>|^2 = 1/d within tol, or None.
-
-    X† a X = Y† Λ Y for X = E Y, with E an eigenbasis of ``a`` and Λ its
-    eigenvalues, so a flat basis depends only on the spectrum, up to one
-    phase.  Candidates, in this order, each kept only if its overlaps pass the
-    flatness check:
+def _fourier_orders(spectrum, tol: float):
+    """Projective constructions from the eigenbasis E of a, which give X† a X = Y† Λ Y for X = E Y.
 
     * Fourier orders: E_σ F, with F the DFT, is flat exactly when the ordered
       eigenvalues form a bi-unimodular sequence; every order at d <= 4, else
       the angle-sorted one;
     * Zadoff-Chu orders: for each u coprime to d, E ordered so that its
       eigenvalues are mu exp(i pi u j (j + d mod 2) / d), bi-unimodular at
-      every d (Chu, IEEE Trans. IT 18, 1972), then the DFT;
-    * spectral transport: for a class of ``classes``, a pair a' searched
-      earlier with eigenbasis E' and flat basis X' = E' Y, whose eigenvalues
-      match these up to a phase mu: X = E_σ Y gives X† a X = mu X'† a' X';
-    * a budgeted gradient search on U(d) (``_search_flat_unitary``); ``budget``
-      counts objective values.  A basis it finds joins ``classes``.
+      every d (Chu, IEEE Trans. IT 18, 1972), then the DFT.
     """
-    d = a.shape[0]
-    lam, eigvecs = eig_unitary(a)
+    lam, eigvecs = spectrum()
+    d = lam.size
     dft = dft_matrix(d)
-
-    def flat(candidate: np.ndarray, method: str) -> _Found | None:
-        if np.abs(overlap_table(candidate, a) - 1.0 / d).max() > tol:
-            return None
-        _log_search("flat-basis search", method, 0, 0, True)
-        return _Found(candidate, method, 0)
-
     # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
     # such as (1, a, 1, -a) at d = 4
-    orders = permutations(range(d)) if d <= 4 else [tuple(range(d))]
-    for order in orders:
-        if found := flat(eigvecs[:, list(order)] @ dft, "row-construction"):
-            return found
+    for order in permutations(range(d)) if d <= 4 else [tuple(range(d))]:
+        yield eigvecs[:, list(order)] @ dft, "row-construction"
     for u in range(1, d if d % 2 else 2 * d):  # the sequence has period d in u, 2d at even d
         if math.gcd(u, d) == 1:
             order = _match_up_to_phase(lam, _zadoff_chu(d, u), tol)
-            if order is not None and (found := flat(eigvecs[:, order] @ dft, "zadoff-chu-order")):
-                return found
-    classes = [] if classes is None else classes
-    for known in classes:
-        order = _match_up_to_phase(lam, known.eigenvalues, tol)
-        if order is not None and (found := flat(eigvecs[:, order] @ known.y, "spectral-transport")):
-            return found
-
-    def same(b: np.ndarray) -> np.ndarray:
-        return b
-
-    found = _search_flat_unitary(
-        "flat-basis search", a, same, same, 1.0 / d, tol, budget, restarts, seed
-    )
-    if found is not None:
-        classes.append(_SpectrumClass(lam, eigvecs.conj().T @ found.matrix))
-    return found
+            if order is not None:
+                yield eigvecs[:, order] @ dft, "zadoff-chu-order"
 
 
-def _find_flat_mes_operators(
-    a: np.ndarray, tol: float, budget: int, restarts: int, seed: int
-) -> _Found | None:
-    """MES-measurement unitaries {M_i} with all |Tr(M_i† a M_j)/d|^2 = 1/d^2.
+def _projective_flatness(d: int) -> _Flatness:
+    """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d."""
+    return _Flatness("flat-basis search", _same, _same, 1.0 / d, _fourier_orders)
 
-    Searches rotations M_i = X N_i of the Weyl operators N_i: the identity
-    rotation covers the Weyl-covariant instances, and a budgeted gradient
-    search on U(d) (``_search_flat_unitary``) the rest.
+
+def _mes_flatness(weyl: np.ndarray) -> _Flatness:
+    """Rotations X of the Weyl stack ``weyl``, M_i = X N_i: every |Tr(M_i† a M_j) / d|^2 = 1/d^2.
+
+    The one construction, the identity rotation, covers the Weyl-covariant pairs.
     """
-    d = a.shape[0]
-    weyl = weyl_operators(d)
-    level = 1.0 / (d * d)
+    d = weyl.shape[-1]
 
     def table(b: np.ndarray) -> np.ndarray:
         """T_ij = Tr(N_i† b N_j) / d, for each b of a stack."""
@@ -799,11 +725,78 @@ def _find_flat_mes_operators(
         """K = (1/d) sum_ij G_ij N_i N_j†: Re Tr(K† db) = Re sum conj(G_ij) dT_ij."""
         return np.einsum("...ij,iab,jcb->...ac", g, weyl, weyl.conj()) / d
 
-    if np.abs(np.abs(table(a)) ** 2 - level).max() <= tol:
-        _log_search("MES search", "row-construction", 0, 0, True)
-        return _Found(weyl, "row-construction", 0)
-    found = _search_flat_unitary("MES search", a, table, adjoint, level, tol, budget, restarts, seed)
-    return None if found is None else _Found(found.matrix @ weyl, found.method, found.evaluations)
+    identity_rotation = [(np.eye(d, dtype=complex), "row-construction")]
+    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), lambda *_: identity_rotation)
+
+
+def _find_flat_unitary(
+    a: np.ndarray, kind: _Flatness, classes: list[_SpectrumClass],
+    tol: float, budget: int, restarts: int, seed: int,
+) -> _Found | None:
+    """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
+
+    Candidates, in this order, each kept only if it passes the one flatness check:
+
+    * the constructions of ``kind``;
+    * spectral transport: for a class of ``classes``, a pair a' searched earlier
+      with eigenbasis E' and flat X' = E' Y, whose eigenvalues match those of a,
+      in an eigenbasis E, up to a phase mu in the order σ: X = E_σ Y gives
+      X† a X = mu X'† a' X';
+    * a search minimising f(X) = sum (|T|^2 - level)^2 on U(d) by ``_descend``
+      along exp(t eta) X, from Haar starts drawn from ``default_rng(seed)`` one
+      after another until one is flat, ``restarts`` are spent or ``budget``
+      objective values are used (none at budget 0).  Its X joins ``classes``.
+
+    ``eig_unitary(a)`` is taken only when a candidate needs it.
+    """
+    d = a.shape[0]
+    if _is_phase_of_identity(a):  # X† (z I) X = z I for every X: never flat
+        return None
+    spectrum = cache(lambda: eig_unitary(a))
+
+    def flat(x: np.ndarray) -> bool:
+        return bool(np.abs(np.abs(kind.table(x.conj().T @ a @ x)) ** 2 - kind.level).max() <= tol)
+
+    def transports():
+        for known in classes:
+            lam, eigvecs = spectrum()
+            order = _match_up_to_phase(lam, known.eigenvalues, tol)
+            if order is not None:
+                yield eigvecs[:, order] @ known.y, "spectral-transport"
+
+    for x, method in chain(kind.constructions(spectrum, tol), transports()):
+        if flat(x):
+            _log_search(kind.name, method, 0, 0, True)
+            return _Found(x, method, 0)
+
+    def cost_grad(x: np.ndarray):
+        xh = x.conj().swapaxes(-1, -2)
+        ax = a @ x
+        t = kind.table(xh @ ax)
+        r = t.real ** 2 + t.imag ** 2 - kind.level
+        k = kind.adjoint(4.0 * r * t)
+        gamma = ax @ k.conj().swapaxes(-1, -2) + a.conj().T @ x @ k
+        w = gamma @ xh
+        return (r * r).sum(axis=(-2, -1)), 0.5 * (w - w.conj().swapaxes(-1, -2))
+
+    rng = np.random.default_rng(seed)
+    used, converged, starts, found = 0, True, 0, None
+    while found is None and starts < restarts and used < budget:
+        starts += 1
+        x0 = haar_matrix(d, rng)[None]
+        run = _descend(cost_grad, _unitary_line, _same_direction, x0, budget - used, tol * tol)
+        used += run.evaluations
+        converged = run.converged
+        if flat(run.x[0]):
+            found = run.x[0]
+    if starts:
+        method = "numerical-search" if found is not None else "not-found"
+        _log_search(kind.name, method, used, starts, found is not None or converged)
+    if found is None:
+        return None
+    lam, eigvecs = spectrum()
+    classes.append(_SpectrumClass(lam, eigvecs.conj().T @ found))
+    return _Found(found, "numerical-search", used)
 
 
 @dataclass(frozen=True, eq=False)
@@ -828,17 +821,23 @@ def muub_certify_by_saturation(
     """Certify mutual unbiasedness of two unitary bases through saturation.
 
     For every cross pair (W_m from ``b2``, V_n from ``b1``) a measurement
-    is sought in which all overlaps of W_m V_n† are flat (1/d for
+    is sought in which all overlaps of a = W_m V_n† are flat (1/d for
     d-element bases in a projective basis; 1/d^2 for d^2-element bases in
-    an MES basis).  Each success yields a saturating tester reaching the
-    maximal bound; certification requires all pairs to succeed and the
-    cross-check |Tr(W_m V_n†)| = sqrt(d) (1 for the full space) to
-    hold within ``tol``.  Search failures are reported as not-found
-    within budget, never as nonexistence.  ``budget`` counts objective values
-    per cross pair.  A projective pair whose spectrum matches, up to a phase,
-    that of a pair searched earlier in this call reuses that basis
-    (``spectral-transport``) before it searches; a full-space pair that the
-    Weyl operators do not flatten is always searched.
+    an MES basis, the Weyl operators rotated by one unitary).  Each success
+    yields a saturating tester reaching the maximal bound; certification
+    requires all pairs to succeed and the cross-check |Tr(W_m V_n†)| =
+    sqrt(d) (1 for the full space) to hold within ``tol``.  Search failures
+    are reported as not-found within budget, never as nonexistence.
+
+    Both flavours take one path per pair (``_find_flat_unitary``): the
+    constructions (Fourier and Zadoff-Chu orders of a's eigenbasis; the
+    Weyl operators themselves), then spectral transport of a flat unitary
+    searched earlier in this call for a pair whose spectrum matches up to a
+    phase, then a search of ``budget`` objective values seeded
+    ``seed + 7919 m + n``.  A second pass tries transport alone on the pairs
+    that missed before a later pair's search found their class; a pair found
+    there reports ``spectral-transport`` with 0 evaluations.  One INFO line
+    per certification counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -847,47 +846,47 @@ def muub_certify_by_saturation(
     d = b1.dim
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
+    weyl = weyl_operators(d) if full_space else None
+    kind = _mes_flatness(weyl) if full_space else _projective_flatness(d)
+    classes: list[_SpectrumClass] = []  # searched in this call, for later pairs to carry over
+    reports: list[list[SaturationReport | None]] = [[None] * len(b1.elements) for _ in b2.elements]
 
-    # the spectrum classes this call has searched, for its later pairs to carry over
-    find_flat = (_find_flat_mes_operators if full_space
-                 else partial(_find_flat_projective_basis, classes=[]))
-    reports: list[tuple[SaturationReport | None, ...]] = []
-    for m_idx, wm in enumerate(b2.elements):
-        row: list[SaturationReport | None] = []
-        for n_idx, vn in enumerate(b1.elements):
-            a = wm.matrix @ vn.matrix.conj().T
-            pair_seed = seed + 7919 * m_idx + n_idx
-            # a phase of the identity has overlap 1 in every basis: it can never saturate log d
-            found = None if _is_phase_of_identity(a) else find_flat(
-                a, tol, budget, restarts, pair_seed
-            )
-            if found is None:
-                row.append(None)
-                continue
-            flat = found.matrix
-            if full_space:
-                primed = [op @ flat[0].conj().T @ vn.matrix for op in flat]
-                measurement = MesMeasurement(np.array(primed) / math.sqrt(d))
-                tester, trivial = Tester.mes(measurement), False
-            else:
-                measurement = ProjectiveMeasurement.from_matrix(flat)
-                tester = Tester.projective(PureState(vn.matrix.conj().T @ flat[:, 0]), measurement)
-                trivial = is_trivial_measurement(measurement, vn, wm)
-            row.append(_report(
-                tester, vn, wm, measurement.overlaps(a), trivial, found.method, base,
-                found.evaluations,
-            ))
-        reports.append(tuple(row))
+    def attempt(m_idx: int, n_idx: int, budget: int) -> bool:
+        """Whether a flat unitary was found for the pair (m, n); if so, its report is set."""
+        wm, vn = b2.elements[m_idx], b1.elements[n_idx]
+        a = wm.matrix @ vn.matrix.conj().T
+        pair_seed = seed + 7919 * m_idx + n_idx
+        found = _find_flat_unitary(a, kind, classes, tol, budget, restarts, pair_seed)
+        if found is None:
+            return False
+        x = found.matrix
+        if full_space:
+            measurement = MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d))
+            tester, trivial = Tester.mes(measurement), False
+        else:
+            measurement = ProjectiveMeasurement.from_matrix(x)
+            tester = Tester.projective(PureState(vn.matrix.conj().T @ x[:, 0]), measurement)
+            trivial = is_trivial_measurement(measurement, vn, wm)
+        reports[m_idx][n_idx] = _report(
+            tester, vn, wm, measurement.overlaps(a), trivial, found.method, base, found.evaluations
+        )
+        return True
+
+    missed = []  # (m, n, the number of classes the pair was tried against)
+    for m_idx, n_idx in np.ndindex(len(b2.elements), len(b1.elements)):
+        if not attempt(m_idx, n_idx, budget):
+            missed.append((m_idx, n_idx, len(classes)))
+    for m_idx, n_idx, tried in missed:  # transport alone, from classes found after its search
+        if len(classes) > tried:
+            attempt(m_idx, n_idx, 0)
+    methods = Counter(r.method if r else "not-found" for row in reports for r in row)
+    counts = ", ".join(f"{m} {methods[m]}" for m in (*REPORT_METHODS, "not-found"))
+    log.info("MUUB certification: %s; %d spectrum classes searched", counts, len(classes))
 
     trace_moduli = hs_table(b2, b1)
     all_found = all(r is not None for row in reports for r in row)
     certified = all_found and bool(np.abs(trace_moduli - expected_trace).max() <= tol)
-    return MuubCertification(
-        certified=certified,
-        reports=tuple(reports),
-        trace_moduli=trace_moduli,
-        expected_trace=expected_trace,
-    )
+    return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace)
 
 
 def zero_bound_witness(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
@@ -37,6 +37,7 @@ from .operators import (
     check_hs_orthogonal,
     literal_field,
     product_unitarity_tol,
+    unitarity_error,
     weyl_operators,
 )
 
@@ -62,23 +63,24 @@ def mes_overlap_table(r: np.ndarray, a: np.ndarray) -> np.ndarray:
 class OutcomeDistribution:
     """Probability vector over measurement outcomes.
 
-    Entries may carry numerical noise of at most 1e-12 outside [0, 1];
-    they are clamped on construction.  The total must be 1 within 1e-9.
+    Entries may carry numerical noise of at most 1e-12 + ``slack`` outside [0, 1];
+    they are clamped on construction.  The total must be 1 within 1e-9 + ``slack``,
+    where ``slack`` (0 unless given) is the error a computed vector may carry.
     """
 
     probs: np.ndarray
+    slack: InitVar[float] = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, slack: float) -> None:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("empty distribution")
         if not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite")
-        if p.min() < -1e-12 or p.max() > 1 + 1e-12:
-            raise ValueError(
-                f"probabilities outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
-            )
-        if abs(p.sum() - 1.0) > 1e-9:
+        excess = max(-p.min(), p.max() - 1.0)
+        if excess > 1e-12 + slack:
+            raise ValueError(f"probabilities outside [0, 1] by {excess:.3e}")
+        if abs(p.sum() - 1.0) > 1e-9 + slack:
             raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
         p = np.clip(p, 0.0, 1.0)
         p.flags.writeable = False
@@ -106,6 +108,11 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+    @property
+    def weight(self) -> float:
+        """<psi|psi>, which validation leaves 1 only within about 2 DEFAULT_TOL."""
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def to_literal(self) -> dict:
         return array_to_literal(self.amplitudes)
@@ -197,6 +204,11 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def weight(self) -> float:
+        """Tr rho, which validation leaves 1 only within DEFAULT_TOL."""
+        return float(np.trace(self.matrix).real)
 
     def to_literal(self) -> dict:
         return array_to_literal(self.matrix)
@@ -406,15 +418,18 @@ def bell_basis(d: int) -> MesMeasurement:
 def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
     """Outcome probabilities of tester ``t`` applied to the unitary ``u``.
 
-    Each measurement type holds its formula in ``probabilities``.  The tester and the
-    operator are already validated, so probabilities that fail the sum or range check
-    are a numerical failure: ``InvariantError``, not the ``ValueError`` of a bad vector.
+    Each measurement type holds its formula in ``probabilities``.  Their total,
+    <psi|U†U|psi> (Tr(rho U†U) for a POVM), leaves 1 by at most e w + |w - 1|, for
+    e = ``unitarity_error(u)`` and the input's weight w as validation left them, and
+    the checks allow that.  Probabilities that fail them anyway are a numerical
+    failure: ``InvariantError``, not the ``ValueError`` of a bad vector.
     """
     if t.dim != u.dim:
         raise ValueError(f"dimension mismatch: tester {t.dim} vs operator {u.dim}")
     p = t.measurement.probabilities(t.input, u)
+    w = t.input.weight
     try:
-        return OutcomeDistribution(p)
+        return OutcomeDistribution(p, unitarity_error(u) * w + abs(w - 1.0))
     except ValueError as exc:
         raise InvariantError(f"{t.kind} tester outcome {exc}") from exc
 

@@ -41,6 +41,22 @@ def test_distinguish_json_pair_at_the_validation_edge(run_cli, tmp_path):
         assert json.loads(out) == {"distinguishable": True}
 
 
+def test_entropy_and_game_accept_a_json_pair_at_the_validation_edge(run_cli, tmp_path):
+    # an outcome probability of (1 + 4.9e-10)^2 is within the operators' unitarity error
+    paths = []
+    for name, m in (("v", [[0, 1], [1, 0]]), ("w", [[1, 0], [0, -1]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(array_to_literal((1 + 4.9e-10) * np.array(m, dtype=complex))))
+        paths.append(str(path))
+    pair = ["--v", paths[0], "--w", paths[1], "--measurement", "computational", "--input", "e:0"]
+    code, out, err = run_cli(["entropy", *pair])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"pair_uncertainty_bits": 0.0, "h_v_bits": 0.0, "h_w_bits": 0.0}
+    code, out, err = run_cli(["game", *pair, "--trials", "1000"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["guess_success_rate"] == 1.0
+
+
 def test_distinguish_negative(run_cli):
     code, out, _ = run_cli(["distinguish", "--v", "identity", "--w", "omega-minus"])
     assert code == 0
@@ -270,12 +286,16 @@ def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch, tmp_path
         line,
     )
     assert used and int(used.group(1)) <= 60
-    # chirp-free qubit bases: each of the four pairs logs its flat-basis construction
+    # chirp-free qubit bases: each of the four pairs logs its flat-basis construction, and
+    # the certification logs its count of each method
     code, _, err = run_cli(MUUB_ARGV)
-    lines = err.splitlines()
+    *lines, summary = err.splitlines()
     assert code == 0 and len(lines) == 4
     assert all(line.endswith("row-construction, 0 evaluations from 0 starts, converged True")
                for line in lines)
+    assert summary == ("INFO MUUB certification: row-construction 4, zadoff-chu-order 0, "
+                       "spectral-transport 0, numerical-search 0, not-found 0; "
+                       "0 spectrum classes searched")
     # chirp d = 5 from JSON files: each of the 25 pairs is ordered as a Zadoff-Chu sequence
     clock = np.diag(np.exp(2j * np.pi * np.arange(5) / 5))
     chirp = np.diag(np.exp(1j * np.pi * np.arange(5) ** 2 * 6 / 5))
@@ -289,11 +309,14 @@ def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch, tmp_path
         specs.append(",".join(paths))
     code, out, err = run_cli(["muub-check", "--dim", "5", "--basis1", specs[0],
                               "--basis2", specs[1], "--budget", "500"])
-    lines = err.splitlines()
+    *lines, summary = err.splitlines()
     assert code == 0 and json.loads(out)["certified"] is True
     assert len(lines) == 25
     assert all(line == "INFO flat-basis search: zadoff-chu-order, 0 evaluations from 0 starts, "
                "converged True" for line in lines)
+    assert summary == ("INFO MUUB certification: row-construction 0, zadoff-chu-order 25, "
+                       "spectral-transport 0, numerical-search 0, not-found 0; "
+                       "0 spectrum classes searched")
 
 
 def test_game_reproducible_bytes(run_cli):
@@ -509,7 +532,8 @@ def test_numerical_failure_exits_1(run_cli, monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceError("iteration stalled")
 
-    monkeypatch.setattr(cli, "projective_bound", boom)
+    # inside the bound: the parser, built once per process, holds the bound function itself
+    monkeypatch.setattr(ProjectiveMeasurement, "overlaps", boom)
     code, out, err = run_cli(["bound", "--v", "identity", "--w", "pauli-x",
                               "--measurement", "computational"])
     assert code == 1

@@ -164,3 +164,5 @@ def test_psd_sqrt_rejects_bad_input():
         linalg.psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(ValueError, match="expected a matrix"):  # one matrix a call
+        linalg.psd_sqrt(np.stack([I2, I2]))

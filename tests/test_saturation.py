@@ -1,4 +1,5 @@
 import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,13 @@ from utp.operators import (
     UnitaryBasis,
     UnitaryOperator,
     clock_shift_pair,
+    dft_matrix,
     identity,
     is_muub,
     is_perfectly_distinguishable,
     omega,
     pauli,
+    weyl_operators,
 )
 from utp.saturation import (
     SWEEP_COLUMNS,
@@ -34,6 +37,7 @@ from utp.testers import (
     ProjectiveMeasurement,
     PureState,
     Tester,
+    MesMeasurement,
     computational_basis,
     outcome_distribution,
     trivial_tester,
@@ -519,8 +523,9 @@ def test_search_gradients_match_central_differences(monkeypatch):
         m, v, w = flat_instance(d, d)
         search_min_uncertainty(m, v, w, restarts=3)
         a = haar_matrix(d, rng)
-        saturation._find_flat_projective_basis(a, 1e-9, 10, 1, d)
-        saturation._find_flat_mes_operators(a, 1e-9, 10, 1, d)
+        kinds = saturation._projective_flatness(d), saturation._mes_flatness(weyl_operators(d))
+        for kind in kinds:
+            saturation._find_flat_unitary(a, kind, [], 1e-9, 10, 1, d)
     assert len(captured) == 6
     h = 1e-6
     for cost_grad, line, x in captured:
@@ -616,16 +621,13 @@ def test_certify_chirp_d5_by_search(monkeypatch):
     b1, b2 = _chirp_bases(5)
     logged = []
     monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
-
-    def same(b):
-        return b
-
+    search_only = saturation._projective_flatness(5)._replace(constructions=lambda *_: ())
     for m_idx, wm in enumerate(b2.elements):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
-            found = saturation._search_flat_unitary(
-                "flat-basis search", a, same, same, 0.2, 1e-9, 500, 20, 7919 * m_idx + n_idx
+            found = saturation._find_flat_unitary(
+                a, search_only, [], 1e-9, 500, 20, 7919 * m_idx + n_idx
             )
             assert found is not None and found.method == "numerical-search"
             assert 0 < found.evaluations <= 500
@@ -658,6 +660,7 @@ def test_zadoff_chu_order_at_d32():
     # A search of budget 1 cannot flatten a d = 32 pair, so each must be constructed
     rng = np.random.default_rng(32)
     d = 32
+    projective = saturation._projective_flatness(d)
     clock = clock_shift_pair(d)[0].matrix
     j = np.arange(d)
     for _ in range(8):
@@ -667,7 +670,7 @@ def test_zadoff_chu_order_at_d32():
             np.linalg.matrix_power(clock, k)
         )
         a = (u * diagonal) @ u.conj().T
-        found = saturation._find_flat_projective_basis(a, 1e-9, 1, 1, 0)
+        found = saturation._find_flat_unitary(a, projective, [], 1e-9, 1, 1, 0)
         assert found is not None and found.method == "zadoff-chu-order" and found.evaluations == 0
         x = found.matrix
         assert np.abs(x.conj().T @ x - np.eye(d)).max() <= 1e-9
@@ -699,6 +702,18 @@ def _clock_vs_shift_d3():
     )
 
 
+def _haar_pauli_evensign(u: np.ndarray):
+    """The Pauli and even-sign qubit bases, both conjugated by ``u``: still MUUB."""
+    sx, sy, sz = (pauli(c).matrix for c in "XYZ")
+    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    even = [(np.eye(2) + 1j * (a * sx + b * sy + c * sz)) / 2 for a, b, c in signs]
+    paulis = [pauli(c).matrix for c in "IXYZ"]
+    return tuple(
+        UnitaryBasis(tuple(UnitaryOperator(u @ m @ u.conj().T) for m in ms))
+        for ms in (paulis, even)
+    )
+
+
 def test_certify_searches_each_spectrum_class_once():
     # the 8 non-identity pairs of clock against shift share one spectrum up to phase, which
     # is not Zadoff-Chu: one search, and 7 transports of its basis
@@ -714,44 +729,109 @@ def test_certify_searches_each_spectrum_class_once():
         assert r.achieved.value == pytest.approx(np.log2(3), abs=1e-6)
 
 
+def test_certification_logs_its_methods_once(caplog, monkeypatch):
+    # one INFO line per certification, after the per-pair lines: the count of each method,
+    # identity pairs as not-found, and the spectrum classes its searches found
+    monkeypatch.setattr(logging.getLogger("utp"), "propagate", True)  # the CLI turns it off
+    caplog.set_level(logging.INFO, logger="utp.saturation")
+    muub_certify_by_saturation(*_clock_vs_shift_d3(), budget=500, seed=0)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 9 and all(r.levelno == logging.INFO for r in caplog.records)
+    assert lines[-1] == ("MUUB certification: row-construction 0, zadoff-chu-order 0, "
+                         "spectral-transport 7, numerical-search 1, not-found 1; "
+                         "1 spectrum classes searched")
+
+
 def test_corrupt_spectrum_class_falls_back_to_search(monkeypatch):
-    # a stored basis that no longer flattens its class: every candidate it yields fails the
-    # flatness check, so each pair searches, and no report rests on an unflat basis
-    spin = haar_matrix(3, np.random.default_rng(1))
+    # a stored basis or rotation that no longer flattens its class: every candidate it yields
+    # fails the flatness check, so each pair searches, and no report rests on an unflat one
+    spins = {d: haar_matrix(d, np.random.default_rng(1)) for d in (2, 3)}
     spectrum_class = saturation._SpectrumClass
-    monkeypatch.setattr(saturation, "_SpectrumClass", lambda lam, y: spectrum_class(lam, y @ spin))
+    monkeypatch.setattr(
+        saturation, "_SpectrumClass", lambda lam, y: spectrum_class(lam, y @ spins[lam.size])
+    )
     b1, b2 = _clock_vs_shift_d3()
     cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
     assert not cert.certified and cert.reports[0][0] is None
     assert sum(r is not None for row in cert.reports for r in row) == 8
-    for m_idx, row in enumerate(cert.reports):
-        for n_idx, r in enumerate(row):
-            if r is None:
-                continue
-            assert r.method == "numerical-search" and r.evaluations > 0
-            a = b2.elements[m_idx].matrix @ b1.elements[n_idx].matrix.conj().T
-            assert np.abs(r.tester.measurement.overlaps(a) - 1 / 3).max() <= 1e-9
+    # full space: a rotation of the Weyl operators carried over by a corrupt class fails too
+    full = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
+    full_cert = muub_certify_by_saturation(*full, seed=3)
+    assert full_cert.certified
+    for (p, q), c, level in (((b1, b2), cert, 1 / 3), (full, full_cert, 1 / 4)):
+        for m_idx, row in enumerate(c.reports):
+            for n_idx, r in enumerate(row):
+                if r is None:
+                    continue
+                assert r.method == "numerical-search" and r.evaluations > 0
+                a = q.elements[m_idx].matrix @ p.elements[n_idx].matrix.conj().T
+                assert np.abs(r.tester.measurement.overlaps(a) - level).max() <= 1e-9
 
 
-def test_certify_full_space_muub_by_search():
-    # conjugating both bases by one Haar unitary keeps them MUUB, but the Weyl
-    # operators are no longer flat for any pair: the MES search must find the rotation
-    u = haar_matrix(2, np.random.default_rng(11))
-    sx, sy, sz = (pauli(c).matrix for c in "XYZ")
-    signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    even = [(np.eye(2) + 1j * (a * sx + b * sy + c * sz)) / 2 for a, b, c in signs]
-    paulis = [pauli(c).matrix for c in "IXYZ"]
-    b1, b2 = (
-        UnitaryBasis(tuple(UnitaryOperator(u @ m @ u.conj().T) for m in ms))
-        for ms in (paulis, even)
-    )
+def test_certify_full_space_muub_by_search(monkeypatch):
+    # conjugating both bases by one Haar unitary keeps them MUUB, but the Weyl operators are
+    # no longer flat for any pair.  All 16 pairs share one spectrum class, so certification
+    # searches once and transports the rotation it finds to the other 15 pairs
+    b1, b2 = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
     cert = muub_certify_by_saturation(b1, b2, seed=3)
     assert cert.certified
-    for row in cert.reports:
-        for report in row:
-            assert report.method == "numerical-search" and report.evaluations > 0
-            assert report.tester.kind == "mes"
-            assert report.achieved.value == pytest.approx(2.0, abs=1e-6)
+    reports = [r for row in cert.reports for r in row]
+    assert [r.method for r in reports].count("numerical-search") == 1
+    assert [r.method for r in reports].count("spectral-transport") == 15
+    for report in reports:
+        assert (report.evaluations > 0) == (report.method == "numerical-search")
+        assert report.tester.kind == "mes"
+        assert report.achieved.value == pytest.approx(2.0, abs=1e-6)
+    # the MES search keeps its coverage on the same 16 pairs, with certification's seeds
+    logged = []
+    monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
+    weyl = weyl_operators(2)
+    search_only = saturation._mes_flatness(weyl)._replace(constructions=lambda *_: ())
+    for m_idx, wm in enumerate(b2.elements):
+        for n_idx, vn in enumerate(b1.elements):
+            a = wm.matrix @ vn.matrix.conj().T
+            logged.clear()
+            found = saturation._find_flat_unitary(
+                a, search_only, [], 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
+            )
+            assert found is not None and found.method == "numerical-search"
+            assert found.evaluations > 0
+            ((_, method, evaluations, _, converged),) = logged
+            assert (method, evaluations, converged) == ("numerical-search", found.evaluations, True)
+            x = found.matrix
+            measurement = MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / np.sqrt(2))
+            assert np.abs(measurement.overlaps(a) - 1 / 4).max() <= 1e-9
+            assert pair_uncertainty(Tester.mes(measurement), vn, wm).value == pytest.approx(
+                2.0, abs=1e-6
+            )
+
+
+def _haar_weyl_against_dft_weyl(d: int):
+    """The Weyl operators against F N_k (F the DFT), both conjugated by one seeded Haar unitary."""
+    u = haar_matrix(d, np.random.default_rng(5))
+    weyl = weyl_operators(d)
+    sides = weyl, dft_matrix(d) @ weyl
+    return tuple(
+        UnitaryBasis(tuple(UnitaryOperator(u @ m @ u.conj().T) for m in side)) for side in sides
+    )
+
+
+@pytest.mark.parametrize("budget", [500, 5000])
+def test_certify_haar_full_space_d3_by_one_search(budget):
+    # all 81 pairs share one spectrum class: one search, and 80 transports of its rotation.
+    # Searched pair by pair, about 40 % of them were found, and the bases were not certified
+    b1, b2 = _haar_weyl_against_dft_weyl(3)
+    assert is_muub(b1, b2)[0]
+    cert = muub_certify_by_saturation(b1, b2, budget=budget, seed=0)
+    assert cert.certified
+    reports = [r for row in cert.reports for r in row]
+    methods = [r.method for r in reports]
+    assert {m: methods.count(m) for m in set(methods)} == {
+        "numerical-search": 1, "spectral-transport": 80
+    }
+    for r in reports:
+        assert r.tester.kind == "mes"
+        assert r.achieved.value == pytest.approx(2 * np.log2(3), abs=1e-6)
 
 
 def test_certify_rejects_identical_bases():
@@ -775,10 +855,10 @@ def test_flat_basis_search_fallback():
     # eigenvalue gap 2*pi/3: no permuted-DFT candidate is flat, yet a flat
     # basis exists (any gap in [pi/2, 3pi/2] admits one), so this exercises
     # the budgeted numerical search
-    from utp.saturation import _find_flat_projective_basis
-
     a = np.diag([1.0, np.exp(2j * np.pi / 3)]).astype(complex)
-    found = _find_flat_projective_basis(a, tol=1e-9, budget=5000, restarts=20, seed=0)
+    found = saturation._find_flat_unitary(
+        a, saturation._projective_flatness(2), [], tol=1e-9, budget=5000, restarts=20, seed=0
+    )
     assert found is not None
     x = found.matrix
     assert found.method == "numerical-search"
@@ -788,10 +868,10 @@ def test_flat_basis_search_fallback():
 def test_flat_basis_impossible_for_small_gap():
     # eigenvalue gap pi/3 < pi/2: no basis can flatten the overlaps, and the
     # search must honestly report not-found within its budget
-    from utp.saturation import _find_flat_projective_basis
-
     a = np.diag([1.0, np.exp(1j * np.pi / 3)]).astype(complex)
-    found = _find_flat_projective_basis(a, tol=1e-9, budget=2000, restarts=8, seed=0)
+    found = saturation._find_flat_unitary(
+        a, saturation._projective_flatness(2), [], tol=1e-9, budget=2000, restarts=8, seed=0
+    )
     assert found is None
 
 
@@ -888,6 +968,8 @@ def test_deciders_accept_pairs_at_the_validation_edge():
         found, tester, _ = zero_bound_witness(x, z, tol)
         chi = tester.input.amplitudes
         assert found and abs(np.vdot(x.matrix @ chi, z.matrix @ chi)) <= 1e-8
+        # an outcome probability is 1 + 9.8e-10 here, within the operators' unitarity error
+        assert pair_uncertainty(tester, x, z).value <= 1e-8
     # seeded Haar pairs moved off the unitary group by up to the validation tolerance
     rng = np.random.default_rng(77)
     for d in (2, 8, 32):

@@ -266,7 +266,25 @@ def test_trivial_tester_at_the_validation_edge():
     z = UnitaryOperator((1 + 4.9e-10) * pauli("Z").matrix)
     assert np.abs((z.matrix @ x.matrix.conj().T).conj().T @ z.matrix @ x.matrix.conj().T
                   - np.eye(2)).max() > 1.9e-9
-    assert is_trivial_measurement(trivial_tester(x, z).measurement, x, z)
+    tester = trivial_tester(x, z)
+    assert is_trivial_measurement(tester.measurement, x, z)
+    # each operator sends the input onto one outcome, of probability 1 + 9.8e-10
+    for u in (x, z):
+        p = outcome_distribution(tester, u).probs
+        assert sorted(p) == [0.0, 1.0]
+
+
+def test_outcome_range_allows_only_the_unitarity_error_it_is_given():
+    # a vector from outside keeps the 1e-12 allowance, and the message gives the excess
+    with pytest.raises(ValueError, match=r"outside \[0, 1\] by 2\.000e-12"):
+        OutcomeDistribution(np.array([1 + 2e-12, 0.0]))
+    with pytest.raises(ValueError, match=r"outside \[0, 1\] by 3\.000e-11"):
+        OutcomeDistribution(np.array([1.0 + 1e-11, -3e-11]))
+    assert list(OutcomeDistribution(np.array([1 + 2e-12, 0.0]), 1e-11).probs) == [1.0, 0.0]
+    with pytest.raises(ValueError, match="outside"):
+        OutcomeDistribution(np.array([1 + 2e-11, 0.0]), 1e-11)
+    with pytest.raises(ValueError, match="sum"):
+        OutcomeDistribution(np.array([0.5 + 2e-9, 0.5 + 2e-9]), 1e-9)
 
 
 def test_is_trivial_measurement_cases():
