@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class UnitaryOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def unitarity_error(self) -> float:
+        """|U†U - I| (spectral norm, bounded by Frobenius); validation allows ~d DEFAULT_TOL."""
+        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
 
     def to_literal(self) -> dict:
         return array_to_literal(self.matrix)
@@ -270,21 +276,16 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
-def unitarity_error(u: UnitaryOperator) -> float:
-    """|U†U - I| (spectral norm, bounded by Frobenius); validation allows ~d DEFAULT_TOL."""
-    return float(np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(u.dim)))
-
-
 def product_unitarity_tol(
     v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
 ) -> float:
     """The tolerance within which to check that v†w or w v† is unitary.
 
     With factors unitary within DEFAULT_TOL, either product is unitary only within
-    e_v + e_w + e_v e_w, e = ``unitarity_error``; this allows that on top of
-    max(tol, DEFAULT_TOL) for rounding.
+    e_v + e_w + e_v e_w, e = ``UnitaryOperator.unitarity_error``; this allows that
+    on top of max(tol, DEFAULT_TOL) for rounding.
     """
-    ev, ew = unitarity_error(v), unitarity_error(w)
+    ev, ew = v.unitarity_error, w.unitarity_error
     return max(tol, DEFAULT_TOL) + ev + ew + ev * ew
 
 

@@ -37,7 +37,6 @@ from .operators import (
     check_hs_orthogonal,
     literal_field,
     product_unitarity_tol,
-    unitarity_error,
     weyl_operators,
 )
 
@@ -420,7 +419,7 @@ def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
 
     Each measurement type holds its formula in ``probabilities``.  Their total,
     <psi|U†U|psi> (Tr(rho U†U) for a POVM), leaves 1 by at most e w + |w - 1|, for
-    e = ``unitarity_error(u)`` and the input's weight w as validation left them, and
+    e = ``u.unitarity_error`` and the input's weight w as validation left them, and
     the checks allow that.  Probabilities that fail them anyway are a numerical
     failure: ``InvariantError``, not the ``ValueError`` of a bad vector.
     """
@@ -429,7 +428,7 @@ def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
     p = t.measurement.probabilities(t.input, u)
     w = t.input.weight
     try:
-        return OutcomeDistribution(p, unitarity_error(u) * w + abs(w - 1.0))
+        return OutcomeDistribution(p, u.unitarity_error * w + abs(w - 1.0))
     except ValueError as exc:
         raise InvariantError(f"{t.kind} tester outcome {exc}") from exc
 

@@ -829,7 +829,11 @@ def test_certify_haar_full_space_d3_by_one_search(budget):
     assert {m: methods.count(m) for m in set(methods)} == {
         "numerical-search": 1, "spectral-transport": 80
     }
+    # the searches of the pairs before the one found missed; the second pass carried its class
+    # back to them, with no evaluations
+    assert methods.index("numerical-search") > 0
     for r in reports:
+        assert (r.evaluations > 0) == (r.method == "numerical-search")
         assert r.tester.kind == "mes"
         assert r.achieved.value == pytest.approx(2 * np.log2(3), abs=1e-6)
 
