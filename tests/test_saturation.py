@@ -34,10 +34,10 @@ from utp.saturation import (
     zero_bound_witness,
 )
 from utp.testers import (
+    MesMeasurement,
     ProjectiveMeasurement,
     PureState,
     Tester,
-    MesMeasurement,
     computational_basis,
     outcome_distribution,
     trivial_tester,
