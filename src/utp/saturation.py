@@ -19,8 +19,9 @@ operator pairs used as worked examples, cross-checked at every grid
 point against dense matrix products.
 
 Every search is one numpy routine, ``_descend``: Riemannian Polak-Ribiere+
-conjugate gradients with Armijo backtracking and closed-form gradients (Absil,
-Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008; on
+conjugate gradients with closed-form gradients and Armijo backtracking by
+quadratic interpolation (Absil, Mahony & Sepulchre, *Optimization Algorithms on
+Matrix Manifolds*, 2008; Nocedal & Wright, *Numerical Optimization*, §3.5; on
 U(d) after Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008).  A search's
 budget counts objective values, and its report says how many it used and
 whether the budget, rather than its stopping rule, ended it.
@@ -420,7 +421,7 @@ def saturating_tester_by_construction(
 
 
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the directional derivative
-MAX_HALVINGS = 30  # backtracking halvings before a start counts as stationary
+MAX_BACKTRACKS = 30  # trial points of one line search before a start counts as stationary
 GRADIENT_TOL = 1e-10  # a start whose gradient norm falls below this has converged
 STALL_DECREASE = 1e-14  # a start whose step lowers f by less than this fraction has stalled
 BOUND_REACHED = 1e-14  # nats above the bound at which an input search stops
@@ -446,7 +447,10 @@ def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: flo
     """Riemannian Polak-Ribiere+ conjugate gradients with Armijo backtracking.
 
     ``x`` holds one start per leading index, and every start moves at once;
-    it is updated in place.
+    it is updated in place.  A trial step t that fails Armijo is replaced by
+    the minimiser of the quadratic through f(0), the slope and f(t), kept in
+    [t/10, t/2]; the next first trial repeats the last decrease on the new
+    slope, at most 4x the step just accepted.
     ``cost_grad(x)`` gives the objective of each start and its gradient, in a
     representation where Re<g, eta> is the derivative along the curve
     ``line(x, eta)(t, rows)``; ``transport(x, eta)`` carries a direction to
@@ -473,20 +477,21 @@ def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: flo
         x_new, f_new, g_new = x[rows], f[rows], g[rows]
         accepted = np.zeros(rows.size, dtype=bool)
         pending = np.arange(rows.size)
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_BACKTRACKS):
             if used + pending.size > budget:
                 return _Descent(x, f, used, False)
             xt = at(t[pending], pending)
             ft, gt = cost_grad(xt)
             used += pending.size
-            ok = ft <= f_new[pending] + ARMIJO_SLOPE * t[pending] * slope[pending]
+            tp, sp, f0 = t[pending], slope[pending], f_new[pending]
+            ok = ft <= f0 + ARMIJO_SLOPE * tp * sp
             done = pending[ok]
             accepted[done] = True
             x_new[done], f_new[done], g_new[done] = xt[ok], ft[ok], gt[ok]
-            pending = pending[~ok]
+            pending, tp, sp, excess = pending[~ok], tp[~ok], sp[~ok], (ft - f0 - tp * sp)[~ok]
             if pending.size == 0:
                 break
-            t[pending] *= 0.5
+            t[pending] = np.clip(-sp * tp * tp / (2.0 * excess), 0.1 * tp, 0.5 * tp)
         # a start that found no decrease is stationary to working precision
         active[rows[~accepted]] = False
         moved = rows[accepted]
@@ -498,8 +503,9 @@ def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: flo
         uphill = _inner(g_new, eta_new) >= 0
         eta_new[uphill] = -g_new[uphill]
         decrease = f[moved] - f_new
-        # next first trial: the step that repeats this decrease on the new slope
-        step[moved] = 2.0 * decrease / np.maximum(-_inner(g_new, eta_new), 1e-300)
+        # next first trial: the step that repeats this decrease on the new slope, at most 4x this one
+        repeat = 2.0 * decrease / np.maximum(-_inner(g_new, eta_new), 1e-300)
+        step[moved] = np.minimum(repeat, 4.0 * t[accepted])
         gg[moved] = _inner(g_new, g_new)
         active[moved] = (np.sqrt(gg[moved]) > GRADIENT_TOL) & (
             decrease > STALL_DECREASE * np.abs(f[moved])
@@ -722,8 +728,9 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         return np.einsum("ikl,...jkl->...ij", weyl.conj(), b[..., None, :, :] @ weyl) / d
 
     def adjoint(g: np.ndarray) -> np.ndarray:
-        """K = (1/d) sum_ij G_ij N_i N_j†: Re Tr(K† db) = Re sum conj(G_ij) dT_ij."""
-        return np.einsum("...ij,iab,jcb->...ac", g, weyl, weyl.conj()) / d
+        """K = (1/d) sum_i N_i H_i, H_i = sum_j G_ij N_j†: Re Tr(K† db) = Re sum conj(G_ij) dT_ij."""
+        h = np.einsum("...ij,jcb->...ibc", g, weyl.conj())
+        return np.einsum("iab,...ibc->...ac", weyl, h) / d
 
     identity_rotation = [(np.eye(d, dtype=complex), "row-construction")]
     return _Flatness("MES search", table, adjoint, 1.0 / (d * d), lambda *_: identity_rotation)

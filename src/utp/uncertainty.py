@@ -167,7 +167,9 @@ def povm_bound(
     right = np.moveaxis(v.matrix @ w.matrix.conj().T @ f, 0, 1).reshape(m.dim, n * r)
     # one row block of Phi† (v w†) Phi, Phi = [F_1 ... F_n], at a time: O(n r^2) memory
     blocks = ((fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f)
-    norms = np.array([np.linalg.norm(b, ord=2, axis=(-2, -1)) for b in blocks])
+    # a 1 x 1 block's norm is its modulus; norm(ord=2) would run one SVD per block
+    norms = np.array([np.abs(b[:, 0, 0]) if r == 1 else np.linalg.norm(b, ord=2, axis=(-2, -1))
+                      for b in blocks])
     return EntropicBound.from_overlaps(norms, base, power=2.0)
 
 

@@ -30,22 +30,24 @@ NUMPY_ONLY = [
     ["sweep", "--pair", "i-omega", "--grid", "5"],
 ]
 
-# (argv, stdout, achieved_bits of the Nelder-Mead search this replaced on the same input):
-# the gradient searches run on numpy alone and must do no worse
+# (argv, stdout, achieved_bits of the Nelder-Mead search this replaced on the same input,
+# achieved_bits of the halving line search that interpolating backtracking replaced): the
+# gradient searches run on numpy alone and must do no worse than either
 SEARCHES = [
     (["search", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/5,0.3",
       "--budget", "300", "--restarts", "3", "--seed", "2"],
-     '{"achieved_bits": 0.9943914987464941, "bound_bits": 0.890314882109364, '
-     '"gap_bits": 0.10407661663713008, "trivial": false, "method": "numerical-search", '
-     '"input_re": [0.17338229193653543, -0.46874003233951894], '
-     '"input_im": [-0.5526703396514663, 0.6669159306799575]}\n', 0.9943914987465556),
+     '{"achieved_bits": 0.9943914987464947, "bound_bits": 0.890314882109364, '
+     '"gap_bits": 0.10407661663713064, "trivial": false, "method": "numerical-search", '
+     '"input_re": [0.1735468313202721, -0.468938565695617], '
+     '"input_im": [-0.5526186989543074, 0.6667763436926052]}\n', 0.9943914987465556,
+     0.9943914987464941),
     (["search", "--v", "clock", "--w", "shift", "--dim", "3", "--measurement", "computational",
       "--budget", "400", "--restarts", "4", "--seed", "7"],
      '{"achieved_bits": 0.0, "bound_bits": 0.0, "gap_bits": 0.0, "trivial": false, '
      '"method": "numerical-search", '
-     '"input_re": [-1.877871446955256e-11, 0.30569987880666005, 1.5959648798691698e-09], '
-     '"input_im": [-1.6091835766035964e-09, -0.952127924229509, 1.7029697013368685e-10]}\n',
-     2.436281459276131e-08),
+     '"input_re": [-8.616857547951945e-12, 0.30569987880666016, 7.351056257069767e-10], '
+     '"input_im": [-7.383941672625002e-10, -0.9521279242295089, 7.843916365213468e-11]}\n',
+     2.436281459276131e-08, 0.0),
 ]
 
 # (argv, stdout) of muub-check, run last: both need an eigenbasis and still load no scipy
@@ -92,7 +94,7 @@ def _run_in_order(argvs):
 
 
 def test_no_subcommand_loads_scipy():
-    argvs = NUMPY_ONLY + [argv for argv, _, _ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
+    argvs = NUMPY_ONLY + [argv for argv, *_ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
     imported, *rest = _run_in_order(argvs)
     assert imported[2] == []
     for argv, (code, out, scipy) in zip(argvs, rest):
@@ -100,9 +102,10 @@ def test_no_subcommand_loads_scipy():
         assert scipy == [], f"{argv[0]} loaded {scipy[:3]}"
 
     searched = rest[len(NUMPY_ONLY) : len(NUMPY_ONLY) + len(SEARCHES)]
-    for (argv, golden, nelder_mead_bits), (_, out, _) in zip(SEARCHES, searched):
+    for (argv, golden, nelder_mead_bits, halving_bits), (_, out, _) in zip(SEARCHES, searched):
         assert out == golden, argv
         assert json.loads(out)["achieved_bits"] <= nelder_mead_bits + 1e-12, argv
+        assert json.loads(out)["achieved_bits"] <= halving_bits + 1e-12, argv
 
     certified = rest[len(NUMPY_ONLY) + len(SEARCHES) :]
     for (argv, golden), (_, out, _) in zip(CERTIFICATIONS, certified):
@@ -134,7 +137,7 @@ def test_parser_is_built_once_per_process_and_not_at_import(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    calls = NUMPY_ONLY + [argv for argv, _, _ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
+    calls = NUMPY_ONLY + [argv for argv, *_ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
     calls = (calls * 2)[:20]
     assert len(calls) == 20 and len({argv[0] for argv in calls}) == 9
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)

@@ -467,6 +467,21 @@ def test_search_reports_its_budget():
     assert saturating_tester_by_construction(m, v, w).evaluations == 0
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_search_backtracks_by_interpolation(d):
+    # the quadratic-interpolation backtrack saturates in a median of ~300-510 objective
+    # values here; halving the trial step took ~630-870
+    evaluations = []
+    for seed in range(10):
+        m, v, w = flat_instance(d, seed)
+        report = search_min_uncertainty(m, v, w, seed=seed)
+        constructed = saturating_tester_by_construction(m, v, w)
+        assert report.converged
+        assert report.achieved.value == pytest.approx(constructed.achieved.value, abs=1e-6)
+        evaluations.append(report.evaluations)
+    assert np.median(evaluations) <= 600
+
+
 def test_search_draws_no_more_starts_than_its_budget():
     # 10^6 complex starts at d = 2 would take 32 MB; the budget admits 50 of them
     m, v, w = flat_instance(2, 0)
@@ -537,6 +552,18 @@ def test_search_gradients_match_central_differences(monkeypatch):
         step = np.full(rows.size, h)
         central = (cost_grad(at(step, rows))[0] - cost_grad(at(-step, rows))[0]) / (2 * h)
         assert np.allclose(central, saturation._inner(g, eta), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mes_adjoint_is_the_adjoint_of_the_table(d):
+    # Re Tr(K(G)† b) = Re sum conj(G_ij) T(b)_ij for a stack of G and b, to rounding
+    rng = np.random.default_rng(30 + d)
+    kind = saturation._mes_flatness(weyl_operators(d))
+    g = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+    b = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    left = (kind.adjoint(g).conj() * b).real.sum(axis=(-2, -1))
+    right = (g.conj() * kind.table(b)).real.sum(axis=(-2, -1))
+    assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
 
 
 def test_search_beats_dense_grid_oracle():

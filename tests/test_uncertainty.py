@@ -372,6 +372,17 @@ def test_stacked_povm_and_outcomes_match_per_element_loops(d, frame):
             assert np.array_equal(outcome_distribution(t, u).probs, np.clip(want_p, 0.0, 1.0))
 
 
+def test_rank1_povm_bound_takes_the_moduli_of_its_blocks(monkeypatch):
+    # at rank 1 each block is 1 x 1: its norm is its modulus, and no batched SVD norm is run
+    rng = np.random.default_rng(64)
+    x = frame_vectors(8, 64, rng)
+    v, w = UnitaryOperator(haar_matrix(8, rng)), UnitaryOperator(haar_matrix(8, rng))
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: pytest.fail("norm called at rank 1"))
+    b = povm_bound(rank1_povm(x), v, w)
+    top = np.abs(x.conj().T @ v.matrix @ w.matrix.conj().T @ x).max()
+    assert abs(b.value - (-2 * math.log2(top))) <= 1e-12
+
+
 def test_povm_bound_memory_is_one_row_at_a_time():
     # 64 full-rank elements at d = 8: the whole (nd)^2 table of blocks would take 4 MB
     rng = np.random.default_rng(8)
