@@ -528,8 +528,8 @@ def test_search_gradients_match_central_differences(monkeypatch):
 
     captured = []
 
-    def capture(cost_grad, line, transport, x, budget, target):
-        captured.append((cost_grad, line, x.copy()))
+    def capture(cost_grad, line, transport, x, budget, target, interpolate):
+        captured.append((cost_grad, line, x.copy(), interpolate))
         return saturation._Descent(x, np.zeros(x.shape[0]), 0, True)
 
     monkeypatch.setattr(saturation, "_descend", capture)
@@ -541,9 +541,10 @@ def test_search_gradients_match_central_differences(monkeypatch):
         kinds = saturation._projective_flatness(d), saturation._mes_flatness(weyl_operators(d))
         for kind in kinds:
             saturation._find_flat_unitary(a, kind, [], 1e-9, 10, 1, d)
-    assert len(captured) == 6
+    # the input search backtracks by interpolation; the flat-unitary searches halve
+    assert [c[3] for c in captured] == [True, False, False] * 2
     h = 1e-6
-    for cost_grad, line, x in captured:
+    for cost_grad, line, x, _ in captured:
         _, g = cost_grad(x)
         eta = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         if x.ndim == 3:  # directions on U(d) are skew-Hermitian generators
@@ -552,18 +553,14 @@ def test_search_gradients_match_central_differences(monkeypatch):
         step = np.full(rows.size, h)
         central = (cost_grad(at(step, rows))[0] - cost_grad(at(-step, rows))[0]) / (2 * h)
         assert np.allclose(central, saturation._inner(g, eta), rtol=1e-6, atol=1e-8)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_mes_adjoint_is_the_adjoint_of_the_table(d):
-    # Re Tr(K(G)† b) = Re sum conj(G_ij) T(b)_ij for a stack of G and b, to rounding
-    rng = np.random.default_rng(30 + d)
-    kind = saturation._mes_flatness(weyl_operators(d))
-    g = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
-    b = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-    left = (kind.adjoint(g).conj() * b).real.sum(axis=(-2, -1))
-    right = (g.conj() * kind.table(b)).real.sum(axis=(-2, -1))
-    assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
+    # the MES gradient's adjoint, to rounding: Re Tr(K(G)† b) = Re sum conj(G_ij) T(b)_ij
+    for d in (2, 3, 5):
+        kind = saturation._mes_flatness(weyl_operators(d))
+        g = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+        b = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        left = (kind.adjoint(g).conj() * b).real.sum(axis=(-2, -1))
+        right = (g.conj() * kind.table(b)).real.sum(axis=(-2, -1))
+        assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
 
 
 def test_search_beats_dense_grid_oracle():
