@@ -99,6 +99,8 @@ def _load_json_file(path: str) -> dict:
 
 def resolve_operator(spec: str, dim: int) -> UnitaryOperator:
     """Named operator from the registry, or a matrix literal from a JSON file."""
+    if dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {dim}")
     name = spec.lower()
     if name in OPERATOR_NAMES:
         if dim != 2 and name.startswith(("pauli-", "omega-")):

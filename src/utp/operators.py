@@ -23,6 +23,10 @@ from .linalg import (
     validate_tol,
 )
 
+# check_hs_orthogonal seeks support blocks past this many products in its dense table:
+# the Bell stacks from d = 16 on, where blocks win, and none up to d = 12, where they lose
+HS_BLOCK_MIN_PRODUCT = 10**7
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -39,8 +43,8 @@ class UnitaryOperator:
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"unitary operator must be square, got {m.shape}")
+        if m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"unitary operator must be square of dimension >= 1, got {m.shape}")
         if not is_unitary(m, DEFAULT_TOL):
             dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
             raise ValueError(f"matrix is not unitary: |U†U - I| = {dev:.3e}")
@@ -182,11 +186,35 @@ def hs_moduli(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.abs(p.reshape(len(p), -1).conj() @ q.reshape(len(q), -1).T)
 
 
-def check_hs_orthogonal(p: np.ndarray, norm: float, what: str) -> None:
-    """Refuse the stack ``p`` unless |Tr(P_i† P_j)| = norm·δ_ij within DEFAULT_TOL."""
-    dev = np.abs(hs_moduli(p, p) - norm * np.eye(len(p))).max()
+def check_hs_orthogonal(p: np.ndarray, norm: float, what: str) -> float:
+    """Refuse ``p`` unless |Tr(P_i† P_j)| = norm·δ_ij within DEFAULT_TOL; returns the deviation.
+
+    Past HS_BLOCK_MIN_PRODUCT products (n^2 m for n rows of m entries), the rows are
+    grouped into support blocks by nonzero pattern, NaN and Inf counting as nonzero.  If
+    no two patterns share a column, as with the Weyl operators, every product across
+    blocks is an exact zero, and one product per block over its own columns suffices.
+    """
+    a = p.reshape(len(p), -1)
+    blocks = _support_blocks(a) if len(a) * a.size > HS_BLOCK_MIN_PRODUCT else None
+    if blocks is None:
+        dev = np.abs(hs_moduli(a, a) - norm * np.eye(len(a))).max()
+    else:  # np.max, not max(): a NaN block deviation must refuse the stack, not be skipped
+        dev = np.max([np.abs(hs_moduli(b, b) - norm * np.eye(len(b))).max() for b in blocks])
     if not dev <= DEFAULT_TOL:
         raise ValueError(f"{what}: |Tr(P_i† P_j)| is {dev:.3e} off {norm:g}·δ_ij")
+    return float(dev)
+
+
+def _support_blocks(a: np.ndarray) -> list[np.ndarray] | None:
+    """Rows of ``a`` grouped by nonzero pattern, on its columns; None if all nonzero or overlapping."""
+    support = a != 0
+    groups: dict[bytes, list[int]] = {}
+    for i, key in enumerate(np.packbits(support, axis=1)):  # np.unique(axis=0) is far slower
+        groups.setdefault(key.tobytes(), []).append(i)
+    masks = support[[rows[0] for rows in groups.values()]]
+    if support.all() or (masks.sum(axis=0) > 1).any():
+        return None
+    return [a[np.ix_(rows, np.flatnonzero(mask))] for rows, mask in zip(groups.values(), masks)]
 
 
 def hs_table(b1: UnitaryBasis, b2: UnitaryBasis) -> np.ndarray:
@@ -343,6 +371,8 @@ def array_from_literal(data, ndim: int) -> np.ndarray:
         a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {what} literal: {exc}") from exc
+    if d < 1:
+        raise ValueError(f"malformed {what} literal: dim must be >= 1, got {d}")
     if ndim == 1:
         return as_complex_vector(a, dim=d)
     return as_complex_matrix(a, rows=d, cols=d)

@@ -280,6 +280,8 @@ class MesMeasurement:
 
     ``elements`` is one read-only (d^2, d, d) array: R_i, the row-major reshape of the
     basis state |nu_i> = sqrt(d) (R_i (x) I) |Phi>.  Each sqrt(d) R_i must be unitary.
+    A read-only complex128 stack is owned as is: whoever made it read-only hands it over
+    and must not write it through another view.  Any other stack is copied.
     """
 
     kind: ClassVar[str] = "mes"
@@ -287,7 +289,10 @@ class MesMeasurement:
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.array(self.elements, dtype=complex)
+        r = self.elements
+        if not (isinstance(r, np.ndarray) and r.dtype == np.complex128 and not r.flags.writeable):
+            r = np.array(r, dtype=complex)
+            r.flags.writeable = False
         d = r.shape[-1] if r.ndim == 3 else 0
         if r.shape != (d * d, d, d) or d < 2:
             raise ValueError("MES measurement needs a (d^2, d, d) stack, d >= 2")
@@ -297,7 +302,6 @@ class MesMeasurement:
         g -= np.eye(d)
         if np.abs(g).max() > MES_RESHAPE_TOL:
             raise ValueError("MES basis element is not maximally entangled")
-        r.flags.writeable = False
         object.__setattr__(self, "elements", r)
 
     @property

@@ -139,7 +139,8 @@ def mes_bound(
     d = m.local_dim
     r = m.elements
     # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail
-    weyl = np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and np.array_equal(r, bell_elements(d))
+    weyl = np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and (
+        r is bell_elements(d) or np.array_equal(r, bell_elements(d)))
     if not weyl:
         return EntropicBound.from_overlaps(m.overlaps(a), base)
     traces = r.reshape(d * d, -1) @ a.T.reshape(-1)  # Tr(a R_j) = Tr(a N_j) / sqrt(d)

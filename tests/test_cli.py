@@ -273,6 +273,25 @@ def test_bad_tol_exits_2(run_cli, argv, value):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--v", "identity", "--w", "identity", "--dim", "0", "--measurement", "computational"],
+    ["entropy", "--v", "identity", "--w", "identity", "--dim", "0", "--measurement",
+     "computational", "--input", "e:0"],
+    ["povm-bound", "--v", "identity", "--w", "identity", "--dim", "0", "--measurement",
+     "computational"],
+    ["mes-bound", "--v", "identity", "--w", "identity", "--dim", "0"],
+    ["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus", "--dim", "0"],
+    ["distinguish", "--v", "identity", "--w", "clock", "--dim", "-1"],
+    SEARCH_ARGV + ["--dim", "-3"],
+], ids=["bound", "entropy", "povm-bound", "mes-bound", "muub-check", "distinguish", "search"])
+def test_dim_below_one_exits_2(run_cli, argv):
+    # these once failed inside numpy: "zero-size array to reduction operation maximum which
+    # has no identity" at --dim 0, "negative dimensions are not allowed" below it
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --dim must be >= 1, got {argv[argv.index('--dim') + 1]}\n"
+
+
 def test_search_info_log_accounts_for_each_search(run_cli, monkeypatch, tmp_path):
     monkeypatch.delenv("UTP_LOG", raising=False)
     _, quiet, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
@@ -455,6 +474,9 @@ def test_malformed_json_exits_2(run_cli, tmp_path):
         ("mes-bound", "--measurement", {"local_dim": 2, "states": 5}),
         ("mes-bound", "--measurement", {"local_dim": None, "states": []}),
         ("entropy", "--input", {"dim": 2, "re": "x", "im": 0}),
+        # dim 0 once gave "expected a matrix, got ndim=1" and "state is not normalized"
+        ("povm-bound", "--measurement", {"elements": [{"dim": 0, "re": [], "im": []}]}),
+        ("entropy", "--input", {"dim": 0, "re": [], "im": []}),
     ],
 )
 def test_malformed_literal_file_exits_2(run_cli, tmp_path, command, flag, literal):

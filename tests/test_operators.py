@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from utp.operators import (
     omega,
     pauli,
 )
-from utp.testers import weyl_operators
+from utp.testers import MesMeasurement, bell_elements, weyl_operators
 
 
 def r_basis_elements():
@@ -50,6 +51,11 @@ def test_pauli_unknown_label():
 def test_unitary_operator_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryOperator(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_unitary_operator_rejects_zero_dimension():
+    with pytest.raises(ValueError, match=re.escape("dimension >= 1, got (0, 0)")):
+        UnitaryOperator(np.zeros((0, 0)))
 
 
 def test_unitary_operator_immutable():
@@ -169,6 +175,58 @@ def test_unitary_basis_d32_rejects_phase_multiple(weyl_32):
         UnitaryBasis(copy)
 
 
+def _dense_hs_deviation(p, norm):
+    return np.abs(operators.hs_moduli(p, p) - norm * np.eye(len(p))).max()
+
+
+@pytest.mark.parametrize("grouped_from", [0, operators.HS_BLOCK_MIN_PRODUCT],
+                         ids=["blocks-forced", "size-rule"])
+@pytest.mark.parametrize("d", [11, 16, 32])
+def test_hs_check_accepts_weyl_stacks_by_support_blocks(monkeypatch, d, grouped_from):
+    # the d Weyl operators X^a Z^b of one shift a share one support, disjoint from the rest
+    monkeypatch.setattr(operators, "HS_BLOCK_MIN_PRODUCT", grouped_from)
+    weyl = weyl_operators(d)
+    assert len(operators._support_blocks(weyl.reshape(d * d, -1))) == d
+    for p, norm in ((bell_elements(d), 1.0), (weyl, float(d))):
+        dev = operators.check_hs_orthogonal(p, norm, "not HS-orthogonal")
+        assert abs(dev - _dense_hs_deviation(p, norm)) <= 1e-15 * norm  # rounding of sums ~ norm
+    assert UnitaryBasis(tuple(UnitaryOperator(o) for o in weyl)).subspace_dim == d * d
+
+
+def test_hs_check_seeks_blocks_only_past_the_dense_crossover(monkeypatch):
+    seen = []  # the stand-in finds no blocks, so every stack takes the dense product
+    monkeypatch.setattr(operators, "_support_blocks", lambda a: seen.append(len(a)))
+    for d in (2, 3, 4, 8, 11, 16, 32):
+        operators.check_hs_orthogonal(bell_elements(d), 1.0, "not orthonormal")
+    assert seen == [256, 1024]
+
+
+def _spoiled_bell_32(kind):
+    r = bell_elements(32).copy()
+    if kind == "on-support":
+        r[5, 3, 3] += 1e-6  # X^0 Z^5 is diagonal
+    elif kind == "off-support":
+        r[5, 3, 2] = 1e-6  # where only the shift-1 operators are nonzero
+    elif kind == "zero-row":
+        r[7] = 0
+    else:
+        r[40, 9, 8] = {"nan": np.nan, "inf": np.inf}[kind]  # X^1 Z^8 is nonzero at i = j + 1
+    return r
+
+
+@pytest.mark.parametrize("kind", ["on-support", "off-support", "nan", "inf", "zero-row"])
+def test_hs_check_refuses_spoiled_bell_32_as_the_dense_product_does(kind):
+    r = _spoiled_bell_32(kind)
+    a = r.reshape(len(r), -1)
+    # only the off-support entry makes two patterns overlap and so takes the dense product
+    assert (operators._support_blocks(a) is None) == (kind == "off-support")
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as refused:  # inf * 0
+        dense = _dense_hs_deviation(r, 1.0)
+        MesMeasurement(r)
+    assert str(refused.value) == (
+        f"MES basis is not orthonormal: |Tr(P_i† P_j)| is {dense:.3e} off 1·δ_ij")
+
+
 def test_is_muub_d32_identical_bases(weyl_32):
     b = UnitaryBasis(weyl_32)
     assert is_muub(b, b) == (False, 1.0)
@@ -226,6 +284,8 @@ def test_json_rejects_malformed():
         UnitaryOperator.from_literal("{not json")
     with pytest.raises(ValueError, match="malformed matrix literal"):
         UnitaryOperator.from_literal({"dim": 2, "re": [[1, 0], [0, 1]]})
+    with pytest.raises(ValueError, match="malformed matrix literal: dim must be >= 1, got 0"):
+        UnitaryOperator.from_literal({"dim": 0, "re": [], "im": []})
 
 
 def test_hull_distance_single_eigenvalue():

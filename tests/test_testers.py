@@ -16,6 +16,7 @@ from utp.testers import (
     PureState,
     Tester,
     bell_basis,
+    bell_elements,
     computational_basis,
     is_trivial_measurement,
     mes_state,
@@ -81,6 +82,20 @@ def test_mes_measurement_rejects_separable_basis():
     # the computational basis of C^4 is orthonormal but not entangled
     with pytest.raises(ValueError, match="maximally entangled"):
         MesMeasurement(np.eye(4).reshape(4, 2, 2))
+
+
+def test_mes_measurement_owns_read_only_stacks_without_copying():
+    assert bell_basis(32).elements is bell_elements(32)
+    writable = weyl_operators(3) / np.sqrt(3)
+    m = MesMeasurement(writable)  # copied, so writing the caller's stack changes nothing
+    before = m.elements.copy()
+    assert not np.shares_memory(m.elements, writable)
+    assert writable.flags.writeable and not m.elements.flags.writeable
+    writable[0] = 0
+    assert np.array_equal(m.elements, before)
+    frozen = (weyl_operators(2) / np.sqrt(2)).real  # the qubit Weyl operators are real
+    frozen.flags.writeable = False  # read-only but not complex128: copied too
+    assert MesMeasurement(frozen).elements.dtype == np.complex128
 
 
 def test_tester_kind_consistency():
