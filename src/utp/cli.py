@@ -61,6 +61,7 @@ log = logging.getLogger("utp")
 
 OPERATOR_NAMES = ("identity", "i", "pauli-x", "pauli-y", "pauli-z", "clock", "shift",
                   "omega-minus", "omega-plus")
+DIM_HELP = "dimension of named operators (default 2); JSON operators must have it if given"
 
 
 class UsageError(ValueError):
@@ -97,17 +98,25 @@ def _load_json_file(path: str) -> dict:
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def resolve_operator(spec: str, dim: int) -> UnitaryOperator:
-    """Named operator from the registry, or a matrix literal from a JSON file."""
-    if dim < 1:
+def resolve_operator(spec: str, dim: int | None) -> UnitaryOperator:
+    """Named operator from the registry, or a matrix literal from a JSON file.
+
+    A named operator is built at ``dim``, 2 when it is None.  A file keeps its own
+    dimension, which must be ``dim`` when that is given.
+    """
+    if dim is not None and dim < 1:
         raise UsageError(f"--dim must be >= 1, got {dim}")
     name = spec.lower()
     if name in OPERATOR_NAMES:
+        dim = 2 if dim is None else dim
         if dim != 2 and name.startswith(("pauli-", "omega-")):
             raise UsageError(f"{spec} is a qubit operator; got --dim {dim}")
         return _named_operator(name, dim)
     if os.path.exists(spec):
-        return UnitaryOperator.from_literal(_load_json_file(spec))
+        op = UnitaryOperator.from_literal(_load_json_file(spec))
+        if dim is not None and op.dim != dim:
+            raise UsageError(f"--dim {dim} contradicts the {op.dim}-dimensional operator in {spec}")
+        return op
     raise UsageError(
         f"unknown operator name {spec!r}; expected one of {', '.join(OPERATOR_NAMES)} "
         "or a JSON file path"
@@ -267,7 +276,7 @@ def cmd_search(args) -> str:
     )
 
 
-def _resolve_basis(spec: str, dim: int) -> UnitaryBasis:
+def _resolve_basis(spec: str, dim: int | None) -> UnitaryBasis:
     names = [part for part in spec.split(",") if part]
     if len(names) < 2:
         raise UsageError(f"basis spec {spec!r} needs at least two comma-separated operators")
@@ -307,7 +316,7 @@ def _add_common(p: argparse.ArgumentParser, *, log_base: bool = True) -> None:
     """--v, --w and --dim; --log-base only for subcommands that print entropies."""
     p.add_argument("--v", required=True, help="first operator (name or JSON path)")
     p.add_argument("--w", required=True, help="second operator (name or JSON path)")
-    p.add_argument("--dim", type=int, default=2, help="dimension for named operators")
+    p.add_argument("--dim", type=int, help=DIM_HELP)
     if log_base:
         p.add_argument("--log-base", choices=("2", "e"), default="2")
 
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("muub-check", help="mutual unbiasedness of two unitary bases")
     p.add_argument("--basis1", required=True, help="comma-separated operator names")
     p.add_argument("--basis2", required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, help=DIM_HELP)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=20)

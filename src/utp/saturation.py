@@ -7,10 +7,10 @@ This module answers four questions about a unitary pair (v, w):
 * what is the minimum pair uncertainty over all pure inputs for a fixed
   measurement (a batch of starts descending the unit sphere together)?
 * can every cross pair drawn from two unitary bases saturate the maximal
-  bound, certifying the bases as mutually unbiased (a Fourier or
-  Zadoff-Chu construction from the pair's spectrum, a basis carried over
-  from an earlier pair with the same spectrum, else a descent on U(d) to a
-  basis in which all overlaps are flat)?
+  bound, certifying the bases as mutually unbiased (a Fourier order of the
+  pair's eigenbasis; a Zadoff-Chu sequence or an earlier pair's flat basis
+  whose spectrum matches the pair's, carried over; else a descent on U(d)
+  to a basis in which all overlaps are flat)?
 * for a perfectly distinguishable pair, which concrete non-trivial
   tester achieves zero uncertainty?
 
@@ -53,6 +53,7 @@ from .operators import (
     identity,
     omega,
     pauli,
+    product_unitarity_tol,
 )
 from .testers import (
     MesMeasurement,
@@ -635,31 +636,35 @@ class _Found(NamedTuple):
     evaluations: int
 
 
-class _SpectrumClass(NamedTuple):
-    """A searched pair's eigenvalues, in its eigenbasis order E, and Y = E† X for its flat X."""
+class _Reference(NamedTuple):
+    """A flat b = Y† diag(eigenvalues) Y, and the method of a pair carried over from it."""
 
     eigenvalues: np.ndarray
     y: np.ndarray
+    method: str
 
 
 class _Flatness(NamedTuple):
-    """A flat X for one flavour: T = table(X† a X), linear in X† a X, has every |T_ij|^2 = level.
+    """A flavour: X is flat when the d x d table T(X† a X), linear in X† a X, has |T|^2 = level.
 
-    ``constructions(spectrum, tol)`` yields (X, method) candidates from
-    ``spectrum()``, which returns ``eig_unitary(a)`` and computes it on first call.
+    Each entry of T stands for ``repeats`` overlaps.  ``constructions(spectrum)`` yields
+    (X, method) candidates; ``spectrum()`` computes ``eig_unitary(a)`` on first call.
     """
 
     name: str
     table: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     level: float
+    repeats: int
     constructions: Callable[..., Iterable[tuple[np.ndarray, str]]]
+    references: tuple[_Reference, ...]
 
 
-def _zadoff_chu(d: int, u: int) -> np.ndarray:
-    """exp(i pi u j (j + d mod 2) / d): its DFT has constant modulus whenever gcd(u, d) = 1."""
+def _zadoff_chu(d: int) -> np.ndarray:
+    """Rows exp(i pi u j (j + d mod 2) / d) for u coprime to d, u < d (2d at even d)."""
+    u = np.array([u for u in range(1, d if d % 2 else 2 * d) if math.gcd(u, d) == 1])
     j = np.arange(d)
-    return np.exp(1j * np.pi * (u * j * (j + d % 2) % (2 * d)) / d)
+    return np.exp(1j * np.pi * (u[:, None] * j * (j + d % 2) % (2 * d)) / d)
 
 
 def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray | None:
@@ -691,16 +696,8 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     return sigma
 
 
-def _fourier_orders(spectrum, tol: float):
-    """Projective constructions from the eigenbasis E of a, which give X† a X = Y† Λ Y for X = E Y.
-
-    * Fourier orders: E_σ F, with F the DFT, is flat exactly when the ordered
-      eigenvalues form a bi-unimodular sequence; every order at d <= 4, else
-      the angle-sorted one;
-    * Zadoff-Chu orders: for each u coprime to d, E ordered so that its
-      eigenvalues are mu exp(i pi u j (j + d mod 2) / d), bi-unimodular at
-      every d (Chu, IEEE Trans. IT 18, 1972), then the DFT.
-    """
+def _fourier_orders(spectrum):
+    """E_σ F for the eigenbasis E of a and the DFT F: flat iff the ordered Λ is bi-unimodular."""
     lam, eigvecs = spectrum()
     d = lam.size
     dft = dft_matrix(d)
@@ -708,74 +705,76 @@ def _fourier_orders(spectrum, tol: float):
     # such as (1, a, 1, -a) at d = 4
     for order in permutations(range(d)) if d <= 4 else [tuple(range(d))]:
         yield eigvecs[:, list(order)] @ dft, "row-construction"
-    for u in range(1, d if d % 2 else 2 * d):  # the sequence has period d in u, 2d at even d
-        if math.gcd(u, d) == 1:
-            order = _match_up_to_phase(lam, _zadoff_chu(d, u), tol)
-            if order is not None:
-                yield eigvecs[:, order] @ dft, "zadoff-chu-order"
 
 
 def _projective_flatness(d: int) -> _Flatness:
-    """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d."""
-    return _Flatness("flat-basis search", _same, _same, 1.0 / d, _fourier_orders)
+    """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d.
+
+    The references are the Zadoff-Chu sequences, whose DFTs have constant modulus
+    (Chu, IEEE Trans. IT 18, 1972): each is flat in the DFT basis F.
+    """
+    dft = dft_matrix(d)
+    zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
+    return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, _fourier_orders, zadoff_chu)
 
 
 def _mes_flatness(weyl: np.ndarray) -> _Flatness:
     """Rotations X of the Weyl stack ``weyl``, M_i = X N_i: every |Tr(M_i† a M_j) / d|^2 = 1/d^2.
 
+    With b = X† a X, Tr(M_i† a M_j) = Tr(N_j N_i† b) and N_j N_i† is a phase times N_(j-i):
+    the table is the d^2 Weyl coefficients c_k = Tr(N_k† b) / d, each repeated d^2 times.
     The one construction, the identity rotation, covers the Weyl-covariant pairs.
     """
     d = weyl.shape[-1]
+    vec = weyl.reshape(d * d, d * d)
+    vec_h = vec.conj().T
 
     def table(b: np.ndarray) -> np.ndarray:
-        """T_ij = Tr(N_i† b N_j) / d, for each b of a stack."""
-        return np.einsum("ikl,...jkl->...ij", weyl.conj(), b[..., None, :, :] @ weyl) / d
+        """c_k = Tr(N_k† b) / d, for each b of a stack."""
+        return (b.reshape(*b.shape[:-2], d * d) @ vec_h).reshape(b.shape) / d
 
     def adjoint(g: np.ndarray) -> np.ndarray:
-        """K = (1/d) sum_i N_i H_i, H_i = sum_j G_ij N_j†: Re Tr(K† db) = Re sum conj(G_ij) dT_ij."""
-        h = np.einsum("...ij,jcb->...ibc", g, weyl.conj())
-        return np.einsum("iab,...ibc->...ac", weyl, h) / d
+        """K = sum_k G_k N_k / d: Re Tr(K† db) = Re sum conj(G_k) dc_k."""
+        return (g.reshape(*g.shape[:-2], d * d) @ vec).reshape(g.shape) / d
 
-    identity_rotation = [(np.eye(d, dtype=complex), "row-construction")]
-    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), lambda *_: identity_rotation)
+    rotations = [(np.eye(d, dtype=complex), "row-construction")]
+    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, lambda _: rotations, ())
 
 
 def _find_flat_unitary(
-    a: np.ndarray, kind: _Flatness, classes: list[_SpectrumClass],
-    tol: float, budget: int, restarts: int, seed: int,
+    a: np.ndarray, kind: _Flatness, classes: list[_Reference],
+    tol: float, budget: int, restarts: int, seed: int, unitarity_tol: float = DEFAULT_TOL,
 ) -> _Found | None:
     """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
 
     Candidates, in this order, each kept only if it passes the one flatness check:
 
     * the constructions of ``kind``;
-    * spectral transport: for a class of ``classes``, a pair a' searched earlier
-      with eigenbasis E' and flat X' = E' Y, whose eigenvalues match those of a,
-      in an eigenbasis E, up to a phase mu in the order σ: X = E_σ Y gives
-      X† a X = mu X'† a' X';
-    * a search minimising f(X) = sum (|T|^2 - level)^2 on U(d) by ``_descend``
-      along exp(t eta) X, from Haar starts drawn from ``default_rng(seed)`` one
-      after another until one is flat, ``restarts`` are spent or ``budget``
-      objective values are used (none at budget 0).  Its X joins ``classes``.
+    * spectral transport from each reference b = Y† Λ Y of ``kind``, then of ``classes``:
+      when a = E Λ' E† and Λ'_σ = mu Λ for a phase mu, X = E_σ Y gives X† a X = mu b;
+    * a search minimising f(X) = repeats * sum (|T|^2 - level)^2 on U(d) by ``_descend``
+      along exp(t eta) X, from Haar starts drawn from ``default_rng(seed)`` one after
+      another until one is flat, ``restarts`` are spent or ``budget`` objective values
+      are used (none at budget 0).  Its X joins ``classes`` as a reference.
 
-    ``eig_unitary(a)`` is taken only when a candidate needs it.
+    ``eig_unitary(a, unitarity_tol)`` is taken only when a candidate needs it.
     """
     d = a.shape[0]
     if _is_phase_of_identity(a):  # X† (z I) X = z I for every X: never flat
         return None
-    spectrum = cache(lambda: eig_unitary(a))
+    spectrum = cache(lambda: eig_unitary(a, unitarity_tol))
 
     def flat(x: np.ndarray) -> bool:
         return bool(np.abs(np.abs(kind.table(x.conj().T @ a @ x)) ** 2 - kind.level).max() <= tol)
 
     def transports():
-        for known in classes:
+        for ref in chain(kind.references, classes):
             lam, eigvecs = spectrum()
-            order = _match_up_to_phase(lam, known.eigenvalues, tol)
+            order = _match_up_to_phase(lam, ref.eigenvalues, tol)
             if order is not None:
-                yield eigvecs[:, order] @ known.y, "spectral-transport"
+                yield eigvecs[:, order] @ ref.y, ref.method
 
-    for x, method in chain(kind.constructions(spectrum, tol), transports()):
+    for x, method in chain(kind.constructions(spectrum), transports()):
         if flat(x):
             _log_search(kind.name, method, 0, 0, True)
             return _Found(x, method, 0)
@@ -785,10 +784,10 @@ def _find_flat_unitary(
         ax = a @ x
         t = kind.table(xh @ ax)
         r = t.real ** 2 + t.imag ** 2 - kind.level
-        k = kind.adjoint(4.0 * r * t)
+        k = kind.adjoint(4.0 * kind.repeats * r * t)
         gamma = ax @ k.conj().swapaxes(-1, -2) + a.conj().T @ x @ k
         w = gamma @ xh
-        return (r * r).sum(axis=(-2, -1)), 0.5 * (w - w.conj().swapaxes(-1, -2))
+        return kind.repeats * (r * r).sum(axis=(-2, -1)), 0.5 * (w - w.conj().swapaxes(-1, -2))
 
     rng = np.random.default_rng(seed)
     used, converged, starts, found = 0, True, 0, None
@@ -808,7 +807,7 @@ def _find_flat_unitary(
     if found is None:
         return None
     lam, eigvecs = spectrum()
-    classes.append(_SpectrumClass(lam, eigvecs.conj().T @ found))
+    classes.append(_Reference(lam, eigvecs.conj().T @ found, "spectral-transport"))
     return _Found(found, "numerical-search", used)
 
 
@@ -842,15 +841,15 @@ def muub_certify_by_saturation(
     sqrt(d) (1 for the full space) to hold within ``tol``.  Search failures
     are reported as not-found within budget, never as nonexistence.
 
-    Both flavours take one path per pair (``_find_flat_unitary``): the
-    constructions (Fourier and Zadoff-Chu orders of a's eigenbasis; the
-    Weyl operators themselves), then spectral transport of a flat unitary
-    searched earlier in this call for a pair whose spectrum matches up to a
-    phase, then a search of ``budget`` objective values seeded
-    ``seed + 7919 m + n``.  A second pass tries transport alone on the pairs
-    that missed before a later pair's search found their class; a pair found
-    there reports ``spectral-transport`` with 0 evaluations.  One INFO line
-    per certification counts each method and the spectrum classes searched.
+    Both flavours take one path per pair (``_find_flat_unitary``): the constructions
+    (Fourier orders of a's eigenbasis; the Weyl operators themselves), then spectral
+    transport from each reference whose spectrum matches a's up to a phase (Zadoff-Chu
+    sequences, then the flat unitaries searched earlier in this call), then a search of
+    ``budget`` objective values seeded ``seed + 7919 m + n``; a is eigendecomposed
+    within the unitarity error of its two factors.  A second pass tries transport alone
+    on the pairs that missed before a later pair's search found their class; a pair
+    found there reports ``spectral-transport`` with 0 evaluations.  One INFO line per
+    certification counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -861,7 +860,7 @@ def muub_certify_by_saturation(
     expected_trace = 1.0 if full_space else math.sqrt(d)
     weyl = weyl_operators(d) if full_space else None
     kind = _mes_flatness(weyl) if full_space else _projective_flatness(d)
-    classes: list[_SpectrumClass] = []  # searched in this call, for later pairs to carry over
+    classes: list[_Reference] = []  # searched in this call, for later pairs to carry over
     reports: list[list[SaturationReport | None]] = [[None] * len(b1.elements) for _ in b2.elements]
 
     def attempt(m_idx: int, n_idx: int, budget: int) -> bool:
@@ -869,7 +868,8 @@ def muub_certify_by_saturation(
         wm, vn = b2.elements[m_idx], b1.elements[n_idx]
         a = wm.matrix @ vn.matrix.conj().T
         pair_seed = seed + 7919 * m_idx + n_idx
-        found = _find_flat_unitary(a, kind, classes, tol, budget, restarts, pair_seed)
+        found = _find_flat_unitary(a, kind, classes, tol, budget, restarts, pair_seed,
+                                   product_unitarity_tol(wm, vn, tol))
         if found is None:
             return False
         x = found.matrix

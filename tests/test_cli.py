@@ -11,7 +11,7 @@ import pytest
 
 from utp import cli, saturation
 from utp.linalg import ConvergenceError, InvariantError
-from utp.operators import array_to_literal
+from utp.operators import array_to_literal, haar_matrix
 from utp.saturation import su2_overlap_surface, sweep_to_csv, sweep_to_json
 from utp.testers import ProjectiveMeasurement
 
@@ -55,6 +55,26 @@ def test_entropy_and_game_accept_a_json_pair_at_the_validation_edge(run_cli, tmp
     code, out, err = run_cli(["game", *pair, "--trials", "1000"])
     assert (code, err) == (0, "")
     assert json.loads(out)["guess_success_rate"] == 1.0
+
+
+def test_muub_check_json_bases_at_the_validation_edge(run_cli, tmp_path):
+    # each file passes the 1e-9 unitarity check, with error 1.39e-9; W V† is off by about twice
+    # that, and certification once refused it with exit 2
+    edge = np.diag([1 + 4.9e-10, 1 - 4.9e-10])
+    specs = []
+    for names in (("i", "pauli-y"), ("omega-minus", "omega-plus")):
+        paths = []
+        for name in names:
+            path = tmp_path / f"{name}.json"
+            matrix = cli.resolve_operator(name, None).matrix @ edge
+            path.write_text(json.dumps(array_to_literal(matrix)))
+            paths.append(str(path))
+        specs.append(",".join(paths))
+    code, out, err = run_cli(["muub-check", "--basis1", specs[0], "--basis2", specs[1]])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["certified"] is True
+    assert payload["kappa"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_distinguish_negative(run_cli):
@@ -514,11 +534,31 @@ def test_non_unitary_json_exits_2(run_cli, tmp_path):
     assert "not unitary" in err
 
 
-def test_dimension_mismatch_exits_2(run_cli):
+def test_dimension_mismatch_exits_2(run_cli, tmp_path):
     code, _, err = run_cli(["bound", "--v", "pauli-x", "--w", "clock", "--dim", "3",
                             "--measurement", "computational"])
     assert code == 2
     assert "qubit operator" in err
+    # a --dim that contradicts an operator file once had no effect, with exit 0
+    rng = np.random.default_rng(3)
+    paths = []
+    for k in (1, 2):
+        path = tmp_path / f"h3_{k}.json"
+        path.write_text(json.dumps(array_to_literal(haar_matrix(3, rng))))
+        paths.append(str(path))
+    pair = ["--v", *paths[:1], "--w", *paths[1:]]
+    for argv in (
+        ["mes-bound", *pair, "--dim", "7"],
+        ["bound", *pair, "--dim", "5", "--measurement", "computational"],
+        ["distinguish", *pair, "--dim", "2"],
+        ["muub-check", "--basis1", "clock,shift", "--basis2", ",".join(paths), "--dim", "2"],
+    ):
+        code, out, err = run_cli(argv)
+        dim = argv[argv.index("--dim") + 1]
+        assert (code, out) == (2, "")
+        assert err == f"error: --dim {dim} contradicts the 3-dimensional operator in {paths[0]}\n"
+    # a consistent --dim changes nothing
+    assert run_cli(["mes-bound", *pair, "--dim", "3"]) == run_cli(["mes-bound", *pair])
 
 
 def test_bad_angle_exits_2(run_cli):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import haar_matrix
 from utp import saturation
+from utp.linalg import eig_unitary
 from utp.operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -556,7 +557,7 @@ def test_search_gradients_match_central_differences(monkeypatch):
     # the MES gradient's adjoint, to rounding: Re Tr(K(G)† b) = Re sum conj(G_ij) T(b)_ij
     for d in (2, 3, 5):
         kind = saturation._mes_flatness(weyl_operators(d))
-        g = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+        g = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         b = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         left = (kind.adjoint(g).conj() * b).real.sum(axis=(-2, -1))
         right = (g.conj() * kind.table(b)).real.sum(axis=(-2, -1))
@@ -645,7 +646,9 @@ def test_certify_chirp_d5_by_search(monkeypatch):
     b1, b2 = _chirp_bases(5)
     logged = []
     monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
-    search_only = saturation._projective_flatness(5)._replace(constructions=lambda *_: ())
+    search_only = saturation._projective_flatness(5)._replace(
+        constructions=lambda *_: (), references=()
+    )
     for m_idx, wm in enumerate(b2.elements):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
@@ -770,10 +773,12 @@ def test_corrupt_spectrum_class_falls_back_to_search(monkeypatch):
     # a stored basis or rotation that no longer flattens its class: every candidate it yields
     # fails the flatness check, so each pair searches, and no report rests on an unflat one
     spins = {d: haar_matrix(d, np.random.default_rng(1)) for d in (2, 3)}
-    spectrum_class = saturation._SpectrumClass
-    monkeypatch.setattr(
-        saturation, "_SpectrumClass", lambda lam, y: spectrum_class(lam, y @ spins[lam.size])
-    )
+    reference = saturation._Reference
+
+    def corrupt(lam, y, method):  # searched classes only, not the Zadoff-Chu references
+        return reference(lam, y @ spins[lam.size] if method == "spectral-transport" else y, method)
+
+    monkeypatch.setattr(saturation, "_Reference", corrupt)
     b1, b2 = _clock_vs_shift_d3()
     cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
     assert not cert.certified and cert.reports[0][0] is None
@@ -830,9 +835,61 @@ def test_certify_full_space_muub_by_search(monkeypatch):
             )
 
 
-def _haar_weyl_against_dft_weyl(d: int):
+def test_mes_reference_carries_every_pair_without_a_search():
+    # a reference from one plain Pauli / even-sign pair, whose identity rotation is flat: every
+    # Haar-conjugated pair shares its spectrum class, so each is carried over with no search
+    weyl = weyl_operators(2)
+    paulis, even = _haar_pauli_evensign(np.eye(2))
+    a0 = even.elements[0].matrix @ paulis.elements[0].matrix.conj().T
+    kind = saturation._mes_flatness(weyl)
+    assert np.abs(np.abs(kind.table(a0)) ** 2 - 1 / 4).max() <= 1e-9
+    lam, eigvecs = eig_unitary(a0)
+    reference = saturation._Reference(lam, eigvecs.conj().T, "spectral-transport")
+    kind = kind._replace(constructions=lambda *_: (), references=(reference,))
+    b1, b2 = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
+    for wm in b2.elements:
+        for vn in b1.elements:
+            a = wm.matrix @ vn.matrix.conj().T
+            found = saturation._find_flat_unitary(a, kind, [], 1e-9, 1, 1, 0)
+            assert found is not None
+            assert (found.method, found.evaluations) == ("spectral-transport", 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mes_table_is_the_weyl_coefficients(d):
+    # the reference is the d^4 table T_ij = Tr(N_i† b N_j) / d; N_j N_i† is a phase times
+    # N_(j-i), so its moduli are those of the d^2 coefficients, each taken d^2 times
+    weyl = weyl_operators(d)
+    kind = saturation._mes_flatness(weyl)
+    b = haar_matrix(d, np.random.default_rng(d))
+    full = np.einsum("ikl,jkl->ij", weyl.conj(), b @ weyl) / d
+    c = kind.table(b)
+    assert c.shape == (d, d) and kind.repeats == d * d
+    coefficients = np.trace(weyl.conj().swapaxes(1, 2) @ b, axis1=1, axis2=2) / d
+    assert np.abs(c.ravel() - coefficients).max() <= 1e-12
+    moduli = np.sort(np.abs(full).ravel())
+    assert np.abs(np.sort(np.repeat(np.abs(c).ravel(), d * d)) - moduli).max() <= 1e-12
+    objective = ((np.abs(full) ** 2 - kind.level) ** 2).sum()
+    assert kind.repeats * ((np.abs(c) ** 2 - kind.level) ** 2).sum() == pytest.approx(
+        objective, rel=1e-12
+    )
+
+
+def test_certify_bases_at_the_validation_edge():
+    # each element is unitary within its validated error, 1.39e-9, and a = W V† is off by up
+    # to the sum of both; the finder once eigendecomposed a at 1e-9 and raised
+    edge = np.diag([1 + 4.9e-10, 1 - 4.9e-10])
+    b1, b2 = (
+        UnitaryBasis(tuple(UnitaryOperator(op.matrix @ edge) for op in ops))
+        for ops in ((identity(2), pauli("Y")), (omega(-1), omega(+1)))
+    )
+    assert is_muub(b1, b2)[0]
+    assert muub_certify_by_saturation(b1, b2).certified
+
+
+def _haar_weyl_against_dft_weyl(d: int, seed: int = 5):
     """The Weyl operators against F N_k (F the DFT), both conjugated by one seeded Haar unitary."""
-    u = haar_matrix(d, np.random.default_rng(5))
+    u = haar_matrix(d, np.random.default_rng(seed))
     weyl = weyl_operators(d)
     sides = weyl, dft_matrix(d) @ weyl
     return tuple(
@@ -840,11 +897,15 @@ def _haar_weyl_against_dft_weyl(d: int):
     )
 
 
-@pytest.mark.parametrize("budget", [500, 5000])
-def test_certify_haar_full_space_d3_by_one_search(budget):
+@pytest.mark.parametrize(
+    "budget, conjugation", [(500, 5), (5000, 5), (500, 1_000_003)],
+    ids=["500", "5000", "500-conjugation-1000003"],
+)
+def test_certify_haar_full_space_d3_by_one_search(budget, conjugation):
     # all 81 pairs share one spectrum class: one search, and 80 transports of its rotation.
-    # Searched pair by pair, about 40 % of them were found, and the bases were not certified
-    b1, b2 = _haar_weyl_against_dft_weyl(3)
+    # Searched pair by pair, about 40 % of them were found, and the bases were not certified.
+    # No pair seed, 7919 m + n, draws the conjugation 1 000 003
+    b1, b2 = _haar_weyl_against_dft_weyl(3, conjugation)
     assert is_muub(b1, b2)[0]
     cert = muub_certify_by_saturation(b1, b2, budget=budget, seed=0)
     assert cert.certified
