@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .gamesim import GameConfig, run_game, transcript_to_json
-from .linalg import ConvergenceError
+from .linalg import ConvergenceError, InvariantError
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -71,20 +71,13 @@ class UsageError(ValueError):
 def parse_angle(text: str) -> float:
     """Radians from a numeric literal or a pi expression like ``pi/4`` or ``3*pi/2``."""
     t = text.strip().replace(" ", "").lower()
-    m = re.fullmatch(r"([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?", t)
-    if m:
-        coef_text = m.group(1)
-        if coef_text in ("", "+"):
-            coef = 1.0
-        elif coef_text == "-":
-            coef = -1.0
-        else:
-            coef = float(coef_text)
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return coef * math.pi / div
+    m = re.fullmatch(r"([+-]?)(\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?", t)
     try:
-        return float(t)
-    except ValueError:
+        if m is None:
+            return float(t)
+        sign, coef, div = m.groups()
+        return float(sign + (coef or "1")) * math.pi / float(div or "1")
+    except (ValueError, ZeroDivisionError):  # "." alone, or a zero divisor
         raise UsageError(f"cannot parse angle {text!r}; use radians or a pi literal like pi/4")
 
 
@@ -419,12 +412,12 @@ def run(argv) -> int:
         output = args.func(args)
         for block in [output] if isinstance(output, str) else output:
             sys.stdout.write(block)
-    except ValueError as exc:  # UsageError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (InvariantError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # UsageError included; a LinAlgError exits 1 above
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader stopped early, as `utp sweep | head` does; stdout goes to devnull so
         # that the flush at exit does not fail again

@@ -26,6 +26,18 @@ class InvariantError(ArithmeticError):
     """A computed quantity broke an invariant that holds in exact arithmetic."""
 
 
+def computed(build, values: tuple, what: str, *args):
+    """``build(*values)`` for values the package computed rather than was given.
+
+    A ``ValueError`` there is a broken invariant, not bad input: it is raised again
+    as ``InvariantError``, its message led by ``what % args``, formatted only then.
+    """
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise InvariantError(f"{what % args} {exc}") from exc
+
+
 def validate_tol(tol: float) -> None:
     """Refuse a tolerance that is negative, NaN or infinite: each decides yes/no wrongly."""
     if not (math.isfinite(tol) and tol >= 0):

@@ -363,16 +363,21 @@ def array_to_literal(a: np.ndarray) -> dict:
 
 
 def array_from_literal(data, ndim: int) -> np.ndarray:
-    """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal."""
+    """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal.
+
+    ``dim`` is an integer, and ``re`` and ``im`` both have the literal's shape,
+    (d,) or (d, d): nothing is cast, broadcast or flattened.
+    """
     what = "vector" if ndim == 1 else "matrix"
     d, re, im = (literal_field(data, key, what) for key in ("dim", "re", "im"))
-    try:
-        d = int(d)
-        a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {what} literal: {exc}") from exc
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"malformed {what} literal: dim must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"malformed {what} literal: dim must be >= 1, got {d}")
-    if ndim == 1:
-        return as_complex_vector(a, dim=d)
-    return as_complex_matrix(a, rows=d, cols=d)
+    try:
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed {what} literal: {exc}") from exc
+    if re.shape != (d,) * ndim or im.shape != (d,) * ndim:
+        raise ValueError(f"malformed {what} literal: re and im must both have shape {(d,) * ndim}")
+    return (as_complex_vector if ndim == 1 else as_complex_matrix)(re + 1j * im)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvformat import format_rows
-from .linalg import DEFAULT_TOL, InvariantError, eig_unitary, validate_tol
+from .linalg import DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -188,22 +188,19 @@ class SweepSurface:
         return self.max_overlap.size
 
 
-def _report(
-    tester: Tester, v: UnitaryOperator, w: UnitaryOperator, overlaps: np.ndarray,
-    trivial: bool, method: str, base: float, evaluations: int = 0, converged: bool = True,
-) -> SaturationReport:
-    """Report of ``tester`` on (v, w) against the bound of its overlap table.
+def _report(tester: Tester, v: UnitaryOperator, w: UnitaryOperator, method: str, base: float,
+            evaluations: int = 0, converged: bool = True) -> SaturationReport:
+    """Report of ``tester`` on (v, w), bounded by its measurement's overlaps with w v†.
 
-    Both sides are computed here, so an achieved value below the bound is a
-    numerical failure: ``InvariantError``, not the ``ValueError`` of a report
-    built by hand.
+    A projective tester is trivial as ``is_trivial_measurement`` decides, an MES one never.
+    Both sides are computed here: an achieved value below the bound is an ``InvariantError``.
     """
+    m = tester.measurement
     achieved = pair_uncertainty(tester, v, w, base)
-    bound = EntropicBound.from_overlaps(overlaps, base)
-    try:
-        return SaturationReport(achieved, bound, tester, trivial, method, evaluations, converged)
-    except ValueError as exc:
-        raise InvariantError(f"{method} report: {exc}") from exc
+    bound = EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
+    trivial = isinstance(m, ProjectiveMeasurement) and is_trivial_measurement(m, v, w)
+    fields = (achieved, bound, tester, trivial, method, evaluations, converged)
+    return computed(SaturationReport, fields, "%s report:", method)
 
 
 def sweep_pair(name: str) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -278,23 +275,11 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: fl
         np.abs(p[1][0] - off_cf).max(),
     ))
     if dev > check_tol:
-        raise ArithmeticError(
+        raise InvariantError(
             f"closed-form/matrix overlap mismatch {dev:.3e} exceeds {check_tol:.0e}"
         )
     max_overlap = np.maximum(np.maximum(p[0][0], p[0][1]), np.maximum(p[1][0], p[1][1]))
     return max_overlap, p[0][0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
-
-
-def _computed(build, *values):
-    """``build(*values)`` on values the kernel computed.
-
-    A sweep invariant that fails there is a numerical failure: ``InvariantError``,
-    not the ``ValueError`` of a surface built by hand.
-    """
-    try:
-        return build(*values)
-    except ValueError as exc:
-        raise InvariantError(f"overlap surface: {exc}") from exc
 
 
 def su2_overlap_point(pair: str, theta: float, phi: float) -> dict[str, float]:
@@ -304,7 +289,7 @@ def su2_overlap_point(pair: str, theta: float, phi: float) -> dict[str, float]:
     """
     theta, phi = float(theta), float(phi)
     arrays = _surface_arrays(pair, np.asarray(theta), np.asarray(phi))[:3]
-    _computed(_check_sweep, *arrays)
+    computed(_check_sweep, arrays, "overlap surface:")
     return dict(zip(SWEEP_COLUMNS, (theta, phi, *map(float, arrays))))
 
 
@@ -329,7 +314,7 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
         deviation = max(deviation, dev)
     for array in (angles, *columns):
         array.flags.writeable = False
-    return _computed(SweepSurface, angles, *columns, deviation)
+    return computed(SweepSurface, (angles, *columns, deviation), "overlap surface:")
 
 
 def _repr_column(c: np.ndarray) -> np.ndarray:
@@ -417,8 +402,7 @@ def saturating_tester_by_construction(
             continue
         if support.max() - support.min() <= tol and abs(support.max() - global_max) <= tol:
             tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, i]), m)
-            trivial = is_trivial_measurement(m, v, w)
-            return _report(tester, v, w, overlaps, trivial, "row-construction", base)
+            return _report(tester, v, w, "row-construction", base)
     return None
 
 
@@ -572,13 +556,12 @@ def search_min_uncertainty(
     d = m.dim
     x = m.matrix
     a = w.matrix @ v.matrix.conj().T
-    overlaps = overlap_table(x, a)
 
     if _is_phase_of_identity(a):
         # w = phase * v: every basis is trivial and any chi_i input gives 0.
         tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]), m)
         _log_search("input search", "numerical-search", 0, 0, True)
-        return _report(tester, v, w, overlaps, True, "numerical-search", base, 0, True)
+        return _report(tester, v, w, "numerical-search", base)
 
     # rows of b are the amplitudes of both sides: H_v + H_w = -sum p ln p over all 2d
     b = np.vstack((x.conj().T @ v.matrix, x.conj().T @ w.matrix))
@@ -594,16 +577,13 @@ def search_min_uncertainty(
     n = min(restarts, budget)  # a start costs at least one evaluation: draw no more
     starts = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    floor = EntropicBound.from_overlaps(overlaps, math.e).value + BOUND_REACHED
+    floor = EntropicBound.from_overlaps(overlap_table(x, a), math.e).value + BOUND_REACHED
     run = _descend(cost_grad, _sphere_line, _sphere_tangent, starts, budget, floor,
                    interpolate=True)
     best = run.x[int(np.argmin(run.f))]
     _log_search("input search", "numerical-search", run.evaluations, len(starts), run.converged)
     tester = Tester.projective(PureState(best), m)
-    trivial = is_trivial_measurement(m, v, w)
-    return _report(
-        tester, v, w, overlaps, trivial, "numerical-search", base, run.evaluations, run.converged
-    )
+    return _report(tester, v, w, "numerical-search", base, run.evaluations, run.converged)
 
 
 def _unitary_line(x: np.ndarray, eta: np.ndarray):
@@ -874,15 +854,11 @@ def muub_certify_by_saturation(
             return False
         x = found.matrix
         if full_space:
-            measurement = MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d))
-            tester, trivial = Tester.mes(measurement), False
+            tester = Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d)))
         else:
             measurement = ProjectiveMeasurement.from_matrix(x)
             tester = Tester.projective(PureState(vn.matrix.conj().T @ x[:, 0]), measurement)
-            trivial = is_trivial_measurement(measurement, vn, wm)
-        reports[m_idx][n_idx] = _report(
-            tester, vn, wm, measurement.overlaps(a), trivial, found.method, base, found.evaluations
-        )
+        reports[m_idx][n_idx] = _report(tester, vn, wm, found.method, base, found.evaluations)
         return True
 
     missed = []  # (m, n, the number of classes the pair was tried against)

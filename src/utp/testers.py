@@ -24,9 +24,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    InvariantError,
     as_complex_matrix,
     as_complex_vector,
+    computed,
     eig_unitary,
     is_hermitian,
 )
@@ -431,10 +431,8 @@ def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
         raise ValueError(f"dimension mismatch: tester {t.dim} vs operator {u.dim}")
     p = t.measurement.probabilities(t.input, u)
     w = t.input.weight
-    try:
-        return OutcomeDistribution(p, u.unitarity_error * w + abs(w - 1.0))
-    except ValueError as exc:
-        raise InvariantError(f"{t.kind} tester outcome {exc}") from exc
+    return computed(OutcomeDistribution, (p, u.unitarity_error * w + abs(w - 1.0)),
+                    "%s tester outcome", t.kind)
 
 
 def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:

@@ -497,15 +497,22 @@ def test_malformed_json_exits_2(run_cli, tmp_path):
         # dim 0 once gave "expected a matrix, got ndim=1" and "state is not normalized"
         ("povm-bound", "--measurement", {"elements": [{"dim": 0, "re": [], "im": []}]}),
         ("entropy", "--input", {"dim": 0, "re": [], "im": []}),
+        # each of these once loaded: im or re broadcast, dim cast by int(), or 10^400 an
+        # OverflowError that exited 1
+        ("bound", "--v", {"dim": 2, "re": [[0, 1], [1, 0]], "im": 0}),
+        ("bound", "--v", {"dim": 2, "re": [0, 0], "im": [[1, 0], [0, 1]]}),
+        ("bound", "--v", {"dim": 2.7, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}),
+        ("bound", "--v", {"dim": "2", "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}),
+        ("bound", "--v", {"dim": True, "re": [[1]], "im": [[0]]}),
+        ("bound", "--v", {"dim": 2, "re": [[10 ** 400, 0], [0, 1]], "im": [[0, 0], [0, 0]]}),
+        ("entropy", "--input", {"dim": 2, "re": [1, 0], "im": 0}),
     ],
 )
 def test_malformed_literal_file_exits_2(run_cli, tmp_path, command, flag, literal):
     path = tmp_path / "literal.json"
     path.write_text(json.dumps(literal))
-    argv = [command, "--v", "identity", "--w", "identity", flag, str(path)]
-    if command == "entropy":
-        argv += ["--measurement", "computational"]
-    code, out, err = run_cli(argv)
+    options = {"--v": "identity", "--w": "identity", "--measurement": "computational", flag: str(path)}
+    code, out, err = run_cli([command, *(part for option in options.items() for part in option)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed ") and err.count("\n") == 1
@@ -603,6 +610,23 @@ def test_numerical_failure_exits_1(run_cli, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (np.linalg.LinAlgError, 1, "numerical failure"),  # a ValueError, yet not a usage error
+    (ValueError, 2, "error"),
+])
+def test_exit_code_follows_the_error_type(run_cli, monkeypatch, error, code, prefix):
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(ProjectiveMeasurement, "overlaps", boom)
+    argv = ["bound", "--v", "identity", "--w", "pauli-x", "--measurement", "computational"]
+    assert run_cli(argv) == (code, "", f"{prefix}: boom\n")
+    # the rest of the ArithmeticError family is no numerical failure of the package: a bug
+    monkeypatch.setattr(ProjectiveMeasurement, "overlaps", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_cli(argv)
+
+
 def test_sweep_bound_bits_off_by_1e9_exit_1(run_cli, monkeypatch):
     # computed columns that break the sweep invariant are a numerical failure, not usage
     surface_arrays = saturation._surface_arrays
@@ -654,8 +678,9 @@ def test_parse_angle():
     assert cli.parse_angle("2*pi/3") == pytest.approx(2 * np.pi / 3)
     assert cli.parse_angle("3pi") == pytest.approx(3 * np.pi)
     assert cli.parse_angle("0.25") == 0.25
-    with pytest.raises(cli.UsageError):
-        cli.parse_angle("four")
+    for text in ("four", "pi/0", ".pi"):  # pi/0 once exited 1 as a float division by zero
+        with pytest.raises(cli.UsageError, match=f"cannot parse angle '{re.escape(text)}'"):
+            cli.parse_angle(text)
 
 
 def test_log_env_controls_stderr(run_cli, monkeypatch):

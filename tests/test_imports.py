@@ -126,6 +126,35 @@ def test_no_module_names_scipy_optimize():
         assert _scipy_optimize_lines(ast.parse(text)), text
 
 
+def _names_arithmetic_error(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "ArithmeticError") or (
+        isinstance(node, ast.Attribute) and node.attr == "ArithmeticError"
+    )
+
+
+def _arithmetic_error_sites(tree: ast.AST) -> set[str]:
+    """Where ``tree`` names ArithmeticError: "<class> base" for a class's base, else "line N"."""
+    sites, bases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for base in filter(_names_arithmetic_error, node.bases):
+                sites.add(f"{node.name} base")
+                bases.add(id(base))
+    for node in ast.walk(tree):
+        if _names_arithmetic_error(node) and id(node) not in bases:
+            sites.add(f"line {node.lineno}")
+    return sites
+
+
+def test_only_invariant_error_names_arithmetic_error():
+    # exit 1 means a numerical failure: InvariantError, ConvergenceError or LinAlgError.  A zero
+    # divisor or an overflow is bad input or a bug, so no module raises or catches the whole family
+    sites = {f"{m}: {site}" for m in MODULES for site in _arithmetic_error_sites(_tree(m))}
+    assert sites == {"linalg: InvariantError base"}
+    text = "try:\n    raise ArithmeticError\nexcept (ValueError, builtins.ArithmeticError):\n    0"
+    assert _arithmetic_error_sites(ast.parse(text)) == {"line 2", "line 3"}
+
+
 def _top_level_imports(tree: ast.AST) -> set[str]:
     """First dotted component of every absolute import anywhere in ``tree``."""
     names = set()

@@ -8,6 +8,7 @@ from utp import operators
 from utp.operators import (
     UnitaryBasis,
     UnitaryOperator,
+    array_from_literal,
     clock_shift_pair,
     haar_random_unitary,
     hs_inner,
@@ -286,6 +287,20 @@ def test_json_rejects_malformed():
         UnitaryOperator.from_literal({"dim": 2, "re": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError, match="malformed matrix literal: dim must be >= 1, got 0"):
         UnitaryOperator.from_literal({"dim": 0, "re": [], "im": []})
+    x = [[0, 1], [1, 0]]
+    for dim in (2.7, 2.0, "2", True):  # int() once truncated 2.7, read "2" and loaded True as 1
+        with pytest.raises(ValueError, match="malformed matrix literal: dim must be an integer"):
+            UnitaryOperator.from_literal({"dim": dim, "re": x, "im": [[0, 0], [0, 0]]})
+    shape = r"malformed matrix literal: re and im must both have shape \(2, 2\)"
+    for re_, im in ((x, 0), ([0, 0], [[1, 0], [0, 1]]), (x, [[0, 0]]), ([x], [[x]])):  # no broadcast
+        with pytest.raises(ValueError, match=shape):
+            UnitaryOperator.from_literal({"dim": 2, "re": re_, "im": im})
+    with pytest.raises(ValueError, match="malformed vector literal: re and im must both have shape"):
+        array_from_literal({"dim": 2, "re": [[1], [0]], "im": [[0], [0]]}, ndim=1)  # not flattened
+    with pytest.raises(ValueError, match="malformed matrix literal: int too large to convert"):
+        UnitaryOperator.from_literal({"dim": 2, "re": [[10 ** 400, 0], [0, 1]], "im": x})
+    for u in (pauli("Y"), haar_random_unitary(3, seed=3)):  # valid literals still load exactly
+        assert np.array_equal(UnitaryOperator.from_literal(u.to_literal()).matrix, u.matrix)
 
 
 def test_hull_distance_single_eigenvalue():

@@ -403,6 +403,13 @@ def test_search_degenerate_pair_is_trivial():
     assert report.trivial
     assert report.achieved.value == pytest.approx(0.0, abs=1e-12)
     assert report.bound.value == pytest.approx(0.0, abs=1e-12)
+    # w v† = exp(i eps J), J all ones, is within 1e-9 of the identity entry by entry, so the
+    # search takes the same branch; but each basis vector's eigen-residual is eps sqrt(d - 1),
+    # and the flag is is_trivial_measurement's there as on every other path
+    d, eps = 8, 0.9e-9
+    near = UnitaryOperator(np.eye(d) + (np.exp(1j * eps * d) - 1) / d * np.ones((d, d)))
+    report = search_min_uncertainty(computational_basis(d), identity(d), near, budget=50)
+    assert (report.evaluations, report.trivial) == (0, False)
 
 
 def test_search_never_beats_bound():
