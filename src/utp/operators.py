@@ -366,7 +366,7 @@ def array_from_literal(data, ndim: int) -> np.ndarray:
     """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal.
 
     ``dim`` is an integer, and ``re`` and ``im`` both have the literal's shape,
-    (d,) or (d, d): nothing is cast, broadcast or flattened.
+    (d,) or (d, d), and finite entries: nothing is cast, broadcast or flattened.
     """
     what = "vector" if ndim == 1 else "matrix"
     d, re, im = (literal_field(data, key, what) for key in ("dim", "re", "im"))
@@ -380,4 +380,6 @@ def array_from_literal(data, ndim: int) -> np.ndarray:
         raise ValueError(f"malformed {what} literal: {exc}") from exc
     if re.shape != (d,) * ndim or im.shape != (d,) * ndim:
         raise ValueError(f"malformed {what} literal: re and im must both have shape {(d,) * ndim}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # NaN, Infinity, or 1e400
+        raise ValueError(f"malformed {what} literal: entries must be finite")
     return (as_complex_vector if ndim == 1 else as_complex_matrix)(re + 1j * im)

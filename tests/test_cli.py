@@ -369,6 +369,15 @@ def test_game_reproducible_bytes(run_cli):
     assert sum(payload["counts_v"]) + sum(payload["counts_w"]) == 5000
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_game_seed_outside_the_philox_key_range_exits_2(run_cli, seed):
+    # -1 once failed only inside run_game, with numpy's message on the Philox key
+    code, out, err = run_cli(["game", "--v", "identity", "--w", "pauli-x", "--measurement",
+                              "computational", "--input", "e:0", "--trials", "10", "--seed", seed])
+    assert code == 2 and out == ""
+    assert err == "error: seed must be an integer in [0, 2**128)\n"
+
+
 def test_game_csv_output(run_cli):
     code, out, _ = run_cli(
         ["game", "--v", "identity", "--w", "pauli-x", "--measurement", "computational",
@@ -516,6 +525,23 @@ def test_malformed_literal_file_exits_2(run_cli, tmp_path, command, flag, litera
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("bound", "--v", '{"dim": 2, "re": [[1e400, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'),
+    ("bound", "--v", '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, NaN], [0, 0]]}'),
+    ("entropy", "--input", '{"dim": 2, "re": [Infinity, 0], "im": [0, 0]}'),
+])
+def test_non_finite_literal_exits_2_as_malformed(run_cli, tmp_path, command, flag, text):
+    # json.load reads each as a non-finite float; these once passed the literal checks and
+    # exited 2 with "matrix (or vector) entries must be finite (no NaN/Inf)"
+    path = tmp_path / "literal.json"
+    path.write_text(text)
+    options = {"--v": "identity", "--w": "identity", "--measurement": "computational", flag: str(path)}
+    code, out, err = run_cli([command, *(part for option in options.items() for part in option)])
+    assert code == 2 and out == ""
+    what = "vector" if flag == "--input" else "matrix"
+    assert err == f"error: malformed {what} literal: entries must be finite\n"
 
 
 @pytest.mark.parametrize("rows, invariant", [

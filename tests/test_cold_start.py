@@ -1,10 +1,12 @@
 """What a fresh `utp` process imports: numpy only, for every subcommand.
 
 One child interpreter runs the subcommands in order through ``cli.run`` and
-reports, after each one, its stdout and the ``scipy`` modules loaded so far;
-none may be loaded.  The certification outputs are pinned to the bytes the
-Schur eigenbasis from ``scipy.linalg`` produced, so the numpy eigenbasis
-changes no result.
+reports, after each one, its stdout and the ``scipy``, ``concurrent.futures``
+and ``multiprocessing`` modules loaded so far; none may be loaded.  The
+second game has more than ``4 * GAME_CHUNK`` trials, so it draws on plain
+threads where the process may run on more than one CPU.  The certification
+outputs are pinned to the bytes the Schur eigenbasis from ``scipy.linalg``
+produced, so the numpy eigenbasis changes no result.
 """
 
 import argparse
@@ -27,6 +29,8 @@ NUMPY_ONLY = [
     ["mes-bound", "--v", "clock", "--w", "shift", "--dim", "3"],
     ["game", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/4,0",
      "--input", "chi:0", "--trials", "1000", "--seed", "1"],
+    ["game", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/4,0",
+     "--input", "chi:0", "--trials", "300001", "--seed", "1"],
     ["sweep", "--pair", "i-omega", "--grid", "5"],
 ]
 
@@ -65,23 +69,24 @@ CERTIFICATIONS = [
 CHILD = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing") or m == "concurrent.futures")
 
 from utp import cli
 
-steps = [[None, "", scipy_modules()]]
+steps = [[None, "", unwanted_modules()]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.run(argv)
-    steps.append([code, out.getvalue(), scipy_modules()])
+    steps.append([code, out.getvalue(), unwanted_modules()])
 print(json.dumps(steps))
 """
 
 
 def _run_in_order(argvs):
-    """[(exit code, stdout, scipy modules loaded)] of one fresh process: import, then each argv."""
+    """[(exit code, stdout, unwanted modules loaded)] of one fresh process: import, each argv."""
     result = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argvs)],
         capture_output=True,
@@ -97,9 +102,9 @@ def test_no_subcommand_loads_scipy():
     argvs = NUMPY_ONLY + [argv for argv, *_ in SEARCHES] + [argv for argv, _ in CERTIFICATIONS]
     imported, *rest = _run_in_order(argvs)
     assert imported[2] == []
-    for argv, (code, out, scipy) in zip(argvs, rest):
+    for argv, (code, out, unwanted) in zip(argvs, rest):
         assert code == 0 and out, argv[0]
-        assert scipy == [], f"{argv[0]} loaded {scipy[:3]}"
+        assert unwanted == [], f"{argv[0]} loaded {unwanted[:3]}"
 
     searched = rest[len(NUMPY_ONLY) : len(NUMPY_ONLY) + len(SEARCHES)]
     for (argv, golden, nelder_mead_bits, halving_bits), (_, out, _) in zip(SEARCHES, searched):

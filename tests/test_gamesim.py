@@ -1,4 +1,6 @@
 import json
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +128,11 @@ def test_game_config_validation():
         GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5, seed=0, operator_bias=1.5)
     with pytest.raises(ValueError, match="dimension"):
         GameConfig(tester=t, v=identity(3), w=identity(3), trials=5, seed=0)
+    for seed in (-1, 2**128, 1.0, "3", None):  # outside the keys Philox takes
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5, seed=seed)
+    assert run_game(GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5,
+                               seed=2**128 - 1)).counts_v.sum() <= 5
 
 
 def test_transcript_json_fields():
@@ -162,8 +169,8 @@ def _philox_uniforms(seed: int, first: int, count: int) -> np.ndarray:
 
 def _unchunked_counts(cfg: GameConfig, uniforms: np.ndarray):
     """Outcome counts from a (trials, 2) table of uniforms, all trials at once."""
-    pv = outcome_distribution(cfg.tester, cfg.v).probs
-    pw = outcome_distribution(cfg.tester, cfg.w).probs
+    pv = gamesim.outcome_distribution(cfg.tester, cfg.v).probs  # the game's own distributions
+    pw = gamesim.outcome_distribution(cfg.tester, cfg.w).probs
     picks_v = uniforms[:, 0] < cfg.operator_bias
     cum_v = np.clip(np.cumsum(pv), 0.0, 1.0)
     cum_w = np.clip(np.cumsum(pw), 0.0, 1.0)
@@ -227,3 +234,133 @@ def test_fine_bin_counts_match_the_per_side_reference(d, sparse, bias, trials):
     transcript = run_game(cfg)
     assert np.array_equal(transcript.counts_v, reference[0])
     assert np.array_equal(transcript.counts_w, reference[1])
+    # the guess is each side's modal analytic outcome
+    pv, pw = (outcome_distribution(tester, u).probs for u in (v, w))
+    successes = reference[0][np.argmax(pv)] + reference[1][np.argmax(pw)]
+    assert transcript.guess_success_rate == float(successes / trials)
+
+
+# (v-side, w-side) outcome probabilities whose cumulative edges fall on the table's cell
+# boundaries, strictly inside cells, at 0.0 and twice over, and several to one cell
+EDGE_CASES = {
+    "on-cell-boundaries": ([0.25, 0.75], [0.5, 0.5]),
+    "inside-cells": ([0.3, 0.7], [0.123456789, 0.876543211]),
+    "sparse": ([0.0, 0.5, 0.0, 0.5], [0.2, 0.0, 0.0, 0.8]),
+    "one-cell-many-edges": ([1e-5, 2e-5, 1 - 3e-5], [1.5e-5, 0.0, 1 - 1.5e-5]),
+}
+
+
+def _game_with_probs(monkeypatch, pv, pw, trials, seed=2024, bias=0.45):
+    """A game whose two outcome distributions are exactly ``pv`` and ``pw``."""
+    d = len(pv)
+    v, w = identity(d), UnitaryOperator(np.roll(np.eye(d), 1, axis=0))
+    probs = {id(v): np.array(pv), id(w): np.array(pw)}
+    monkeypatch.setattr(gamesim, "outcome_distribution",
+                        lambda tester, u: SimpleNamespace(probs=probs[id(u)]))
+    tester = Tester.projective(PureState(np.eye(d)[0]), computational_basis(d))
+    return GameConfig(tester=tester, v=v, w=w, trials=trials, seed=seed, operator_bias=bias)
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("cells", [2, gamesim.GAME_CELLS])
+def test_cell_table_binning_matches_the_reference(monkeypatch, case, cells):
+    # at 2 cells nearly every trial takes the exact fallback search
+    cfg = _game_with_probs(monkeypatch, *EDGE_CASES[case], trials=20001)
+    monkeypatch.setattr(gamesim, "GAME_CELLS", cells)
+    whole = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, 2))
+    reference = _unchunked_counts(cfg, whole)
+    transcript = run_game(cfg)
+    assert np.array_equal(transcript.counts_v, reference[0])
+    assert np.array_equal(transcript.counts_w, reference[1])
+
+
+@pytest.mark.parametrize("edges", [
+    [0.25, 0.5, 0.75, 1.0],
+    [0.123456789, 0.3, 1.0],
+    [0.0, 0.2, 0.5, 1.0],
+    [1e-5, 1.5e-5, 3e-5, 1 - 3e-5, 1 - 1.5e-5, 1.0],
+    [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0],
+])
+@pytest.mark.parametrize("cells", [2, 64, gamesim.GAME_CELLS])
+def test_cell_table_splits_exactly_the_cells_an_edge_lies_inside(edges, cells):
+    edges = np.array(edges)
+    table = gamesim._cell_table(edges, cells)
+    # a cell's lowest and highest uniforms fall in one fine bin unless an edge splits it
+    lowest = np.searchsorted(edges, np.arange(cells) / cells, side="right")
+    highest = np.searchsorted(edges, np.nextafter(np.arange(1, cells + 1) / cells, 0.0),
+                              side="right")
+    assert np.array_equal(table, np.where(lowest == highest, lowest, -1))
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _haar_game(d, trials, seed=31337, bias=0.37):
+    rng = np.random.default_rng(d)
+    m = ProjectiveMeasurement.from_matrix(haar_matrix(d, rng))
+    return GameConfig(
+        tester=Tester.projective(PureState(random_state(d, rng)), m),
+        v=UnitaryOperator(haar_matrix(d, rng)),
+        w=UnitaryOperator(haar_matrix(d, rng)),
+        trials=trials,
+        seed=seed,
+        operator_bias=bias,
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("trials", [999, 5001])
+def test_trials_split_across_workers_match_the_reference(monkeypatch, cpus, trials):
+    cfg = _haar_game(3, trials)
+    whole = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.trials, 2))
+    reference = _unchunked_counts(cfg, whole)
+    single = run_game(cfg)
+    # chunks of 7 trials give every worker 4 chunks or more: one worker per cpu
+    monkeypatch.setattr(gamesim, "GAME_CHUNK", 7)
+    monkeypatch.setattr(gamesim, "_cpu_count", lambda: cpus)
+    started = _count_thread_starts(monkeypatch)
+    split = run_game(cfg)
+    assert len(started) == cpus - 1
+    assert np.array_equal(split.counts_v, reference[0])
+    assert np.array_equal(split.counts_w, reference[1])
+    assert transcript_to_json(split) == transcript_to_json(single)
+
+
+def test_run_game_starts_at_most_one_thread_per_extra_cpu(monkeypatch):
+    started = _count_thread_starts(monkeypatch)
+    run_game(_haar_game(2, 4 * gamesim.GAME_CHUNK))
+    assert started == []  # at most 4 chunks: the caller draws them all
+    monkeypatch.setattr(gamesim, "GAME_CHUNK", 64)
+    for cpus, trials, threads in ((8, 256, 0), (8, 257, 0), (1, 10**5, 0), (3, 10**5, 2),
+                                  (64, 1280, 4), (64, 1279, 3)):
+        monkeypatch.setattr(gamesim, "_cpu_count", lambda: cpus)
+        del started[:]
+        run_game(_haar_game(2, trials))
+        assert len(started) == threads <= min(cpus, -(-trials // 64)) - 1
+        assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("failing", ["caller", "thread"])
+def test_a_worker_error_reaches_the_caller(monkeypatch, failing):
+    fine_counts = gamesim._fine_counts
+
+    def flaky(seed, first, *rest):
+        if (first == 0) == (failing == "caller"):
+            raise RuntimeError(f"{failing} failed")
+        return fine_counts(seed, first, *rest)
+
+    monkeypatch.setattr(gamesim, "_fine_counts", flaky)
+    monkeypatch.setattr(gamesim, "GAME_CHUNK", 7)
+    monkeypatch.setattr(gamesim, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        run_game(_haar_game(2, 1001))
