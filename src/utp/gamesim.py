@@ -25,11 +25,12 @@ count.  Consecutive draws continue the same word stream, so the counts
 equal those of drawing every trial at once, whatever the chunk size or
 the number of workers.
 
-A trial's outcome uniform is binned through a table of ``GAME_CELLS``
-equal cells of [0, 1): a cell that no edge splits holds its one fine bin,
-and a cell split by an edge holds -1, whose trials alone go to a binary
-search.  The cell index is exact: a uniform is k * 2**-53, and scaling it
-by a power of two rounds nothing.
+A trial's outcome uniform is binned through a table of equal cells of
+[0, 1), ``GAME_CELLS`` of them or an eighth to a quarter of a smaller
+chunk: a cell that no edge splits holds its one fine bin, and a cell split
+by an edge holds -1, whose trials alone go to a binary search.  The cell
+index is exact: a uniform is k * 2**-53, and scaling it by a power of two
+rounds nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .testers import Tester, outcome_distribution
 from .uncertainty import EntropyValue, shannon_entropy
 
 GAME_CHUNK = 1 << 15  # trials drawn per block; bounds run_game's memory
-GAME_CELLS = 1 << 12  # cells of the table that bins outcome uniforms without a search
+GAME_CELLS = 1 << 12  # most cells of the table that bins outcome uniforms without a search
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +154,9 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     workers = max(1, min(_cpu_count(), cfg.trials // (4 * GAME_CHUNK)))
     firsts = [2 * (cfg.trials // 2 * k // workers) for k in range(workers)]
     ranges = list(zip(firsts, firsts[1:] + [cfg.trials]))
-    chunk = max(1, GAME_CHUNK // workers)
-    table = _cell_table(edges, GAME_CELLS)
+    chunk = max(1, min(cfg.trials, GAME_CHUNK // workers))
+    # at most chunk / 4 cells: building the table costs a small game less than it saves
+    table = _cell_table(edges, min(GAME_CELLS, 1 << max(0, chunk.bit_length() - 3)))
     drawn, errors = [None] * workers, []
 
     def draw(k: int) -> None:
