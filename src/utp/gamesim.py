@@ -15,10 +15,11 @@ regenerated independently: advance the counter by ``(2 i) // 4`` blocks
 
 ``run_game`` splits the trials at even indices into one range per worker,
 at most one per CPU the process may run on, and only when each worker gets
-at least ``4 * GAME_CHUNK`` trials.  A range that starts at trial ``first``
-is drawn from ``Philox(key=seed).advance(first // 2)``: its first word,
-``2 * first``, opens a counter block.  The caller draws the first range
-and plain threads the others.  Each worker draws its range in chunks of
+at least ``4 * GAME_CHUNK`` trials; a smaller game asks for no CPU count.
+A range that starts at trial ``first`` is drawn from
+``Philox(key=seed, counter=first // 2)``: its first word, ``2 * first``,
+opens a counter block.  The caller draws the first range and plain threads
+the others.  Each worker draws its range in chunks of
 ``GAME_CHUNK // workers`` trials and adds up fine-bin counts chunk by
 chunk, so the workers together hold about one chunk, whatever the trial
 count.  Consecutive draws continue the same word stream, so the counts
@@ -64,6 +65,7 @@ class GameConfig:
             raise ValueError("trials must be >= 1")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 128):
             raise ValueError("seed must be an integer in [0, 2**128)")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is no JSON number
         if not (0.0 <= self.operator_bias <= 1.0):
             raise ValueError("operator_bias must lie in [0, 1]")
         if self.tester.dim != self.v.dim or self.v.dim != self.w.dim:
@@ -119,7 +121,7 @@ def _fine_counts(seed: int, first: int, last: int, chunk: int, edges: np.ndarray
                  table: np.ndarray, bias: float) -> np.ndarray:
     """Fine-bin counts, [v bins, then w bins], of trials first .. last - 1; ``first`` is even."""
     m, cells = edges.size, table.size
-    rng = np.random.Generator(np.random.Philox(key=seed).advance(first // 2))
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=first // 2))
     fine = np.zeros(2 * m, dtype=np.int64)
     for start in range(first, last, chunk):
         uniforms = rng.random((min(chunk, last - start), 2))
@@ -151,7 +153,8 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     edges = np.sort(np.concatenate((cum_v, cum_w)))
     edges = edges[np.diff(edges, prepend=-1.0) > 0]  # np.union1d would import numpy.ma
     m = edges.size
-    workers = max(1, min(_cpu_count(), cfg.trials // (4 * GAME_CHUNK)))
+    split = cfg.trials >= 8 * GAME_CHUNK  # two workers of 4 chunks each, at the least
+    workers = min(_cpu_count(), cfg.trials // (4 * GAME_CHUNK)) if split else 1
     firsts = [2 * (cfg.trials // 2 * k // workers) for k in range(workers)]
     ranges = list(zip(firsts, firsts[1:] + [cfg.trials]))
     chunk = max(1, min(cfg.trials, GAME_CHUNK // workers))

@@ -89,8 +89,8 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     return np.abs(a.conj().T @ a - np.eye(d)).max() <= tol
 
 
-def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a unitary matrix with an orthonormal eigenbasis.
+def eig_unitary(u, tol: float | np.ndarray = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a unitary matrix, or of each of a stack, with orthonormal eigenbases.
 
     For a phase phi with -1 not an eigenvalue of r = e^{-i phi} u, the Cayley
     transform H = i (I - r)(I + r)^{-1} is Hermitian, shares u's eigenvectors
@@ -109,35 +109,56 @@ def eig_unitary(u, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     the corresponding invariant subspace (clusters straddling the branch
     cut are kept together on the -pi side).
 
-    Raises if ``u`` is not unitary within ``tol`` or if the residual
+    ``u`` may be an (n, d, d) stack, with ``tol`` one tolerance or one per
+    matrix; each step then runs on the whole stack, matrix by matrix, and the
+    results are (n, d) eigenvalues and (n, d, d) eigenvectors.  Raises if a
+    matrix is not unitary within its ``tol`` or if its residual
     ``|u v - lambda v|`` exceeds ``10 * tol`` anywhere.
     """
-    u = as_complex_matrix(u)
-    d = u.shape[0]
-    if not is_unitary(u, tol):
-        raise ValueError(f"matrix is not unitary within tol={tol}")
-    a = np.arccos(np.clip(np.linalg.eigvalsh((u + u.conj().T) / 2), -1.0, 1.0))
-    points = np.sort(np.concatenate([a, 2 * np.pi - a]))
-    gaps = np.diff(points, append=points[0] + 2 * np.pi)
-    k = int(np.argmax(gaps))
-    r = np.exp(-1j * (points[k] + gaps[k] / 2 - np.pi)) * u
+    stack = np.asarray(u, dtype=complex)
+    single = stack.ndim == 2
+    stack = stack[None] if single else stack
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():
+        raise ValueError(f"expected finite square matrices, got shape {stack.shape}")
+    n, d = stack.shape[:2]
+    tol = np.full(n, tol, dtype=float)
+    stack_h = stack.conj().swapaxes(1, 2)
+    eye = np.eye(d)
+    bad = np.flatnonzero(np.abs(stack_h @ stack - eye).max(axis=(1, 2)) > tol)
+    if bad.size:
+        where = "" if single else f" (matrix {bad[0]} of the stack)"
+        raise ValueError(f"matrix is not unitary within tol={tol[bad[0]]}{where}")
+    a = np.arccos(np.clip(np.linalg.eigvalsh((stack + stack_h) / 2), -1.0, 1.0))
+    points = np.sort(np.concatenate([a, 2 * np.pi - a], axis=1), axis=1)
+    gaps = np.diff(points, axis=1, append=points[:, :1] + 2 * np.pi)
+    rows = np.arange(n)[:, None]
+    k = np.argmax(gaps, axis=1)[:, None]
+    middle = points[rows, k] + gaps[rows, k] / 2
+    r = np.exp(-1j * (middle - np.pi))[:, :, None] * stack
     try:
-        h = 1j * np.linalg.solve(np.eye(d) + r, np.eye(d) - r)
-        z = np.linalg.eigh((h + h.conj().T) / 2)[1]
+        h = 1j * np.linalg.solve(eye + r, eye - r)
+        z = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)[1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    lam = np.einsum("ij,ij->j", z.conj(), u @ z)
+    uz = stack @ z
+    lam = np.einsum("nij,nij->nj", z.conj(), uz)
     angles = np.angle(lam)
     # Map angles within a cluster gap of pi onto the -pi side so the sort
     # does not split a degenerate cluster across the branch cut.
     angles = np.where(angles > np.pi - CLUSTER_GAP, angles - 2 * np.pi, angles)
-    order = np.argsort(angles, kind="stable")
-    lam = lam[order]
-    z = z[:, order]
-    residual = np.abs(u @ z - z * lam[None, :]).max()
-    if residual > 10 * tol:
-        raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds {10 * tol:.3e}")
-    return lam, z
+    order = np.argsort(angles, axis=1, kind="stable")
+    lam = lam[rows, order]
+    columns = (rows[:, :, None], np.arange(d)[:, None], order[:, None, :])
+    z, uz = z[columns], uz[columns]
+    residual = np.abs(uz - z * lam[:, None, :]).max(axis=(1, 2))
+    bad = np.flatnonzero(residual > 10 * tol)
+    if bad.size:
+        first = bad[0]
+        where = "" if single else f" (matrix {first} of the stack)"
+        raise ConvergenceError(
+            f"eigenpair residual {residual[first]:.3e} exceeds {10 * tol[first]:.3e}{where}"
+        )
+    return (lam[0], z[0]) if single else (lam, z)
 
 
 def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:

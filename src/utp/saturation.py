@@ -8,7 +8,7 @@ This module answers four questions about a unitary pair (v, w):
   measurement (a batch of starts descending the unit sphere together)?
 * can every cross pair drawn from two unitary bases saturate the maximal
   bound, certifying the bases as mutually unbiased (a Fourier order of the
-  pair's eigenbasis; a Zadoff-Chu sequence or an earlier pair's flat basis
+  pair's eigenbasis; a Zadoff-Chu sequence or another pair's flat basis
   whose spectrum matches the pair's, carried over; else a descent on U(d)
   to a basis in which all overlaps are flat)?
 * for a perfectly distinguishable pair, which concrete non-trivial
@@ -83,7 +83,7 @@ class SaturationReport:
       transform of an eigenbasis of w v†;
     * ``zadoff-chu-order``: the Fourier transform of an eigenbasis ordered so
       that the eigenvalues follow a Zadoff-Chu sequence up to one phase;
-    * ``spectral-transport``: a flat basis searched for an earlier pair of the
+    * ``spectral-transport``: a flat basis searched for another pair of the
       same certification whose spectrum agrees up to one phase, carried over
       by the eigenbases of the two pairs;
     * ``numerical-search``: a gradient search.
@@ -368,10 +368,12 @@ def sweep_to_json(surface: SweepSurface) -> str:
     return "".join(sweep_json_blocks(surface))
 
 
-def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    d = a.shape[0]
-    z = np.trace(a) / d
-    return abs(z) > 1e-12 and np.abs(a - z * np.eye(d)).max() <= tol
+def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Whether a, or each matrix of a stack, is z I for a z != 0, within tol."""
+    d = a.shape[-1]
+    z = np.trace(a, axis1=-2, axis2=-1) / d
+    off = np.abs(a - z[..., None, None] * np.eye(d)).max(axis=(-2, -1))
+    return (np.abs(z) > 1e-12) & (off <= tol)
 
 
 def saturating_tester_by_construction(
@@ -628,7 +630,7 @@ class _Flatness(NamedTuple):
     """A flavour: X is flat when the d x d table T(X† a X), linear in X† a X, has |T|^2 = level.
 
     Each entry of T stands for ``repeats`` overlaps.  ``constructions(spectrum)`` yields
-    (X, method) candidates; ``spectrum()`` computes ``eig_unitary(a)`` on first call.
+    (X, method) candidates; ``spectrum()`` gives a's eigenvalues and eigenvectors.
     """
 
     name: str
@@ -647,15 +649,18 @@ def _zadoff_chu(d: int) -> np.ndarray:
     return np.exp(1j * np.pi * (u[:, None] * j * (j + d % 2) % (2 * d)) / d)
 
 
-def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray | None:
-    """An order sigma with lam[sigma[j]] = mu target[j] for one phase mu, within tol in angle.
+def _match_up_to_phase(lam: np.ndarray, target: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orders sigma with lam[k, sigma[k, j]] = mu_k target[j], one phase mu_k per row k.
 
-    Both arguments hold d unit-modulus numbers.  The circle is cut in the
-    middle of the widest gap between target angles, at least 2 pi / d wide,
-    so no angle within tol of a target angle wraps across the cut.  Each
-    candidate mu takes one of ``lam`` onto the first target angle past the
-    cut; sorting the angles of lam / mu past the cut then matches them to
-    the sorted target angles.  Returns None when no mu matches.
+    ``lam`` holds n rows of d unit-modulus numbers, ``target`` d of them, and
+    angles match within tol.  The circle is cut in the middle of the widest
+    gap between target angles, at least 2 pi / d wide, so no angle within tol
+    of a target angle wraps across the cut.  Each candidate mu takes one
+    number of a row onto the first target angle past the cut; sorting the
+    angles of the row / mu past the cut then matches them to the sorted
+    target angles.  Returns the (n, d) orders and whether each row matched;
+    the order of a row that did not is meaningless.
     """
     two_pi = 2 * np.pi
     phi = np.angle(target)
@@ -666,14 +671,12 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray, tol: float) -> np.nd
     ref = (phi - cut) % two_pi
     targets = np.argsort(ref, kind="stable")
     theta = np.angle(lam)
-    rel = (theta[None, :] - (theta - phi[targets[0]])[:, None] - cut) % two_pi  # one row per mu
-    picks = np.argsort(rel, axis=1, kind="stable")
-    matched = np.abs(np.take_along_axis(rel, picks, axis=1) - ref[targets]).max(axis=1) <= tol
-    if not matched.any():
-        return None
-    sigma = np.empty_like(targets)
-    sigma[targets] = picks[int(np.argmax(matched))]
-    return sigma
+    rel = (theta[:, None, :] - (theta - phi[targets[0]])[:, :, None] - cut) % two_pi  # [k, mu, j]
+    picks = np.argsort(rel, axis=2, kind="stable")
+    matched = np.abs(np.take_along_axis(rel, picks, axis=2) - ref[targets]).max(axis=2) <= tol
+    sigma = np.empty(lam.shape, dtype=targets.dtype)
+    sigma[:, targets] = picks[np.arange(len(lam)), np.argmax(matched, axis=1)]
+    return sigma, matched.any(axis=1)
 
 
 def _fourier_orders(spectrum):
@@ -721,9 +724,16 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
     return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, lambda _: rotations, ())
 
 
+def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """Whether T(X† a X) is flat at ``kind.level`` within tol; a and X may be stacks."""
+    t = kind.table(x.conj().swapaxes(-1, -2) @ a @ x)
+    return np.abs(np.abs(t) ** 2 - kind.level).max(axis=(-2, -1)) <= tol
+
+
 def _find_flat_unitary(
     a: np.ndarray, kind: _Flatness, classes: list[_Reference],
-    tol: float, budget: int, restarts: int, seed: int, unitarity_tol: float = DEFAULT_TOL,
+    tol: float, budget: int, restarts: int, seed: int,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Found | None:
     """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
 
@@ -737,25 +747,23 @@ def _find_flat_unitary(
       another until one is flat, ``restarts`` are spent or ``budget`` objective values
       are used (none at budget 0).  Its X joins ``classes`` as a reference.
 
-    ``eig_unitary(a, unitarity_tol)`` is taken only when a candidate needs it.
+    ``spectrum`` is a's ``eig_unitary`` pair when the caller has it; otherwise
+    ``eig_unitary(a)`` is taken only when a candidate needs it.
     """
     d = a.shape[0]
     if _is_phase_of_identity(a):  # X† (z I) X = z I for every X: never flat
         return None
-    spectrum = cache(lambda: eig_unitary(a, unitarity_tol))
-
-    def flat(x: np.ndarray) -> bool:
-        return bool(np.abs(np.abs(kind.table(x.conj().T @ a @ x)) ** 2 - kind.level).max() <= tol)
+    eig = cache(lambda: eig_unitary(a)) if spectrum is None else lambda: spectrum
 
     def transports():
         for ref in chain(kind.references, classes):
-            lam, eigvecs = spectrum()
-            order = _match_up_to_phase(lam, ref.eigenvalues, tol)
-            if order is not None:
-                yield eigvecs[:, order] @ ref.y, ref.method
+            lam, eigvecs = eig()
+            order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
+            if matched[0]:
+                yield eigvecs[:, order[0]] @ ref.y, ref.method
 
-    for x, method in chain(kind.constructions(spectrum), transports()):
-        if flat(x):
+    for x, method in chain(kind.constructions(eig), transports()):
+        if _flat(kind, a, x, tol):
             _log_search(kind.name, method, 0, 0, True)
             return _Found(x, method, 0)
 
@@ -779,14 +787,14 @@ def _find_flat_unitary(
                        interpolate=False)
         used += run.evaluations
         converged = run.converged
-        if flat(run.x[0]):
+        if _flat(kind, a, run.x[0], tol):
             found = run.x[0]
     if starts:
         method = "numerical-search" if found is not None else "not-found"
         _log_search(kind.name, method, used, starts, found is not None or converged)
     if found is None:
         return None
-    lam, eigvecs = spectrum()
+    lam, eigvecs = eig()
     classes.append(_Reference(lam, eigvecs.conj().T @ found, "spectral-transport"))
     return _Found(found, "numerical-search", used)
 
@@ -821,15 +829,17 @@ def muub_certify_by_saturation(
     sqrt(d) (1 for the full space) to hold within ``tol``.  Search failures
     are reported as not-found within budget, never as nonexistence.
 
-    Both flavours take one path per pair (``_find_flat_unitary``): the constructions
-    (Fourier orders of a's eigenbasis; the Weyl operators themselves), then spectral
-    transport from each reference whose spectrum matches a's up to a phase (Zadoff-Chu
-    sequences, then the flat unitaries searched earlier in this call), then a search of
-    ``budget`` objective values seeded ``seed + 7919 m + n``; a is eigendecomposed
-    within the unitarity error of its two factors.  A second pass tries transport alone
-    on the pairs that missed before a later pair's search found their class; a pair
-    found there reports ``spectral-transport`` with 0 evaluations.  One INFO line per
-    certification counts each method and the spectrum classes searched.
+    The pairs go by spectrum class.  Every a that is not a phase of the identity is
+    eigendecomposed in one stacked ``eig_unitary`` call, within the unitarity error of
+    its two factors, and joins the first class whose first pair's spectrum matches its
+    own up to a phase.  A class's pairs go in pair order through ``_find_flat_unitary``
+    (constructions, then spectral transport from the Zadoff-Chu sequences and the flat
+    unitaries searched earlier in this call, then a search of ``budget`` objective
+    values seeded ``seed + 7919 m + n``) until one is flat.  Its unitary is carried to
+    the rest of the class by their eigenbases in one product and one flatness check,
+    with 0 evaluations and the construction's method, or ``spectral-transport`` after
+    a search; a pair not yet tried that it does not flatten takes its own path.  One
+    INFO line per certification counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -840,40 +850,71 @@ def muub_certify_by_saturation(
     expected_trace = 1.0 if full_space else math.sqrt(d)
     weyl = weyl_operators(d) if full_space else None
     kind = _mes_flatness(weyl) if full_space else _projective_flatness(d)
+    v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
+    cols = len(v)
+    a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
+    pairs = np.flatnonzero(~_is_phase_of_identity(a))  # X† (z I) X = z I: never flat
+    tols = [product_unitarity_tol(b2.elements[p // cols], b1.elements[p % cols], tol)
+            for p in pairs]
+    lam, eigvecs = eig_unitary(a[pairs], tols)
     classes: list[_Reference] = []  # searched in this call, for later pairs to carry over
-    reports: list[list[SaturationReport | None]] = [[None] * len(b1.elements) for _ in b2.elements]
+    found: dict[int, _Found] = {}  # by index into ``pairs``
 
-    def attempt(m_idx: int, n_idx: int, budget: int) -> bool:
-        """Whether a flat unitary was found for the pair (m, n); if so, its report is set."""
-        wm, vn = b2.elements[m_idx], b1.elements[n_idx]
-        a = wm.matrix @ vn.matrix.conj().T
-        pair_seed = seed + 7919 * m_idx + n_idx
-        found = _find_flat_unitary(a, kind, classes, tol, budget, restarts, pair_seed,
-                                   product_unitarity_tol(wm, vn, tol))
-        if found is None:
-            return False
-        x = found.matrix
+    def own_path(i: int) -> bool:
+        """Whether ``_find_flat_unitary`` flattens pair i; what it finds is kept in ``found``."""
+        m_idx, n_idx = divmod(int(pairs[i]), cols)
+        result = _find_flat_unitary(a[pairs[i]], kind, classes, tol, budget, restarts,
+                                    seed + 7919 * m_idx + n_idx, (lam[i], eigvecs[i]))
+        if result is not None:
+            found[i] = result
+        return result is not None
+
+    # the sorted gaps between a's eigenvalue angles: a phase keeps them, and a match within
+    # tol moves each by at most 2 tol, so only the pairs whose gaps are that close are matched
+    angles = np.sort(np.angle(lam) % (2 * np.pi), axis=1)
+    gaps = np.sort(np.diff(angles, axis=1, append=angles[:, :1] + 2 * np.pi), axis=1)
+    left = np.ones(pairs.size, dtype=bool)
+    while left.any():  # one spectrum class a round: the pairs left that match the first left
+        rest = np.flatnonzero(left)
+        near = rest[np.abs(gaps[rest] - gaps[rest[0]]).max(axis=1) <= 2 * tol + 1e-12]
+        orders, same = _match_up_to_phase(lam[near], lam[near[0]], tol)
+        same[0], orders[0] = True, np.arange(d)
+        members, orders = near[same], orders[same]
+        left[members] = False
+        hit = next((j for j, i in enumerate(members) if own_path(i)), None)
+        if hit is None:
+            continue
+        # lam_k[orders[k]] = mu_k lam_0 for member k, so X_k = E_k[:, orders[k]] Y with
+        # Y = E_h[:, orders[h]]† X_h gives X_k† a_k X_k = (mu_k / mu_h) X_h† a_h X_h
+        h = members[hit]
+        method = "spectral-transport" if found[h].method == "numerical-search" else found[h].method
+        ref = _Reference(lam[h], eigvecs[h].conj().T @ found[h].matrix, method)
+        others = np.delete(np.arange(members.size), hit)
+        bases = np.take_along_axis(eigvecs[members[others]], orders[others, None, :], 2)
+        x = bases @ ref.y[orders[hit]]
+        for j, x_j, flat in zip(others, x, _flat(kind, a[pairs[members[others]]], x, tol)):
+            if flat:
+                _log_search(kind.name, method, 0, 0, True)
+                found[members[j]] = _Found(x_j, method, 0)
+            elif j > hit:  # not tried yet
+                own_path(members[j])
+
+    reports: list[list[SaturationReport | None]] = [[None] * cols for _ in w]
+    for i, result in found.items():
+        m_idx, n_idx = divmod(int(pairs[i]), cols)
+        wm, vn, x = b2.elements[m_idx], b1.elements[n_idx], result.matrix
         if full_space:
             tester = Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d)))
         else:
             measurement = ProjectiveMeasurement.from_matrix(x)
             tester = Tester.projective(PureState(vn.matrix.conj().T @ x[:, 0]), measurement)
-        reports[m_idx][n_idx] = _report(tester, vn, wm, found.method, base, found.evaluations)
-        return True
-
-    missed = []  # (m, n, the number of classes the pair was tried against)
-    for m_idx, n_idx in np.ndindex(len(b2.elements), len(b1.elements)):
-        if not attempt(m_idx, n_idx, budget):
-            missed.append((m_idx, n_idx, len(classes)))
-    for m_idx, n_idx, tried in missed:  # transport alone, from classes found after its search
-        if len(classes) > tried:
-            attempt(m_idx, n_idx, 0)
+        reports[m_idx][n_idx] = _report(tester, vn, wm, result.method, base, result.evaluations)
     methods = Counter(r.method if r else "not-found" for row in reports for r in row)
     counts = ", ".join(f"{m} {methods[m]}" for m in (*REPORT_METHODS, "not-found"))
     log.info("MUUB certification: %s; %d spectrum classes searched", counts, len(classes))
 
     trace_moduli = hs_table(b2, b1)
-    all_found = all(r is not None for row in reports for r in row)
+    all_found = len(found) == len(a)
     certified = all_found and bool(np.abs(trace_moduli - expected_trace).max() <= tol)
     return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace)
 

@@ -146,6 +146,23 @@ def test_transcript_json_fields():
     assert sum(payload["counts_v"]) + sum(payload["counts_w"]) == 50
 
 
+def test_numpy_seed_serialises_as_the_plain_int_seed():
+    transcript = run_game(equator_config(trials=500, seed=np.int64(3)))
+    assert type(transcript.seed) is int
+    assert transcript_to_json(transcript) == transcript_to_json(run_game(equator_config(500, 3)))
+
+
+def test_small_game_asks_for_no_cpu_count(monkeypatch):
+    # a game below 8 chunks cannot be split, so it runs without reading the CPU affinity
+    def refuse():
+        raise AssertionError("_cpu_count called")
+
+    monkeypatch.setattr(gamesim, "_cpu_count", refuse)
+    run_game(equator_config(trials=8 * gamesim.GAME_CHUNK - 1))
+    with pytest.raises(AssertionError, match="_cpu_count called"):
+        run_game(equator_config(trials=8 * gamesim.GAME_CHUNK))
+
+
 def test_rng_stream_is_splittable_per_trial():
     # the documented state transition: trial i owns words 2i and 2i+1 of the
     # keyed Philox stream; regenerate a handful of trials via counter jumps

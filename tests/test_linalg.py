@@ -166,3 +166,54 @@ def test_psd_sqrt_rejects_bad_input():
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
     with pytest.raises(ValueError, match="expected a matrix"):  # one matrix a call
         linalg.psd_sqrt(np.stack([I2, I2]))
+
+
+def _clusters(lam: np.ndarray, gap: float = 1e-6) -> list[np.ndarray]:
+    """Indices of the runs of sorted eigenvalues whose angles lie within ``gap`` of the next."""
+    angles = np.angle(lam)
+    angles = np.where(angles > np.pi - linalg.CLUSTER_GAP, angles - 2 * np.pi, angles)
+    return np.split(np.arange(lam.size), np.flatnonzero(np.diff(angles) > gap) + 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 32])
+def test_eig_unitary_stack_matches_one_matrix_at_a_time(d):
+    # Haar, degenerate, clustered and branch-cut spectra in one stack, each matrix with its
+    # own tolerance: every eigenvalue and every cluster projector is that of its own call
+    rng = np.random.default_rng(200 + d)
+    spectra = list(_hard_spectra(d, rng).values())
+    stack = np.stack([(x * np.exp(1j * p)) @ x.conj().T
+                      for x, p in zip((haar_matrix(d, rng) for _ in spectra), spectra)])
+    tols = np.linspace(1e-9, 2e-9, len(stack))
+    lam, z = linalg.eig_unitary(stack, tols)
+    assert lam.shape == (len(stack), d) and z.shape == stack.shape
+    for k, u in enumerate(stack):
+        lam_k, z_k = linalg.eig_unitary(u, tols[k])
+        assert np.abs(lam[k] - lam_k).max() <= 1e-12
+        clusters = _clusters(lam_k)
+        assert [list(c) for c in _clusters(lam[k])] == [list(c) for c in clusters]
+        for cluster in clusters:
+            own = z_k[:, cluster] @ z_k[:, cluster].conj().T
+            stacked = z[k][:, cluster] @ z[k][:, cluster].conj().T
+            assert np.abs(stacked - own).max() <= 1e-12
+
+
+def test_eig_unitary_stack_names_the_matrix_that_fails(monkeypatch):
+    rng = np.random.default_rng(9)
+    stack = np.stack([haar_matrix(4, rng) for _ in range(5)])
+    bad = stack.copy()
+    bad[3] *= 1 + 1e-6  # off unitarity by 2e-6: refused at 1e-9, accepted at its own 1e-5
+    with pytest.raises(ValueError, match=r"not unitary within tol=1e-09 \(matrix 3 of the stack\)"):
+        linalg.eig_unitary(bad)
+    linalg.eig_unitary(bad, [1e-9, 1e-9, 1e-9, 1e-5, 1e-9])
+    # eigenvectors of matrix 2 mixed by a rotation: its residual fails, and it alone is named
+    eigh = np.linalg.eigh
+
+    def mixed(h):
+        w, z = eigh(h)
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        z[2, :, :2] = z[2, :, :2] @ np.array([[c, -s], [s, c]])
+        return w, z
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    with pytest.raises(linalg.ConvergenceError, match=r"residual .* \(matrix 2 of the stack\)"):
+        linalg.eig_unitary(stack)

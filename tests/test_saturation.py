@@ -1,6 +1,8 @@
+import importlib
 import json
 import logging
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,20 +714,26 @@ def test_zadoff_chu_order_at_d32():
 
 
 def test_match_up_to_phase_finds_the_order_or_none():
+    # a stack of rows, each the target permuted and turned by its own phase; every other
+    # row has one number moved off by 1e-6, and matches nothing
     rng = np.random.default_rng(4)
     for d in (1, 2, 5, 8, 32):
         target = np.exp(2j * np.pi * rng.random(d))
         target[: d // 2] = target[0]  # a degenerate value, as in a chirp spectrum
-        order = rng.permutation(d)
-        lam = np.empty(d, dtype=complex)
-        lam[order] = np.exp(1j * rng.uniform(-np.pi, np.pi)) * target
-        sigma = saturation._match_up_to_phase(lam, target, 1e-12)
-        assert sigma is not None and sorted(sigma) == list(range(d))
-        mu = lam[sigma] / target
-        assert np.abs(mu - mu[0]).max() <= 1e-12
-        if d > 1:
-            lam[order[-1]] *= np.exp(1e-6j)
-            assert saturation._match_up_to_phase(lam, target, 1e-9) is None
+        lam = np.empty((6, d), dtype=complex)
+        for row in lam:
+            row[rng.permutation(d)] = np.exp(1j * rng.uniform(-np.pi, np.pi)) * target
+        moved = (np.arange(6) % 2 == 1) & (d > 1)
+        lam[moved, rng.integers(d)] *= np.exp(1e-6j)
+        sigma, matched = saturation._match_up_to_phase(lam, target, 1e-9)
+        assert sigma.shape == lam.shape and list(matched) == list(~moved)
+        for row, order in zip(lam[~moved], sigma[~moved]):
+            assert sorted(order) == list(range(d))
+            mu = row[order] / target
+            assert np.abs(mu - mu[0]).max() <= 1e-12
+            # one row alone gives the order it gives in the stack
+            alone, ok = saturation._match_up_to_phase(row[None], target, 1e-9)
+            assert ok[0] and list(alone[0]) == list(order)
 
 
 def _clock_vs_shift_d3():
@@ -908,10 +916,12 @@ def _haar_weyl_against_dft_weyl(d: int, seed: int = 5):
     "budget, conjugation", [(500, 5), (5000, 5), (500, 1_000_003)],
     ids=["500", "5000", "500-conjugation-1000003"],
 )
-def test_certify_haar_full_space_d3_by_one_search(budget, conjugation):
+def test_certify_haar_full_space_d3_by_one_search(monkeypatch, budget, conjugation):
     # all 81 pairs share one spectrum class: one search, and 80 transports of its rotation.
     # Searched pair by pair, about 40 % of them were found, and the bases were not certified.
     # No pair seed, 7919 m + n, draws the conjugation 1 000 003
+    logged = []
+    monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
     b1, b2 = _haar_weyl_against_dft_weyl(3, conjugation)
     assert is_muub(b1, b2)[0]
     cert = muub_certify_by_saturation(b1, b2, budget=budget, seed=0)
@@ -921,13 +931,88 @@ def test_certify_haar_full_space_d3_by_one_search(budget, conjugation):
     assert {m: methods.count(m) for m in set(methods)} == {
         "numerical-search": 1, "spectral-transport": 80
     }
-    # the searches of the pairs before the one found missed; the second pass carried its class
-    # back to them, with no evaluations
+    # the pairs searched before the one found missed; its rotation is carried back to them,
+    # with no evaluations.  The searches, missed ones included, used as many evaluations
+    # as when each pair was searched in pair order and a second pass carried the class back
     assert methods.index("numerical-search") > 0
+    total = {(500, 5): 1841, (5000, 5): 7622, (500, 1_000_003): 2620}[budget, conjugation]
+    assert sum(evaluations for _, _, evaluations, _, _ in logged) == total
     for r in reports:
         assert (r.evaluations > 0) == (r.method == "numerical-search")
         assert r.tester.kind == "mes"
         assert r.achieved.value == pytest.approx(2 * np.log2(3), abs=1e-6)
+
+
+# instance: (certified, the method of each pair, except {(m, n): None, or (method,
+# evaluations at certification seeds 0, 1, 2, 3)})
+_GOLDEN_CERTIFICATIONS = {
+    "qubit": (True, "row-construction", {}),
+    "pauli_evensign": (True, "row-construction", {}),
+    "chirp_d3": (True, "row-construction", {}),
+    "chirp_d5": (True, "zadoff-chu-order", {}),
+    "clock_vs_shift_d3": (False, "spectral-transport", {
+        (0, 0): None, (0, 1): ("numerical-search", (67, 65, 74, 76)),
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_instances():
+    """The five certification instances the benchmark times, from its own input module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("inputs").certification_instances()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CERTIFICATIONS))
+def test_benchmark_certifications_keep_each_pair_method_and_evaluations(benchmark_instances,
+                                                                        name):
+    certified, method, exceptions = _GOLDEN_CERTIFICATIONS[name]
+    b1, b2 = (UnitaryBasis(tuple(map(UnitaryOperator, side))) for side in benchmark_instances[name])
+    for seed in range(4):
+        cert = muub_certify_by_saturation(b1, b2, budget=500, seed=seed)
+        assert cert.certified == certified
+        for m_idx, row in enumerate(cert.reports):
+            for n_idx, r in enumerate(row):
+                want = exceptions.get((m_idx, n_idx), (method, (0,) * 4))
+                expected = None if want is None else (want[0], want[1][seed])
+                got = None if r is None else (r.method, r.evaluations)
+                assert got == expected, (name, seed, m_idx, n_idx)
+
+
+def test_certification_eigendecomposes_once_and_finds_each_class_once(monkeypatch):
+    # one stacked call gives every pair that is not a phase of the identity its spectrum,
+    # and each of these single-class instances runs the finder for its first pair alone
+    calls, finds = [], []
+    monkeypatch.setattr(saturation, "eig_unitary",
+                        lambda a, *tol: calls.append(np.shape(a)) or eig_unitary(a, *tol))
+    find = saturation._find_flat_unitary
+    monkeypatch.setattr(saturation, "_find_flat_unitary",
+                        lambda *args: finds.append(args) or find(*args))
+    for bases, stacked in ((_chirp_bases(5), 25), (_clock_vs_shift_d3(), 8),
+                           (_haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11))), 16)):
+        calls.clear()
+        finds.clear()
+        muub_certify_by_saturation(*bases, seed=3)
+        assert [shape[0] for shape in calls] == [stacked]
+        assert len(finds) == 1
+
+
+def test_certification_matches_only_pairs_whose_eigenvalue_gaps_agree(monkeypatch):
+    # clock powers C^n against u C^m u† r, a basis for any unitaries u and r: for Haar u
+    # and r the 9 pairs have 9 spectra, apart already in their sorted eigenvalue gaps, so
+    # no pair is matched against another's class, and grouping stays linear in the pairs
+    clock = clock_shift_pair(3)[0].matrix
+    u, r = (haar_matrix(3, np.random.default_rng(seed)) for seed in (7, 8))
+    powers = [np.linalg.matrix_power(clock, k) for k in range(3)]
+    b1, b2 = (UnitaryBasis(tuple(UnitaryOperator(m) for m in side))
+              for side in (powers, [u @ m @ u.conj().T @ r for m in powers]))
+    rows = []
+    match = saturation._match_up_to_phase
+    monkeypatch.setattr(saturation, "_match_up_to_phase",
+                        lambda lam, *rest: rows.append(len(lam)) or match(lam, *rest))
+    cert = muub_certify_by_saturation(b1, b2, budget=1, restarts=1)
+    assert not cert.certified and rows and max(rows) == 1
 
 
 def test_certify_rejects_identical_bases():
