@@ -35,7 +35,6 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, permutations
 from typing import NamedTuple
 
@@ -630,7 +629,9 @@ class _Flatness(NamedTuple):
     """A flavour: X is flat when the d x d table T(X† a X), linear in X† a X, has |T|^2 = level.
 
     Each entry of T stands for ``repeats`` overlaps.  ``constructions(spectrum)`` yields
-    (X, method) candidates; ``spectrum()`` gives a's eigenvalues and eigenvectors.
+    (X, method) candidates from a's eigenvalues and eigenvectors.  ``spectral`` says
+    whether they read that spectrum alone, so that every pair of one spectrum class has
+    the same constructions.
     """
 
     name: str
@@ -640,6 +641,7 @@ class _Flatness(NamedTuple):
     repeats: int
     constructions: Callable[..., Iterable[tuple[np.ndarray, str]]]
     references: tuple[_Reference, ...]
+    spectral: bool
 
 
 def _zadoff_chu(d: int) -> np.ndarray:
@@ -681,7 +683,7 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray,
 
 def _fourier_orders(spectrum):
     """E_σ F for the eigenbasis E of a and the DFT F: flat iff the ordered Λ is bi-unimodular."""
-    lam, eigvecs = spectrum()
+    lam, eigvecs = spectrum
     d = lam.size
     dft = dft_matrix(d)
     # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
@@ -698,7 +700,8 @@ def _projective_flatness(d: int) -> _Flatness:
     """
     dft = dft_matrix(d)
     zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
-    return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, _fourier_orders, zadoff_chu)
+    return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, _fourier_orders, zadoff_chu,
+                     True)
 
 
 def _mes_flatness(weyl: np.ndarray) -> _Flatness:
@@ -706,7 +709,8 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
 
     With b = X† a X, Tr(M_i† a M_j) = Tr(N_j N_i† b) and N_j N_i† is a phase times N_(j-i):
     the table is the d^2 Weyl coefficients c_k = Tr(N_k† b) / d, each repeated d^2 times.
-    The one construction, the identity rotation, covers the Weyl-covariant pairs.
+    The one construction, the identity rotation, covers the Weyl-covariant pairs; it does
+    not read the spectrum.
     """
     d = weyl.shape[-1]
     vec = weyl.reshape(d * d, d * d)
@@ -721,7 +725,8 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         return (g.reshape(*g.shape[:-2], d * d) @ vec).reshape(g.shape) / d
 
     rotations = [(np.eye(d, dtype=complex), "row-construction")]
-    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, lambda _: rotations, ())
+    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, lambda _: rotations, (),
+                     False)
 
 
 def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
@@ -731,9 +736,8 @@ def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarr
 
 
 def _find_flat_unitary(
-    a: np.ndarray, kind: _Flatness, classes: list[_Reference],
-    tol: float, budget: int, restarts: int, seed: int,
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], kind: _Flatness,
+    classes: list[_Reference], tol: float, budget: int, restarts: int, seed: int,
 ) -> _Found | None:
     """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
 
@@ -747,22 +751,19 @@ def _find_flat_unitary(
       another until one is flat, ``restarts`` are spent or ``budget`` objective values
       are used (none at budget 0).  Its X joins ``classes`` as a reference.
 
-    ``spectrum`` is a's ``eig_unitary`` pair when the caller has it; otherwise
-    ``eig_unitary(a)`` is taken only when a candidate needs it.
+    ``spectrum`` is a's ``eig_unitary`` pair; a is not a phase of the identity, which
+    no X flattens.
     """
     d = a.shape[0]
-    if _is_phase_of_identity(a):  # X† (z I) X = z I for every X: never flat
-        return None
-    eig = cache(lambda: eig_unitary(a)) if spectrum is None else lambda: spectrum
+    lam, eigvecs = spectrum
 
     def transports():
         for ref in chain(kind.references, classes):
-            lam, eigvecs = eig()
             order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
             if matched[0]:
                 yield eigvecs[:, order[0]] @ ref.y, ref.method
 
-    for x, method in chain(kind.constructions(eig), transports()):
+    for x, method in chain(kind.constructions(spectrum), transports()):
         if _flat(kind, a, x, tol):
             _log_search(kind.name, method, 0, 0, True)
             return _Found(x, method, 0)
@@ -794,7 +795,6 @@ def _find_flat_unitary(
         _log_search(kind.name, method, used, starts, found is not None or converged)
     if found is None:
         return None
-    lam, eigvecs = eig()
     classes.append(_Reference(lam, eigvecs.conj().T @ found, "spectral-transport"))
     return _Found(found, "numerical-search", used)
 
@@ -837,9 +837,14 @@ def muub_certify_by_saturation(
     unitaries searched earlier in this call, then a search of ``budget`` objective
     values seeded ``seed + 7919 m + n``) until one is flat.  Its unitary is carried to
     the rest of the class by their eigenbases in one product and one flatness check,
-    with 0 evaluations and the construction's method, or ``spectral-transport`` after
-    a search; a pair not yet tried that it does not flatten takes its own path.  One
-    INFO line per certification counts each method and the spectrum classes searched.
+    with 0 evaluations.  A carried pair reports the method of the pair it came from when
+    that method read the spectrum alone (the projective Fourier and Zadoff-Chu orders),
+    and ``spectral-transport`` after a search or from the full-space identity rotation;
+    a full-space pair that the identity rotation flattens keeps it, as on its own path.
+    A pair not yet tried that the carried unitary does not flatten takes its own path.
+    No pair is tried twice: a pair that missed is not retried against the classes
+    searched after it.  One INFO line per certification counts each method and the
+    spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -863,8 +868,8 @@ def muub_certify_by_saturation(
     def own_path(i: int) -> bool:
         """Whether ``_find_flat_unitary`` flattens pair i; what it finds is kept in ``found``."""
         m_idx, n_idx = divmod(int(pairs[i]), cols)
-        result = _find_flat_unitary(a[pairs[i]], kind, classes, tol, budget, restarts,
-                                    seed + 7919 * m_idx + n_idx, (lam[i], eigvecs[i]))
+        result = _find_flat_unitary(a[pairs[i]], (lam[i], eigvecs[i]), kind, classes, tol,
+                                    budget, restarts, seed + 7919 * m_idx + n_idx)
         if result is not None:
             found[i] = result
         return result is not None
@@ -887,15 +892,23 @@ def muub_certify_by_saturation(
         # lam_k[orders[k]] = mu_k lam_0 for member k, so X_k = E_k[:, orders[k]] Y with
         # Y = E_h[:, orders[h]]† X_h gives X_k† a_k X_k = (mu_k / mu_h) X_h† a_h X_h
         h = members[hit]
-        method = "spectral-transport" if found[h].method == "numerical-search" else found[h].method
+        method = found[h].method
+        if method == "numerical-search" or not kind.spectral:  # X_h is more than a_h's spectrum
+            method = "spectral-transport"
         ref = _Reference(lam[h], eigvecs[h].conj().T @ found[h].matrix, method)
         others = np.delete(np.arange(members.size), hit)
+        a_k = a[pairs[members[others]]]
         bases = np.take_along_axis(eigvecs[members[others]], orders[others, None, :], 2)
         x = bases @ ref.y[orders[hit]]
-        for j, x_j, flat in zip(others, x, _flat(kind, a[pairs[members[others]]], x, tol)):
+        methods = np.full(others.size, method, dtype=object)
+        if not kind.spectral:  # a pair its own constructions flatten keeps them, as on its path
+            for x_c, method_c in reversed(list(kind.constructions(None))):
+                own = _flat(kind, a_k, x_c, tol)
+                x[own], methods[own] = x_c, method_c
+        for j, x_j, method_j, flat in zip(others, x, methods, _flat(kind, a_k, x, tol)):
             if flat:
-                _log_search(kind.name, method, 0, 0, True)
-                found[members[j]] = _Found(x_j, method, 0)
+                _log_search(kind.name, method_j, 0, 0, True)
+                found[members[j]] = _Found(x_j, method_j, 0)
             elif j > hit:  # not tried yet
                 own_path(members[j])
 

@@ -550,7 +550,7 @@ def test_search_gradients_match_central_differences(monkeypatch):
         a = haar_matrix(d, rng)
         kinds = saturation._projective_flatness(d), saturation._mes_flatness(weyl_operators(d))
         for kind in kinds:
-            saturation._find_flat_unitary(a, kind, [], 1e-9, 10, 1, d)
+            saturation._find_flat_unitary(a, eig_unitary(a), kind, [], 1e-9, 10, 1, d)
     # the input search backtracks by interpolation; the flat-unitary searches halve
     assert [c[3] for c in captured] == [True, False, False] * 2
     h = 1e-6
@@ -663,7 +663,7 @@ def test_certify_chirp_d5_by_search(monkeypatch):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
             found = saturation._find_flat_unitary(
-                a, search_only, [], 1e-9, 500, 20, 7919 * m_idx + n_idx
+                a, eig_unitary(a), search_only, [], 1e-9, 500, 20, 7919 * m_idx + n_idx
             )
             assert found is not None and found.method == "numerical-search"
             assert 0 < found.evaluations <= 500
@@ -706,7 +706,7 @@ def test_zadoff_chu_order_at_d32():
             np.linalg.matrix_power(clock, k)
         )
         a = (u * diagonal) @ u.conj().T
-        found = saturation._find_flat_unitary(a, projective, [], 1e-9, 1, 1, 0)
+        found = saturation._find_flat_unitary(a, eig_unitary(a), projective, [], 1e-9, 1, 1, 0)
         assert found is not None and found.method == "zadoff-chu-order" and found.evaluations == 0
         x = found.matrix
         assert np.abs(x.conj().T @ x - np.eye(d)).max() <= 1e-9
@@ -836,7 +836,7 @@ def test_certify_full_space_muub_by_search(monkeypatch):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
             found = saturation._find_flat_unitary(
-                a, search_only, [], 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
+                a, eig_unitary(a), search_only, [], 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
             )
             assert found is not None and found.method == "numerical-search"
             assert found.evaluations > 0
@@ -865,9 +865,37 @@ def test_mes_reference_carries_every_pair_without_a_search():
     for wm in b2.elements:
         for vn in b1.elements:
             a = wm.matrix @ vn.matrix.conj().T
-            found = saturation._find_flat_unitary(a, kind, [], 1e-9, 1, 1, 0)
+            found = saturation._find_flat_unitary(a, eig_unitary(a), kind, [], 1e-9, 1, 1, 0)
             assert found is not None
             assert (found.method, found.evaluations) == ("spectral-transport", 0)
+
+
+def test_full_space_class_mixing_weyl_covariant_pairs_keeps_their_construction():
+    # every cross pair of a qubit MUUB has eigenvalue gap 2 pi / 3: one spectrum class.  A
+    # rotation about (1, 1, 1) fixes the Pauli/even-sign pairs whose axis is +-(1, 1, 1), so
+    # they stay Weyl-covariant, and moves the others off it.  The first pair is covariant:
+    # the covariant pairs keep the identity rotation, and the class's rotation is carried to
+    # the others as a spectral transport, with no search
+    angle = 1.0
+    u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sum(
+        pauli(c).matrix for c in "XYZ") / np.sqrt(3)
+    b1, b2 = _haar_pauli_evensign(u)
+    kind = saturation._mes_flatness(weyl_operators(2))
+    cert = muub_certify_by_saturation(b1, b2, seed=3)
+    assert cert.certified
+    covariant = []
+    for m_idx, row in enumerate(cert.reports):
+        for n_idx, r in enumerate(row):
+            a = b2.elements[m_idx].matrix @ b1.elements[n_idx].matrix.conj().T
+            weyl_flat = np.abs(np.abs(kind.table(a)) ** 2 - 1 / 4).max() <= 1e-9
+            covariant.append(weyl_flat)
+            assert r.evaluations == 0
+            assert r.method == ("row-construction" if weyl_flat else "spectral-transport")
+            assert np.abs(r.tester.measurement.overlaps(a) - 1 / 4).max() <= 1e-9
+            if weyl_flat:  # the identity rotation, as the pair's own path gives it
+                rotation = r.tester.measurement.elements @ b1.elements[n_idx].matrix.conj().T
+                assert np.abs(rotation * np.sqrt(2) - weyl_operators(2)).max() <= 1e-12
+    assert covariant[0] and 1 < sum(covariant) < len(covariant)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -1038,7 +1066,8 @@ def test_flat_basis_search_fallback():
     # the budgeted numerical search
     a = np.diag([1.0, np.exp(2j * np.pi / 3)]).astype(complex)
     found = saturation._find_flat_unitary(
-        a, saturation._projective_flatness(2), [], tol=1e-9, budget=5000, restarts=20, seed=0
+        a, eig_unitary(a), saturation._projective_flatness(2), [], tol=1e-9, budget=5000,
+        restarts=20, seed=0,
     )
     assert found is not None
     x = found.matrix
@@ -1051,7 +1080,8 @@ def test_flat_basis_impossible_for_small_gap():
     # search must honestly report not-found within its budget
     a = np.diag([1.0, np.exp(1j * np.pi / 3)]).astype(complex)
     found = saturation._find_flat_unitary(
-        a, saturation._projective_flatness(2), [], tol=1e-9, budget=2000, restarts=8, seed=0
+        a, eig_unitary(a), saturation._projective_flatness(2), [], tol=1e-9, budget=2000,
+        restarts=8, seed=0,
     )
     assert found is None
 
