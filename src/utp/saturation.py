@@ -737,19 +737,19 @@ def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarr
 
 def _find_flat_unitary(
     a: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], kind: _Flatness,
-    classes: list[_Reference], tol: float, budget: int, restarts: int, seed: int,
+    tol: float, budget: int, restarts: int, seed: int,
 ) -> _Found | None:
     """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
 
     Candidates, in this order, each kept only if it passes the one flatness check:
 
     * the constructions of ``kind``;
-    * spectral transport from each reference b = Y† Λ Y of ``kind``, then of ``classes``:
-      when a = E Λ' E† and Λ'_σ = mu Λ for a phase mu, X = E_σ Y gives X† a X = mu b;
+    * spectral transport from each reference b = Y† Λ Y of ``kind``: when a = E Λ' E†
+      and Λ'_σ = mu Λ for a phase mu, X = E_σ Y gives X† a X = mu b;
     * a search minimising f(X) = repeats * sum (|T|^2 - level)^2 on U(d) by ``_descend``
       along exp(t eta) X, from Haar starts drawn from ``default_rng(seed)`` one after
       another until one is flat, ``restarts`` are spent or ``budget`` objective values
-      are used (none at budget 0).  Its X joins ``classes`` as a reference.
+      are used (none at budget 0).
 
     ``spectrum`` is a's ``eig_unitary`` pair; a is not a phase of the identity, which
     no X flattens.
@@ -758,7 +758,7 @@ def _find_flat_unitary(
     lam, eigvecs = spectrum
 
     def transports():
-        for ref in chain(kind.references, classes):
+        for ref in kind.references:
             order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
             if matched[0]:
                 yield eigvecs[:, order[0]] @ ref.y, ref.method
@@ -793,10 +793,7 @@ def _find_flat_unitary(
     if starts:
         method = "numerical-search" if found is not None else "not-found"
         _log_search(kind.name, method, used, starts, found is not None or converged)
-    if found is None:
-        return None
-    classes.append(_Reference(lam, eigvecs.conj().T @ found, "spectral-transport"))
-    return _Found(found, "numerical-search", used)
+    return None if found is None else _Found(found, "numerical-search", used)
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,27 +821,30 @@ def muub_certify_by_saturation(
     is sought in which all overlaps of a = W_m V_n† are flat (1/d for
     d-element bases in a projective basis; 1/d^2 for d^2-element bases in
     an MES basis, the Weyl operators rotated by one unitary).  Each success
-    yields a saturating tester reaching the maximal bound; certification
-    requires all pairs to succeed and the cross-check |Tr(W_m V_n†)| =
-    sqrt(d) (1 for the full space) to hold within ``tol``.  Search failures
-    are reported as not-found within budget, never as nonexistence.
+    yields a saturating tester reaching the maximal bound.  Certification
+    requires the cross-check |Tr(W_m V_n†)| = sqrt(d) (1 for the full space)
+    to hold within ``tol`` and every pair to succeed.  Search failures are
+    reported as not-found within budget, never as nonexistence.
 
-    The pairs go by spectrum class.  Every a that is not a phase of the identity is
-    eigendecomposed in one stacked ``eig_unitary`` call, within the unitarity error of
-    its two factors, and joins the first class whose first pair's spectrum matches its
-    own up to a phase.  A class's pairs go in pair order through ``_find_flat_unitary``
-    (constructions, then spectral transport from the Zadoff-Chu sequences and the flat
-    unitaries searched earlier in this call, then a search of ``budget`` objective
-    values seeded ``seed + 7919 m + n``) until one is flat.  Its unitary is carried to
-    the rest of the class by their eigenbases in one product and one flatness check,
-    with 0 evaluations.  A carried pair reports the method of the pair it came from when
-    that method read the spectrum alone (the projective Fourier and Zadoff-Chu orders),
-    and ``spectral-transport`` after a search or from the full-space identity rotation;
-    a full-space pair that the identity rotation flattens keeps it, as on its own path.
+    The verdict goes first.  When the cross-check fails, or a pair is a phase of the
+    identity (X† (z I) X = z I, never flat), the certification is refused before any
+    eigendecomposition or search: every report is None, which here means "not sought",
+    not "not found", and one INFO line names the check that decided it.
+
+    Otherwise the pairs go by spectrum class.  Every a is eigendecomposed in one stacked
+    ``eig_unitary`` call, within the unitarity error of its two factors, and joins the
+    first class whose first pair's spectrum matches its own up to a phase.  A class's
+    pairs go in pair order through ``_find_flat_unitary`` (constructions, then spectral
+    transport from the Zadoff-Chu sequences, then a search of ``budget`` objective values
+    seeded ``seed + 7919 m + n``) until one is flat.  Its unitary is carried to the rest
+    of the class by their eigenbases in one product and one flatness check, with 0
+    evaluations.  A carried pair reports the method of the pair it came from when that
+    method read the spectrum alone (the projective Fourier and Zadoff-Chu orders), and
+    ``spectral-transport`` after a search or from the full-space identity rotation; a
+    full-space pair that the identity rotation flattens keeps it, as on its own path.
     A pair not yet tried that the carried unitary does not flatten takes its own path.
-    No pair is tried twice: a pair that missed is not retried against the classes
-    searched after it.  One INFO line per certification counts each method and the
-    spectrum classes searched.
+    No pair takes its own path twice, and none is offered another class's unitary.  One
+    INFO line per certification counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
@@ -853,23 +853,33 @@ def muub_certify_by_saturation(
     d = b1.dim
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
+    cols = len(b1.elements)
+    reports: list[list[SaturationReport | None]] = [[None] * cols for _ in b2.elements]
+    trace_moduli = hs_table(b2, b1)
+
+    def refused(reason: str) -> MuubCertification:
+        log.info("MUUB certification: refused before any search: %s", reason)
+        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, expected_trace)
+
+    deviation = float(np.abs(trace_moduli - expected_trace).max())
+    if deviation > tol:
+        return refused(f"max ||Tr(W V†)| - {expected_trace:.4g}| = {deviation:.3g} > tol {tol:.3g}")
+    v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
+    a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
+    identities = np.flatnonzero(_is_phase_of_identity(a))  # X† (z I) X = z I: never flat
+    if identities.size:
+        return refused(f"pair {divmod(int(identities[0]), cols)} is a phase of the identity")
     weyl = weyl_operators(d) if full_space else None
     kind = _mes_flatness(weyl) if full_space else _projective_flatness(d)
-    v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
-    cols = len(v)
-    a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
-    pairs = np.flatnonzero(~_is_phase_of_identity(a))  # X† (z I) X = z I: never flat
-    tols = [product_unitarity_tol(b2.elements[p // cols], b1.elements[p % cols], tol)
-            for p in pairs]
-    lam, eigvecs = eig_unitary(a[pairs], tols)
-    classes: list[_Reference] = []  # searched in this call, for later pairs to carry over
-    found: dict[int, _Found] = {}  # by index into ``pairs``
+    tols = [product_unitarity_tol(wm, vn, tol) for wm in b2.elements for vn in b1.elements]
+    lam, eigvecs = eig_unitary(a, tols)
+    found: dict[int, _Found] = {}  # by pair index m * cols + n
 
     def own_path(i: int) -> bool:
         """Whether ``_find_flat_unitary`` flattens pair i; what it finds is kept in ``found``."""
-        m_idx, n_idx = divmod(int(pairs[i]), cols)
-        result = _find_flat_unitary(a[pairs[i]], (lam[i], eigvecs[i]), kind, classes, tol,
-                                    budget, restarts, seed + 7919 * m_idx + n_idx)
+        m_idx, n_idx = divmod(int(i), cols)
+        result = _find_flat_unitary(a[i], (lam[i], eigvecs[i]), kind, tol, budget, restarts,
+                                    seed + 7919 * m_idx + n_idx)
         if result is not None:
             found[i] = result
         return result is not None
@@ -878,7 +888,7 @@ def muub_certify_by_saturation(
     # tol moves each by at most 2 tol, so only the pairs whose gaps are that close are matched
     angles = np.sort(np.angle(lam) % (2 * np.pi), axis=1)
     gaps = np.sort(np.diff(angles, axis=1, append=angles[:, :1] + 2 * np.pi), axis=1)
-    left = np.ones(pairs.size, dtype=bool)
+    left = np.ones(len(a), dtype=bool)
     while left.any():  # one spectrum class a round: the pairs left that match the first left
         rest = np.flatnonzero(left)
         near = rest[np.abs(gaps[rest] - gaps[rest[0]]).max(axis=1) <= 2 * tol + 1e-12]
@@ -897,7 +907,7 @@ def muub_certify_by_saturation(
             method = "spectral-transport"
         ref = _Reference(lam[h], eigvecs[h].conj().T @ found[h].matrix, method)
         others = np.delete(np.arange(members.size), hit)
-        a_k = a[pairs[members[others]]]
+        a_k = a[members[others]]
         bases = np.take_along_axis(eigvecs[members[others]], orders[others, None, :], 2)
         x = bases @ ref.y[orders[hit]]
         methods = np.full(others.size, method, dtype=object)
@@ -912,9 +922,8 @@ def muub_certify_by_saturation(
             elif j > hit:  # not tried yet
                 own_path(members[j])
 
-    reports: list[list[SaturationReport | None]] = [[None] * cols for _ in w]
     for i, result in found.items():
-        m_idx, n_idx = divmod(int(pairs[i]), cols)
+        m_idx, n_idx = divmod(int(i), cols)
         wm, vn, x = b2.elements[m_idx], b1.elements[n_idx], result.matrix
         if full_space:
             tester = Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d)))
@@ -924,11 +933,10 @@ def muub_certify_by_saturation(
         reports[m_idx][n_idx] = _report(tester, vn, wm, result.method, base, result.evaluations)
     methods = Counter(r.method if r else "not-found" for row in reports for r in row)
     counts = ", ".join(f"{m} {methods[m]}" for m in (*REPORT_METHODS, "not-found"))
-    log.info("MUUB certification: %s; %d spectrum classes searched", counts, len(classes))
-
-    trace_moduli = hs_table(b2, b1)
-    all_found = len(found) == len(a)
-    certified = all_found and bool(np.abs(trace_moduli - expected_trace).max() <= tol)
+    # each pair found by its own search found one spectrum class; carried pairs are transports
+    log.info("MUUB certification: %s; %d spectrum classes searched", counts,
+             methods["numerical-search"])
+    certified = len(found) == len(a)  # the trace check has passed
     return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace)
 
 

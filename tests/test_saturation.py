@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import logging
@@ -15,6 +16,7 @@ from utp.operators import (
     UnitaryOperator,
     clock_shift_pair,
     dft_matrix,
+    hs_table,
     identity,
     is_muub,
     is_perfectly_distinguishable,
@@ -550,7 +552,7 @@ def test_search_gradients_match_central_differences(monkeypatch):
         a = haar_matrix(d, rng)
         kinds = saturation._projective_flatness(d), saturation._mes_flatness(weyl_operators(d))
         for kind in kinds:
-            saturation._find_flat_unitary(a, eig_unitary(a), kind, [], 1e-9, 10, 1, d)
+            saturation._find_flat_unitary(a, eig_unitary(a), kind, 1e-9, 10, 1, d)
     # the input search backtracks by interpolation; the flat-unitary searches halve
     assert [c[3] for c in captured] == [True, False, False] * 2
     h = 1e-6
@@ -663,7 +665,7 @@ def test_certify_chirp_d5_by_search(monkeypatch):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
             found = saturation._find_flat_unitary(
-                a, eig_unitary(a), search_only, [], 1e-9, 500, 20, 7919 * m_idx + n_idx
+                a, eig_unitary(a), search_only, 1e-9, 500, 20, 7919 * m_idx + n_idx
             )
             assert found is not None and found.method == "numerical-search"
             assert 0 < found.evaluations <= 500
@@ -706,7 +708,7 @@ def test_zadoff_chu_order_at_d32():
             np.linalg.matrix_power(clock, k)
         )
         a = (u * diagonal) @ u.conj().T
-        found = saturation._find_flat_unitary(a, eig_unitary(a), projective, [], 1e-9, 1, 1, 0)
+        found = saturation._find_flat_unitary(a, eig_unitary(a), projective, 1e-9, 1, 1, 0)
         assert found is not None and found.method == "zadoff-chu-order" and found.evaluations == 0
         x = found.matrix
         assert np.abs(x.conj().T @ x - np.eye(d)).max() <= 1e-9
@@ -756,57 +758,77 @@ def _haar_pauli_evensign(u: np.ndarray):
     )
 
 
-def test_certify_searches_each_spectrum_class_once():
-    # the 8 non-identity pairs of clock against shift share one spectrum up to phase, which
-    # is not Zadoff-Chu: one search, and 7 transports of its basis
-    b1, b2 = _clock_vs_shift_d3()
-    cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
-    assert not cert.certified
-    assert cert.reports[0][0] is None
-    reports = [r for row in cert.reports for r in row if r is not None]
-    assert len(reports) == 8
+def _search_only(monkeypatch):
+    """Certify with no projective construction or Zadoff-Chu reference: each class searches."""
+    projective = saturation._projective_flatness
+    monkeypatch.setattr(saturation, "_projective_flatness",
+                        lambda d: projective(d)._replace(constructions=lambda *_: (), references=()))
+
+
+def test_certify_searches_each_spectrum_class_once(monkeypatch):
+    # with no construction or reference, the 25 chirp pairs at d = 5, which share one spectrum
+    # up to phase: one search, and 24 transports of its basis
+    _search_only(monkeypatch)
+    cert = muub_certify_by_saturation(*_chirp_bases(5), budget=500, seed=0)
+    assert cert.certified
+    reports = [r for row in cert.reports for r in row]
     assert sum(r.evaluations > 0 for r in reports) == 1
-    assert [r.method for r in reports].count("spectral-transport") == 7
+    methods = [r.method for r in reports]
+    assert {m: methods.count(m) for m in set(methods)} == {
+        "numerical-search": 1, "spectral-transport": 24
+    }
     for r in reports:
-        assert r.achieved.value == pytest.approx(np.log2(3), abs=1e-6)
+        assert r.achieved.value == pytest.approx(np.log2(5), abs=1e-6)
 
 
 def test_certification_logs_its_methods_once(caplog, monkeypatch):
-    # one INFO line per certification, after the per-pair lines: the count of each method,
-    # identity pairs as not-found, and the spectrum classes its searches found
+    # one INFO line per certification, after the per-pair lines: the count of each method and
+    # the spectrum classes its searches found.  A refused certification logs only the check
+    # that refused it
     monkeypatch.setattr(logging.getLogger("utp"), "propagate", True)  # the CLI turns it off
     caplog.set_level(logging.INFO, logger="utp.saturation")
-    muub_certify_by_saturation(*_clock_vs_shift_d3(), budget=500, seed=0)
+    with monkeypatch.context() as patch:
+        _search_only(patch)
+        muub_certify_by_saturation(*_chirp_bases(5), budget=500, seed=0)
     lines = [r.getMessage() for r in caplog.records]
-    assert len(lines) == 9 and all(r.levelno == logging.INFO for r in caplog.records)
+    assert len(lines) == 26 and all(r.levelno == logging.INFO for r in caplog.records)
     assert lines[-1] == ("MUUB certification: row-construction 0, zadoff-chu-order 0, "
-                         "spectral-transport 7, numerical-search 1, not-found 1; "
+                         "spectral-transport 24, numerical-search 1, not-found 0; "
                          "1 spectrum classes searched")
+    identical = UnitaryBasis((identity(2), pauli("Y")))
+    for bases, tol, line in (
+        (_clock_vs_shift_d3(), 1e-9, "max ||Tr(W V†)| - 1.732| = 1.73 > tol 1e-09"),
+        ((identical, identical), 2.0, "pair (0, 0) is a phase of the identity"),
+    ):
+        caplog.clear()
+        muub_certify_by_saturation(*bases, tol=tol)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"MUUB certification: refused before any search: {line}"
+        ]
 
 
 def test_corrupt_spectrum_class_falls_back_to_search(monkeypatch):
     # a stored basis or rotation that no longer flattens its class: every candidate it yields
     # fails the flatness check, so each pair searches, and no report rests on an unflat one
-    spins = {d: haar_matrix(d, np.random.default_rng(1)) for d in (2, 3)}
+    spins = {d: haar_matrix(d, np.random.default_rng(1)) for d in (2, 5)}
     reference = saturation._Reference
 
-    def corrupt(lam, y, method):  # searched classes only, not the Zadoff-Chu references
+    def corrupt(lam, y, method):  # searched classes only
         return reference(lam, y @ spins[lam.size] if method == "spectral-transport" else y, method)
 
     monkeypatch.setattr(saturation, "_Reference", corrupt)
-    b1, b2 = _clock_vs_shift_d3()
-    cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
-    assert not cert.certified and cert.reports[0][0] is None
-    assert sum(r is not None for row in cert.reports for r in row) == 8
+    b1, b2 = _chirp_bases(5)
+    with monkeypatch.context() as patch:
+        _search_only(patch)
+        cert = muub_certify_by_saturation(b1, b2, budget=500, seed=0)
+    assert cert.certified
     # full space: a rotation of the Weyl operators carried over by a corrupt class fails too
     full = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
     full_cert = muub_certify_by_saturation(*full, seed=3)
     assert full_cert.certified
-    for (p, q), c, level in (((b1, b2), cert, 1 / 3), (full, full_cert, 1 / 4)):
+    for (p, q), c, level in (((b1, b2), cert, 1 / 5), (full, full_cert, 1 / 4)):
         for m_idx, row in enumerate(c.reports):
             for n_idx, r in enumerate(row):
-                if r is None:
-                    continue
                 assert r.method == "numerical-search" and r.evaluations > 0
                 a = q.elements[m_idx].matrix @ p.elements[n_idx].matrix.conj().T
                 assert np.abs(r.tester.measurement.overlaps(a) - level).max() <= 1e-9
@@ -836,7 +858,7 @@ def test_certify_full_space_muub_by_search(monkeypatch):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
             found = saturation._find_flat_unitary(
-                a, eig_unitary(a), search_only, [], 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
+                a, eig_unitary(a), search_only, 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
             )
             assert found is not None and found.method == "numerical-search"
             assert found.evaluations > 0
@@ -865,7 +887,7 @@ def test_mes_reference_carries_every_pair_without_a_search():
     for wm in b2.elements:
         for vn in b1.elements:
             a = wm.matrix @ vn.matrix.conj().T
-            found = saturation._find_flat_unitary(a, eig_unitary(a), kind, [], 1e-9, 1, 1, 0)
+            found = saturation._find_flat_unitary(a, eig_unitary(a), kind, 1e-9, 1, 1, 0)
             assert found is not None
             assert (found.method, found.evaluations) == ("spectral-transport", 0)
 
@@ -971,16 +993,14 @@ def test_certify_haar_full_space_d3_by_one_search(monkeypatch, budget, conjugati
         assert r.achieved.value == pytest.approx(2 * np.log2(3), abs=1e-6)
 
 
-# instance: (certified, the method of each pair, except {(m, n): None, or (method,
-# evaluations at certification seeds 0, 1, 2, 3)})
+# instance: (certified, the method of each pair, or None for no report, except {(m, n):
+# None, or (method, evaluations at certification seeds 0, 1, 2, 3)})
 _GOLDEN_CERTIFICATIONS = {
     "qubit": (True, "row-construction", {}),
     "pauli_evensign": (True, "row-construction", {}),
     "chirp_d3": (True, "row-construction", {}),
     "chirp_d5": (True, "zadoff-chu-order", {}),
-    "clock_vs_shift_d3": (False, "spectral-transport", {
-        (0, 0): None, (0, 1): ("numerical-search", (67, 65, 74, 76)),
-    }),
+    "clock_vs_shift_d3": (False, None, {}),  # refused by the trace check, before any search
 }
 
 
@@ -1002,45 +1022,73 @@ def test_benchmark_certifications_keep_each_pair_method_and_evaluations(benchmar
         assert cert.certified == certified
         for m_idx, row in enumerate(cert.reports):
             for n_idx, r in enumerate(row):
-                want = exceptions.get((m_idx, n_idx), (method, (0,) * 4))
+                want = exceptions.get((m_idx, n_idx), method and (method, (0,) * 4))
                 expected = None if want is None else (want[0], want[1][seed])
                 got = None if r is None else (r.method, r.evaluations)
                 assert got == expected, (name, seed, m_idx, n_idx)
 
 
 def test_certification_eigendecomposes_once_and_finds_each_class_once(monkeypatch):
-    # one stacked call gives every pair that is not a phase of the identity its spectrum,
-    # and each of these single-class instances runs the finder for its first pair alone
+    # one stacked call gives every pair its spectrum, and each of these single-class
+    # instances runs the finder for its first pair alone.  Clock against shift fails the
+    # trace check, so it is refused with no eigendecomposition and no finder run
     calls, finds = [], []
     monkeypatch.setattr(saturation, "eig_unitary",
                         lambda a, *tol: calls.append(np.shape(a)) or eig_unitary(a, *tol))
     find = saturation._find_flat_unitary
     monkeypatch.setattr(saturation, "_find_flat_unitary",
                         lambda *args: finds.append(args) or find(*args))
-    for bases, stacked in ((_chirp_bases(5), 25), (_clock_vs_shift_d3(), 8),
-                           (_haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11))), 16)):
+    for bases, stacked, runs in ((_chirp_bases(5), [25], 1), (_clock_vs_shift_d3(), [], 0),
+                                 (_haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11))),
+                                  [16], 1)):
         calls.clear()
         finds.clear()
         muub_certify_by_saturation(*bases, seed=3)
-        assert [shape[0] for shape in calls] == [stacked]
-        assert len(finds) == 1
+        assert [shape[0] for shape in calls] == stacked
+        assert len(finds) == runs
+
+
+def _clock_against_conjugated_clock(d: int, u: np.ndarray, r: np.ndarray):
+    """Clock powers C^n against u C^m u† r: a unitary basis pair for any unitaries u and r."""
+    clock = clock_shift_pair(d)[0].matrix
+    powers = [np.linalg.matrix_power(clock, k) for k in range(d)]
+    return tuple(UnitaryBasis(tuple(UnitaryOperator(m) for m in side))
+                 for side in (powers, [u @ m @ u.conj().T @ r for m in powers]))
 
 
 def test_certification_matches_only_pairs_whose_eigenvalue_gaps_agree(monkeypatch):
-    # clock powers C^n against u C^m u† r, a basis for any unitaries u and r: for Haar u
-    # and r the 9 pairs have 9 spectra, apart already in their sorted eigenvalue gaps, so
-    # no pair is matched against another's class, and grouping stays linear in the pairs
-    clock = clock_shift_pair(3)[0].matrix
+    # for Haar u and r the 9 pairs have 9 spectra, apart already in their sorted eigenvalue
+    # gaps, so no pair is matched against another's class, and grouping stays linear in the
+    # pairs.  The bases are not MUUB: a trace table of sqrt(3) takes them past the verdict.
+    # 27 single-row matches: 9 classes, and each pair against the 2 Zadoff-Chu references
     u, r = (haar_matrix(3, np.random.default_rng(seed)) for seed in (7, 8))
-    powers = [np.linalg.matrix_power(clock, k) for k in range(3)]
-    b1, b2 = (UnitaryBasis(tuple(UnitaryOperator(m) for m in side))
-              for side in (powers, [u @ m @ u.conj().T @ r for m in powers]))
+    b1, b2 = _clock_against_conjugated_clock(3, u, r)
+    monkeypatch.setattr(saturation, "hs_table", lambda *_: np.full((3, 3), np.sqrt(3)))
     rows = []
     match = saturation._match_up_to_phase
     monkeypatch.setattr(saturation, "_match_up_to_phase",
                         lambda lam, *rest: rows.append(len(lam)) or match(lam, *rest))
     cert = muub_certify_by_saturation(b1, b2, budget=1, restarts=1)
-    assert not cert.certified and rows and max(rows) == 1
+    assert not cert.certified and rows == [1] * 27
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_certification_refuses_a_failed_trace_check_before_any_search(monkeypatch, d):
+    # not MUUB up to the advertised size: no eigendecomposition and no finder run, so the
+    # default budget costs nothing, and every report is None (not sought)
+    rng = np.random.default_rng(d)
+    b1, b2 = _clock_against_conjugated_clock(d, haar_matrix(d, rng), haar_matrix(d, rng))
+
+    def refuse(*_, name):
+        raise AssertionError(f"{name} called on a refused certification")
+
+    for name in ("eig_unitary", "_find_flat_unitary"):
+        monkeypatch.setattr(saturation, name, functools.partial(refuse, name=name))
+    cert = muub_certify_by_saturation(b1, b2)
+    assert not cert.certified and not is_muub(b1, b2)[0]  # so certified => is_muub holds
+    assert all(r is None for row in cert.reports for r in row)
+    assert np.array_equal(cert.trace_moduli, hs_table(b2, b1))
+    assert cert.expected_trace == np.sqrt(d)
 
 
 def test_certify_rejects_identical_bases():
@@ -1066,7 +1114,7 @@ def test_flat_basis_search_fallback():
     # the budgeted numerical search
     a = np.diag([1.0, np.exp(2j * np.pi / 3)]).astype(complex)
     found = saturation._find_flat_unitary(
-        a, eig_unitary(a), saturation._projective_flatness(2), [], tol=1e-9, budget=5000,
+        a, eig_unitary(a), saturation._projective_flatness(2), tol=1e-9, budget=5000,
         restarts=20, seed=0,
     )
     assert found is not None
@@ -1080,7 +1128,7 @@ def test_flat_basis_impossible_for_small_gap():
     # search must honestly report not-found within its budget
     a = np.diag([1.0, np.exp(1j * np.pi / 3)]).astype(complex)
     found = saturation._find_flat_unitary(
-        a, eig_unitary(a), saturation._projective_flatness(2), [], tol=1e-9, budget=2000,
+        a, eig_unitary(a), saturation._projective_flatness(2), tol=1e-9, budget=2000,
         restarts=8, seed=0,
     )
     assert found is None
