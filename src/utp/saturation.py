@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from .operators import (
     haar_matrix,
     hs_table,
     identity,
+    is_muub,
     omega,
     pauli,
     product_unitarity_tol,
@@ -82,9 +83,8 @@ class SaturationReport:
       transform of an eigenbasis of w v†;
     * ``zadoff-chu-order``: the Fourier transform of an eigenbasis ordered so
       that the eigenvalues follow a Zadoff-Chu sequence up to one phase;
-    * ``spectral-transport``: a flat basis searched for another pair of the
-      same certification whose spectrum agrees up to one phase, carried over
-      by the eigenbases of the two pairs;
+    * ``spectral-transport``: another pair's searched (or full-space identity)
+      flat unitary, carried over when the two spectra agree up to one phase;
     * ``numerical-search``: a gradient search.
 
     ``evaluations`` counts the objective values a search used (0 for the
@@ -630,8 +630,8 @@ class _Flatness(NamedTuple):
 
     Each entry of T stands for ``repeats`` overlaps.  ``constructions(spectrum)`` yields
     (X, method) candidates from a's eigenvalues and eigenvectors.  ``spectral`` says
-    whether they read that spectrum alone, so that every pair of one spectrum class has
-    the same constructions.
+    whether they read that spectrum alone, so that one flat on a class's first pair is
+    carried to the class; otherwise each is tried on every pair.
     """
 
     name: str
@@ -735,38 +735,14 @@ def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarr
     return np.abs(np.abs(t) ** 2 - kind.level).max(axis=(-2, -1)) <= tol
 
 
-def _find_flat_unitary(
-    a: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], kind: _Flatness,
-    tol: float, budget: int, restarts: int, seed: int,
-) -> _Found | None:
-    """A unitary X whose table T(X† a X) is flat at ``kind.level`` within tol, or None.
+def _search_flat(a: np.ndarray, kind: _Flatness, tol: float, budget: int, restarts: int,
+                 seed: int) -> _Found | None:
+    """A flat X for a, from f(X) = repeats * sum (|T(X† a X)|^2 - level)^2 on U(d), or None.
 
-    Candidates, in this order, each kept only if it passes the one flatness check:
-
-    * the constructions of ``kind``;
-    * spectral transport from each reference b = Y† Λ Y of ``kind``: when a = E Λ' E†
-      and Λ'_σ = mu Λ for a phase mu, X = E_σ Y gives X† a X = mu b;
-    * a search minimising f(X) = repeats * sum (|T|^2 - level)^2 on U(d) by ``_descend``
-      along exp(t eta) X, from Haar starts drawn from ``default_rng(seed)`` one after
-      another until one is flat, ``restarts`` are spent or ``budget`` objective values
-      are used (none at budget 0).
-
-    ``spectrum`` is a's ``eig_unitary`` pair; a is not a phase of the identity, which
-    no X flattens.
+    ``_descend`` runs along exp(t eta) X from Haar starts drawn from ``default_rng(seed)``
+    one after another until one is flat, ``restarts`` are spent or ``budget`` objective
+    values are used.  One log line reports it.
     """
-    d = a.shape[0]
-    lam, eigvecs = spectrum
-
-    def transports():
-        for ref in kind.references:
-            order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
-            if matched[0]:
-                yield eigvecs[:, order[0]] @ ref.y, ref.method
-
-    for x, method in chain(kind.constructions(spectrum), transports()):
-        if _flat(kind, a, x, tol):
-            _log_search(kind.name, method, 0, 0, True)
-            return _Found(x, method, 0)
 
     def cost_grad(x: np.ndarray):
         xh = x.conj().swapaxes(-1, -2)
@@ -782,7 +758,7 @@ def _find_flat_unitary(
     used, converged, starts, found = 0, True, 0, None
     while found is None and starts < restarts and used < budget:
         starts += 1
-        x0 = haar_matrix(d, rng)[None]
+        x0 = haar_matrix(len(a), rng)[None]
         # halving: 1279 of 3240 d = 3 full-space starts ended flat, against 1215 interpolating
         run = _descend(cost_grad, _unitary_line, _same_direction, x0, budget - used, tol * tol,
                        interpolate=False)
@@ -790,10 +766,68 @@ def _find_flat_unitary(
         converged = run.converged
         if _flat(kind, a, run.x[0], tol):
             found = run.x[0]
-    if starts:
-        method = "numerical-search" if found is not None else "not-found"
-        _log_search(kind.name, method, used, starts, found is not None or converged)
+    method = "numerical-search" if found is not None else "not-found"
+    _log_search(kind.name, method, used, starts, found is not None or converged)
     return None if found is None else _Found(found, "numerical-search", used)
+
+
+def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Flatness, tol: float,
+                   budget: int, restarts: int, seeds: list[int]) -> list[_Found | None]:
+    """A flat X_k for each pair a_k of one spectrum class, or None; no a_k is a phase of I.
+
+    a_k = mu_k B_k diag(lam) B_k† for the bases B_k = ``bases[k]`` (B_0 an eigenbasis of
+    a_0), so a flat b = Y† diag(lam) Y is carried to all pairs in one product: X_k = B_k Y
+    gives X_k† a_k X_k = mu_k b, with 0 evaluations.  Stages over the pairs not yet flat,
+    each pair reporting the first that flattened it:
+
+    1. the constructions: on the first pair, then carried, if ``kind.spectral``; else on all;
+    2. each reference whose spectrum matches lam up to a phase, carried;
+    3. the first flat pair's unitary, carried (``spectral-transport``);
+    4. each pair's search in pair order, seeded ``seeds[k]``, each success carried.
+    """
+    found: list[_Found | None] = [None] * len(a)
+
+    def pending() -> list[int]:
+        return [k for k, f in enumerate(found) if f is None]
+
+    def settle(ks: list[int], x: np.ndarray, method: str) -> None:
+        """Keep X for each pair of ks that it flattens: one X for all, or one X per pair."""
+        xs = np.broadcast_to(x, (len(ks), *x.shape[-2:]))
+        for k, x_k, flat in zip(ks, xs, _flat(kind, a[ks], xs, tol)):
+            if flat:
+                _log_search(kind.name, method, 0, 0, True)
+                found[k] = _Found(x_k, method, 0)
+
+    def carry(ref: _Reference) -> None:
+        """X_k = B_k Y for each pair not yet flat, from a flat b = Y† diag(lam) Y."""
+        ks = pending()
+        settle(ks, bases[ks] @ ref.y, ref.method)
+
+    def carried(k: int, method: str) -> _Reference:
+        """Flat pair k's X_k as a reference on lam: Y = B_k† X_k."""
+        return _Reference(lam, bases[k].conj().T @ found[k].matrix, method)
+
+    for x, method in kind.constructions((lam, bases[0])):  # stage 1
+        if kind.spectral:  # x = B_0 Y reads lam alone: tried on the first pair, then carried
+            if _flat(kind, a[0], x, tol):
+                carry(_Reference(lam, bases[0].conj().T @ x, method))
+                break
+        else:
+            settle(pending(), x, method)
+    for ref in kind.references:  # stage 2
+        if not pending():
+            break
+        order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
+        if matched[0]:  # lam[order] = mu Λ: Y with Y[order] = ref.y has Y† diag(lam) Y = mu b
+            carry(_Reference(lam, ref.y[np.argsort(order[0])], ref.method))
+    if 0 < len(pending()) < len(a):  # stage 3: a pair is flat, and one is not
+        carry(carried(next(k for k, f in enumerate(found) if f), "spectral-transport"))
+    for k, seed in enumerate(seeds):  # stage 4
+        if found[k] is None:
+            found[k] = _search_flat(a[k], kind, tol, budget, restarts, seed)
+            if found[k]:
+                carry(carried(k, "spectral-transport"))
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -822,34 +856,23 @@ def muub_certify_by_saturation(
     d-element bases in a projective basis; 1/d^2 for d^2-element bases in
     an MES basis, the Weyl operators rotated by one unitary).  Each success
     yields a saturating tester reaching the maximal bound.  Certification
-    requires the cross-check |Tr(W_m V_n†)| = sqrt(d) (1 for the full space)
-    to hold within ``tol`` and every pair to succeed.  Search failures are
-    reported as not-found within budget, never as nonexistence.
+    requires ``is_muub`` within ``tol`` and every pair to succeed.  Search
+    failures are reported as not-found within budget, never as nonexistence.
 
-    The verdict goes first.  When the cross-check fails, or a pair is a phase of the
+    The verdict goes first.  When ``is_muub`` says no, or a pair is a phase of the
     identity (X† (z I) X = z I, never flat), the certification is refused before any
     eigendecomposition or search: every report is None, which here means "not sought",
     not "not found", and one INFO line names the check that decided it.
 
-    Otherwise the pairs go by spectrum class.  Every a is eigendecomposed in one stacked
-    ``eig_unitary`` call, within the unitarity error of its two factors, and joins the
-    first class whose first pair's spectrum matches its own up to a phase.  A class's
-    pairs go in pair order through ``_find_flat_unitary`` (constructions, then spectral
-    transport from the Zadoff-Chu sequences, then a search of ``budget`` objective values
-    seeded ``seed + 7919 m + n``) until one is flat.  Its unitary is carried to the rest
-    of the class by their eigenbases in one product and one flatness check, with 0
-    evaluations.  A carried pair reports the method of the pair it came from when that
-    method read the spectrum alone (the projective Fourier and Zadoff-Chu orders), and
-    ``spectral-transport`` after a search or from the full-space identity rotation; a
-    full-space pair that the identity rotation flattens keeps it, as on its own path.
-    A pair not yet tried that the carried unitary does not flatten takes its own path.
-    No pair takes its own path twice, and none is offered another class's unitary.  One
-    INFO line per certification counts each method and the spectrum classes searched.
+    Otherwise every a is eigendecomposed in one stacked ``eig_unitary`` call, within
+    the unitarity error of its two factors, and joins the first class whose first pair's
+    spectrum matches its own up to a phase.  ``_flatten_class`` flattens each class; a
+    pair's search has ``budget`` objective values and the seed ``seed + 7919 m + n``.
+    One INFO line counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
-    if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
-        raise ValueError("bases must share dimension and subspace dimension")
+    muub, kappa = is_muub(b1, b2, tol)  # refuses bases of different shapes
     d = b1.dim
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
@@ -861,12 +884,14 @@ def muub_certify_by_saturation(
         log.info("MUUB certification: refused before any search: %s", reason)
         return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, expected_trace)
 
-    deviation = float(np.abs(trace_moduli - expected_trace).max())
-    if deviation > tol:
-        return refused(f"max ||Tr(W V†)| - {expected_trace:.4g}| = {deviation:.3g} > tol {tol:.3g}")
+    if not muub:
+        spread, off = float(np.abs(trace_moduli ** 2 - kappa).max()), abs(kappa - d * d / cols)
+        return refused(f"is_muub: max ||Tr(W V†)|^2 - kappa| = {spread!r}, "
+                       f"|kappa - {d * d / cols:g}| = {off!r}, tol {tol!r}")
     v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
     a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
-    identities = np.flatnonzero(_is_phase_of_identity(a))  # X† (z I) X = z I: never flat
+    suspects = np.flatnonzero(trace_moduli.ravel() > d - 1)  # |Tr(z I)| = d
+    identities = suspects[_is_phase_of_identity(a[suspects])]  # X† (z I) X = z I: never flat
     if identities.size:
         return refused(f"pair {divmod(int(identities[0]), cols)} is a phase of the identity")
     weyl = weyl_operators(d) if full_space else None
@@ -874,16 +899,6 @@ def muub_certify_by_saturation(
     tols = [product_unitarity_tol(wm, vn, tol) for wm in b2.elements for vn in b1.elements]
     lam, eigvecs = eig_unitary(a, tols)
     found: dict[int, _Found] = {}  # by pair index m * cols + n
-
-    def own_path(i: int) -> bool:
-        """Whether ``_find_flat_unitary`` flattens pair i; what it finds is kept in ``found``."""
-        m_idx, n_idx = divmod(int(i), cols)
-        result = _find_flat_unitary(a[i], (lam[i], eigvecs[i]), kind, tol, budget, restarts,
-                                    seed + 7919 * m_idx + n_idx)
-        if result is not None:
-            found[i] = result
-        return result is not None
-
     # the sorted gaps between a's eigenvalue angles: a phase keeps them, and a match within
     # tol moves each by at most 2 tol, so only the pairs whose gaps are that close are matched
     angles = np.sort(np.angle(lam) % (2 * np.pi), axis=1)
@@ -896,31 +911,11 @@ def muub_certify_by_saturation(
         same[0], orders[0] = True, np.arange(d)
         members, orders = near[same], orders[same]
         left[members] = False
-        hit = next((j for j, i in enumerate(members) if own_path(i)), None)
-        if hit is None:
-            continue
-        # lam_k[orders[k]] = mu_k lam_0 for member k, so X_k = E_k[:, orders[k]] Y with
-        # Y = E_h[:, orders[h]]† X_h gives X_k† a_k X_k = (mu_k / mu_h) X_h† a_h X_h
-        h = members[hit]
-        method = found[h].method
-        if method == "numerical-search" or not kind.spectral:  # X_h is more than a_h's spectrum
-            method = "spectral-transport"
-        ref = _Reference(lam[h], eigvecs[h].conj().T @ found[h].matrix, method)
-        others = np.delete(np.arange(members.size), hit)
-        a_k = a[members[others]]
-        bases = np.take_along_axis(eigvecs[members[others]], orders[others, None, :], 2)
-        x = bases @ ref.y[orders[hit]]
-        methods = np.full(others.size, method, dtype=object)
-        if not kind.spectral:  # a pair its own constructions flatten keeps them, as on its path
-            for x_c, method_c in reversed(list(kind.constructions(None))):
-                own = _flat(kind, a_k, x_c, tol)
-                x[own], methods[own] = x_c, method_c
-        for j, x_j, method_j, flat in zip(others, x, methods, _flat(kind, a_k, x, tol)):
-            if flat:
-                _log_search(kind.name, method_j, 0, 0, True)
-                found[members[j]] = _Found(x_j, method_j, 0)
-            elif j > hit:  # not tried yet
-                own_path(members[j])
+        # lam_k[orders[k]] = mu_k lam_0: a_k = mu_k B_k diag(lam_0) B_k†, B_k = E_k[:, orders[k]]
+        bases = np.take_along_axis(eigvecs[members], orders[:, None, :], 2)
+        flats = _flatten_class(a[members], lam[members[0]], bases, kind, tol, budget, restarts,
+                               [seed + 7919 * (i // cols) + i % cols for i in members.tolist()])
+        found.update((int(i), f) for i, f in zip(members, flats) if f)
 
     for i, result in found.items():
         m_idx, n_idx = divmod(int(i), cols)
@@ -936,7 +931,7 @@ def muub_certify_by_saturation(
     # each pair found by its own search found one spectrum class; carried pairs are transports
     log.info("MUUB certification: %s; %d spectrum classes searched", counts,
              methods["numerical-search"])
-    certified = len(found) == len(a)  # the trace check has passed
+    certified = len(found) == len(a)  # is_muub has passed
     return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace)
 
 

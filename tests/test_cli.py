@@ -77,6 +77,32 @@ def test_muub_check_json_bases_at_the_validation_edge(run_cli, tmp_path):
     assert payload["kappa"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d, eps", [(3, 4e-10), (3, 8e-10), (8, 2e-10), (8, 4e-10),
+                                    (16, 1e-10)])
+def test_muub_check_never_certifies_what_is_muub_refuses(run_cli, tmp_path, d, eps):
+    # chirp bases with one side turned by exp(i eps H): each |Tr(W V†)| is within tol of
+    # sqrt(d), but is_muub refuses them, so certified true with kappa null must not appear
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    lam, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+    turn = (vecs * np.exp(1j * eps * lam)) @ vecs.conj().T
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    chirp = np.diag(np.exp(1j * np.pi * np.arange(d) ** 2 * (d + 1) / d))
+    specs = []
+    for side, left, right in (("v", np.eye(d), turn), ("w", chirp, np.eye(d))):
+        paths = []
+        for k in range(d):
+            path = tmp_path / f"{side}{k}.json"
+            matrix = left @ np.linalg.matrix_power(clock, k) @ right
+            path.write_text(json.dumps(array_to_literal(matrix)))
+            paths.append(str(path))
+        specs.append(",".join(paths))
+    code, out, err = run_cli(["muub-check", "--basis1", specs[0], "--basis2", specs[1],
+                              "--budget", "500"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"certified": False, "kappa": None}
+
+
 def test_distinguish_negative(run_cli):
     code, out, _ = run_cli(["distinguish", "--v", "identity", "--w", "omega-minus"])
     assert code == 0

@@ -59,7 +59,7 @@ CERTIFICATIONS = [
     # the Fourier construction certifies every cross pair
     (["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"],
      '{"certified": true, "kappa": 1.9999999999999996}\n'),
-    # |Tr(W V+)| is 0 or 2 here, not sqrt(2): the trace check refuses the bases before any
+    # |Tr(W V+)| is 0 or 2 here, not sqrt(2): is_muub refuses the bases before any
     # eigendecomposition or search
     (["muub-check", "--basis1", "omega-minus,omega-plus", "--basis2", "pauli-z,pauli-x",
       "--budget", "300", "--restarts", "3", "--seed", "4"],

@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import logging
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -533,6 +534,14 @@ def test_deciders_refuse_bad_tol(tol):
             decide()
 
 
+def _find_flat(a, kind, tol, budget, restarts, seed):
+    """The flat unitary that certification finds for pair a, as a spectrum class of its own."""
+    lam, eigvecs = eig_unitary(a)
+    (found,) = saturation._flatten_class(a[None], lam, eigvecs[None], kind, tol, budget,
+                                         restarts, [seed])
+    return found
+
+
 def test_search_gradients_match_central_differences(monkeypatch):
     # every search hands its objective to _descend: check each gradient there against
     # a central difference along a random direction, at d = 3 where Weyl operators are complex
@@ -552,7 +561,7 @@ def test_search_gradients_match_central_differences(monkeypatch):
         a = haar_matrix(d, rng)
         kinds = saturation._projective_flatness(d), saturation._mes_flatness(weyl_operators(d))
         for kind in kinds:
-            saturation._find_flat_unitary(a, eig_unitary(a), kind, 1e-9, 10, 1, d)
+            _find_flat(a, kind, 1e-9, 10, 1, d)
     # the input search backtracks by interpolation; the flat-unitary searches halve
     assert [c[3] for c in captured] == [True, False, False] * 2
     h = 1e-6
@@ -664,9 +673,7 @@ def test_certify_chirp_d5_by_search(monkeypatch):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
-            found = saturation._find_flat_unitary(
-                a, eig_unitary(a), search_only, 1e-9, 500, 20, 7919 * m_idx + n_idx
-            )
+            found = _find_flat(a, search_only, 1e-9, 500, 20, 7919 * m_idx + n_idx)
             assert found is not None and found.method == "numerical-search"
             assert 0 < found.evaluations <= 500
             ((_, method, evaluations, _, converged),) = logged
@@ -688,8 +695,11 @@ def test_certify_chirp_by_construction(d, conjugated):
     assert cert.certified
     reports = [r for row in cert.reports for r in row]
     assert len(reports) == d * d and all(r is not None for r in reports)
+    # a Fourier order of the eigenbasis is flat at d <= 3; from d = 5 on the degenerate
+    # spectrum is ordered as a Zadoff-Chu sequence
+    method = "row-construction" if d <= 3 else "zadoff-chu-order"
     for r in reports:
-        assert r.evaluations == 0 and r.method in ("row-construction", "zadoff-chu-order")
+        assert (r.method, r.evaluations) == (method, 0)
         assert r.achieved.value == pytest.approx(np.log2(d), abs=1e-6)
 
 
@@ -708,7 +718,7 @@ def test_zadoff_chu_order_at_d32():
             np.linalg.matrix_power(clock, k)
         )
         a = (u * diagonal) @ u.conj().T
-        found = saturation._find_flat_unitary(a, eig_unitary(a), projective, 1e-9, 1, 1, 0)
+        found = _find_flat(a, projective, 1e-9, 1, 1, 0)
         assert found is not None and found.method == "zadoff-chu-order" and found.evaluations == 0
         x = found.matrix
         assert np.abs(x.conj().T @ x - np.eye(d)).max() <= 1e-9
@@ -797,7 +807,8 @@ def test_certification_logs_its_methods_once(caplog, monkeypatch):
                          "1 spectrum classes searched")
     identical = UnitaryBasis((identity(2), pauli("Y")))
     for bases, tol, line in (
-        (_clock_vs_shift_d3(), 1e-9, "max ||Tr(W V†)| - 1.732| = 1.73 > tol 1e-09"),
+        (_clock_vs_shift_d3(), 1e-9,
+         "is_muub: max ||Tr(W V†)|^2 - kappa| = 8.0, |kappa - 3| = 2.0, tol 1e-09"),
         ((identical, identical), 2.0, "pair (0, 0) is a phase of the identity"),
     ):
         caplog.clear()
@@ -857,9 +868,7 @@ def test_certify_full_space_muub_by_search(monkeypatch):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
             logged.clear()
-            found = saturation._find_flat_unitary(
-                a, eig_unitary(a), search_only, 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx
-            )
+            found = _find_flat(a, search_only, 1e-9, 5000, 20, 3 + 7919 * m_idx + n_idx)
             assert found is not None and found.method == "numerical-search"
             assert found.evaluations > 0
             ((_, method, evaluations, _, converged),) = logged
@@ -887,21 +896,23 @@ def test_mes_reference_carries_every_pair_without_a_search():
     for wm in b2.elements:
         for vn in b1.elements:
             a = wm.matrix @ vn.matrix.conj().T
-            found = saturation._find_flat_unitary(a, eig_unitary(a), kind, 1e-9, 1, 1, 0)
+            found = _find_flat(a, kind, 1e-9, 1, 1, 0)
             assert found is not None
             assert (found.method, found.evaluations) == ("spectral-transport", 0)
 
 
-def test_full_space_class_mixing_weyl_covariant_pairs_keeps_their_construction():
+def _check_covariant_class(reverse: bool):
+    """Certify the class below, its elements reversed if asked; the first pair's covariance."""
     # every cross pair of a qubit MUUB has eigenvalue gap 2 pi / 3: one spectrum class.  A
     # rotation about (1, 1, 1) fixes the Pauli/even-sign pairs whose axis is +-(1, 1, 1), so
-    # they stay Weyl-covariant, and moves the others off it.  The first pair is covariant:
-    # the covariant pairs keep the identity rotation, and the class's rotation is carried to
-    # the others as a spectral transport, with no search
+    # they stay Weyl-covariant, and moves the others off it.  The covariant pairs keep the
+    # identity rotation, and one of their rotations is carried to the others as a spectral
+    # transport, with no search
     angle = 1.0
     u = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sum(
         pauli(c).matrix for c in "XYZ") / np.sqrt(3)
-    b1, b2 = _haar_pauli_evensign(u)
+    b1, b2 = (UnitaryBasis(b.elements[::-1] if reverse else b.elements)
+              for b in _haar_pauli_evensign(u))
     kind = saturation._mes_flatness(weyl_operators(2))
     cert = muub_certify_by_saturation(b1, b2, seed=3)
     assert cert.certified
@@ -914,10 +925,21 @@ def test_full_space_class_mixing_weyl_covariant_pairs_keeps_their_construction()
             assert r.evaluations == 0
             assert r.method == ("row-construction" if weyl_flat else "spectral-transport")
             assert np.abs(r.tester.measurement.overlaps(a) - 1 / 4).max() <= 1e-9
-            if weyl_flat:  # the identity rotation, as the pair's own path gives it
+            if weyl_flat:  # the identity rotation itself
                 rotation = r.tester.measurement.elements @ b1.elements[n_idx].matrix.conj().T
                 assert np.abs(rotation * np.sqrt(2) - weyl_operators(2)).max() <= 1e-12
-    assert covariant[0] and 1 < sum(covariant) < len(covariant)
+    assert 1 < sum(covariant) < len(covariant)
+    return covariant[0]
+
+
+def test_full_space_class_mixing_weyl_covariant_pairs_keeps_their_construction():
+    assert _check_covariant_class(reverse=False)  # the first pair is covariant
+
+
+def test_full_space_class_whose_first_pair_is_not_covariant_needs_no_search():
+    # the same pairs in reverse order: the first pair is not covariant, and a covariant
+    # pair's rotation is carried to it before any pair searches
+    assert not _check_covariant_class(reverse=True)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -1000,7 +1022,7 @@ _GOLDEN_CERTIFICATIONS = {
     "pauli_evensign": (True, "row-construction", {}),
     "chirp_d3": (True, "row-construction", {}),
     "chirp_d5": (True, "zadoff-chu-order", {}),
-    "clock_vs_shift_d3": (False, None, {}),  # refused by the trace check, before any search
+    "clock_vs_shift_d3": (False, None, {}),  # refused by is_muub, before any search
 }
 
 
@@ -1030,13 +1052,13 @@ def test_benchmark_certifications_keep_each_pair_method_and_evaluations(benchmar
 
 def test_certification_eigendecomposes_once_and_finds_each_class_once(monkeypatch):
     # one stacked call gives every pair its spectrum, and each of these single-class
-    # instances runs the finder for its first pair alone.  Clock against shift fails the
-    # trace check, so it is refused with no eigendecomposition and no finder run
+    # instances flattens its one class in one run.  Clock against shift fails is_muub, so
+    # it is refused with no eigendecomposition and no class run
     calls, finds = [], []
     monkeypatch.setattr(saturation, "eig_unitary",
                         lambda a, *tol: calls.append(np.shape(a)) or eig_unitary(a, *tol))
-    find = saturation._find_flat_unitary
-    monkeypatch.setattr(saturation, "_find_flat_unitary",
+    find = saturation._flatten_class
+    monkeypatch.setattr(saturation, "_flatten_class",
                         lambda *args: finds.append(args) or find(*args))
     for bases, stacked, runs in ((_chirp_bases(5), [25], 1), (_clock_vs_shift_d3(), [], 0),
                                  (_haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11))),
@@ -1059,10 +1081,12 @@ def _clock_against_conjugated_clock(d: int, u: np.ndarray, r: np.ndarray):
 def test_certification_matches_only_pairs_whose_eigenvalue_gaps_agree(monkeypatch):
     # for Haar u and r the 9 pairs have 9 spectra, apart already in their sorted eigenvalue
     # gaps, so no pair is matched against another's class, and grouping stays linear in the
-    # pairs.  The bases are not MUUB: a trace table of sqrt(3) takes them past the verdict.
+    # pairs.  The bases are not MUUB: an is_muub of true and a trace table of sqrt(3) take
+    # them past the verdict.
     # 27 single-row matches: 9 classes, and each pair against the 2 Zadoff-Chu references
     u, r = (haar_matrix(3, np.random.default_rng(seed)) for seed in (7, 8))
     b1, b2 = _clock_against_conjugated_clock(3, u, r)
+    monkeypatch.setattr(saturation, "is_muub", lambda *_: (True, 3.0))
     monkeypatch.setattr(saturation, "hs_table", lambda *_: np.full((3, 3), np.sqrt(3)))
     rows = []
     match = saturation._match_up_to_phase
@@ -1074,7 +1098,7 @@ def test_certification_matches_only_pairs_whose_eigenvalue_gaps_agree(monkeypatc
 
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 def test_certification_refuses_a_failed_trace_check_before_any_search(monkeypatch, d):
-    # not MUUB up to the advertised size: no eigendecomposition and no finder run, so the
+    # not MUUB up to the advertised size: no eigendecomposition and no class run, so the
     # default budget costs nothing, and every report is None (not sought)
     rng = np.random.default_rng(d)
     b1, b2 = _clock_against_conjugated_clock(d, haar_matrix(d, rng), haar_matrix(d, rng))
@@ -1082,13 +1106,67 @@ def test_certification_refuses_a_failed_trace_check_before_any_search(monkeypatc
     def refuse(*_, name):
         raise AssertionError(f"{name} called on a refused certification")
 
-    for name in ("eig_unitary", "_find_flat_unitary"):
+    for name in ("eig_unitary", "_flatten_class"):
         monkeypatch.setattr(saturation, name, functools.partial(refuse, name=name))
     cert = muub_certify_by_saturation(b1, b2)
     assert not cert.certified and not is_muub(b1, b2)[0]  # so certified => is_muub holds
     assert all(r is None for row in cert.reports for r in row)
     assert np.array_equal(cert.trace_moduli, hs_table(b2, b1))
     assert cert.expected_trace == np.sqrt(d)
+
+
+def _chirp_bases_off_by(d: int, eps: float):
+    """``_chirp_bases(d)``, b1's elements times exp(i eps H) for H = (G + G†) / 2, G seeded."""
+    b1, b2 = _chirp_bases(d)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    lam, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+    turn = (vecs * np.exp(1j * eps * lam)) @ vecs.conj().T
+    return UnitaryBasis(tuple(UnitaryOperator(e.matrix @ turn) for e in b1.elements)), b2
+
+
+@pytest.mark.parametrize("d, eps", [(3, 4e-10), (3, 8e-10), (8, 2e-10), (8, 4e-10),
+                                    (16, 1e-10)])
+def test_certification_at_the_tolerance_edge_follows_is_muub(caplog, monkeypatch, d, eps):
+    # every |Tr(W V†)| is within tol of sqrt(d), but |Tr(W V†)|^2 is not within tol of its
+    # mean, about 2 sqrt(d) times stricter: is_muub says no, and so does the certification,
+    # with a refusal line whose numbers show which one exceeds tol
+    monkeypatch.setattr(logging.getLogger("utp"), "propagate", True)
+    caplog.set_level(logging.INFO, logger="utp.saturation")
+    b1, b2 = _chirp_bases_off_by(d, eps)
+    cert = muub_certify_by_saturation(b1, b2, budget=500)
+    flag, _ = is_muub(b1, b2)
+    assert np.abs(cert.trace_moduli - np.sqrt(d)).max() <= 1e-9
+    assert not flag and not cert.certified
+    assert all(r is None for row in cert.reports for r in row)
+    (line,) = [r.getMessage() for r in caplog.records]
+    spread, off, tol = map(float, re.fullmatch(
+        rf"MUUB certification: refused before any search: is_muub: max \|\|Tr\(W V†\)\|\^2 - "
+        rf"kappa\| = (\S+), \|kappa - {d}\| = (\S+), tol (\S+)", line).groups())
+    assert tol == 1e-9 and spread > tol >= off
+
+
+def test_identity_check_reads_only_pairs_whose_trace_is_near_d(monkeypatch):
+    # a phase of the identity has |Tr a| = d: the 1024 chirp pairs at d = 32 have |Tr a| =
+    # sqrt(32), so the check sees none of them.  Identical qubit bases at tol 2 pass is_muub,
+    # and the check sees the two pairs W V† = I
+    seen = []
+    check = saturation._is_phase_of_identity
+    monkeypatch.setattr(saturation, "_is_phase_of_identity",
+                        lambda a, *rest: seen.append(len(a)) or check(a, *rest))
+
+    class Past(Exception):
+        """Raised by the first step after the identity check."""
+
+    def past(*_):
+        raise Past
+
+    monkeypatch.setattr(saturation, "eig_unitary", past)
+    with pytest.raises(Past):
+        muub_certify_by_saturation(*_chirp_bases(32))
+    identical = UnitaryBasis((identity(2), pauli("Y")))
+    cert = muub_certify_by_saturation(identical, identical, tol=2.0)
+    assert seen == [0, 2] and not cert.certified
 
 
 def test_certify_rejects_identical_bases():
@@ -1113,10 +1191,8 @@ def test_flat_basis_search_fallback():
     # basis exists (any gap in [pi/2, 3pi/2] admits one), so this exercises
     # the budgeted numerical search
     a = np.diag([1.0, np.exp(2j * np.pi / 3)]).astype(complex)
-    found = saturation._find_flat_unitary(
-        a, eig_unitary(a), saturation._projective_flatness(2), tol=1e-9, budget=5000,
-        restarts=20, seed=0,
-    )
+    found = _find_flat(a, saturation._projective_flatness(2), tol=1e-9, budget=5000,
+                       restarts=20, seed=0)
     assert found is not None
     x = found.matrix
     assert found.method == "numerical-search"
@@ -1127,10 +1203,8 @@ def test_flat_basis_impossible_for_small_gap():
     # eigenvalue gap pi/3 < pi/2: no basis can flatten the overlaps, and the
     # search must honestly report not-found within its budget
     a = np.diag([1.0, np.exp(1j * np.pi / 3)]).astype(complex)
-    found = saturation._find_flat_unitary(
-        a, eig_unitary(a), saturation._projective_flatness(2), tol=1e-9, budget=2000,
-        restarts=8, seed=0,
-    )
+    found = _find_flat(a, saturation._projective_flatness(2), tol=1e-9, budget=2000,
+                       restarts=8, seed=0)
     assert found is None
 
 
