@@ -26,7 +26,6 @@ from .operators import (
     UnitaryOperator,
     clock_shift_pair,
     identity,
-    is_muub,
     is_perfectly_distinguishable,
     omega,
     pauli,
@@ -279,11 +278,10 @@ def _resolve_basis(spec: str, dim: int | None) -> UnitaryBasis:
 def cmd_muub_check(args) -> str:
     b1 = _resolve_basis(args.basis1, args.dim)
     b2 = _resolve_basis(args.basis2, args.dim)
-    flag, kappa = is_muub(b1, b2, args.tol)
     cert = muub_certify_by_saturation(
         b1, b2, tol=args.tol, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
-    return _json_line({"certified": cert.certified, "kappa": kappa if flag else None})
+    return _json_line({"certified": cert.certified, "kappa": cert.kappa})
 
 
 def cmd_distinguish(args) -> str:

@@ -44,27 +44,23 @@ def validate_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
-def as_complex_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D complex array, optionally checking its shape."""
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-D complex array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
     return m
 
 
-def as_complex_vector(v, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-D complex array, optionally checking its length."""
-    w = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
+def as_complex_vector(v) -> np.ndarray:
+    """Coerce to a finite 1-D complex array; nothing is flattened."""
+    w = np.asarray(v, dtype=complex)
+    if w.ndim != 1:
+        raise ValueError(f"expected a vector, got ndim={w.ndim}")
+    if not np.isfinite(w).all():
         raise ValueError("vector entries must be finite (no NaN/Inf)")
-    if dim is not None and w.size != dim:
-        raise ValueError(f"expected dimension {dim}, got {w.size}")
     return w
 
 
@@ -76,17 +72,29 @@ def operator_norm(a) -> float:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_complex_matrix(a)
-    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol
+def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Whether a square matrix, or each of a stack, is its adjoint within tol (never with NaN)."""
+    return a.shape[-1] == a.shape[-2] and bool(np.abs(a - a.conj().swapaxes(-1, -2)).max() <= tol)
 
 
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    d = a.shape[0]
-    return np.abs(a.conj().T @ a - np.eye(d)).max() <= tol
+def check_hermitian_psd(a: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> None:
+    """Refuse a square matrix, or each of a stack, unless Hermitian and PSD within tol."""
+    if not is_hermitian(a, tol):
+        raise ValueError(f"{what} is not Hermitian")
+    lo = np.linalg.eigvalsh(a).min()
+    if not lo >= -tol:
+        raise ValueError(f"{what} has eigenvalue {lo:.3e} < 0")
+
+
+def unitarity_residual(u: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """scale·U†U − I, formed in place, of a square matrix or each of a stack, and max |entry|.
+
+    The max is one per matrix; NaN or Inf entries make it NaN or Inf: decide ``not dev <= tol``.
+    """
+    g = u.conj().swapaxes(-1, -2) @ u
+    g *= scale
+    g -= np.eye(u.shape[-1])
+    return g, np.abs(g).max(axis=(-2, -1))
 
 
 def eig_unitary(u, tol: float | np.ndarray = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -122,13 +130,12 @@ def eig_unitary(u, tol: float | np.ndarray = DEFAULT_TOL) -> tuple[np.ndarray, n
         raise ValueError(f"expected finite square matrices, got shape {stack.shape}")
     n, d = stack.shape[:2]
     tol = np.full(n, tol, dtype=float)
-    stack_h = stack.conj().swapaxes(1, 2)
-    eye = np.eye(d)
-    bad = np.flatnonzero(np.abs(stack_h @ stack - eye).max(axis=(1, 2)) > tol)
+    bad = np.flatnonzero(~(unitarity_residual(stack)[1] <= tol))
     if bad.size:
         where = "" if single else f" (matrix {bad[0]} of the stack)"
         raise ValueError(f"matrix is not unitary within tol={tol[bad[0]]}{where}")
-    a = np.arccos(np.clip(np.linalg.eigvalsh((stack + stack_h) / 2), -1.0, 1.0))
+    eye = np.eye(d)
+    a = np.arccos(np.clip(np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2), -1, 1))
     points = np.sort(np.concatenate([a, 2 * np.pi - a], axis=1), axis=1)
     gaps = np.diff(points, axis=1, append=points[:, :1] + 2 * np.pi)
     rows = np.arange(n)[:, None]

@@ -9,8 +9,7 @@ bases, and single-shot perfect distinguishability of an operator pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .linalg import (
     as_complex_matrix,
     as_complex_vector,
     eig_unitary,
-    is_unitary,
+    unitarity_residual,
     validate_tol,
 )
 
@@ -37,29 +36,29 @@ _PAULI = {
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """A d x d unitary matrix; unitarity is validated on construction."""
+    """A d x d unitary matrix, validated on construction within DEFAULT_TOL per entry of U†U - I.
+
+    ``unitarity_error`` bounds |U†U - I| by its Frobenius norm, so it may reach ~d DEFAULT_TOL.
+    """
 
     matrix: np.ndarray
+    unitarity_error: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix)
         if m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"unitary operator must be square of dimension >= 1, got {m.shape}")
-        if not is_unitary(m, DEFAULT_TOL):
-            dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        residual, dev = unitarity_residual(m)
+        if not dev <= DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: |U†U - I| = {dev:.3e}")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "unitarity_error", float(np.linalg.norm(residual)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def unitarity_error(self) -> float:
-        """|U†U - I| (spectral norm, bounded by Frobenius); validation allows ~d DEFAULT_TOL."""
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
 
     def to_literal(self) -> dict:
         return array_to_literal(self.matrix)
@@ -218,31 +217,35 @@ def _support_blocks(a: np.ndarray) -> list[np.ndarray] | None:
 
 
 def hs_table(b1: UnitaryBasis, b2: UnitaryBasis) -> np.ndarray:
-    """|Tr(P_i† Q_j)| for P_i in ``b1`` and Q_j in ``b2``."""
+    """|Tr(P_i† Q_j)| for P_i in ``b1`` and Q_j in ``b2``, two bases of one shape."""
+    if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
+        raise ValueError("bases must share dimension and subspace dimension")
     p, q = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
     return hs_moduli(p, q)
 
 
-def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Decide whether two unitary bases are mutually unbiased.
+def muub_verdict(moduli: np.ndarray, d: int, tol: float) -> tuple[bool, float, float, float, float]:
+    """The MUUB rule on the table |Tr(P_i† Q_j)| of two n-element bases in dimension d.
 
-    Returns ``(flag, kappa)`` where ``kappa`` is the common value of
-    |Tr(P_i† Q_j)|² across all pairs.  The flag is true when that value
-    is constant within ``tol`` and equals the value forced by the subspace
-    dimension (d for a d-element basis, 1 for a d²-element basis, both
-    following from the completeness sum over one basis).  Symmetric in its
-    arguments since |Tr(P†Q)| = |Tr(Q†P)|.
+    Returns (flag, kappa, spread, expected, offset): kappa is the mean of |Tr(P_i† Q_j)|²,
+    spread its largest distance from kappa, and offset |kappa - expected|, for the d²/n
+    that completeness forces.  The flag is true when spread and offset are within ``tol``.
+    """
+    overlaps = moduli**2
+    kappa = float(overlaps.mean())
+    spread = float(np.abs(overlaps - kappa).max())
+    expected = d * d / len(moduli)
+    offset = abs(kappa - expected)
+    return spread <= tol and offset <= tol, kappa, spread, expected, offset
+
+
+def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """(flag, kappa) of ``muub_verdict``: whether two unitary bases are mutually unbiased.
+
+    Symmetric in its arguments since |Tr(P†Q)| = |Tr(Q†P)|.
     """
     validate_tol(tol)
-    if b1.dim != b2.dim or b1.subspace_dim != b2.subspace_dim:
-        raise ValueError("bases must share dimension and subspace dimension")
-    d = b1.dim
-    expected = d * d / b1.subspace_dim
-    overlaps = hs_table(b1, b2) ** 2
-    kappa = float(overlaps.mean())
-    constant = bool(np.abs(overlaps - kappa).max() <= tol)
-    flag = constant and abs(kappa - expected) <= tol
-    return flag, kappa
+    return muub_verdict(hs_table(b1, b2), b1.dim, tol)[:2]
 
 
 def haar_random_unitary(d: int, seed: int) -> UnitaryOperator:

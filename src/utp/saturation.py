@@ -50,7 +50,7 @@ from .operators import (
     haar_matrix,
     hs_table,
     identity,
-    is_muub,
+    muub_verdict,
     omega,
     pauli,
     product_unitarity_tol,
@@ -246,9 +246,7 @@ def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
             + 2 * np.cos(theta) ** 2 * np.sin(theta) ** 2 * np.cos(2 * phi)
         )
         return diag, off
-    if pair == "i-omega":
-        return (1 + s2) / 2, (1 - s2) / 2
-    raise ValueError(f"unknown sweep pair {pair!r}; expected i-sigmay or i-omega")
+    return (1 + s2) / 2, (1 - s2) / 2  # i-omega: sweep_pair has refused any other name
 
 
 def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: float = 1e-12):
@@ -838,6 +836,7 @@ class MuubCertification:
     reports: tuple[tuple[SaturationReport | None, ...], ...]  # indexed [m][n]
     trace_moduli: np.ndarray  # |Tr(W_m V_n†)|, indexed [m][n]
     expected_trace: float
+    kappa: float | None  # is_muub's kappa, None when is_muub says no
 
 
 def muub_certify_by_saturation(
@@ -872,22 +871,24 @@ def muub_certify_by_saturation(
     """
     validate_tol(tol)
     _validate_search(budget, restarts)
-    muub, kappa = is_muub(b1, b2, tol)  # refuses bases of different shapes
     d = b1.dim
     full_space = b1.subspace_dim == d * d
     expected_trace = 1.0 if full_space else math.sqrt(d)
     cols = len(b1.elements)
     reports: list[list[SaturationReport | None]] = [[None] * cols for _ in b2.elements]
-    trace_moduli = hs_table(b2, b1)
+    table = hs_table(b1, b2)  # is_muub's table, so its verdict bit for bit; refuses other shapes
+    muub, kappa, spread, expected, off = muub_verdict(table, d, tol)
+    trace_moduli = table.T
+    kappa = kappa if muub else None
 
     def refused(reason: str) -> MuubCertification:
         log.info("MUUB certification: refused before any search: %s", reason)
-        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, expected_trace)
+        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, expected_trace,
+                                 kappa)
 
     if not muub:
-        spread, off = float(np.abs(trace_moduli ** 2 - kappa).max()), abs(kappa - d * d / cols)
         return refused(f"is_muub: max ||Tr(W V†)|^2 - kappa| = {spread!r}, "
-                       f"|kappa - {d * d / cols:g}| = {off!r}, tol {tol!r}")
+                       f"|kappa - {expected:g}| = {off!r}, tol {tol!r}")
     v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
     a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
     suspects = np.flatnonzero(trace_moduli.ravel() > d - 1)  # |Tr(z I)| = d
@@ -932,7 +933,8 @@ def muub_certify_by_saturation(
     log.info("MUUB certification: %s; %d spectrum classes searched", counts,
              methods["numerical-search"])
     certified = len(found) == len(a)  # is_muub has passed
-    return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace)
+    return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace,
+                             kappa)
 
 
 def zero_bound_witness(

@@ -26,9 +26,10 @@ from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
     as_complex_vector,
+    check_hermitian_psd,
     computed,
     eig_unitary,
-    is_hermitian,
+    unitarity_residual,
 )
 from .operators import (
     UnitaryOperator,
@@ -189,13 +190,9 @@ class DensityMatrix:
         m = as_complex_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if not is_hermitian(m, DEFAULT_TOL):
-            raise ValueError("density matrix is not Hermitian")
+        check_hermitian_psd(m, "density matrix")
         if abs(np.trace(m).real - 1.0) > DEFAULT_TOL or abs(np.trace(m).imag) > DEFAULT_TOL:
             raise ValueError(f"density matrix trace {np.trace(m):.6g} != 1")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < -DEFAULT_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo:.3e} < 0")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -237,13 +234,7 @@ class Povm:
             raise ValueError("POVM needs at least one element")
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise ValueError("POVM elements must share one square shape")
-        if not np.isfinite(e).all():
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        if np.abs(e - e.conj().transpose(0, 2, 1)).max() > DEFAULT_TOL:
-            raise ValueError("POVM element is not Hermitian")
-        lo = np.linalg.eigvalsh(e).min()
-        if lo < -DEFAULT_TOL:
-            raise ValueError(f"POVM element has eigenvalue {lo:.3e} < 0")
+        check_hermitian_psd(e, "POVM element")  # refuses NaN and Inf too
         dev = np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()
         if dev > POVM_SUM_TOL:
             raise ValueError(f"POVM elements do not sum to identity: deviation {dev:.3e}")
@@ -257,7 +248,7 @@ class Povm:
     def probabilities(self, rho: DensityMatrix, u: UnitaryOperator) -> np.ndarray:
         """p_k = Tr(M_k U rho U†)."""
         rotated = u.matrix @ rho.matrix @ u.matrix.conj().T
-        return np.array([np.trace(e @ rotated).real for e in self.elements])
+        return np.trace(self.elements @ rotated, axis1=1, axis2=2).real
 
     def to_literal(self) -> dict:
         return {"elements": [array_to_literal(e) for e in self.elements]}
@@ -297,10 +288,7 @@ class MesMeasurement:
         if r.shape != (d * d, d, d) or d < 2:
             raise ValueError("MES measurement needs a (d^2, d, d) stack, d >= 2")
         check_hs_orthogonal(r, 1.0, "MES basis is not orthonormal")  # refuses NaN and Inf too
-        g = r.conj().transpose(0, 2, 1) @ r  # (sqrt(d) R_i)† (sqrt(d) R_i) - I, in place
-        g *= d
-        g -= np.eye(d)
-        if np.abs(g).max() > MES_RESHAPE_TOL:
+        if not unitarity_residual(r, d)[1].max() <= MES_RESHAPE_TOL:  # is sqrt(d) R_i unitary?
             raise ValueError("MES basis element is not maximally entangled")
         object.__setattr__(self, "elements", r)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utp import cli, saturation
+from utp import cli, operators, saturation
 from utp.linalg import ConvergenceError, InvariantError
 from utp.operators import array_to_literal, haar_matrix
 from utp.saturation import su2_overlap_surface, sweep_to_csv, sweep_to_json
@@ -296,6 +296,25 @@ def test_search_reproducible_bytes(run_cli):
 
 SEARCH_ARGV = ["search", "--v", "identity", "--w", "omega-minus", "--measurement", "su2:pi/5,0.3"]
 MUUB_ARGV = ["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,omega-plus"]
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (MUUB_ARGV, '{"certified": true, "kappa": 1.9999999999999996}\n'),
+    # is_muub passes identical bases at tol 2, and the pairs W V† = I refuse the certification
+    (["muub-check", "--basis1", "i,pauli-y", "--basis2", "i,pauli-y", "--tol", "2"],
+     '{"certified": false, "kappa": 2.0}\n'),
+    (["muub-check", "--basis1", "omega-minus,omega-plus", "--basis2", "pauli-z,pauli-x"],
+     '{"certified": false, "kappa": null}\n'),
+], ids=["certified", "identity-refused", "not-muub"])
+def test_muub_check_forms_one_hs_table_between_its_bases(run_cli, monkeypatch, argv, stdout):
+    # the verdict, the printed kappa and the trace table all read one |Tr(W V†)| table; the
+    # bases' own orthogonality checks compare each stack with itself
+    cross = []
+    moduli = operators.hs_moduli
+    monkeypatch.setattr(operators, "hs_moduli",
+                        lambda p, q: cross.append(p is not q) or moduli(p, q))
+    assert run_cli(argv) == (0, stdout, "")
+    assert sum(cross) == 1
 
 
 @pytest.mark.parametrize("argv", [SEARCH_ARGV, MUUB_ARGV], ids=["search", "muub-check"])

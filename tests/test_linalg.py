@@ -5,6 +5,7 @@ from conftest import haar_matrix
 from utp import linalg
 from utp.operators import UnitaryOperator
 from utp.saturation import zero_bound_witness
+from utp.testers import MES_RESHAPE_TOL, DensityMatrix, MesMeasurement, Povm, bell_elements
 from utp.uncertainty import pair_uncertainty
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -217,3 +218,51 @@ def test_eig_unitary_stack_names_the_matrix_that_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", mixed)
     with pytest.raises(linalg.ConvergenceError, match=r"residual .* \(matrix 2 of the stack\)"):
         linalg.eig_unitary(stack)
+
+
+def _off_unitary(dev: float) -> np.ndarray:
+    """diag(sqrt(1 + dev), 1), whose U†U - I is dev in one entry."""
+    return np.diag([np.sqrt(1 + dev), 1.0]).astype(complex)
+
+
+def _off_mes(dev: float) -> np.ndarray:
+    """The qubit Bell states with R_0 = I/sqrt(2) and R_1 = Z/sqrt(2) turned into each other.
+
+    Orthonormality holds; 2 R_i† R_i - I is +-dev Z for the two turned states.
+    """
+    r = np.array(bell_elements(2))
+    c, s = np.cos(np.arcsin(dev) / 2), np.sin(np.arcsin(dev) / 2)
+    r[0], r[1] = c * r[0] + s * r[1], c * r[1] - s * r[0]
+    return r
+
+
+# validator of a matrix off its invariant by dev, its tolerance, and the keyword it refuses with
+TOLERANCE_EDGES = {
+    "unitary-operator": (lambda dev: UnitaryOperator(_off_unitary(dev)),
+                         linalg.DEFAULT_TOL, "not unitary"),
+    "eig-unitary-stack": (lambda dev: linalg.eig_unitary(np.stack([I2, _off_unitary(dev)]),
+                                                         [linalg.DEFAULT_TOL, 1e-7]),
+                          1e-7, "not unitary"),
+    "mes-measurement": (lambda dev: MesMeasurement(_off_mes(dev)),
+                        MES_RESHAPE_TOL, "maximally entangled"),
+    "density-hermitian": (lambda dev: DensityMatrix(np.array([[0.5, dev], [0, 0.5]])),
+                          linalg.DEFAULT_TOL, "Hermitian"),
+    "density-psd": (lambda dev: DensityMatrix(np.diag([1 + dev, -dev])),
+                    linalg.DEFAULT_TOL, "eigenvalue"),
+    "povm-hermitian": (lambda dev: Povm((np.array([[0.5, dev], [0, 0.5]]),
+                                         np.array([[0.5, -dev], [0, 0.5]]))),
+                       linalg.DEFAULT_TOL, "Hermitian"),
+    "povm-psd": (lambda dev: Povm((np.diag([1 + dev, 0.5]), np.diag([-dev, 0.5]))),
+                 linalg.DEFAULT_TOL, "eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("case", TOLERANCE_EDGES)
+def test_validators_keep_their_tolerance_and_refuse_nan(case):
+    # just inside the tolerance passes, just past it is refused, and so is a NaN entry
+    build, tol, keyword = TOLERANCE_EDGES[case]
+    build((1 - 1e-3) * tol)
+    with pytest.raises(ValueError, match=keyword):
+        build((1 + 1e-3) * tol)
+    with pytest.raises(ValueError):
+        build(np.nan)

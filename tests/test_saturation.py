@@ -1081,12 +1081,11 @@ def _clock_against_conjugated_clock(d: int, u: np.ndarray, r: np.ndarray):
 def test_certification_matches_only_pairs_whose_eigenvalue_gaps_agree(monkeypatch):
     # for Haar u and r the 9 pairs have 9 spectra, apart already in their sorted eigenvalue
     # gaps, so no pair is matched against another's class, and grouping stays linear in the
-    # pairs.  The bases are not MUUB: an is_muub of true and a trace table of sqrt(3) take
-    # them past the verdict.
+    # pairs.  The bases are not MUUB: a trace table of sqrt(3), which is_muub's rule passes,
+    # takes them past the verdict.
     # 27 single-row matches: 9 classes, and each pair against the 2 Zadoff-Chu references
     u, r = (haar_matrix(3, np.random.default_rng(seed)) for seed in (7, 8))
     b1, b2 = _clock_against_conjugated_clock(3, u, r)
-    monkeypatch.setattr(saturation, "is_muub", lambda *_: (True, 3.0))
     monkeypatch.setattr(saturation, "hs_table", lambda *_: np.full((3, 3), np.sqrt(3)))
     rows = []
     match = saturation._match_up_to_phase
@@ -1111,8 +1110,8 @@ def test_certification_refuses_a_failed_trace_check_before_any_search(monkeypatc
     cert = muub_certify_by_saturation(b1, b2)
     assert not cert.certified and not is_muub(b1, b2)[0]  # so certified => is_muub holds
     assert all(r is None for row in cert.reports for r in row)
-    assert np.array_equal(cert.trace_moduli, hs_table(b2, b1))
-    assert cert.expected_trace == np.sqrt(d)
+    assert np.array_equal(cert.trace_moduli, hs_table(b1, b2).T)  # is_muub's table
+    assert cert.expected_trace == np.sqrt(d) and cert.kappa is None
 
 
 def _chirp_bases_off_by(d: int, eps: float):
@@ -1182,7 +1181,7 @@ def test_certified_implies_is_muub():
     b2 = UnitaryBasis((omega(-1), omega(+1)))
     cert = muub_certify_by_saturation(b1, b2)
     flag, kappa = is_muub(b1, b2)
-    assert cert.certified and flag
+    assert cert.certified and flag and cert.kappa == kappa
     assert kappa == pytest.approx(2.0, abs=1e-9)
 
 

@@ -40,6 +40,12 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0]))
 
 
+def test_pure_state_is_not_flattened_from_a_matrix():
+    # a 2 x 2 array of unit Frobenius norm is not a state of dimension 4
+    with pytest.raises(ValueError, match="expected a vector"):
+        PureState(np.full((2, 2), 0.5))
+
+
 @pytest.mark.parametrize("m", [computational_basis(3), bell_basis(3)], ids=["projective", "mes"])
 def test_measurement_matrix_is_stored_read_only(m):
     assert m.matrix is m.matrix
