@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
@@ -249,14 +249,14 @@ def _closed_form_overlaps(pair: str, theta: np.ndarray, phi: np.ndarray):
     return (1 + s2) / 2, (1 - s2) / 2  # i-omega: sweep_pair has refused any other name
 
 
-def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: float = 1e-12):
+def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray):
     """(max_overlap, diag_overlap, bound_bits, deviation), closed form vs matrices cross-checked.
 
     theta and phi broadcast against each other, and every result has their
     broadcast shape.  Each overlap <chi_i| a |chi_j> is summed entry by entry,
     sum_kl (conj(x_ki) a_kl) x_lj, so no stack of 2x2 matrices is built.
     deviation is the largest closed-form-versus-matrix difference, at most
-    ``check_tol``.  bound_bits follows the bounds' rule that a maximum within
+    1e-12.  bound_bits follows the bounds' rule that a maximum within
     TIE_TOL of 1 is 1.
     """
     v, w = sweep_pair(pair)
@@ -271,10 +271,8 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray, check_tol: fl
         np.abs(p[0][1] - off_cf).max(),
         np.abs(p[1][0] - off_cf).max(),
     ))
-    if dev > check_tol:
-        raise InvariantError(
-            f"closed-form/matrix overlap mismatch {dev:.3e} exceeds {check_tol:.0e}"
-        )
+    if dev > 1e-12:
+        raise InvariantError(f"closed-form/matrix overlap mismatch {dev:.3e} exceeds 1e-12")
     max_overlap = np.maximum(np.maximum(p[0][0], p[0][1]), np.maximum(p[1][0], p[1][1]))
     return max_overlap, p[0][0], -np.log2(snap_to_one(max_overlap)) + 0.0, dev
 
@@ -365,20 +363,16 @@ def sweep_to_json(surface: SweepSurface) -> str:
     return "".join(sweep_json_blocks(surface))
 
 
-def _is_phase_of_identity(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Whether a, or each matrix of a stack, is z I for a z != 0, within tol."""
+def _is_phase_of_identity(a: np.ndarray) -> np.ndarray:
+    """Whether a, or each matrix of a stack, is z I for a z != 0, within DEFAULT_TOL."""
     d = a.shape[-1]
     z = np.trace(a, axis1=-2, axis2=-1) / d
     off = np.abs(a - z[..., None, None] * np.eye(d)).max(axis=(-2, -1))
-    return (np.abs(z) > 1e-12) & (off <= tol)
+    return (np.abs(z) > 1e-12) & (off <= DEFAULT_TOL)
 
 
 def saturating_tester_by_construction(
-    m: ProjectiveMeasurement,
-    v: UnitaryOperator,
-    w: UnitaryOperator,
-    tol: float = DEFAULT_TOL,
-    base: float = 2.0,
+    m: ProjectiveMeasurement, v: UnitaryOperator, w: UnitaryOperator
 ) -> SaturationReport | None:
     """Try to saturate the projective bound with an input of the form v†|chi_i>.
 
@@ -386,8 +380,9 @@ def saturating_tester_by_construction(
     uncertainty collapses to the w-side entropy, i.e. the entropy of one
     column of |<chi_j| w v† |chi_i>|^2.  That equals the bound exactly
     when the column is uniform on its support with its maximum equal to
-    the global maximum overlap.  Returns the report for the smallest
-    qualifying column index, or None when no column qualifies.
+    the global maximum overlap, within DEFAULT_TOL.  Returns the report, in
+    bits, for the smallest qualifying column index, or None when no column
+    qualifies.
     """
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
@@ -396,12 +391,13 @@ def saturating_tester_by_construction(
     global_max = overlaps.max()
     for i in range(m.dim):
         column = overlaps[:, i]
-        support = column[column > tol]
+        support = column[column > DEFAULT_TOL]
         if support.size == 0:
             continue
-        if support.max() - support.min() <= tol and abs(support.max() - global_max) <= tol:
+        if (support.max() - support.min() <= DEFAULT_TOL
+                and abs(support.max() - global_max) <= DEFAULT_TOL):
             tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, i]), m)
-            return _report(tester, v, w, "row-construction", base)
+            return _report(tester, v, w, "row-construction", 2.0)
     return None
 
 
@@ -501,7 +497,9 @@ def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: flo
     return _Descent(x, f, used, True)
 
 
-def _validate_search(budget: int, restarts: int) -> None:
+def _validate_search(budget: int, restarts: int, seed: int) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if restarts < 1:
@@ -549,7 +547,7 @@ def search_min_uncertainty(
     never a claim of optimality).  Deterministic for fixed
     (seed, budget, restarts).
     """
-    _validate_search(budget, restarts)
+    _validate_search(budget, restarts, seed)
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
     d = m.dim
@@ -616,9 +614,13 @@ class _Found(NamedTuple):
 
 
 class _Reference(NamedTuple):
-    """A flat b = Y† diag(eigenvalues) Y, and the method of a pair carried over from it."""
+    """A flat b = Y† diag(eigenvalues) Y, and the method of a pair carried over from it.
 
-    eigenvalues: np.ndarray
+    ``eigenvalues`` None stands for any spectrum, in its angle order: X = E Y for an
+    eigenbasis E of a is a candidate that reads a's spectrum alone.
+    """
+
+    eigenvalues: np.ndarray | None
     y: np.ndarray
     method: str
 
@@ -626,10 +628,9 @@ class _Reference(NamedTuple):
 class _Flatness(NamedTuple):
     """A flavour: X is flat when the d x d table T(X† a X), linear in X† a X, has |T|^2 = level.
 
-    Each entry of T stands for ``repeats`` overlaps.  ``constructions(spectrum)`` yields
-    (X, method) candidates from a's eigenvalues and eigenvectors.  ``spectral`` says
-    whether they read that spectrum alone, so that one flat on a class's first pair is
-    carried to the class; otherwise each is tried on every pair.
+    Each entry of T stands for ``repeats`` overlaps.  ``rotations`` are (X, method)
+    candidates tried on every pair as they are; ``references`` are spectrum references,
+    tried in order; ``tester(X, v)`` is the tester of a flat X for the pair (v, w).
     """
 
     name: str
@@ -637,9 +638,9 @@ class _Flatness(NamedTuple):
     adjoint: Callable[[np.ndarray], np.ndarray]
     level: float
     repeats: int
-    constructions: Callable[..., Iterable[tuple[np.ndarray, str]]]
+    rotations: tuple[tuple[np.ndarray, str], ...]
     references: tuple[_Reference, ...]
-    spectral: bool
+    tester: Callable[[np.ndarray, UnitaryOperator], Tester]
 
 
 def _zadoff_chu(d: int) -> np.ndarray:
@@ -679,27 +680,28 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray,
     return sigma, matched.any(axis=1)
 
 
-def _fourier_orders(spectrum):
-    """E_σ F for the eigenbasis E of a and the DFT F: flat iff the ordered Λ is bi-unimodular."""
-    lam, eigvecs = spectrum
-    d = lam.size
-    dft = dft_matrix(d)
-    # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
-    # such as (1, a, 1, -a) at d = 4
-    for order in permutations(range(d)) if d <= 4 else [tuple(range(d))]:
-        yield eigvecs[:, list(order)] @ dft, "row-construction"
+def _projective_tester(x: np.ndarray, v: UnitaryOperator) -> Tester:
+    """Measurement in the flat basis X, input v† x_0."""
+    return Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]),
+                             ProjectiveMeasurement.from_matrix(x))
 
 
 def _projective_flatness(d: int) -> _Flatness:
     """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d.
 
-    The references are the Zadoff-Chu sequences, whose DFTs have constant modulus
-    (Chu, IEEE Trans. IT 18, 1972): each is flat in the DFT basis F.
+    The references are first the Fourier orders E_σ F of an eigenbasis E of a and the
+    DFT F, flat iff the ordered spectrum is bi-unimodular: Y = F with its rows permuted.
+    Then the Zadoff-Chu sequences, whose DFTs have constant modulus (Chu, IEEE Trans.
+    IT 18, 1972): each is flat in the DFT basis F.
     """
     dft = dft_matrix(d)
+    # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
+    # such as (1, a, 1, -a) at d = 4
+    orders = permutations(range(d)) if d <= 4 else [range(d)]
+    fourier = tuple(_Reference(None, dft[np.argsort(o)], "row-construction") for o in orders)
     zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
-    return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, _fourier_orders, zadoff_chu,
-                     True)
+    return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, (), fourier + zadoff_chu,
+                     _projective_tester)
 
 
 def _mes_flatness(weyl: np.ndarray) -> _Flatness:
@@ -707,8 +709,8 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
 
     With b = X† a X, Tr(M_i† a M_j) = Tr(N_j N_i† b) and N_j N_i† is a phase times N_(j-i):
     the table is the d^2 Weyl coefficients c_k = Tr(N_k† b) / d, each repeated d^2 times.
-    The one construction, the identity rotation, covers the Weyl-covariant pairs; it does
-    not read the spectrum.
+    The one rotation, the identity, covers the Weyl-covariant pairs.  The tester of a flat
+    X for the pair (v, w) is the MES basis M_i v / sqrt(d).
     """
     d = weyl.shape[-1]
     vec = weyl.reshape(d * d, d * d)
@@ -722,9 +724,11 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         """K = sum_k G_k N_k / d: Re Tr(K† db) = Re sum conj(G_k) dc_k."""
         return (g.reshape(*g.shape[:-2], d * d) @ vec).reshape(g.shape) / d
 
-    rotations = [(np.eye(d, dtype=complex), "row-construction")]
-    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, lambda _: rotations, (),
-                     False)
+    def tester(x: np.ndarray, v: UnitaryOperator) -> Tester:
+        return Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ v.matrix / math.sqrt(d)))
+
+    rotations = ((np.eye(d, dtype=complex), "row-construction"),)
+    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, rotations, (), tester)
 
 
 def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
@@ -778,8 +782,9 @@ def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Fla
     gives X_k† a_k X_k = mu_k b, with 0 evaluations.  Stages over the pairs not yet flat,
     each pair reporting the first that flattened it:
 
-    1. the constructions: on the first pair, then carried, if ``kind.spectral``; else on all;
-    2. each reference whose spectrum matches lam up to a phase, carried;
+    1. the rotations, each on every pair;
+    2. each reference: one with no eigenvalues tried on the first pair, then carried if flat;
+       one whose spectrum matches lam up to a phase, carried;
     3. the first flat pair's unitary, carried (``spectral-transport``);
     4. each pair's search in pair order, seeded ``seeds[k]``, each success carried.
     """
@@ -805,16 +810,16 @@ def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Fla
         """Flat pair k's X_k as a reference on lam: Y = B_k† X_k."""
         return _Reference(lam, bases[k].conj().T @ found[k].matrix, method)
 
-    for x, method in kind.constructions((lam, bases[0])):  # stage 1
-        if kind.spectral:  # x = B_0 Y reads lam alone: tried on the first pair, then carried
-            if _flat(kind, a[0], x, tol):
-                carry(_Reference(lam, bases[0].conj().T @ x, method))
-                break
-        else:
-            settle(pending(), x, method)
+    for x, method in kind.rotations:  # stage 1
+        settle(pending(), x, method)
     for ref in kind.references:  # stage 2
-        if not pending():
+        ks = pending()
+        if not ks:
             break
+        if ref.eigenvalues is None:  # reads lam alone: one check, then carried if flat
+            if _flat(kind, a[ks[0]], bases[ks[0]] @ ref.y, tol):
+                carry(ref)
+            continue
         order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)
         if matched[0]:  # lam[order] = mu Λ: Y with Y[order] = ref.y has Y† diag(lam) Y = mu b
             carry(_Reference(lam, ref.y[np.argsort(order[0])], ref.method))
@@ -835,7 +840,6 @@ class MuubCertification:
     certified: bool
     reports: tuple[tuple[SaturationReport | None, ...], ...]  # indexed [m][n]
     trace_moduli: np.ndarray  # |Tr(W_m V_n†)|, indexed [m][n]
-    expected_trace: float
     kappa: float | None  # is_muub's kappa, None when is_muub says no
 
 
@@ -846,7 +850,6 @@ def muub_certify_by_saturation(
     budget: int = 5000,
     restarts: int = 20,
     seed: int = 0,
-    base: float = 2.0,
 ) -> MuubCertification:
     """Certify mutual unbiasedness of two unitary bases through saturation.
 
@@ -854,7 +857,7 @@ def muub_certify_by_saturation(
     is sought in which all overlaps of a = W_m V_n† are flat (1/d for
     d-element bases in a projective basis; 1/d^2 for d^2-element bases in
     an MES basis, the Weyl operators rotated by one unitary).  Each success
-    yields a saturating tester reaching the maximal bound.  Certification
+    yields a saturating tester reaching the maximal bound, in bits.  Certification
     requires ``is_muub`` within ``tol`` and every pair to succeed.  Search
     failures are reported as not-found within budget, never as nonexistence.
 
@@ -870,10 +873,8 @@ def muub_certify_by_saturation(
     One INFO line counts each method and the spectrum classes searched.
     """
     validate_tol(tol)
-    _validate_search(budget, restarts)
+    _validate_search(budget, restarts, seed)
     d = b1.dim
-    full_space = b1.subspace_dim == d * d
-    expected_trace = 1.0 if full_space else math.sqrt(d)
     cols = len(b1.elements)
     reports: list[list[SaturationReport | None]] = [[None] * cols for _ in b2.elements]
     table = hs_table(b1, b2)  # is_muub's table, so its verdict bit for bit; refuses other shapes
@@ -883,8 +884,7 @@ def muub_certify_by_saturation(
 
     def refused(reason: str) -> MuubCertification:
         log.info("MUUB certification: refused before any search: %s", reason)
-        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, expected_trace,
-                                 kappa)
+        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, kappa)
 
     if not muub:
         return refused(f"is_muub: max ||Tr(W V†)|^2 - kappa| = {spread!r}, "
@@ -895,8 +895,7 @@ def muub_certify_by_saturation(
     identities = suspects[_is_phase_of_identity(a[suspects])]  # X† (z I) X = z I: never flat
     if identities.size:
         return refused(f"pair {divmod(int(identities[0]), cols)} is a phase of the identity")
-    weyl = weyl_operators(d) if full_space else None
-    kind = _mes_flatness(weyl) if full_space else _projective_flatness(d)
+    kind = _mes_flatness(weyl_operators(d)) if b1.subspace_dim == d * d else _projective_flatness(d)
     tols = [product_unitarity_tol(wm, vn, tol) for wm in b2.elements for vn in b1.elements]
     lam, eigvecs = eig_unitary(a, tols)
     found: dict[int, _Found] = {}  # by pair index m * cols + n
@@ -919,22 +918,17 @@ def muub_certify_by_saturation(
         found.update((int(i), f) for i, f in zip(members, flats) if f)
 
     for i, result in found.items():
-        m_idx, n_idx = divmod(int(i), cols)
-        wm, vn, x = b2.elements[m_idx], b1.elements[n_idx], result.matrix
-        if full_space:
-            tester = Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ vn.matrix / math.sqrt(d)))
-        else:
-            measurement = ProjectiveMeasurement.from_matrix(x)
-            tester = Tester.projective(PureState(vn.matrix.conj().T @ x[:, 0]), measurement)
-        reports[m_idx][n_idx] = _report(tester, vn, wm, result.method, base, result.evaluations)
+        m_idx, n_idx = divmod(i, cols)
+        wm, vn = b2.elements[m_idx], b1.elements[n_idx]
+        reports[m_idx][n_idx] = _report(kind.tester(result.matrix, vn), vn, wm, result.method, 2.0,
+                                        result.evaluations)
     methods = Counter(r.method if r else "not-found" for row in reports for r in row)
     counts = ", ".join(f"{m} {methods[m]}" for m in (*REPORT_METHODS, "not-found"))
     # each pair found by its own search found one spectrum class; carried pairs are transports
     log.info("MUUB certification: %s; %d spectrum classes searched", counts,
              methods["numerical-search"])
     certified = len(found) == len(a)  # is_muub has passed
-    return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, expected_trace,
-                             kappa)
+    return MuubCertification(certified, tuple(map(tuple, reports)), trace_moduli, kappa)
 
 
 def zero_bound_witness(

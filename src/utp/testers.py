@@ -441,18 +441,15 @@ def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
 
 
 def is_trivial_measurement(
-    m: ProjectiveMeasurement,
-    v: UnitaryOperator,
-    w: UnitaryOperator,
-    tol: float = DEFAULT_TOL,
+    m: ProjectiveMeasurement, v: UnitaryOperator, w: UnitaryOperator
 ) -> bool:
-    """True iff every basis vector of ``m`` is an eigenvector of w v† within tol."""
+    """True iff every basis vector of ``m`` is an eigenvector of w v† within DEFAULT_TOL."""
     if m.dim != v.dim or v.dim != w.dim:
         raise ValueError("dimension mismatch between measurement and operators")
     x = m.matrix
     images = w.matrix @ v.matrix.conj().T @ x
     residuals = images - (x.conj() * images).sum(axis=0) * x
-    return bool((np.linalg.norm(residuals, axis=0) < tol).all())
+    return bool((np.linalg.norm(residuals, axis=0) < DEFAULT_TOL).all())
 
 
 # --- JSON serialization ----------------------------------------------------

@@ -326,6 +326,15 @@ def test_empty_budget_or_restarts_exit_2(run_cli, argv, flag, value):
     assert flag[2:] in err
 
 
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, MUUB_ARGV], ids=["search", "muub-check"])
+def test_negative_seed_exits_2(run_cli, argv):
+    # muub-check once certified these bases with exit 0, since no pair searches; search
+    # failed inside numpy with a message that did not name the seed
+    code, out, err = run_cli(argv + ["--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 DISTINGUISH_ARGV = ["distinguish", "--v", "identity", "--w", "pauli-x"]
 
 

@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import logging
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -520,6 +521,21 @@ def test_searches_refuse_empty_budget_or_restarts(budget, restarts):
         muub_certify_by_saturation(b1, b2, budget=budget, restarts=restarts)
 
 
+@pytest.mark.parametrize("seed", [-1, 0.5])
+def test_searches_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    # one rule before any work: the certification once took -1 where no pair searched, and
+    # failed inside numpy, with a message that did not name the seed, where one did
+    m, v, w = flat_instance(2, 0)
+    message = rf"^seed must be an integer >= 0, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        search_min_uncertainty(m, v, w, seed=seed)
+    constructible = UnitaryBasis((identity(2), pauli("Y"))), UnitaryBasis((omega(-1), omega(+1)))
+    searched = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
+    for bases in (constructible, searched):
+        with pytest.raises(ValueError, match=message):
+            muub_certify_by_saturation(*bases, seed=seed)
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 def test_deciders_refuse_bad_tol(tol):
     b1 = UnitaryBasis((identity(2), pauli("Y")))
@@ -666,9 +682,7 @@ def test_certify_chirp_d5_by_search(monkeypatch):
     b1, b2 = _chirp_bases(5)
     logged = []
     monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
-    search_only = saturation._projective_flatness(5)._replace(
-        constructions=lambda *_: (), references=()
-    )
+    search_only = saturation._projective_flatness(5)._replace(references=())
     for m_idx, wm in enumerate(b2.elements):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
@@ -701,6 +715,33 @@ def test_certify_chirp_by_construction(d, conjugated):
     for r in reports:
         assert (r.method, r.evaluations) == (method, 0)
         assert r.achieved.value == pytest.approx(np.log2(d), abs=1e-6)
+
+
+def test_fourier_orders_are_spectrum_references_checked_on_one_pair(monkeypatch):
+    # the identity Fourier order is not flat for the chirp class at d = 5: it costs one 5 x 5
+    # check, not one per pair, and the Zadoff-Chu order is then carried to the 25 pairs
+    shapes = []
+    flat = saturation._flat
+    monkeypatch.setattr(saturation, "_flat",
+                        lambda kind, a, *rest: shapes.append(a.shape) or flat(kind, a, *rest))
+    assert muub_certify_by_saturation(*_chirp_bases(5), budget=500, seed=0).certified
+    assert shapes == [(5, 5), (25, 5, 5)]
+    # every Fourier order at d <= 4, the identity order beyond, then the Zadoff-Chu references
+    for d in (1, 2, 3, 4, 5, 8):
+        dft = dft_matrix(d)
+        references = saturation._projective_flatness(d).references
+        orders = math.factorial(d) if d <= 4 else 1
+        rows = set()
+        for ref in references[:orders]:
+            assert ref.eigenvalues is None and ref.method == "row-construction"
+            rows.add(tuple(next(i for i in range(d) if np.array_equal(r, dft[i])) for r in ref.y))
+        assert len(rows) == orders and all(sorted(p) == list(range(d)) for p in rows)
+        assert rows >= {tuple(range(d))}
+        zadoff_chu = saturation._zadoff_chu(d)
+        assert len(references) == orders + len(zadoff_chu)
+        for ref, z in zip(references[orders:], zadoff_chu):
+            assert np.array_equal(ref.eigenvalues, z) and np.array_equal(ref.y, dft)
+            assert ref.method == "zadoff-chu-order"
 
 
 def test_zadoff_chu_order_at_d32():
@@ -769,10 +810,10 @@ def _haar_pauli_evensign(u: np.ndarray):
 
 
 def _search_only(monkeypatch):
-    """Certify with no projective construction or Zadoff-Chu reference: each class searches."""
+    """Certify with no projective reference, Fourier order or Zadoff-Chu: each class searches."""
     projective = saturation._projective_flatness
     monkeypatch.setattr(saturation, "_projective_flatness",
-                        lambda d: projective(d)._replace(constructions=lambda *_: (), references=()))
+                        lambda d: projective(d)._replace(references=()))
 
 
 def test_certify_searches_each_spectrum_class_once(monkeypatch):
@@ -863,7 +904,7 @@ def test_certify_full_space_muub_by_search(monkeypatch):
     logged = []
     monkeypatch.setattr(saturation, "_log_search", lambda *line: logged.append(line))
     weyl = weyl_operators(2)
-    search_only = saturation._mes_flatness(weyl)._replace(constructions=lambda *_: ())
+    search_only = saturation._mes_flatness(weyl)._replace(rotations=())
     for m_idx, wm in enumerate(b2.elements):
         for n_idx, vn in enumerate(b1.elements):
             a = wm.matrix @ vn.matrix.conj().T
@@ -891,7 +932,7 @@ def test_mes_reference_carries_every_pair_without_a_search():
     assert np.abs(np.abs(kind.table(a0)) ** 2 - 1 / 4).max() <= 1e-9
     lam, eigvecs = eig_unitary(a0)
     reference = saturation._Reference(lam, eigvecs.conj().T, "spectral-transport")
-    kind = kind._replace(constructions=lambda *_: (), references=(reference,))
+    kind = kind._replace(rotations=(), references=(reference,))
     b1, b2 = _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11)))
     for wm in b2.elements:
         for vn in b1.elements:
@@ -1111,7 +1152,7 @@ def test_certification_refuses_a_failed_trace_check_before_any_search(monkeypatc
     assert not cert.certified and not is_muub(b1, b2)[0]  # so certified => is_muub holds
     assert all(r is None for row in cert.reports for r in row)
     assert np.array_equal(cert.trace_moduli, hs_table(b1, b2).T)  # is_muub's table
-    assert cert.expected_trace == np.sqrt(d) and cert.kappa is None
+    assert cert.kappa is None
 
 
 def _chirp_bases_off_by(d: int, eps: float):
