@@ -86,15 +86,15 @@ class GameTranscript:
         return int(self.counts_v.sum() + self.counts_w.sum())
 
 
-def empirical_entropy(counts, base: float = 2.0) -> EntropyValue:
-    """Plug-in Shannon entropy of a frequency table."""
+def empirical_entropy(counts) -> EntropyValue:
+    """Plug-in Shannon entropy of a frequency table, in bits."""
     counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if counts.size == 0 or total < 1:
         raise ValueError("empirical entropy needs at least one count")
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
-    return shannon_entropy(counts / total, base)
+    return shannon_entropy(counts / total)
 
 
 def _cpu_count() -> int:

@@ -44,6 +44,12 @@ def validate_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
+def validate_base(base: float) -> None:
+    """Refuse a logarithm base that is not finite and > 1: each gives no entropy in that unit."""
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"log base must be a finite number > 1, got {base}")
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
     m = np.asarray(a, dtype=complex)
@@ -77,12 +83,12 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return a.shape[-1] == a.shape[-2] and bool(np.abs(a - a.conj().swapaxes(-1, -2)).max() <= tol)
 
 
-def check_hermitian_psd(a: np.ndarray, what: str, tol: float = DEFAULT_TOL) -> None:
-    """Refuse a square matrix, or each of a stack, unless Hermitian and PSD within tol."""
-    if not is_hermitian(a, tol):
+def check_hermitian_psd(a: np.ndarray, what: str) -> None:
+    """Refuse a square matrix, or each of a stack, unless Hermitian and PSD within DEFAULT_TOL."""
+    if not is_hermitian(a):
         raise ValueError(f"{what} is not Hermitian")
     lo = np.linalg.eigvalsh(a).min()
-    if not lo >= -tol:
+    if not lo >= -DEFAULT_TOL:
         raise ValueError(f"{what} has eigenvalue {lo:.3e} < 0")
 
 

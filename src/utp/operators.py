@@ -307,6 +307,13 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
+def pair_operator(dim: int, v: UnitaryOperator, w: UnitaryOperator) -> np.ndarray:
+    """The pair operator w v† that every bound reads, once v and w are both ``dim``-dimensional."""
+    if v.dim != dim or w.dim != dim:
+        raise ValueError(f"dimension mismatch: operators {v.dim} and {w.dim}, measurement {dim}")
+    return w.matrix @ v.matrix.conj().T
+
+
 def product_unitarity_tol(
     v: UnitaryOperator, w: UnitaryOperator, tol: float = DEFAULT_TOL
 ) -> float:

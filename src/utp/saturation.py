@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvformat import format_rows
-from .linalg import DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_tol
+from .linalg import DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_base, validate_tol
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -52,6 +52,7 @@ from .operators import (
     identity,
     muub_verdict,
     omega,
+    pair_operator,
     pauli,
     product_unitarity_tol,
 )
@@ -61,10 +62,16 @@ from .testers import (
     PureState,
     Tester,
     is_trivial_measurement,
-    overlap_table,
     weyl_operators,
 )
-from .uncertainty import EntropicBound, EntropyValue, pair_uncertainty, snap_to_one
+from .uncertainty import (
+    EntropicBound,
+    EntropyValue,
+    mes_bound,
+    pair_uncertainty,
+    projective_bound,
+    snap_to_one,
+)
 
 log = logging.getLogger(__name__)
 
@@ -189,14 +196,14 @@ class SweepSurface:
 
 def _report(tester: Tester, v: UnitaryOperator, w: UnitaryOperator, method: str, base: float,
             evaluations: int = 0, converged: bool = True) -> SaturationReport:
-    """Report of ``tester`` on (v, w), bounded by its measurement's overlaps with w v†.
+    """Report of ``tester`` on (v, w), bounded by ``projective_bound`` or ``mes_bound``.
 
     A projective tester is trivial as ``is_trivial_measurement`` decides, an MES one never.
     Both sides are computed here: an achieved value below the bound is an ``InvariantError``.
     """
     m = tester.measurement
     achieved = pair_uncertainty(tester, v, w, base)
-    bound = EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
+    bound = (mes_bound if isinstance(m, MesMeasurement) else projective_bound)(m, v, w, base)
     trivial = isinstance(m, ProjectiveMeasurement) and is_trivial_measurement(m, v, w)
     fields = (achieved, bound, tester, trivial, method, evaluations, converged)
     return computed(SaturationReport, fields, "%s report:", method)
@@ -259,8 +266,7 @@ def _surface_arrays(pair: str, theta: np.ndarray, phi: np.ndarray):
     1e-12.  bound_bits follows the bounds' rule that a maximum within
     TIE_TOL of 1 is 1.
     """
-    v, w = sweep_pair(pair)
-    a = w.matrix @ v.matrix.conj().T
+    a = pair_operator(2, *sweep_pair(pair))
     x = _su2_entries(theta, phi)
     p = [[np.abs(sum(np.conj(x[k][i]) * a[k, l] * x[l][j] for k in (0, 1) for l in (0, 1))) ** 2
           for j in (0, 1)] for i in (0, 1)]
@@ -384,10 +390,8 @@ def saturating_tester_by_construction(
     bits, for the smallest qualifying column index, or None when no column
     qualifies.
     """
-    if m.dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between measurement and operators")
     x = m.matrix
-    overlaps = overlap_table(x, w.matrix @ v.matrix.conj().T)
+    overlaps = m.overlaps(pair_operator(m.dim, v, w))
     global_max = overlaps.max()
     for i in range(m.dim):
         column = overlaps[:, i]
@@ -548,13 +552,10 @@ def search_min_uncertainty(
     (seed, budget, restarts).
     """
     _validate_search(budget, restarts, seed)
-    if m.dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between measurement and operators")
+    validate_base(base)
     d = m.dim
     x = m.matrix
-    a = w.matrix @ v.matrix.conj().T
-
-    if _is_phase_of_identity(a):
+    if _is_phase_of_identity(pair_operator(d, v, w)):
         # w = phase * v: every basis is trivial and any chi_i input gives 0.
         tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]), m)
         _log_search("input search", "numerical-search", 0, 0, True)
@@ -574,7 +575,7 @@ def search_min_uncertainty(
     n = min(restarts, budget)  # a start costs at least one evaluation: draw no more
     starts = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    floor = EntropicBound.from_overlaps(overlap_table(x, a), math.e).value + BOUND_REACHED
+    floor = projective_bound(m, v, w, math.e).value + BOUND_REACHED
     run = _descend(cost_grad, _sphere_line, _sphere_tangent, starts, budget, floor,
                    interpolate=True)
     best = run.x[int(np.argmin(run.f))]
@@ -783,7 +784,8 @@ def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Fla
     each pair reporting the first that flattened it:
 
     1. the rotations, each on every pair;
-    2. each reference: one with no eigenvalues tried on the first pair, then carried if flat;
+    2. each reference: one with no eigenvalues checked on the first pair and, if flat, kept
+       there and carried to the pairs after it;
        one whose spectrum matches lam up to a phase, carried;
     3. the first flat pair's unitary, carried (``spectral-transport``);
     4. each pair's search in pair order, seeded ``seeds[k]``, each success carried.
@@ -793,18 +795,22 @@ def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Fla
     def pending() -> list[int]:
         return [k for k, f in enumerate(found) if f is None]
 
+    def keep(k: int, x: np.ndarray, method: str) -> None:
+        _log_search(kind.name, method, 0, 0, True)
+        found[k] = _Found(x, method, 0)
+
     def settle(ks: list[int], x: np.ndarray, method: str) -> None:
         """Keep X for each pair of ks that it flattens: one X for all, or one X per pair."""
         xs = np.broadcast_to(x, (len(ks), *x.shape[-2:]))
         for k, x_k, flat in zip(ks, xs, _flat(kind, a[ks], xs, tol)):
             if flat:
-                _log_search(kind.name, method, 0, 0, True)
-                found[k] = _Found(x_k, method, 0)
+                keep(k, x_k, method)
 
     def carry(ref: _Reference) -> None:
         """X_k = B_k Y for each pair not yet flat, from a flat b = Y† diag(lam) Y."""
         ks = pending()
-        settle(ks, bases[ks] @ ref.y, ref.method)
+        if ks:
+            settle(ks, bases[ks] @ ref.y, ref.method)
 
     def carried(k: int, method: str) -> _Reference:
         """Flat pair k's X_k as a reference on lam: Y = B_k† X_k."""
@@ -817,7 +823,9 @@ def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Fla
         if not ks:
             break
         if ref.eigenvalues is None:  # reads lam alone: one check, then carried if flat
-            if _flat(kind, a[ks[0]], bases[ks[0]] @ ref.y, tol):
+            x = bases[ks[0]] @ ref.y
+            if _flat(kind, a[ks[0]], x, tol):
+                keep(ks[0], x, ref.method)
                 carry(ref)
             continue
         order, matched = _match_up_to_phase(lam[None], ref.eigenvalues, tol)

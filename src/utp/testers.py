@@ -37,6 +37,7 @@ from .operators import (
     array_to_literal,
     check_hs_orthogonal,
     literal_field,
+    pair_operator,
     product_unitarity_tol,
     weyl_operators,
 )
@@ -432,9 +433,7 @@ def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
     vanishes.  Useless for telling v from w, which is why such testers
     are excluded from saturation searches.
     """
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    _, eigvecs = eig_unitary(w.matrix @ v.matrix.conj().T, product_unitarity_tol(v, w))
+    _, eigvecs = eig_unitary(pair_operator(v.dim, v, w), product_unitarity_tol(v, w))
     basis = ProjectiveMeasurement.from_matrix(eigvecs)
     psi = PureState(v.matrix.conj().T @ eigvecs[:, 0])
     return Tester.projective(psi, basis)
@@ -444,10 +443,8 @@ def is_trivial_measurement(
     m: ProjectiveMeasurement, v: UnitaryOperator, w: UnitaryOperator
 ) -> bool:
     """True iff every basis vector of ``m`` is an eigenvector of w v† within DEFAULT_TOL."""
-    if m.dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between measurement and operators")
     x = m.matrix
-    images = w.matrix @ v.matrix.conj().T @ x
+    images = pair_operator(m.dim, v, w) @ x
     residuals = images - (x.conj() * images).sum(axis=0) * x
     return bool((np.linalg.norm(residuals, axis=0) < DEFAULT_TOL).all())
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import UnitaryOperator
+from .linalg import validate_base
+from .operators import UnitaryOperator, pair_operator
 from .testers import (
     MesMeasurement,
     OutcomeDistribution,
@@ -62,6 +63,7 @@ class EntropicBound:
 
         Ties and a maximum near 1 follow the two rules stated on ``projective_bound``.
         """
+        validate_base(base)
         top = float(overlaps.max())
         i, j = np.unravel_index(int(np.argmax(overlaps >= top - TIE_TOL)), overlaps.shape)
         m = float(snap_to_one(top))
@@ -88,6 +90,7 @@ def _log(x: np.ndarray | float, base: float):
 
 def shannon_entropy(p, base: float = 2.0) -> EntropyValue:
     """Shannon entropy -sum p log p with 0 log 0 = 0."""
+    validate_base(base)
     if not isinstance(p, OutcomeDistribution):
         p = OutcomeDistribution(np.asarray(p, dtype=float))
     q = p.probs[p.probs > ZERO_PROBABILITY]
@@ -120,9 +123,7 @@ def projective_bound(
     around 1 would print a bound of about ±1e-16.  The MES and POVM bounds
     follow the same two rules.
     """
-    if m.dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between measurement and operators")
-    return EntropicBound.from_overlaps(m.overlaps(w.matrix @ v.matrix.conj().T), base)
+    return EntropicBound.from_overlaps(m.overlaps(pair_operator(m.dim, v, w)), base)
 
 
 def mes_bound(
@@ -133,9 +134,7 @@ def mes_bound(
     On the Weyl basis of ``bell_basis``, N_j N_i† is a phase times N_(j-i): every row
     of the table permutes row 0, |Tr(a N_j)|^2 / d^2, which holds the max and argmax.
     """
-    if m.local_dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between measurement and operators")
-    a = w.matrix @ v.matrix.conj().T
+    a = pair_operator(m.local_dim, v, w)
     d = m.local_dim
     r = m.elements
     # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail
@@ -159,13 +158,12 @@ def povm_bound(
     lambda_max(M_i) are cut to zero and F_i padded to the largest rank r left; as
     ||[G; g]||^2 <= ||G||^2 + mu, cutting mu moves a norm by <= mu / (2 ||G||).
     """
-    if m.dim != v.dim or v.dim != w.dim:
-        raise ValueError("dimension mismatch between POVM and operators")
+    a = pair_operator(m.dim, w, v)  # v w†, refused before any work
     lam, vecs = np.linalg.eigh(m.elements)
     lam = np.where(lam > m.dim * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
     r, n = int(np.count_nonzero(lam, axis=1).max()), len(lam)
     f = vecs[:, :, -r:] * np.sqrt(lam[:, None, -r:])  # (n, d, r): eigh sorts ascending
-    right = np.moveaxis(v.matrix @ w.matrix.conj().T @ f, 0, 1).reshape(m.dim, n * r)
+    right = np.moveaxis(a @ f, 0, 1).reshape(m.dim, n * r)
     # one row block of Phi† (v w†) Phi, Phi = [F_1 ... F_n], at a time: O(n r^2) memory
     blocks = ((fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f)
     # a 1 x 1 block's norm is its modulus; norm(ord=2) would run one SVD per block

@@ -53,7 +53,7 @@ def test_sibling_import_graph_is_acyclic():
     for module in MODULES:
         for node in ast.walk(_tree(module)):
             graph[module] |= _sibling_imports(node) & set(MODULES)
-    assert graph["uncertainty"] == {"operators", "testers"}  # the parser sees edges
+    assert graph["uncertainty"] == {"linalg", "operators", "testers"}  # the parser sees edges
     order = []
     done, active = set(), []
 
@@ -83,19 +83,42 @@ def _imports_scipy(node: ast.AST) -> bool:
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
 
 
-def _scipy_imports(node: ast.AST, function: str | None = None):
-    """(innermost enclosing function or None, line) of each scipy import under ``node``."""
+def _sites(node: ast.AST, match, function: str | None = None):
+    """(innermost enclosing function or None, line) of each node under ``node`` that ``match``s."""
     for child in ast.iter_child_nodes(node):
-        if _imports_scipy(child):
+        if match(child):
             yield function, child.lineno
         is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _scipy_imports(child, child.name if is_function else function)
+        yield from _sites(child, match, child.name if is_function else function)
 
 
 def test_no_module_imports_scipy():
-    sites = [(m, f, line) for m in MODULES for f, line in _scipy_imports(_tree(m))]
+    sites = [(m, f, line) for m in MODULES for f, line in _sites(_tree(m), _imports_scipy)]
     assert [f"{m}:{line}" for m, f, line in sites if f is None] == [], "module-level scipy import"
     assert {f"{m}.{f}" for m, f, _ in sites} == SCIPY_IMPORTERS
+
+
+def _is_pair_product(node: ast.AST) -> bool:
+    """Whether ``node`` is <x>.matrix @ <y>.matrix.conj().T, the pair operator w v†."""
+    return isinstance(node, ast.BinOp) and bool(
+        re.fullmatch(r"\S+\.matrix @ \S+\.matrix\.conj\(\)\.T", ast.unparse(node)))
+
+
+def _names_pair_mismatch(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and "dimension mismatch between" in str(node.value)
+
+
+def test_pair_operator_is_the_one_definition_of_w_v_dagger():
+    # every bound, tester check and search forms w v† and checks the pair's dimension
+    # through operators.pair_operator; no module restates either
+    products = {f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), _is_pair_product)}
+    assert products == {"operators.pair_operator"}
+    assert [f"{m}:{line}" for m in MODULES
+            for _, line in _sites(_tree(m), _names_pair_mismatch)] == []
+    text = "def f(v, w, x):\n    return w.matrix @ v.matrix.conj().T @ x"
+    assert list(_sites(ast.parse(text), _is_pair_product)) == [("f", 2)]
+    text = 'raise ValueError(f"dimension mismatch between {m} and operators")'
+    assert list(_sites(ast.parse(text), _names_pair_mismatch)) == [(None, 1)]
 
 
 def _names_scipy_optimize(node: ast.AST) -> bool:

@@ -45,11 +45,20 @@ from utp.testers import (
     ProjectiveMeasurement,
     PureState,
     Tester,
+    bell_basis,
     computational_basis,
+    is_trivial_measurement,
     outcome_distribution,
+    povm_from_projective,
     trivial_tester,
 )
-from utp.uncertainty import pair_uncertainty, snap_to_one
+from utp.uncertainty import (
+    mes_bound,
+    pair_uncertainty,
+    povm_bound,
+    projective_bound,
+    snap_to_one,
+)
 
 
 def flat_instance(d: int, seed: int):
@@ -726,6 +735,11 @@ def test_fourier_orders_are_spectrum_references_checked_on_one_pair(monkeypatch)
                         lambda kind, a, *rest: shapes.append(a.shape) or flat(kind, a, *rest))
     assert muub_certify_by_saturation(*_chirp_bases(5), budget=500, seed=0).certified
     assert shapes == [(5, 5), (25, 5, 5)]
+    # at d = 3 the identity Fourier order is flat on the first pair, which keeps it there:
+    # the carry checks the 8 pairs after it, not all 9 again
+    shapes.clear()
+    assert muub_certify_by_saturation(*_chirp_bases(3), budget=500, seed=0).certified
+    assert shapes == [(3, 3), (8, 3, 3)]
     # every Fourier order at d <= 4, the identity order beyond, then the Zadoff-Chu references
     for d in (1, 2, 3, 4, 5, 8):
         dft = dft_matrix(d)
@@ -1385,3 +1399,59 @@ def test_trivial_tester_reports_zero():
         from utp.testers import is_trivial_measurement
 
         assert is_trivial_measurement(t.measurement, v, w)
+
+
+# --- one pair contract: every entry point reads w v† through pair_operator ----------------
+
+def test_every_pair_entry_point_refuses_a_dimension_mismatch_with_one_message():
+    m, q, h = computational_basis(2), identity(2), identity(3)
+    message = re.escape("dimension mismatch: operators 3 and 3, measurement 2")
+    for call in (lambda: projective_bound(m, h, h), lambda: mes_bound(bell_basis(2), h, h),
+                 lambda: povm_bound(povm_from_projective(m), h, h),
+                 lambda: search_min_uncertainty(m, h, h),
+                 lambda: saturating_tester_by_construction(m, h, h),
+                 lambda: is_trivial_measurement(m, h, h)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=re.escape("operators 2 and 3, measurement 2")):
+        trivial_tester(q, h)
+
+
+def _assert_public_bound(report, v, w):
+    m = report.tester.measurement
+    public = (mes_bound if isinstance(m, MesMeasurement) else projective_bound)(m, v, w)
+    assert report.bound == public  # value, base, argmax and maximum overlap, bit for bit
+
+
+def test_reports_carry_the_public_bound():
+    # on the Weyl basis mes_bound reads row 0 of the table; a report once built the whole
+    # table and differed from it by 2.2e-16 bits on this pair
+    rng = np.random.default_rng(0)
+    v, w = (UnitaryOperator(haar_matrix(2, rng)) for _ in range(2))
+    _assert_public_bound(saturation._report(Tester.mes(bell_basis(2)), v, w, "numerical-search",
+                                            2.0), v, w)
+    for d, seed in ((2, 1), (3, 2), (4, 3)):
+        m, v, w = flat_instance(d, seed)
+        _assert_public_bound(saturating_tester_by_construction(m, v, w), v, w)
+        _assert_public_bound(search_min_uncertainty(m, v, w, budget=200, seed=seed), v, w)
+    u = haar_matrix(2, np.random.default_rng(11))
+    cases = ((_chirp_bases(3), "projective"), (_chirp_bases(5), "projective"),
+             (_haar_pauli_evensign(u), "mes"), (_haar_weyl_against_dft_weyl(3), "mes"))
+    for (b1, b2), kind in cases:
+        cert = muub_certify_by_saturation(b1, b2, budget=500)
+        assert cert.certified
+        for wm, row in zip(b2.elements, cert.reports):
+            for vn, report in zip(b1.elements, row):
+                assert report.tester.kind == kind
+                _assert_public_bound(report, vn, wm)
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
+def test_input_search_refuses_a_log_base_not_finite_above_1_before_any_search(monkeypatch, base):
+    def refuse(*_, **__):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(saturation, "_descend", refuse)
+    message = re.escape(f"log base must be a finite number > 1, got {base}")
+    with pytest.raises(ValueError, match=message):
+        search_min_uncertainty(computational_basis(2), identity(2), omega(-1), base=base)

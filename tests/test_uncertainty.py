@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,23 @@ def test_shannon_entropy_values():
     assert shannon_entropy([0.5, 0.5]).value == pytest.approx(1.0)
     assert shannon_entropy([0.25] * 4).value == pytest.approx(2.0)
     assert shannon_entropy([0.5, 0.5], base=math.e).value == pytest.approx(math.log(2))
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
+def test_entropies_and_bounds_refuse_a_log_base_not_finite_above_1(base):
+    # base 1 once gave inf, NaN gave NaN, inf gave 0.0, 0.5 a bound of -1.0, and 0 and -2
+    # a math domain error
+    m, v, w = computational_basis(2), identity(2), omega(-1)
+    t = Tester.projective(PureState(np.array([1.0, 0.0])), m)
+    message = re.escape(f"log base must be a finite number > 1, got {base}")
+    for call in (lambda: shannon_entropy([0.5, 0.5], base),
+                 lambda: EntropicBound.from_overlaps(np.array([[0.5]]), base),
+                 lambda: pair_uncertainty(t, v, w, base),
+                 lambda: projective_bound(m, v, w, base),
+                 lambda: mes_bound(bell_basis(2), v, w, base),
+                 lambda: povm_bound(povm_from_projective(m), v, w, base)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_outcome_distribution_validation():
