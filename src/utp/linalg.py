@@ -38,10 +38,10 @@ def computed(build, values: tuple, what: str, *args):
         raise InvariantError(f"{what % args} {exc}") from exc
 
 
-def validate_tol(tol: float) -> None:
-    """Refuse a tolerance that is negative, NaN or infinite: each decides yes/no wrongly."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+def validate_tol(tol: float, scale: float) -> None:
+    """Refuse a tol outside [0, scale): one the size of what it decides answers all alike."""
+    if not 0 <= tol < scale:
+        raise ValueError(f"tol must be a number in [0, {scale:g}), got {tol}")
 
 
 def validate_base(base: float) -> None:
@@ -50,30 +50,21 @@ def validate_base(base: float) -> None:
         raise ValueError(f"log base must be a finite number > 1, got {base}")
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
+def as_complex(a, ndim: int) -> np.ndarray:
+    """Coerce to a finite complex vector (``ndim`` 1) or matrix (``ndim`` 2), never flattened."""
+    what = "vector" if ndim == 1 else "matrix"
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise ValueError(f"expected a {what}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     return m
-
-
-def as_complex_vector(v) -> np.ndarray:
-    """Coerce to a finite 1-D complex array; nothing is flattened."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={w.ndim}")
-    if not np.isfinite(w).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return w
 
 
 def operator_norm(a) -> float:
     """Largest singular value."""
     try:
-        return float(np.linalg.norm(as_complex_matrix(a), ord=2))
+        return float(np.linalg.norm(as_complex(a, 2), ord=2))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
@@ -180,7 +171,7 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
     ``-tol`` is an error.
     """
-    m = as_complex_matrix(m)
+    m = as_complex(m, 2)
     if not is_hermitian(m, tol):
         raise ValueError(f"matrix is not Hermitian within tol={tol}")
     w, v = np.linalg.eigh(m)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    as_complex_matrix,
-    as_complex_vector,
+    as_complex,
     eig_unitary,
     unitarity_residual,
     validate_tol,
@@ -45,7 +44,7 @@ class UnitaryOperator:
     unitarity_error: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
+        m = as_complex(self.matrix, 2)
         if m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"unitary operator must be square of dimension >= 1, got {m.shape}")
         residual, dev = unitarity_residual(m)
@@ -242,9 +241,10 @@ def muub_verdict(moduli: np.ndarray, d: int, tol: float) -> tuple[bool, float, f
 def is_muub(b1: UnitaryBasis, b2: UnitaryBasis, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """(flag, kappa) of ``muub_verdict``: whether two unitary bases are mutually unbiased.
 
-    Symmetric in its arguments since |Tr(P†Q)| = |Tr(Q†P)|.
+    Symmetric in its arguments since |Tr(P†Q)| = |Tr(Q†P)|.  A tol of d²/n or more is
+    refused: kappa = 0, bases as far from MUUB as can be, would pass it.
     """
-    validate_tol(tol)
+    validate_tol(tol, b1.dim ** 2 / b1.subspace_dim)
     return muub_verdict(hs_table(b1, b2), b1.dim, tol)[:2]
 
 
@@ -330,8 +330,11 @@ def product_unitarity_tol(
 def _adjoint_product_hull(
     v: UnitaryOperator, w: UnitaryOperator, tol: float
 ) -> tuple[float, tuple[int, ...], np.ndarray, np.ndarray]:
-    """``_hull_nearest_origin`` of the eigenvalues of v†w, and their eigenvectors."""
-    validate_tol(tol)
+    """``_hull_nearest_origin`` of the eigenvalues of v†w, and their eigenvectors.
+
+    A tol of 1 or more is refused: every point on the unit circle lies within 1 of 0.
+    """
+    validate_tol(tol, 1.0)
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     lam, z = eig_unitary(v.matrix.conj().T @ w.matrix, product_unitarity_tol(v, w, tol))
@@ -392,4 +395,4 @@ def array_from_literal(data, ndim: int) -> np.ndarray:
         raise ValueError(f"malformed {what} literal: re and im must both have shape {(d,) * ndim}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # NaN, Infinity, or 1e400
         raise ValueError(f"malformed {what} literal: entries must be finite")
-    return (as_complex_vector if ndim == 1 else as_complex_matrix)(re + 1j * im)
+    return as_complex(re + 1j * im, ndim)

@@ -62,6 +62,7 @@ from .testers import (
     PureState,
     Tester,
     is_trivial_measurement,
+    row_tester,
     weyl_operators,
 )
 from .uncertainty import (
@@ -369,12 +370,10 @@ def sweep_to_json(surface: SweepSurface) -> str:
     return "".join(sweep_json_blocks(surface))
 
 
-def _is_phase_of_identity(a: np.ndarray) -> np.ndarray:
-    """Whether a, or each matrix of a stack, is z I for a z != 0, within DEFAULT_TOL."""
-    d = a.shape[-1]
-    z = np.trace(a, axis1=-2, axis2=-1) / d
-    off = np.abs(a - z[..., None, None] * np.eye(d)).max(axis=(-2, -1))
-    return (np.abs(z) > 1e-12) & (off <= DEFAULT_TOL)
+def _is_phase_of_identity(a: np.ndarray) -> bool:
+    """Whether the matrix a is z I for a z != 0, within DEFAULT_TOL."""
+    z = np.trace(a) / len(a)
+    return bool(abs(z) > 1e-12 and np.abs(a - z * np.eye(len(a))).max() <= DEFAULT_TOL)
 
 
 def saturating_tester_by_construction(
@@ -390,7 +389,6 @@ def saturating_tester_by_construction(
     bits, for the smallest qualifying column index, or None when no column
     qualifies.
     """
-    x = m.matrix
     overlaps = m.overlaps(pair_operator(m.dim, v, w))
     global_max = overlaps.max()
     for i in range(m.dim):
@@ -400,8 +398,7 @@ def saturating_tester_by_construction(
             continue
         if (support.max() - support.min() <= DEFAULT_TOL
                 and abs(support.max() - global_max) <= DEFAULT_TOL):
-            tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, i]), m)
-            return _report(tester, v, w, "row-construction", 2.0)
+            return _report(row_tester(m, v, i), v, w, "row-construction", 2.0)
     return None
 
 
@@ -557,9 +554,8 @@ def search_min_uncertainty(
     x = m.matrix
     if _is_phase_of_identity(pair_operator(d, v, w)):
         # w = phase * v: every basis is trivial and any chi_i input gives 0.
-        tester = Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]), m)
         _log_search("input search", "numerical-search", 0, 0, True)
-        return _report(tester, v, w, "numerical-search", base)
+        return _report(row_tester(m, v), v, w, "numerical-search", base)
 
     # rows of b are the amplitudes of both sides: H_v + H_w = -sum p ln p over all 2d
     b = np.vstack((x.conj().T @ v.matrix, x.conj().T @ w.matrix))
@@ -681,12 +677,6 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray,
     return sigma, matched.any(axis=1)
 
 
-def _projective_tester(x: np.ndarray, v: UnitaryOperator) -> Tester:
-    """Measurement in the flat basis X, input v† x_0."""
-    return Tester.projective(PureState(v.matrix.conj().T @ x[:, 0]),
-                             ProjectiveMeasurement.from_matrix(x))
-
-
 def _projective_flatness(d: int) -> _Flatness:
     """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d.
 
@@ -702,7 +692,7 @@ def _projective_flatness(d: int) -> _Flatness:
     fourier = tuple(_Reference(None, dft[np.argsort(o)], "row-construction") for o in orders)
     zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
     return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, (), fourier + zadoff_chu,
-                     _projective_tester)
+                     lambda x, v: row_tester(ProjectiveMeasurement(x), v))
 
 
 def _mes_flatness(weyl: np.ndarray) -> _Flatness:
@@ -776,7 +766,7 @@ def _search_flat(a: np.ndarray, kind: _Flatness, tol: float, budget: int, restar
 
 def _flatten_class(a: np.ndarray, lam: np.ndarray, bases: np.ndarray, kind: _Flatness, tol: float,
                    budget: int, restarts: int, seeds: list[int]) -> list[_Found | None]:
-    """A flat X_k for each pair a_k of one spectrum class, or None; no a_k is a phase of I.
+    """A flat X_k for each pair a_k of one spectrum class, or None; at d >= 2 none is z I.
 
     a_k = mu_k B_k diag(lam) B_k† for the bases B_k = ``bases[k]`` (B_0 an eigenbasis of
     a_0), so a flat b = Y† diag(lam) Y is carried to all pairs in one product: X_k = B_k Y
@@ -869,10 +859,12 @@ def muub_certify_by_saturation(
     requires ``is_muub`` within ``tol`` and every pair to succeed.  Search
     failures are reported as not-found within budget, never as nonexistence.
 
-    The verdict goes first.  When ``is_muub`` says no, or a pair is a phase of the
-    identity (X† (z I) X = z I, never flat), the certification is refused before any
-    eigendecomposition or search: every report is None, which here means "not sought",
-    not "not found", and one INFO line names the check that decided it.
+    A tol of 1/n or more, for n-element bases, is refused: an overlap of 0 would pass as
+    flat.  The verdict goes first, and it is the one refusal: when ``is_muub`` says no, the
+    certification is refused before any eigendecomposition or search, every report is None,
+    which here means "not sought", not "not found", and one INFO line gives the deciding
+    numbers.  Once it says yes, no pair at d >= 2 is a phase of the identity (X† (z I) X =
+    z I, never flat): |Tr(z I)|^2 = d^2 is at least 2 off the d^2/n that it requires.
 
     Otherwise every a is eigendecomposed in one stacked ``eig_unitary`` call, within
     the unitarity error of its two factors, and joins the first class whose first pair's
@@ -880,7 +872,7 @@ def muub_certify_by_saturation(
     pair's search has ``budget`` objective values and the seed ``seed + 7919 m + n``.
     One INFO line counts each method and the spectrum classes searched.
     """
-    validate_tol(tol)
+    validate_tol(tol, 1 / b1.subspace_dim)
     _validate_search(budget, restarts, seed)
     d = b1.dim
     cols = len(b1.elements)
@@ -888,22 +880,13 @@ def muub_certify_by_saturation(
     table = hs_table(b1, b2)  # is_muub's table, so its verdict bit for bit; refuses other shapes
     muub, kappa, spread, expected, off = muub_verdict(table, d, tol)
     trace_moduli = table.T
-    kappa = kappa if muub else None
-
-    def refused(reason: str) -> MuubCertification:
-        log.info("MUUB certification: refused before any search: %s", reason)
-        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, kappa)
-
     if not muub:
-        return refused(f"is_muub: max ||Tr(W V†)|^2 - kappa| = {spread!r}, "
-                       f"|kappa - {expected:g}| = {off!r}, tol {tol!r}")
+        log.info("MUUB certification: refused before any search: is_muub: max ||Tr(W V†)|^2 - "
+                 f"kappa| = {spread!r}, |kappa - {expected:g}| = {off!r}, tol {tol!r}")
+        return MuubCertification(False, tuple(map(tuple, reports)), trace_moduli, None)
     v, w = (np.stack([e.matrix for e in b.elements]) for b in (b1, b2))
     a = (w[:, None] @ v.conj().swapaxes(1, 2)).reshape(-1, d, d)  # pair (m, n) at m * cols + n
-    suspects = np.flatnonzero(trace_moduli.ravel() > d - 1)  # |Tr(z I)| = d
-    identities = suspects[_is_phase_of_identity(a[suspects])]  # X† (z I) X = z I: never flat
-    if identities.size:
-        return refused(f"pair {divmod(int(identities[0]), cols)} is a phase of the identity")
-    kind = _mes_flatness(weyl_operators(d)) if b1.subspace_dim == d * d else _projective_flatness(d)
+    kind = _projective_flatness(d) if b1.subspace_dim == d else _mes_flatness(weyl_operators(d))
     tols = [product_unitarity_tol(wm, vn, tol) for wm in b2.elements for vn in b1.elements]
     lam, eigvecs = eig_unitary(a, tols)
     found: dict[int, _Found] = {}  # by pair index m * cols + n

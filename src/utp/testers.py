@@ -24,8 +24,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    as_complex_matrix,
-    as_complex_vector,
+    as_complex,
     check_hermitian_psd,
     computed,
     eig_unitary,
@@ -36,6 +35,7 @@ from .operators import (
     array_from_literal,
     array_to_literal,
     check_hs_orthogonal,
+    hs_moduli,
     literal_field,
     pair_operator,
     product_unitarity_tol,
@@ -44,20 +44,6 @@ from .operators import (
 
 POVM_SUM_TOL = 1e-8  # element sums accumulate error over d^2 terms
 MES_RESHAPE_TOL = 1e-8
-
-
-def overlap_table(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Squared overlaps |<x_i| a |x_j>|^2 between the columns of ``x``."""
-    return np.abs(x.conj().T @ a @ x) ** 2
-
-
-def mes_overlap_table(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """|Tr(R_i† a R_j)|^2 over a (n, d, d) stack ``r``, one product of vec'd operators.
-
-    For R_i the row-major reshape of |nu_i>, this is |<nu_i| (a (x) I) |nu_j>|^2.
-    """
-    n = r.shape[0]
-    return np.abs(r.reshape(n, -1).conj() @ (a @ r).reshape(n, -1).T) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +84,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = as_complex_vector(self.amplitudes)
+        a = as_complex(self.amplitudes, 1)
         n = np.linalg.norm(a)
         if abs(n - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(n - 1):.3e}")
@@ -138,7 +124,7 @@ class ProjectiveMeasurement:
     matrix: np.ndarray  # read-only, columns are the states
 
     def __post_init__(self) -> None:
-        x = as_complex_matrix(self.matrix).copy()
+        x = as_complex(self.matrix, 2).copy()
         if not x.size or x.shape[1] != x.shape[0]:
             raise ValueError(f"projective measurement needs exactly d={len(x)} states of dimension d")
         check_hs_orthogonal(x.T, 1.0, "measurement basis is not orthonormal")
@@ -155,7 +141,8 @@ class ProjectiveMeasurement:
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
-        return overlap_table(self.matrix, a)
+        x = self.matrix
+        return np.abs(x.conj().T @ a @ x) ** 2
 
     def probabilities(self, psi: PureState, u: UnitaryOperator) -> np.ndarray:
         """p_i = |<chi_i| U |psi>|^2."""
@@ -188,7 +175,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
+        m = as_complex(self.matrix, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         check_hermitian_psd(m, "density matrix")
@@ -313,8 +300,11 @@ class MesMeasurement:
         return x
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
-        """|<nu_i| (a (x) I) |nu_j>|^2 for the basis states nu_i; a acts on the first factor."""
-        return mes_overlap_table(self.elements, a)
+        """|<nu_i| (a (x) I) |nu_j>|^2 for the basis states nu_i; a acts on the first factor.
+
+        With R_i the row-major reshape of |nu_i>, this is |Tr(R_i† a R_j)|^2, the HS table.
+        """
+        return hs_moduli(self.elements, a @ self.elements) ** 2
 
     def probabilities(self, phi: PureState, u: UnitaryOperator) -> np.ndarray:
         """p_i = |<nu_i| (U (x) I) |Phi>|^2; (U (x) I)|Phi> is the row-major vec of U Phi."""
@@ -424,6 +414,11 @@ def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
                     "%s tester outcome", t.kind)
 
 
+def row_tester(m: ProjectiveMeasurement, v: UnitaryOperator, k: int = 0) -> Tester:
+    """The tester of input v†|chi_k> in ``m``, which v sends onto outcome k with certainty."""
+    return Tester.projective(PureState(v.matrix.conj().T @ m.matrix[:, k]), m)
+
+
 def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
     """The zero-uncertainty tester whose measurement diagonalizes w v†.
 
@@ -434,9 +429,7 @@ def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
     are excluded from saturation searches.
     """
     _, eigvecs = eig_unitary(pair_operator(v.dim, v, w), product_unitarity_tol(v, w))
-    basis = ProjectiveMeasurement.from_matrix(eigvecs)
-    psi = PureState(v.matrix.conj().T @ eigvecs[:, 0])
-    return Tester.projective(psi, basis)
+    return row_tester(ProjectiveMeasurement.from_matrix(eigvecs), v)
 
 
 def is_trivial_measurement(

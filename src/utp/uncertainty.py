@@ -137,8 +137,9 @@ def mes_bound(
     a = pair_operator(m.local_dim, v, w)
     d = m.local_dim
     r = m.elements
-    # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail
-    weyl = np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and (
+    # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail,
+    # most of them at its first entry
+    weyl = r[0, 0, 0] == 1 / math.sqrt(d) and np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and (
         r is bell_elements(d) or np.array_equal(r, bell_elements(d)))
     if not weyl:
         return EntropicBound.from_overlaps(m.overlaps(a), base)

@@ -300,12 +300,9 @@ MUUB_ARGV = ["muub-check", "--basis1", "i,pauli-y", "--basis2", "omega-minus,ome
 
 @pytest.mark.parametrize("argv, stdout", [
     (MUUB_ARGV, '{"certified": true, "kappa": 1.9999999999999996}\n'),
-    # is_muub passes identical bases at tol 2, and the pairs W V† = I refuse the certification
-    (["muub-check", "--basis1", "i,pauli-y", "--basis2", "i,pauli-y", "--tol", "2"],
-     '{"certified": false, "kappa": 2.0}\n'),
     (["muub-check", "--basis1", "omega-minus,omega-plus", "--basis2", "pauli-z,pauli-x"],
      '{"certified": false, "kappa": null}\n'),
-], ids=["certified", "identity-refused", "not-muub"])
+], ids=["certified", "not-muub"])
 def test_muub_check_forms_one_hs_table_between_its_bases(run_cli, monkeypatch, argv, stdout):
     # the verdict, the printed kappa and the trace table all read one |Tr(W V†)| table; the
     # bases' own orthogonality checks compare each stack with itself
@@ -338,13 +335,23 @@ def test_negative_seed_exits_2(run_cli, argv):
 DISTINGUISH_ARGV = ["distinguish", "--v", "identity", "--w", "pauli-x"]
 
 
-@pytest.mark.parametrize("argv", [DISTINGUISH_ARGV, MUUB_ARGV], ids=["distinguish", "muub-check"])
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    DISTINGUISH_ARGV,
+    MUUB_ARGV,
+    ["distinguish", "--v", "identity", "--w", "identity"],
+    # every cross trace is 0, and identical bases pair W V† = I
+    ["muub-check", "--basis1", "i,pauli-z", "--basis2", "pauli-x,pauli-y"],
+    ["muub-check", "--basis1", "i,pauli-y", "--basis2", "i,pauli-y"],
+], ids=["distinguish", "muub-check", "distinguish-same", "muub-check-far", "muub-check-same"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "2"])
 def test_bad_tol_exits_2(run_cli, argv, value):
-    # each of these once printed a wrong yes/no with exit 0
+    # each of these once printed a wrong yes/no with exit 0: a tol of 1, as large as the
+    # distance a unit-circle point can have from 0, called a pair distinguishable with itself;
+    # a tol of 2 certified qubit bases whose flat overlaps are 1/2 and whose cross traces are 0
     code, out, err = run_cli(argv + ["--tol", value])
     assert code == 2 and out == ""
-    assert "tol" in err
+    scale = "1" if argv[0] == "distinguish" else "0.5"
+    assert err == f"error: tol must be a number in [0, {scale}), got {float(value)}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion and prints its walk-through."""
+"""Every narrative script under demos/ runs to completion and prints its walk-through, byte for
+byte as checked in under tests/demo_stdout/."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "demo_stdout"
 DEMOS = [
     "distinguishability_witnesses",
     "generalized_bounds",
@@ -28,4 +30,4 @@ def test_demo_runs(name):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -121,6 +121,37 @@ def test_pair_operator_is_the_one_definition_of_w_v_dagger():
     assert list(_sites(ast.parse(text), _names_pair_mismatch)) == [(None, 1)]
 
 
+def _is_matmul(node: ast.AST, left: str, right: str) -> bool:
+    """Whether ``node`` is <l> @ <r> with ast.unparse(l) and ast.unparse(r) matching the patterns."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and bool(re.fullmatch(left, ast.unparse(node.left)))
+            and bool(re.fullmatch(right, ast.unparse(node.right))))
+
+
+def _is_row_input(node: ast.AST) -> bool:
+    """Whether ``node`` is PureState(<v>.matrix.conj().T @ ...), the saturating input v†|chi_k>."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "PureState" and len(node.args) == 1
+            and _is_matmul(node.args[0], r"\S+\.matrix\.conj\(\)\.T", r".+"))
+
+
+def _is_hs_product(node: ast.AST) -> bool:
+    """Whether ``node`` is <p>.reshape(...).conj() @ <q>.reshape(...).T, the HS table's product."""
+    return _is_matmul(node, r".+\.reshape\(.*\)\.conj\(\)", r".+\.reshape\(.*\)\.T")
+
+
+def test_row_input_and_hs_product_each_have_one_definition():
+    # the saturating input v†|chi_k> is formed only by testers.row_tester, and the vec'd
+    # product behind |Tr(P_i† Q_j)|, the MES overlap table included, only by operators.hs_moduli
+    for match, where in ((_is_row_input, "testers.row_tester"),
+                         (_is_hs_product, "operators.hs_moduli")):
+        assert {f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), match)} == {where}
+    text = "def f(v, x):\n    return PureState(v.matrix.conj().T @ x[:, 0])"
+    assert list(_sites(ast.parse(text), _is_row_input)) == [("f", 2)]
+    text = "def f(r, a, n):\n    return abs(r.reshape(n, -1).conj() @ (a @ r).reshape(n, -1).T)"
+    assert list(_sites(ast.parse(text), _is_hs_product)) == [("f", 2)]
+
+
 def _names_scipy_optimize(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("scipy.optimize") for alias in node.names)

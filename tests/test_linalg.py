@@ -15,9 +15,9 @@ I2 = np.eye(2, dtype=complex)
 
 def test_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        linalg.as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
+        linalg.as_complex(np.array([[np.nan, 0], [0, 1]]), 2)
     with pytest.raises(ValueError, match="finite"):
-        linalg.as_complex_vector(np.array([np.inf, 0]))
+        linalg.as_complex(np.array([np.inf, 0]), 1)
 
 
 def _pairs(u):

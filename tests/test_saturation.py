@@ -557,6 +557,25 @@ def test_deciders_refuse_bad_tol(tol):
     ):
         with pytest.raises(ValueError, match="tol"):
             decide()
+    # a tol as large as the quantity it decides on answers every yes/no alike: is_muub once
+    # passed bases whose cross traces are all 0 at tol 2 = d^2/n, and the certification at
+    # 1/n (an overlap of 0 against the flat 1/2); a pair was distinguishable from itself at 1,
+    # where the witness built a NaN basis
+    far = UnitaryBasis((identity(2), pauli("Z"))), UnitaryBasis((pauli("X"), pauli("Y")))
+    i = identity(2)
+    for decide, scale in (
+        (lambda t: is_muub(*far, t), 2.0),
+        (lambda t: is_muub(UnitaryBasis(tuple(pauli(c) for c in "IXYZ")),
+                           UnitaryBasis(tuple(pauli(c) for c in "IXYZ")), t), 1.0),
+        (lambda t: muub_certify_by_saturation(*far, tol=t), 0.5),
+        (lambda t: is_perfectly_distinguishable(i, i, t), 1.0),
+        (lambda t: zero_bound_witness(i, i, t), 1.0),
+    ):
+        for t in (scale, 2 * scale):
+            with pytest.raises(ValueError, match=rf"^tol must be a number in \[0, {scale:g}\), "
+                                                 rf"got {t}$"):
+                decide(t)
+        decide(np.nextafter(scale, 0))  # the largest tol below the scale is a tol
 
 
 def _find_flat(a, kind, tol, budget, restarts, seed):
@@ -726,6 +745,26 @@ def test_certify_chirp_by_construction(d, conjugated):
         assert r.achieved.value == pytest.approx(np.log2(d), abs=1e-6)
 
 
+def test_certification_contract_at_every_d_from_1_to_16():
+    # the chirp bases certify by construction at every d from 2 to 16, with no search.  At
+    # d = 1 every basis is flat (the level 1/d is 1): ({I_1}, {I_1}) certifies with bound 0,
+    # where it was once refused as a phase of the identity
+    for d in range(2, 17):
+        cert = muub_certify_by_saturation(*_chirp_bases(d))
+        reports = [r for row in cert.reports for r in row]
+        assert cert.certified and len(reports) == d * d
+        assert {r.method for r in reports} <= {"row-construction", "zadoff-chu-order"}
+        assert all(r.evaluations == 0 and r.saturates for r in reports)
+        assert all(r.bound.value == pytest.approx(np.log2(d), abs=1e-9) for r in reports)
+    one = UnitaryBasis((identity(1),))
+    assert is_muub(one, one) == (True, 1.0)
+    cert = muub_certify_by_saturation(one, one)
+    ((report,),) = cert.reports
+    assert cert.certified and cert.kappa == 1.0
+    assert (report.method, report.evaluations) == ("row-construction", 0)
+    assert report.bound.value == report.achieved.value == 0.0
+
+
 def test_fourier_orders_are_spectrum_references_checked_on_one_pair(monkeypatch):
     # the identity Fourier order is not flat for the chirp class at d = 5: it costs one 5 x 5
     # check, not one per pair, and the Zadoff-Chu order is then carried to the 25 pairs
@@ -860,17 +899,12 @@ def test_certification_logs_its_methods_once(caplog, monkeypatch):
     assert lines[-1] == ("MUUB certification: row-construction 0, zadoff-chu-order 0, "
                          "spectral-transport 24, numerical-search 1, not-found 0; "
                          "1 spectrum classes searched")
-    identical = UnitaryBasis((identity(2), pauli("Y")))
-    for bases, tol, line in (
-        (_clock_vs_shift_d3(), 1e-9,
-         "is_muub: max ||Tr(W V†)|^2 - kappa| = 8.0, |kappa - 3| = 2.0, tol 1e-09"),
-        ((identical, identical), 2.0, "pair (0, 0) is a phase of the identity"),
-    ):
-        caplog.clear()
-        muub_certify_by_saturation(*bases, tol=tol)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"MUUB certification: refused before any search: {line}"
-        ]
+    caplog.clear()
+    muub_certify_by_saturation(*_clock_vs_shift_d3())
+    assert [r.getMessage() for r in caplog.records] == [
+        "MUUB certification: refused before any search: "
+        "is_muub: max ||Tr(W V†)|^2 - kappa| = 8.0, |kappa - 3| = 2.0, tol 1e-09"
+    ]
 
 
 def test_corrupt_spectrum_class_falls_back_to_search(monkeypatch):
@@ -1198,29 +1232,6 @@ def test_certification_at_the_tolerance_edge_follows_is_muub(caplog, monkeypatch
         rf"MUUB certification: refused before any search: is_muub: max \|\|Tr\(W V†\)\|\^2 - "
         rf"kappa\| = (\S+), \|kappa - {d}\| = (\S+), tol (\S+)", line).groups())
     assert tol == 1e-9 and spread > tol >= off
-
-
-def test_identity_check_reads_only_pairs_whose_trace_is_near_d(monkeypatch):
-    # a phase of the identity has |Tr a| = d: the 1024 chirp pairs at d = 32 have |Tr a| =
-    # sqrt(32), so the check sees none of them.  Identical qubit bases at tol 2 pass is_muub,
-    # and the check sees the two pairs W V† = I
-    seen = []
-    check = saturation._is_phase_of_identity
-    monkeypatch.setattr(saturation, "_is_phase_of_identity",
-                        lambda a, *rest: seen.append(len(a)) or check(a, *rest))
-
-    class Past(Exception):
-        """Raised by the first step after the identity check."""
-
-    def past(*_):
-        raise Past
-
-    monkeypatch.setattr(saturation, "eig_unitary", past)
-    with pytest.raises(Past):
-        muub_certify_by_saturation(*_chirp_bases(32))
-    identical = UnitaryBasis((identity(2), pauli("Y")))
-    cert = muub_certify_by_saturation(identical, identical, tol=2.0)
-    assert seen == [0, 2] and not cert.certified
 
 
 def test_certify_rejects_identical_bases():

@@ -28,7 +28,6 @@ from utp.testers import (
     Tester,
     bell_basis,
     computational_basis,
-    mes_overlap_table,
     outcome_distribution,
     povm_from_projective,
     trivial_tester,
@@ -192,12 +191,13 @@ def test_mes_bound_builds_no_weyl_stack_for_a_rotated_basis(d):
 def test_non_weyl_mes_basis_takes_the_full_table(monkeypatch):
     # X N_i with X Haar is an MES basis too, but its table rows do not permute row 0
     calls = []
+    overlaps = MesMeasurement.overlaps
 
-    def counted(r, a):
-        calls.append(r.shape)
-        return mes_overlap_table(r, a)
+    def counted(m, a):
+        calls.append(m.elements.shape)
+        return overlaps(m, a)
 
-    monkeypatch.setattr(testers, "mes_overlap_table", counted)
+    monkeypatch.setattr(MesMeasurement, "overlaps", counted)
     for d in (2, 3, 5):
         rng = np.random.default_rng(900 + d)
         m = MesMeasurement(haar_matrix(d, rng) @ weyl_operators(d) / np.sqrt(d))
@@ -213,10 +213,10 @@ def test_non_weyl_mes_basis_takes_the_full_table(monkeypatch):
 
 
 def test_bell_bound_at_d32_never_builds_the_table(monkeypatch, run_cli):
-    def refuse(r, a):
+    def refuse(m, a):
         raise AssertionError("the d^2 x d^2 table was built")
 
-    monkeypatch.setattr(testers, "mes_overlap_table", refuse)
+    monkeypatch.setattr(MesMeasurement, "overlaps", refuse)
     clock, shift = clock_shift_pair(32)
     assert mes_bound(bell_basis(32), clock, shift).argmax == (0, 993)
     code, out, _ = run_cli(["mes-bound", "--v", "clock", "--w", "shift", "--dim", "32"])
