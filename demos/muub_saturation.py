@@ -53,7 +53,7 @@ def main() -> None:
 
     same = muub_certify_by_saturation(b1, b1)
     print(f"identical bases certify: {same.certified} "
-          "(diagonal pairs have W V+ = I and can never saturate)")
+          "(is_muub refuses them first: |Tr(W V+)|^2 is 4 or 0, not the 2 it requires)")
 
 
 if __name__ == "__main__":

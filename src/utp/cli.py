@@ -269,10 +269,8 @@ def cmd_search(args) -> str:
 
 
 def _resolve_basis(spec: str, dim: int | None) -> UnitaryBasis:
-    names = [part for part in spec.split(",") if part]
-    if len(names) < 2:
-        raise UsageError(f"basis spec {spec!r} needs at least two comma-separated operators")
-    return UnitaryBasis(tuple(resolve_operator(name, dim) for name in names))
+    """The comma-separated operators of ``spec``; ``UnitaryBasis`` refuses a count not d or d²."""
+    return UnitaryBasis(tuple(resolve_operator(name, dim) for name in spec.split(",") if name))
 
 
 def cmd_muub_check(args) -> str:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .operators import UnitaryOperator
 from .testers import Tester, outcome_distribution
-from .uncertainty import EntropyValue, shannon_entropy
+from .uncertainty import EntropyValue, entropies, shannon_entropy
 
 GAME_CHUNK = 1 << 15  # trials drawn per block; bounds run_game's memory
 GAME_CELLS = 1 << 12  # most cells of the table that bins outcome uniforms without a search
@@ -189,7 +189,8 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     for counts in (counts_v, counts_w):
         if counts.sum() > 0:
             empirical += empirical_entropy(counts).value
-    analytic = shannon_entropy(pv).value + shannon_entropy(pw).value
+    hv, hw = entropies(np.array([pv, pw]), 2.0)  # pv and pw were checked as they were formed
+    analytic = float(hv + hw)
 
     successes = counts_v[int(np.argmax(pv))] + counts_w[int(np.argmax(pw))]
     return GameTranscript(

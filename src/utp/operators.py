@@ -180,8 +180,13 @@ def hs_inner(a: UnitaryOperator, b: UnitaryOperator) -> complex:
 
 
 def hs_moduli(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|Tr(P_i† Q_j)| between two stacks of operators (or |<p_i|q_j>| of vectors)."""
-    return np.abs(p.reshape(len(p), -1).conj() @ q.reshape(len(q), -1).T)
+    """|Tr(P_i† Q_j)| between two stacks of operators (or |<p_i|q_j>| of two 2-D vector tables).
+
+    Stacks of operator stacks, (..., n, d, d), give one table per stack entry.
+    """
+    if p.ndim > 2:  # operators, vec'd row-major: Tr(P† Q) = <vec P|vec Q>
+        p, q = p.reshape(*p.shape[:-2], -1), q.reshape(*q.shape[:-2], -1)
+    return np.abs(p.conj() @ q.swapaxes(-1, -2))
 
 
 def check_hs_orthogonal(p: np.ndarray, norm: float, what: str) -> float:
@@ -307,11 +312,15 @@ def _hull_nearest_origin(points: np.ndarray) -> tuple[float, tuple[int, ...], np
     return 0.0, tuple(int(i) for i in indices), weights
 
 
-def pair_operator(dim: int, v: UnitaryOperator, w: UnitaryOperator) -> np.ndarray:
-    """The pair operator w v† that every bound reads, once v and w are both ``dim``-dimensional."""
+def pair_operator(
+    dim: int, v: UnitaryOperator, w: UnitaryOperator, adjoint: bool = False
+) -> np.ndarray:
+    """The pair operator w v† that every bound reads (v w† with ``adjoint``), once v and w
+    are both ``dim``-dimensional; a mismatch names v's dimension first either way."""
     if v.dim != dim or w.dim != dim:
         raise ValueError(f"dimension mismatch: operators {v.dim} and {w.dim}, measurement {dim}")
-    return w.matrix @ v.matrix.conj().T
+    left, right = (v, w) if adjoint else (w, v)
+    return left.matrix @ right.matrix.conj().T
 
 
 def product_unitarity_tol(

@@ -61,17 +61,26 @@ from .testers import (
     ProjectiveMeasurement,
     PureState,
     Tester,
+    checked_probabilities,
+    eigen_residuals,
+    in_basis,
     is_trivial_measurement,
+    mes_columns,
+    mes_overlaps,
+    mes_probabilities,
+    projective_overlaps,
+    projective_probabilities,
+    row_inputs,
     row_tester,
     weyl_operators,
 )
 from .uncertainty import (
     EntropicBound,
     EntropyValue,
-    mes_bound,
-    pair_uncertainty,
+    entropies,
     projective_bound,
     snap_to_one,
+    weyl_table,
 )
 
 log = logging.getLogger(__name__)
@@ -195,19 +204,59 @@ class SweepSurface:
         return self.max_overlap.size
 
 
+REPORT_BLOCK_PAIRS = 32  # pairs per stacked report pass, so its temporaries stay small
+
+
+def _reports(testers: list[Tester], v: list[UnitaryOperator], w: list[UnitaryOperator],
+             a: np.ndarray, runs: list[tuple[str, int, bool]],
+             base: float) -> list[SaturationReport]:
+    """The report of each tester, all of one kind, on its pair: testers[k] on (v[k], w[k]),
+    a[k] = w_k v_k†, runs[k] its (method, evaluations, converged).
+
+    One stacked pass over the pairs forms what ``pair_uncertainty``, ``projective_bound`` or
+    ``mes_bound`` and ``is_trivial_measurement`` read, through their own stack-capable
+    formulas and checks, so each field is theirs bit for bit: both outcome distributions and
+    their entropies, the overlap tables and, for projective testers, the triviality residuals
+    (an MES tester is never trivial).  Only each pair's bound and report are built one by
+    one; an achieved value below the bound is an ``InvariantError``.
+    """
+    kind = testers[0].kind
+    # np.array, not np.stack: the same copies of arrays of one shape, at a fraction of the call
+    psi = np.array([t.input.amplitudes for t in testers])
+    u = np.array([[s.matrix for s in side] for side in (v, w)])  # [side, pair]
+    if kind == "projective":
+        x = np.array([t.measurement.matrix for t in testers])
+        p = projective_probabilities(x, u, psi)
+        tables = projective_overlaps(x, a)
+        trivial = (eigen_residuals(x, a) < DEFAULT_TOL).all(axis=-1)
+    else:
+        r = np.array([t.measurement.elements for t in testers])
+        p = mes_probabilities(mes_columns(r), u, psi)
+        tables = [weyl_table(t.measurement, a_k) for t, a_k in zip(testers, a)]
+        if any(table is None for table in tables):
+            tables = [f if table is None else table for f, table in zip(mes_overlaps(r, a), tables)]
+        trivial = np.zeros(len(testers), dtype=bool)
+    # outcome_distribution's slack e w + |w - 1|, e = u.unitarity_error, w the input's weight
+    weight = np.array([t.input.weight for t in testers])
+    error = np.array([[s.unitarity_error for s in side] for side in (v, w)])
+    slack = error * weight + np.abs(weight - 1.0)
+    p = computed(checked_probabilities, (p, slack), "%s tester outcome", kind)
+    h = entropies(p.reshape(-1, p.shape[-1]), base).reshape(2, -1)
+    achieved = (h[0] + h[1]).tolist()
+    reports = []
+    for k, (t, (method, evaluations, converged)) in enumerate(zip(testers, runs)):
+        bound = EntropicBound.from_overlaps(tables[k], base)
+        fields = (EntropyValue(achieved[k], base), bound, t, bool(trivial[k]), method,
+                  evaluations, converged)
+        reports.append(computed(SaturationReport, fields, "%s report:", method))
+    return reports
+
+
 def _report(tester: Tester, v: UnitaryOperator, w: UnitaryOperator, method: str, base: float,
             evaluations: int = 0, converged: bool = True) -> SaturationReport:
-    """Report of ``tester`` on (v, w), bounded by ``projective_bound`` or ``mes_bound``.
-
-    A projective tester is trivial as ``is_trivial_measurement`` decides, an MES one never.
-    Both sides are computed here: an achieved value below the bound is an ``InvariantError``.
-    """
-    m = tester.measurement
-    achieved = pair_uncertainty(tester, v, w, base)
-    bound = (mes_bound if isinstance(m, MesMeasurement) else projective_bound)(m, v, w, base)
-    trivial = isinstance(m, ProjectiveMeasurement) and is_trivial_measurement(m, v, w)
-    fields = (achieved, bound, tester, trivial, method, evaluations, converged)
-    return computed(SaturationReport, fields, "%s report:", method)
+    """Report of ``tester`` on (v, w): the one-pair call of ``_reports``."""
+    a = pair_operator(tester.dim, v, w)[None]
+    return _reports([tester], [v], [w], a, [(method, evaluations, converged)], base)[0]
 
 
 def sweep_pair(name: str) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -627,7 +676,8 @@ class _Flatness(NamedTuple):
 
     Each entry of T stands for ``repeats`` overlaps.  ``rotations`` are (X, method)
     candidates tried on every pair as they are; ``references`` are spectrum references,
-    tried in order; ``tester(X, v)`` is the tester of a flat X for the pair (v, w).
+    tried in order; ``testers(X, V)`` are the testers of a stack of flat X, each for its
+    pair (V, W) of the matching stack of V.
     """
 
     name: str
@@ -637,7 +687,7 @@ class _Flatness(NamedTuple):
     repeats: int
     rotations: tuple[tuple[np.ndarray, str], ...]
     references: tuple[_Reference, ...]
-    tester: Callable[[np.ndarray, UnitaryOperator], Tester]
+    testers: Callable[[np.ndarray, np.ndarray], list[Tester]]
 
 
 def _zadoff_chu(d: int) -> np.ndarray:
@@ -691,8 +741,14 @@ def _projective_flatness(d: int) -> _Flatness:
     orders = permutations(range(d)) if d <= 4 else [range(d)]
     fourier = tuple(_Reference(None, dft[np.argsort(o)], "row-construction") for o in orders)
     zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
+
+    def testers(x: np.ndarray, v: np.ndarray) -> list[Tester]:
+        """The inputs V†|x_0> of ``row_tester``, formed for the whole stack."""
+        return [Tester.projective(PureState(psi), ProjectiveMeasurement(x_k))
+                for psi, x_k in zip(row_inputs(x, v), x)]
+
     return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, (), fourier + zadoff_chu,
-                     lambda x, v: row_tester(ProjectiveMeasurement(x), v))
+                     testers)
 
 
 def _mes_flatness(weyl: np.ndarray) -> _Flatness:
@@ -701,7 +757,7 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
     With b = X† a X, Tr(M_i† a M_j) = Tr(N_j N_i† b) and N_j N_i† is a phase times N_(j-i):
     the table is the d^2 Weyl coefficients c_k = Tr(N_k† b) / d, each repeated d^2 times.
     The one rotation, the identity, covers the Weyl-covariant pairs.  The tester of a flat
-    X for the pair (v, w) is the MES basis M_i v / sqrt(d).
+    X for the pair (v, w) is the MES basis X N_i X† v / sqrt(d).
     """
     d = weyl.shape[-1]
     vec = weyl.reshape(d * d, d * d)
@@ -715,16 +771,19 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         """K = sum_k G_k N_k / d: Re Tr(K† db) = Re sum conj(G_k) dc_k."""
         return (g.reshape(*g.shape[:-2], d * d) @ vec).reshape(g.shape) / d
 
-    def tester(x: np.ndarray, v: UnitaryOperator) -> Tester:
-        return Tester.mes(MesMeasurement(x @ weyl @ x.conj().T @ v.matrix / math.sqrt(d)))
+    def testers(x: np.ndarray, v: np.ndarray) -> list[Tester]:
+        x = x[:, None]
+        r = x @ weyl @ x.conj().swapaxes(-1, -2) @ v[:, None] / math.sqrt(d)
+        r.flags.writeable = False  # each measurement owns its read-only slice as is
+        return [Tester.mes(MesMeasurement(r_k)) for r_k in r]
 
     rotations = ((np.eye(d, dtype=complex), "row-construction"),)
-    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, rotations, (), tester)
+    return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, rotations, (), testers)
 
 
 def _flat(kind: _Flatness, a: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     """Whether T(X† a X) is flat at ``kind.level`` within tol; a and X may be stacks."""
-    t = kind.table(x.conj().swapaxes(-1, -2) @ a @ x)
+    t = kind.table(in_basis(x, a))
     return np.abs(np.abs(t) ** 2 - kind.level).max(axis=(-2, -1)) <= tol
 
 
@@ -908,11 +967,16 @@ def muub_certify_by_saturation(
                                [seed + 7919 * (i // cols) + i % cols for i in members.tolist()])
         found.update((int(i), f) for i, f in zip(members, flats) if f)
 
-    for i, result in found.items():
-        m_idx, n_idx = divmod(i, cols)
-        wm, vn = b2.elements[m_idx], b1.elements[n_idx]
-        reports[m_idx][n_idx] = _report(kind.tester(result.matrix, vn), vn, wm, result.method, 2.0,
-                                        result.evaluations)
+    pairs = sorted(found)
+    for start in range(0, len(pairs), REPORT_BLOCK_PAIRS):  # one stacked report pass a block
+        block = pairs[start:start + REPORT_BLOCK_PAIRS]
+        ms, ns = zip(*(divmod(i, cols) for i in block))
+        testers = kind.testers(np.array([found[i].matrix for i in block]), v[list(ns)])
+        runs = [(found[i].method, found[i].evaluations, True) for i in block]
+        block_reports = _reports(testers, [b1.elements[n] for n in ns],
+                                 [b2.elements[m] for m in ms], a[block], runs, 2.0)
+        for m_idx, n_idx, report in zip(ms, ns, block_reports):
+            reports[m_idx][n_idx] = report
     methods = Counter(r.method if r else "not-found" for row in reports for r in row)
     counts = ", ".join(f"{m} {methods[m]}" for m in (*REPORT_METHODS, "not-found"))
     # each pair found by its own search found one spectrum class; carried pairs are transports

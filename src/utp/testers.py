@@ -62,19 +62,79 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("empty distribution")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        excess = max(-p.min(), p.max() - 1.0)
-        if excess > 1e-12 + slack:
-            raise ValueError(f"probabilities outside [0, 1] by {excess:.3e}")
-        if abs(p.sum() - 1.0) > 1e-9 + slack:
-            raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
-        p = np.clip(p, 0.0, 1.0)
+        p = checked_probabilities(p, slack)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
         return self.probs.size
+
+
+def checked_probabilities(p: np.ndarray, slack=0.0) -> np.ndarray:
+    """``p`` clipped to [0, 1] once each row (its last axis) passes ``OutcomeDistribution``'s
+    checks; ``slack`` is one number, or one per row."""
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    excess = np.maximum(-p.min(axis=-1), p.max(axis=-1) - 1.0)
+    bad = excess > 1e-12 + slack
+    if bad.any():  # np.extract takes the 0-d results of a single row too
+        raise ValueError(f"probabilities outside [0, 1] by {np.extract(bad, excess)[0]:.3e}")
+    total = p.sum(axis=-1)
+    bad = abs(total - 1.0) > 1e-9 + slack
+    if bad.any():
+        raise ValueError(f"probabilities sum to {np.extract(bad, total)[0]:.12g}, not 1")
+    return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip's values, at half its cost
+
+
+def in_basis(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X† a X: the operator a in the basis of X's columns; x and a may be stacks."""
+    return x.conj().swapaxes(-1, -2) @ a @ x
+
+
+def _column_moduli(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|<c_i|y>|^2 for the columns c_i of c; or for each of a stack of c and of y."""
+    return np.abs(c.conj().swapaxes(-1, -2) @ y[..., None])[..., 0] ** 2
+
+
+def projective_overlaps(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|<chi_i| a |chi_j>|^2 for the columns chi_i of x; x and a may be stacks."""
+    return np.abs(in_basis(x, a)) ** 2
+
+
+def projective_probabilities(x: np.ndarray, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """p_i = |<chi_i| U |psi>|^2 for the columns chi_i of x; x, u and psi may be stacks."""
+    return _column_moduli(x, (u @ psi[..., None])[..., 0])
+
+
+def mes_overlaps(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|Tr(R_i† a R_j)|^2 for the states R_i of an MES stack r; r and a may be stacks of them."""
+    return hs_moduli(r, a[..., None, :, :] @ r) ** 2
+
+
+def mes_columns(r: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix whose columns are the vec'd states R_i of r; or one per stack entry."""
+    return np.ascontiguousarray(r.reshape(*r.shape[:-2], -1).swapaxes(-1, -2))
+
+
+def mes_probabilities(columns: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """p_i = |<nu_i| (U (x) I) |Phi>|^2 for the columns nu_i of ``columns``; any may be stacks.
+
+    (U (x) I)|Phi> is the row-major vec of U Phi, Phi the d x d reshape of |Phi>.
+    """
+    d = u.shape[-1]
+    evolved = u @ phi.reshape(*phi.shape[:-1], d, d)
+    return _column_moduli(columns, evolved.reshape(*evolved.shape[:-2], d * d))
+
+
+def eigen_residuals(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|a chi_j - <chi_j|a|chi_j> chi_j| for the columns chi_j of x; x and a may be stacks."""
+    images = a @ x
+    return np.linalg.norm(images - (x.conj() * images).sum(axis=-2, keepdims=True) * x, axis=-2)
+
+
+def row_inputs(x: np.ndarray, v: np.ndarray, k: int = 0) -> np.ndarray:
+    """v†|chi_k> for column chi_k of x, which v sends onto outcome k; x and v may be stacks."""
+    return (v.conj().swapaxes(-1, -2) @ x[..., k:k + 1])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +201,11 @@ class ProjectiveMeasurement:
 
     def overlaps(self, a: np.ndarray) -> np.ndarray:
         """|<chi_i| a |chi_j>|^2 for the basis states chi_i."""
-        x = self.matrix
-        return np.abs(x.conj().T @ a @ x) ** 2
+        return projective_overlaps(self.matrix, a)
 
     def probabilities(self, psi: PureState, u: UnitaryOperator) -> np.ndarray:
         """p_i = |<chi_i| U |psi>|^2."""
-        return np.abs(self.matrix.conj().T @ (u.matrix @ psi.amplitudes)) ** 2
+        return projective_probabilities(self.matrix, u.matrix, psi.amplitudes)
 
     @classmethod
     def from_matrix(cls, x) -> "ProjectiveMeasurement":
@@ -295,7 +354,7 @@ class MesMeasurement:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Read-only d^2 x d^2 matrix whose columns are the states."""
-        x = np.ascontiguousarray(self.elements.reshape(self.dim, -1).T)
+        x = mes_columns(self.elements)
         x.flags.writeable = False
         return x
 
@@ -304,12 +363,11 @@ class MesMeasurement:
 
         With R_i the row-major reshape of |nu_i>, this is |Tr(R_i† a R_j)|^2, the HS table.
         """
-        return hs_moduli(self.elements, a @ self.elements) ** 2
+        return mes_overlaps(self.elements, a)
 
     def probabilities(self, phi: PureState, u: UnitaryOperator) -> np.ndarray:
-        """p_i = |<nu_i| (U (x) I) |Phi>|^2; (U (x) I)|Phi> is the row-major vec of U Phi."""
-        evolved = (u.matrix @ phi.amplitudes.reshape(u.dim, u.dim)).reshape(-1)
-        return np.abs(self.matrix.conj().T @ evolved) ** 2
+        """p_i = |<nu_i| (U (x) I) |Phi>|^2."""
+        return mes_probabilities(self.matrix, u.matrix, phi.amplitudes)
 
     def to_literal(self) -> dict:
         return {"local_dim": self.local_dim, "states": [s.to_literal() for s in self.states]}
@@ -371,8 +429,10 @@ class Tester:
         return cls(rho, m)
 
 
+@lru_cache(maxsize=1)
 def mes_state(d: int) -> PureState:
-    """Canonical maximally entangled state (1/sqrt(d)) sum_i |ii>."""
+    """Canonical maximally entangled state (1/sqrt(d)) sum_i |ii>, kept for the last d: a
+    ``PureState`` is immutable, and every MES tester holds and checks one."""
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     phi = np.zeros(d * d, dtype=complex)
@@ -416,7 +476,7 @@ def outcome_distribution(t: Tester, u: UnitaryOperator) -> OutcomeDistribution:
 
 def row_tester(m: ProjectiveMeasurement, v: UnitaryOperator, k: int = 0) -> Tester:
     """The tester of input v†|chi_k> in ``m``, which v sends onto outcome k with certainty."""
-    return Tester.projective(PureState(v.matrix.conj().T @ m.matrix[:, k]), m)
+    return Tester.projective(PureState(row_inputs(m.matrix, v.matrix, k)), m)
 
 
 def trivial_tester(v: UnitaryOperator, w: UnitaryOperator) -> Tester:
@@ -436,10 +496,7 @@ def is_trivial_measurement(
     m: ProjectiveMeasurement, v: UnitaryOperator, w: UnitaryOperator
 ) -> bool:
     """True iff every basis vector of ``m`` is an eigenvector of w v† within DEFAULT_TOL."""
-    x = m.matrix
-    images = pair_operator(m.dim, v, w) @ x
-    residuals = images - (x.conj() * images).sum(axis=0) * x
-    return bool((np.linalg.norm(residuals, axis=0) < DEFAULT_TOL).all())
+    return bool((eigen_residuals(m.matrix, pair_operator(m.dim, v, w)) < DEFAULT_TOL).all())
 
 
 # --- JSON serialization ----------------------------------------------------

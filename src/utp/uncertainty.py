@@ -94,11 +94,33 @@ def shannon_entropy(p, base: float = 2.0) -> EntropyValue:
     if not isinstance(p, OutcomeDistribution):
         p = OutcomeDistribution(np.asarray(p, dtype=float))
     q = p.probs[p.probs > ZERO_PROBABILITY]
-    value = float(-(q * _log(q, base)).sum()) + 0.0  # normalize -0.0
-    cap = float(_log(len(p), base))
-    if value < -1e-12 or value > cap + 1e-9:
-        raise ValueError(f"entropy {value} outside [0, log {len(p)}]")
-    return EntropyValue(value, base)
+    return EntropyValue(float(_kept_entropies(q[None], len(p), base)[0]), base)
+
+
+def entropies(p: np.ndarray, base: float) -> np.ndarray:
+    """``shannon_entropy`` of each row of a table of distributions, bit for bit.
+
+    Each row keeps its probabilities above ZERO_PROBABILITY, and the rows that keep equally
+    many are summed as one table: numpy sums each row of a table as it sums that row alone.
+    """
+    keep = p > ZERO_PROBABILITY
+    counts = keep.sum(axis=1)
+    values = np.empty(len(p))
+    for n in set(counts.tolist()):
+        rows = counts == n
+        values[rows] = _kept_entropies(p[rows][keep[rows]].reshape(-1, n), p.shape[1], base)
+    return values
+
+
+def _kept_entropies(q: np.ndarray, n: int, base: float) -> np.ndarray:
+    """-sum q log q of each row of q, the probabilities kept from an n-outcome distribution,
+    each checked to lie in [0, log n]."""
+    values = -(q * _log(q, base)).sum(axis=1) + 0.0  # normalize -0.0
+    cap = math.log(n) / math.log(base) + 1e-9
+    for value in values.tolist():  # as Python floats: a few rows check faster so, NaN too
+        if not -1e-12 <= value <= cap:
+            raise ValueError(f"entropy {value} outside [0, log {n}]")
+    return values
 
 
 def pair_uncertainty(
@@ -131,10 +153,19 @@ def mes_bound(
 ) -> EntropicBound:
     """MES-measurement bound -log max_{i,j} |<nu_i| (w v† (x) I) |nu_j>|^2.
 
-    On the Weyl basis of ``bell_basis``, N_j N_i† is a phase times N_(j-i): every row
-    of the table permutes row 0, |Tr(a N_j)|^2 / d^2, which holds the max and argmax.
+    On the Weyl basis of ``bell_basis`` the table is ``weyl_table``'s row 0.
     """
     a = pair_operator(m.local_dim, v, w)
+    table = weyl_table(m, a)
+    return EntropicBound.from_overlaps(m.overlaps(a) if table is None else table, base)
+
+
+def weyl_table(m: MesMeasurement, a: np.ndarray) -> np.ndarray | None:
+    """Row 0 of m's overlap table of a when m is the Weyl basis of ``bell_basis``, else None.
+
+    There N_j N_i† is a phase times N_(j-i): every row of the table permutes row 0,
+    |Tr(a N_j)|^2 / d^2, which holds the max and argmax.
+    """
     d = m.local_dim
     r = m.elements
     # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail,
@@ -142,9 +173,9 @@ def mes_bound(
     weyl = r[0, 0, 0] == 1 / math.sqrt(d) and np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and (
         r is bell_elements(d) or np.array_equal(r, bell_elements(d)))
     if not weyl:
-        return EntropicBound.from_overlaps(m.overlaps(a), base)
+        return None
     traces = r.reshape(d * d, -1) @ a.T.reshape(-1)  # Tr(a R_j) = Tr(a N_j) / sqrt(d)
-    return EntropicBound.from_overlaps(np.abs(traces[None, :]) ** 2 / d, base)
+    return np.abs(traces[None, :]) ** 2 / d
 
 
 def povm_bound(
@@ -159,7 +190,7 @@ def povm_bound(
     lambda_max(M_i) are cut to zero and F_i padded to the largest rank r left; as
     ||[G; g]||^2 <= ||G||^2 + mu, cutting mu moves a norm by <= mu / (2 ||G||).
     """
-    a = pair_operator(m.dim, w, v)  # v w†, refused before any work
+    a = pair_operator(m.dim, v, w, adjoint=True)  # v w†, refused before any work
     lam, vecs = np.linalg.eigh(m.elements)
     lam = np.where(lam > m.dim * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
     r, n = int(np.count_nonzero(lam, axis=1).max()), len(lam)

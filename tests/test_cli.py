@@ -127,6 +127,15 @@ def test_muub_check_not_unbiased(run_cli):
     assert payload["kappa"] is None
 
 
+@pytest.mark.parametrize("argv, result", [
+    (["--dim", "1"], (0, '{"certified": true, "kappa": 1.0}\n', "")),
+    ([], (2, "", "error: basis size 1 is neither d=2 nor d^2=4\n")),
+], ids=["d1", "d2"])
+def test_muub_check_takes_a_one_operator_basis(run_cli, argv, result):
+    # a d = 1 basis has one element; the basis itself refuses a size that is neither d nor d^2
+    assert run_cli(["muub-check", "--basis1", "identity", "--basis2", "identity"] + argv) == result
+
+
 def test_entropy_equator(run_cli):
     code, out, _ = run_cli(
         ["entropy", "--v", "identity", "--w", "omega-minus",
@@ -733,13 +742,9 @@ def test_sweep_bound_bits_off_by_1e9_exit_1(run_cli, monkeypatch):
 
 def test_search_result_below_its_bound_exits_1(run_cli, monkeypatch):
     # a computed achieved value that undercuts the bound is a numerical failure, not usage
-    pair_uncertainty = saturation.pair_uncertainty
-
-    def undercut(t, v, w, base=2.0):
-        value = pair_uncertainty(t, v, w, base)
-        return type(value)(value.value - 0.5, value.base)
-
-    monkeypatch.setattr(saturation, "pair_uncertainty", undercut)
+    # every report's entropies come from one stacked call: each side 0.25 low, 0.5 in all
+    entropies = saturation.entropies
+    monkeypatch.setattr(saturation, "entropies", lambda p, base: entropies(p, base) - 0.25)
     code, out, err = run_cli(SEARCH_ARGV + ["--budget", "60"])
     assert code == 1
     assert out == ""

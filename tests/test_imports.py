@@ -129,27 +129,74 @@ def _is_matmul(node: ast.AST, left: str, right: str) -> bool:
 
 
 def _is_row_input(node: ast.AST) -> bool:
-    """Whether ``node`` is PureState(<v>.matrix.conj().T @ ...), the saturating input v†|chi_k>."""
+    """Whether ``node`` forms the saturating input v†|chi_k>: PureState(<v>.matrix.conj().T
+    @ ...), or <v>.conj().swapaxes(-1, -2) @ <x>[..., k:k + 1] on stacks."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "PureState" and len(node.args) == 1
-            and _is_matmul(node.args[0], r"\S+\.matrix\.conj\(\)\.T", r".+"))
+            and _is_matmul(node.args[0], r"\S+\.matrix\.conj\(\)\.T", r".+")) or _is_matmul(
+        node, r"\S+\.conj\(\)\.swapaxes\(-1, -2\)", r"\S+\[\.\.\., (\w+):\1 \+ 1\]")
 
 
 def _is_hs_product(node: ast.AST) -> bool:
-    """Whether ``node`` is <p>.reshape(...).conj() @ <q>.reshape(...).T, the HS table's product."""
-    return _is_matmul(node, r".+\.reshape\(.*\)\.conj\(\)", r".+\.reshape\(.*\)\.T")
+    """Whether ``node`` is the HS table's product of vec'd operators: <p>.reshape(...).conj() @
+    <q>.reshape(...).T, or <p>.conj() @ <q>.swapaxes(-1, -2) on stacks."""
+    return (_is_matmul(node, r".+\.reshape\(.*\)\.conj\(\)", r".+\.reshape\(.*\)\.T")
+            or _is_matmul(node, r".+\.conj\(\)", r".+\.swapaxes\(-1, -2\)"))
 
 
 def test_row_input_and_hs_product_each_have_one_definition():
-    # the saturating input v†|chi_k> is formed only by testers.row_tester, and the vec'd
-    # product behind |Tr(P_i† Q_j)|, the MES overlap table included, only by operators.hs_moduli
-    for match, where in ((_is_row_input, "testers.row_tester"),
+    # the saturating input v†|chi_k> is formed only by testers.row_inputs, for one pair or a
+    # stack, and the vec'd product behind |Tr(P_i† Q_j)|, the MES overlap table included, only
+    # by operators.hs_moduli
+    for match, where in ((_is_row_input, "testers.row_inputs"),
                          (_is_hs_product, "operators.hs_moduli")):
         assert {f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), match)} == {where}
-    text = "def f(v, x):\n    return PureState(v.matrix.conj().T @ x[:, 0])"
-    assert list(_sites(ast.parse(text), _is_row_input)) == [("f", 2)]
-    text = "def f(r, a, n):\n    return abs(r.reshape(n, -1).conj() @ (a @ r).reshape(n, -1).T)"
-    assert list(_sites(ast.parse(text), _is_hs_product)) == [("f", 2)]
+    for text in ("def f(v, x):\n    return PureState(v.matrix.conj().T @ x[:, 0])",
+                 "def f(v, x, k):\n    return v.conj().swapaxes(-1, -2) @ x[..., k:k + 1]"):
+        assert list(_sites(ast.parse(text), _is_row_input)) == [("f", 2)]
+    for text in ("def f(r, a, n):\n    return r.reshape(n, -1).conj() @ (a @ r).reshape(n, -1).T",
+                 "def f(p, q):\n    return abs(p.conj() @ q.swapaxes(-1, -2))"):
+        assert list(_sites(ast.parse(text), _is_hs_product)) == [("f", 2)]
+
+
+def _builds_saturation_report(node: ast.AST) -> bool:
+    """Whether ``node`` is SaturationReport(...) or computed(SaturationReport, ...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    built = node.args[0] if ast.unparse(node.func) == "computed" and node.args else node.func
+    return isinstance(built, ast.Name) and built.id == "SaturationReport"
+
+
+def _is_basis_conjugation(node: ast.AST) -> bool:
+    """Whether ``node`` is <x>.conj().T @ <a> @ <x>, either way round, .swapaxes(-1, -2) or .T."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    left, right = node.left, node.right
+    if isinstance(left, ast.BinOp) and isinstance(left.op, ast.MatMult):  # (x† @ a) @ x
+        adjoint, x = left.left, right
+    elif isinstance(right, ast.BinOp) and isinstance(right.op, ast.MatMult):  # x† @ (a @ x)
+        adjoint, x = left, right.right
+    else:
+        return False
+    pattern = re.escape(ast.unparse(x)) + r"\.conj\(\)\.(T|swapaxes\(-1, -2\))"
+    return bool(re.fullmatch(pattern, ast.unparse(adjoint)))
+
+
+def test_reports_and_basis_conjugation_each_have_one_definition():
+    # every saturation report, from a construction, a search or a certification block, is built
+    # by saturation._reports, and every |<x_i| a |x_j>|-style table reads X† a X from
+    # testers.in_basis, for one matrix or a stack: the stacked pass is no second report path
+    for match, where in ((_builds_saturation_report, "saturation._reports"),
+                         (_is_basis_conjugation, "testers.in_basis")):
+        assert [f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), match)] == [where]
+    for text in ("def f(*fields):\n    return SaturationReport(*fields)",
+                 "def f(fields):\n    return computed(SaturationReport, fields, 'report')"):
+        assert list(_sites(ast.parse(text), _builds_saturation_report)) == [("f", 2)]
+    assert not list(_sites(ast.parse("isinstance(r, SaturationReport)"), _builds_saturation_report))
+    for text in ("def f(x, a):\n    return abs(x.conj().T @ a @ x) ** 2",
+                 "def f(m, a):\n    return m.matrix.conj().swapaxes(-1, -2) @ (a @ m.matrix)"):
+        assert list(_sites(ast.parse(text), _is_basis_conjugation)) == [("f", 2)]
+    assert list(_sites(ast.parse("x @ w @ x.conj().T"), _is_basis_conjugation)) == []
 
 
 def _names_scipy_optimize(node: ast.AST) -> bool:

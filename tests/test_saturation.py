@@ -1415,17 +1415,21 @@ def test_trivial_tester_reports_zero():
 # --- one pair contract: every entry point reads w v† through pair_operator ----------------
 
 def test_every_pair_entry_point_refuses_a_dimension_mismatch_with_one_message():
+    # v's dimension first, then w's: povm_bound, which forms v w†, once named them the other way
     m, q, h = computational_basis(2), identity(2), identity(3)
-    message = re.escape("dimension mismatch: operators 3 and 3, measurement 2")
-    for call in (lambda: projective_bound(m, h, h), lambda: mes_bound(bell_basis(2), h, h),
-                 lambda: povm_bound(povm_from_projective(m), h, h),
-                 lambda: search_min_uncertainty(m, h, h),
-                 lambda: saturating_tester_by_construction(m, h, h),
-                 lambda: is_trivial_measurement(m, h, h)):
-        with pytest.raises(ValueError, match=message):
-            call()
-    with pytest.raises(ValueError, match=re.escape("operators 2 and 3, measurement 2")):
-        trivial_tester(q, h)
+    for v, w in ((h, h), (q, h), (h, q)):
+        message = re.escape(f"dimension mismatch: operators {v.dim} and {w.dim}, measurement 2")
+        for call in (lambda: projective_bound(m, v, w), lambda: mes_bound(bell_basis(2), v, w),
+                     lambda: povm_bound(povm_from_projective(m), v, w),
+                     lambda: search_min_uncertainty(m, v, w),
+                     lambda: saturating_tester_by_construction(m, v, w),
+                     lambda: is_trivial_measurement(m, v, w)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    for v, w in ((q, h), (h, q)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"operators {v.dim} and {w.dim}, measurement {v.dim}")):
+            trivial_tester(v, w)
 
 
 def _assert_public_bound(report, v, w):
@@ -1455,6 +1459,40 @@ def test_reports_carry_the_public_bound():
             for vn, report in zip(b1.elements, row):
                 assert report.tester.kind == kind
                 _assert_public_bound(report, vn, wm)
+
+
+@pytest.fixture(scope="module")
+def contract_instances(benchmark_instances):
+    """Certified bases of both flavours, the d = 32 chirp bases among them, and the benchmark's."""
+    named = {name: tuple(UnitaryBasis(tuple(map(UnitaryOperator, side))) for side in sides)
+             for name, sides in benchmark_instances.items()}
+    return {**named, "chirp_bases_d5": _chirp_bases(5),
+            "haar_pauli_evensign": _haar_pauli_evensign(haar_matrix(2, np.random.default_rng(11))),
+            "haar_weyl_d3": _haar_weyl_against_dft_weyl(3),
+            "haar_chirp_d32": _chirp_bases(32, haar_matrix(32, np.random.default_rng(32)))}
+
+
+@pytest.mark.parametrize("block", [1, 7, saturation.REPORT_BLOCK_PAIRS])
+def test_certification_reports_equal_the_one_pair_public_computation(monkeypatch,
+                                                                     contract_instances, block):
+    # reports are built in stacked blocks of pairs; each must be, bit for bit, what the public
+    # single-pair functions give for its tester, wherever the block edges fall
+    monkeypatch.setattr(saturation, "REPORT_BLOCK_PAIRS", block)
+    found = 0
+    for name, (b1, b2) in contract_instances.items():
+        cert = muub_certify_by_saturation(b1, b2, budget=500)
+        for wm, row in zip(b2.elements, cert.reports):
+            for vn, r in zip(b1.elements, row):
+                if r is None:  # clock_vs_shift_d3 is refused before any report
+                    continue
+                found += 1
+                public = pair_uncertainty(r.tester, vn, wm)
+                assert (r.achieved.value.hex(), r.achieved.base) == (public.value.hex(), 2.0), name
+                _assert_public_bound(r, vn, wm)
+                m = r.tester.measurement
+                assert r.trivial == (isinstance(m, ProjectiveMeasurement)
+                                     and is_trivial_measurement(m, vn, wm)), name
+    assert found == 4 + 16 + 9 + 25 + 25 + 16 + 81 + 1024
 
 
 @pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
