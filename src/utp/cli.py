@@ -223,8 +223,7 @@ def cmd_entropy(args) -> str:
     m = resolve_projective(args.measurement, v.dim)
     t = Tester.projective(resolve_input(args.input, m), m)
     base = _base(args)
-    hv = shannon_entropy(outcome_distribution(t, v), base).value
-    hw = shannon_entropy(outcome_distribution(t, w), base).value
+    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
     unit = _unit(args)
     return _json_line(
         {

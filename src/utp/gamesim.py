@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import validate_counts
 from .operators import UnitaryOperator
 from .testers import Tester, outcome_distribution
 from .uncertainty import EntropyValue, entropies, shannon_entropy
@@ -61,9 +62,11 @@ class GameConfig:
     operator_bias: float = 0.5  # probability that the v side is tested
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 128):
+        validate_counts(("trials", self.trials, 1))
+        object.__setattr__(self, "trials", int(self.trials))
+        seed = self.seed  # a bool is refused, as validate_counts refuses it
+        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                          and 0 <= seed < 1 << 128):
             raise ValueError("seed must be an integer in [0, 2**128)")
         object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is no JSON number
         if not (0.0 <= self.operator_bias <= 1.0):
@@ -139,18 +142,16 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     The guessing strategy is fixed: the modal outcome of the announced
     operator's analytic distribution (lowest index on ties).
     """
-    pv = outcome_distribution(cfg.tester, cfg.v).probs
-    pw = outcome_distribution(cfg.tester, cfg.w).probs
-    n_outcomes = pv.size
+    # one row per side, v then w, each checked as it is formed
+    p = np.array([outcome_distribution(cfg.tester, u).probs for u in (cfg.v, cfg.w)])
 
     # clip guards against cumsum roundoff pushing the last edge below 1
-    cum_v = np.clip(np.cumsum(pv), 0.0, 1.0)
-    cum_w = np.clip(np.cumsum(pw), 0.0, 1.0)
-    cum_v[-1] = cum_w[-1] = 1.0
+    cum = np.clip(np.cumsum(p, axis=1), 0.0, 1.0)
+    cum[:, -1] = 1.0
 
     # Fine bins between the union of both sides' edges fix both outcomes at once: a
     # uniform in bin k lies in [edges[k-1], edges[k]), which holds no edge of either side.
-    edges = np.sort(np.concatenate((cum_v, cum_w)))
+    edges = np.sort(cum.ravel())
     edges = edges[np.diff(edges, prepend=-1.0) > 0]  # np.union1d would import numpy.ma
     m = edges.size
     split = cfg.trials >= 8 * GAME_CHUNK  # two workers of 4 chunks each, at the least
@@ -176,26 +177,20 @@ def run_game(cfg: GameConfig) -> GameTranscript:
         thread.join()
     if errors:
         raise errors[0]
-    fine = sum(drawn)  # [v bins, then w bins]
+    fine = sum(drawn).reshape(2, m)  # [v bins, w bins]
 
     # bin k's outcome on one side is searchsorted(cum, u, "right") for any u in the bin
     below = np.concatenate(([-np.inf], edges[:-1]))
-    counts_v = np.zeros(n_outcomes, dtype=np.int64)
-    counts_w = np.zeros(n_outcomes, dtype=np.int64)
-    for counts, cum, side in ((counts_v, cum_v, fine[:m]), (counts_w, cum_w, fine[m:])):
-        np.add.at(counts, np.searchsorted(cum, below, side="right"), side)
+    counts = np.zeros(p.shape, dtype=np.int64)
+    for side in range(2):
+        np.add.at(counts[side], np.searchsorted(cum[side], below, side="right"), fine[side])
 
-    empirical = 0.0
-    for counts in (counts_v, counts_w):
-        if counts.sum() > 0:
-            empirical += empirical_entropy(counts).value
-    hv, hw = entropies(np.array([pv, pw]), 2.0)  # pv and pw were checked as they were formed
-    analytic = float(hv + hw)
-
-    successes = counts_v[int(np.argmax(pv))] + counts_w[int(np.argmax(pw))]
+    empirical = sum(empirical_entropy(c).value for c in counts if c.any())
+    analytic = float(entropies(p, 2.0).sum())  # p was checked as it was formed
+    successes = counts[(0, 1), p.argmax(axis=1)].sum()
     return GameTranscript(
-        counts_v=counts_v,
-        counts_w=counts_w,
+        counts_v=counts[0],
+        counts_w=counts[1],
         empirical_entropy_sum=EntropyValue(empirical, 2.0),
         analytic_entropy_sum=EntropyValue(analytic, 2.0),
         guess_success_rate=float(successes / cfg.trials),

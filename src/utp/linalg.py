@@ -50,6 +50,16 @@ def validate_base(base: float) -> None:
         raise ValueError(f"log base must be a finite number > 1, got {base}")
 
 
+def validate_counts(*counts: tuple[str, object, int]) -> None:
+    """Refuse each (name, value, least) whose value is not a Python or numpy integer >= least.
+
+    A bool is refused too: numpy takes no bool as an array size.
+    """
+    for name, value, least in counts:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def as_complex(a, ndim: int) -> np.ndarray:
     """Coerce to a finite complex vector (``ndim`` 1) or matrix (``ndim`` 2), never flattened."""
     what = "vector" if ndim == 1 else "matrix"

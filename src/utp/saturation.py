@@ -41,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvformat import format_rows
-from .linalg import DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_base, validate_tol
+from .linalg import (DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_base,
+                     validate_counts, validate_tol)
 from .operators import (
     UnitaryBasis,
     UnitaryOperator,
@@ -442,9 +443,8 @@ def saturating_tester_by_construction(
     global_max = overlaps.max()
     for i in range(m.dim):
         column = overlaps[:, i]
+        # never empty: the column sums to ||w v† chi_i||^2 = 1 over d entries, so its max is >= 1/d
         support = column[column > DEFAULT_TOL]
-        if support.size == 0:
-            continue
         if (support.max() - support.min() <= DEFAULT_TOL
                 and abs(support.max() - global_max) <= DEFAULT_TOL):
             return _report(row_tester(m, v, i), v, w, "row-construction", 2.0)
@@ -547,15 +547,6 @@ def _descend(cost_grad, line, transport, x: np.ndarray, budget: int, target: flo
     return _Descent(x, f, used, True)
 
 
-def _validate_search(budget: int, restarts: int, seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-
-
 def _log_search(name: str, method: str, evaluations: int, starts: int, converged: bool) -> None:
     log.info(
         "%s: %s, %d evaluations from %d starts, converged %s",
@@ -597,7 +588,7 @@ def search_min_uncertainty(
     never a claim of optimality).  Deterministic for fixed
     (seed, budget, restarts).
     """
-    _validate_search(budget, restarts, seed)
+    validate_counts(("seed", seed, 0), ("budget", budget, 1), ("restarts", restarts, 1))
     validate_base(base)
     d = m.dim
     x = m.matrix
@@ -932,7 +923,7 @@ def muub_certify_by_saturation(
     One INFO line counts each method and the spectrum classes searched.
     """
     validate_tol(tol, 1 / b1.subspace_dim)
-    _validate_search(budget, restarts, seed)
+    validate_counts(("seed", seed, 0), ("budget", budget, 1), ("restarts", restarts, 1))
     d = b1.dim
     cols = len(b1.elements)
     reports: list[list[SaturationReport | None]] = [[None] * cols for _ in b2.elements]

@@ -127,9 +127,8 @@ def pair_uncertainty(
     t: Tester, v: UnitaryOperator, w: UnitaryOperator, base: float = 2.0
 ) -> EntropyValue:
     """H(T|v) + H(T|w): summed outcome entropies of one tester on two unitaries."""
-    hv = shannon_entropy(outcome_distribution(t, v), base)
-    hw = shannon_entropy(outcome_distribution(t, w), base)
-    return EntropyValue(hv.value + hw.value, base)
+    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
+    return EntropyValue(hv + hw, base)
 
 
 def projective_bound(

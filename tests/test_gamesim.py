@@ -123,17 +123,28 @@ def test_game_analytic_matches_pair_uncertainty():
 def test_game_config_validation():
     m = computational_basis(2)
     t = Tester.projective(PureState(np.array([1.0, 0])), m)
-    with pytest.raises(ValueError, match="trials"):
-        GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=0, seed=0)
+    for trials in (1000.0, 2.5, 0, -3, "10", True):  # 1000.0 and 2.5 were once taken, then failed
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
+            GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=trials, seed=0)
     with pytest.raises(ValueError, match="bias"):
         GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5, seed=0, operator_bias=1.5)
     with pytest.raises(ValueError, match="dimension"):
         GameConfig(tester=t, v=identity(3), w=identity(3), trials=5, seed=0)
-    for seed in (-1, 2**128, 1.0, "3", None):  # outside the keys Philox takes
+    for seed in (-1, 2**128, 1.0, "3", None, True):  # outside the keys Philox takes
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
             GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5, seed=seed)
     assert run_game(GameConfig(tester=t, v=identity(2), w=pauli("X"), trials=5,
                                seed=2**128 - 1)).trials == 5
+
+
+def test_game_takes_a_numpy_integer_trial_count_as_the_same_int():
+    # trials=np.int64(n) once failed in run_game, where it sized the cell table by bit_length
+    cfg = equator_config(trials=np.int64(1000), seed=3)
+    assert type(cfg.trials) is int and json.dumps({"trials": cfg.trials}) == '{"trials": 1000}'
+    transcript = run_game(cfg)
+    assert type(transcript.trials) is int and transcript.trials == 1000
+    assert transcript_to_json(transcript) == transcript_to_json(
+        run_game(equator_config(trials=1000, seed=3)))
 
 
 def test_transcript_json_fields():

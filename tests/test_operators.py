@@ -378,3 +378,21 @@ def test_hull_witness_on_nearly_flat_triangles_off_the_axes():
             assert weights.min() >= 0 and abs(weights.sum() - 1) <= 1e-12, (phi, delta)
             worst = max(worst, abs(weights @ pts[list(indices)]))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: UnitaryBasis(()), "a unitary basis needs at least one element"),
+    (lambda: UnitaryBasis((identity(2), identity(3))), "all basis elements must share one dimension"),
+    (lambda: omega(0), "sign must be -1 or +1"),
+    (lambda: operators.weyl_operators(1), "local dimension must be >= 2"),
+    (lambda: hs_inner(identity(2), identity(3)), "dimension mismatch: 2 vs 3"),
+    (lambda: operators.hs_table(UnitaryBasis((pauli("I"), pauli("Z"))),
+                                UnitaryBasis(tuple(pauli(c) for c in "IXYZ"))),
+     "bases must share dimension and subspace dimension"),
+    (lambda: haar_random_unitary(0, 1), "dimension must be >= 1"),
+    (lambda: is_perfectly_distinguishable(identity(2), identity(3)), "dimension mismatch: 2 vs 3"),
+], ids=["empty-basis", "mixed-dims", "omega-sign", "weyl-d1", "hs-inner-dim", "hs-table-shape",
+        "haar-d0", "hull-dim"])
+def test_operators_refuse_malformed_input_with_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import json
@@ -530,6 +531,24 @@ def test_searches_refuse_empty_budget_or_restarts(budget, restarts):
         muub_certify_by_saturation(b1, b2, budget=budget, restarts=restarts)
 
 
+@pytest.mark.parametrize("name, value", [("budget", 10.5), ("restarts", 2.5),
+                                         ("budget", np.float64(100.0)), ("restarts", True)])
+def test_searches_refuse_a_count_that_is_not_an_integer(name, value):
+    # one integer rule for seed, budget and restarts: budget=10.5 was once taken by a
+    # certification, and a search failed inside numpy, as it did on restarts=True
+    m, v, w = flat_instance(2, 0)
+    message = rf"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        search_min_uncertainty(m, v, w, **{name: value})
+    b1 = UnitaryBasis((identity(2), pauli("Y")))
+    b2 = UnitaryBasis((omega(-1), omega(+1)))
+    with pytest.raises(ValueError, match=message):
+        muub_certify_by_saturation(b1, b2, **{name: value})
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        muub_certify_by_saturation(b1, b2, seed=-1, **{name: value})  # the seed is checked first
+    assert search_min_uncertainty(m, v, w, **{name: np.int64(3)}).evaluations >= 1
+
+
 @pytest.mark.parametrize("seed", [-1, 0.5])
 def test_searches_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
     # one rule before any work: the certification once took -1 where no pair searched, and
@@ -746,11 +765,15 @@ def test_certify_chirp_by_construction(d, conjugated):
 
 
 def test_certification_contract_at_every_d_from_1_to_16():
-    # the chirp bases certify by construction at every d from 2 to 16, with no search.  At
-    # d = 1 every basis is flat (the level 1/d is 1): ({I_1}, {I_1}) certifies with bound 0,
-    # where it was once refused as a phase of the identity
-    for d in range(2, 17):
-        cert = muub_certify_by_saturation(*_chirp_bases(d))
+    # the chirp bases certify by construction at every d from 2 to 16, with no search, and so
+    # do samples beyond (every d to 32 takes ~4 s) and Haar-conjugated ones.  At d = 1 every
+    # basis is flat (the level 1/d is 1): ({I_1}, {I_1}) certifies with bound 0, where it was
+    # once refused as a phase of the identity
+    plain = [_chirp_bases(d) for d in [*range(2, 17), 17, 23, 31]]
+    conjugated = [_chirp_bases(d, haar_matrix(d, np.random.default_rng(d))) for d in (3, 7, 12, 20)]
+    for bases in plain + conjugated:
+        d = bases[0].dim
+        cert = muub_certify_by_saturation(*bases)
         reports = [r for row in cert.reports for r in row]
         assert cert.certified and len(reports) == d * d
         assert {r.method for r in reports} <= {"row-construction", "zadoff-chu-order"}
@@ -1504,3 +1527,11 @@ def test_input_search_refuses_a_log_base_not_finite_above_1_before_any_search(mo
     message = re.escape(f"log base must be a finite number > 1, got {base}")
     with pytest.raises(ValueError, match=message):
         search_min_uncertainty(computational_basis(2), identity(2), omega(-1), base=base)
+
+
+@pytest.mark.parametrize("method", ["bogus", "Row-Construction", ""])
+def test_report_refuses_an_unknown_method(method):
+    m, v, w = flat_instance(2, 0)
+    report = saturating_tester_by_construction(m, v, w)
+    with pytest.raises(ValueError, match=f"^unknown method {re.escape(repr(method))}$"):
+        dataclasses.replace(report, method=method)

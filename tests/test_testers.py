@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -445,3 +446,37 @@ def test_trivial_tester_random_pairs():
         pv = outcome_distribution(t, v).probs
         pw = outcome_distribution(t, w).probs
         assert pv.max() > 1 - 1e-12 and pw.max() > 1 - 1e-12
+
+
+def _e(d: int, k: int = 0) -> PureState:
+    amps = np.zeros(d, dtype=complex)
+    amps[k] = 1.0
+    return PureState(amps)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OutcomeDistribution([]), "empty distribution"),
+    (lambda: OutcomeDistribution([0.5, np.nan]), "probabilities must be finite"),
+    (lambda: ProjectiveMeasurement.from_literal(
+        {"states": [_e(2).to_literal(), _e(3).to_literal()]}),
+     "projective measurement needs exactly d states of dimension d"),
+    (lambda: ProjectiveMeasurement.from_literal({"states": []}),
+     "projective measurement needs exactly d states of dimension d"),
+    (lambda: DensityMatrix(np.ones((2, 3))), "density matrix must be square"),
+    (lambda: Povm(np.ones((2, 2, 3))), "POVM elements must share one square shape"),
+    (lambda: Povm(np.ones((2, 2))), "POVM elements must share one square shape"),
+    (lambda: MesMeasurement(np.ones((4, 2, 3))), "MES measurement needs a (d^2, d, d) stack, d >= 2"),
+    (lambda: MesMeasurement(np.ones((1, 1, 1))), "MES measurement needs a (d^2, d, d) stack, d >= 2"),
+    (lambda: MesMeasurement.from_literal({"local_dim": 2, "states": [_e(4).to_literal()] * 3}),
+     "MES measurement needs d^2=4 states of dimension d^2, d >= 2"),
+    (lambda: Tester.projective(_e(3), computational_basis(2)),
+     "input dimension 3 != measurement dimension 2"),
+    (lambda: mes_state(1), "local dimension must be >= 2"),
+    (lambda: outcome_distribution(Tester.projective(_e(2), computational_basis(2)), identity(3)),
+     "dimension mismatch: tester 2 vs operator 3"),
+], ids=["empty", "nan", "ragged-states", "no-states", "density-shape", "povm-shape",
+        "povm-ndim", "mes-shape", "mes-d1", "mes-literal-count", "input-dim", "mes-state-d1",
+        "outcome-dim"])
+def test_testers_refuse_malformed_input_with_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

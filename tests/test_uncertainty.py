@@ -518,3 +518,10 @@ def test_povm_reduces_to_projective_at_sampled_d(d):
         assert povm_bound(povm_from_projective(m), v, w).value == pytest.approx(
             projective_bound(m, v, w).value, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("u_dim, psi_dim", [(3, 2), (2, 4)])
+def test_variance_uncertainty_refuses_a_dimension_mismatch(u_dim, psi_dim):
+    psi = PureState(np.eye(psi_dim)[0])
+    with pytest.raises(ValueError, match=f"^dimension mismatch: {u_dim} vs {psi_dim}$"):
+        variance_uncertainty(identity(u_dim), psi)
