@@ -60,12 +60,13 @@ def validate_counts(*counts: tuple[str, object, int]) -> None:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def as_complex(a, ndim: int) -> np.ndarray:
-    """Coerce to a finite complex vector (``ndim`` 1) or matrix (``ndim`` 2), never flattened."""
+def as_complex(a, ndim: int, stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite complex vector (``ndim`` 1) or matrix (``ndim`` 2), or with ``stacked``
+    a stack of them, never flattened."""
     what = "vector" if ndim == 1 else "matrix"
     m = np.asarray(a, dtype=complex)
-    if m.ndim != ndim:
-        raise ValueError(f"expected a {what}, got ndim={m.ndim}")
+    if m.ndim != ndim + stacked:
+        raise ValueError(f"expected a {what}{' stack' * stacked}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     return m

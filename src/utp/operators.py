@@ -192,20 +192,25 @@ def hs_moduli(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def check_hs_orthogonal(p: np.ndarray, norm: float, what: str) -> float:
     """Refuse ``p`` unless |Tr(P_i† P_j)| = norm·δ_ij within DEFAULT_TOL; returns the deviation.
 
-    Past HS_BLOCK_MIN_PRODUCT products (n^2 m for n rows of m entries), the rows are
-    grouped into support blocks by nonzero pattern, NaN and Inf counting as nonzero.  If
-    no two patterns share a column, as with the Weyl operators, every product across
+    ``p`` holds n operators, (n, r, c), or a stack of such, (k, n, r, c), each checked on its
+    own and the first that fails named; a vector is a 1 x c operator.  Past
+    HS_BLOCK_MIN_PRODUCT products (n^2 m for n operators of m entries), the operators of
+    one are grouped into support blocks by nonzero pattern, NaN and Inf counting as nonzero.
+    If no two patterns share a column, as with the Weyl operators, every product across
     blocks is an exact zero, and one product per block over its own columns suffices.
     """
-    a = p.reshape(len(p), -1)
-    blocks = _support_blocks(a) if len(a) * a.size > HS_BLOCK_MIN_PRODUCT else None
+    n = p.shape[-3]
+    dense = p.ndim > 3 or n * p.size <= HS_BLOCK_MIN_PRODUCT
+    blocks = None if dense else _support_blocks(p.reshape(n, -1))
     if blocks is None:
-        dev = np.abs(hs_moduli(a, a) - norm * np.eye(len(a))).max()
+        dev = np.abs(hs_moduli(p, p) - norm * np.eye(n)).max(axis=(-2, -1))
     else:  # np.max, not max(): a NaN block deviation must refuse the stack, not be skipped
         dev = np.max([np.abs(hs_moduli(b, b) - norm * np.eye(len(b))).max() for b in blocks])
-    if not dev <= DEFAULT_TOL:
+    bad = ~(dev <= DEFAULT_TOL)
+    if bad.any():  # np.extract takes the 0-d deviation of one set of operators too
+        dev = np.extract(bad, dev)[0]
         raise ValueError(f"{what}: |Tr(P_i† P_j)| is {dev:.3e} off {norm:g}·δ_ij")
-    return float(dev)
+    return float(dev.max())
 
 
 def _support_blocks(a: np.ndarray) -> list[np.ndarray] | None:

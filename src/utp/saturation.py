@@ -69,6 +69,7 @@ from .testers import (
     mes_columns,
     mes_overlaps,
     mes_probabilities,
+    mes_state,
     projective_overlaps,
     projective_probabilities,
     row_inputs,
@@ -81,6 +82,7 @@ from .uncertainty import (
     entropies,
     projective_bound,
     snap_to_one,
+    weyl_bases,
     weyl_table,
 )
 
@@ -217,9 +219,10 @@ def _reports(testers: list[Tester], v: list[UnitaryOperator], w: list[UnitaryOpe
     One stacked pass over the pairs forms what ``pair_uncertainty``, ``projective_bound`` or
     ``mes_bound`` and ``is_trivial_measurement`` read, through their own stack-capable
     formulas and checks, so each field is theirs bit for bit: both outcome distributions and
-    their entropies, the overlap tables and, for projective testers, the triviality residuals
-    (an MES tester is never trivial).  Only each pair's bound and report are built one by
-    one; an achieved value below the bound is an ``InvariantError``.
+    their entropies, the overlap tables (row 0 for the testers on the Weyl basis, each group
+    as one stack), their bounds and, for projective testers, the triviality residuals (an MES
+    tester is never trivial).  Only each pair's report is built one by one; an achieved
+    value below the bound is an ``InvariantError``.
     """
     kind = testers[0].kind
     # np.array, not np.stack: the same copies of arrays of one shape, at a fraction of the call
@@ -228,14 +231,18 @@ def _reports(testers: list[Tester], v: list[UnitaryOperator], w: list[UnitaryOpe
     if kind == "projective":
         x = np.array([t.measurement.matrix for t in testers])
         p = projective_probabilities(x, u, psi)
-        tables = projective_overlaps(x, a)
+        bounds = EntropicBound.stack(projective_overlaps(x, a), base)
         trivial = (eigen_residuals(x, a) < DEFAULT_TOL).all(axis=-1)
     else:
         r = np.array([t.measurement.elements for t in testers])
         p = mes_probabilities(mes_columns(r), u, psi)
-        tables = [weyl_table(t.measurement, a_k) for t, a_k in zip(testers, a)]
-        if any(table is None for table in tables):
-            tables = [f if table is None else table for f, table in zip(mes_overlaps(r, a), tables)]
+        bounds = [None] * len(testers)
+        weyl = weyl_bases(r)
+        for ks, table in ((np.flatnonzero(weyl), weyl_table),
+                          (np.flatnonzero(~weyl), mes_overlaps)):
+            if ks.size:
+                for k, bound in zip(ks.tolist(), EntropicBound.stack(table(r[ks], a[ks]), base)):
+                    bounds[k] = bound
         trivial = np.zeros(len(testers), dtype=bool)
     # outcome_distribution's slack e w + |w - 1|, e = u.unitarity_error, w the input's weight
     weight = np.array([t.input.weight for t in testers])
@@ -246,8 +253,7 @@ def _reports(testers: list[Tester], v: list[UnitaryOperator], w: list[UnitaryOpe
     achieved = (h[0] + h[1]).tolist()
     reports = []
     for k, (t, (method, evaluations, converged)) in enumerate(zip(testers, runs)):
-        bound = EntropicBound.from_overlaps(tables[k], base)
-        fields = (EntropyValue(achieved[k], base), bound, t, bool(trivial[k]), method,
+        fields = (EntropyValue(achieved[k], base), bounds[k], t, bool(trivial[k]), method,
                   evaluations, converged)
         reports.append(computed(SaturationReport, fields, "%s report:", method))
     return reports
@@ -355,8 +361,12 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
-    angles = np.linspace(0.0, np.pi, grid)
-    columns = [np.empty(grid * grid) for _ in range(3)]
+    try:
+        angles = np.linspace(0.0, np.pi, grid)
+        columns = [np.empty(grid * grid) for _ in range(3)]
+    except MemoryError:  # a grid this size cannot be swept: bad input, not a numerical failure
+        raise ValueError(f"grid {grid} is too large: its three columns of {grid * grid} "
+                         "points do not fit in memory") from None
     rows = max(1, SWEEP_BLOCK_POINTS // grid)
     deviation = 0.0
     for start in range(0, grid, rows):
@@ -668,7 +678,8 @@ class _Flatness(NamedTuple):
     Each entry of T stands for ``repeats`` overlaps.  ``rotations`` are (X, method)
     candidates tried on every pair as they are; ``references`` are spectrum references,
     tried in order; ``testers(X, V)`` are the testers of a stack of flat X, each for its
-    pair (V, W) of the matching stack of V.
+    pair (V, W) of the matching stack of V, built and checked as one stack (the stack X is
+    handed over: it is made read-only, and a projective tester owns its slice as is).
     """
 
     name: str
@@ -734,9 +745,9 @@ def _projective_flatness(d: int) -> _Flatness:
     zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
 
     def testers(x: np.ndarray, v: np.ndarray) -> list[Tester]:
-        """The inputs V†|x_0> of ``row_tester``, formed for the whole stack."""
-        return [Tester.projective(PureState(psi), ProjectiveMeasurement(x_k))
-                for psi, x_k in zip(row_inputs(x, v), x)]
+        """The inputs V†|x_0> of ``row_tester``, formed and checked for the whole stack."""
+        x.flags.writeable = False  # each measurement owns its read-only slice as is
+        return Tester.stack(PureState.stack(row_inputs(x, v)), ProjectiveMeasurement.stack(x))
 
     return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, (), fourier + zadoff_chu,
                      testers)
@@ -766,7 +777,7 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         x = x[:, None]
         r = x @ weyl @ x.conj().swapaxes(-1, -2) @ v[:, None] / math.sqrt(d)
         r.flags.writeable = False  # each measurement owns its read-only slice as is
-        return [Tester.mes(MesMeasurement(r_k)) for r_k in r]
+        return Tester.stack([mes_state(d)] * len(r), MesMeasurement.stack(r))
 
     rotations = ((np.eye(d, dtype=complex), "row-construction"),)
     return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, rotations, (), testers)

@@ -31,6 +31,7 @@ from .linalg import (
     unitarity_residual,
 )
 from .operators import (
+    HS_BLOCK_MIN_PRODUCT,
     UnitaryOperator,
     array_from_literal,
     array_to_literal,
@@ -137,20 +138,48 @@ def row_inputs(x: np.ndarray, v: np.ndarray, k: int = 0) -> np.ndarray:
     return (v.conj().swapaxes(-1, -2) @ x[..., k:k + 1])[..., 0]
 
 
+def _owned(a) -> np.ndarray:
+    """``a`` as is if it is a read-only complex128 array: whoever made it read-only hands it
+    over and must not write it through another view.  Any other array is copied, read-only."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.complex128 and not a.flags.writeable):
+        a = np.array(a, dtype=complex)
+        a.flags.writeable = False
+    return a
+
+
+def _built(cls, **fields) -> list:
+    """One ``cls`` per row of the fields, checked as a stack: no ``__post_init__`` runs."""
+    first, *_ = fields.values()
+    items = [object.__new__(cls) for _ in range(len(first))]
+    for name, values in fields.items():
+        for item, value in zip(items, values, strict=True):
+            item.__dict__[name] = value
+    return items
+
+
+def _check_states(a: np.ndarray, stacked: bool) -> np.ndarray:
+    """``PureState``'s rule on a state, or on each row of a stack: finite, of unit norm."""
+    a = as_complex(a, 1, stacked)
+    off = np.abs(np.linalg.norm(a, axis=-1) - 1.0)
+    bad = off > DEFAULT_TOL
+    if bad.any():  # np.extract takes the 0-d result of one state too
+        raise ValueError(f"state is not normalized: |norm - 1| = {np.extract(bad, off)[0]:.3e}")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm state vector."""
+    """Unit-norm state vector, read-only, owned as ``_owned`` takes it."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = as_complex(self.amplitudes, 1)
-        n = np.linalg.norm(a)
-        if abs(n - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(n - 1):.3e}")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "amplitudes", _check_states(_owned(self.amplitudes), False))
+
+    @classmethod
+    def stack(cls, a) -> list["PureState"]:
+        """The states of the rows of ``a``, checked as one stack; each owns its row as is."""
+        return _built(cls, amplitudes=_check_states(_owned(a), True))
 
     @property
     def dim(self) -> int:
@@ -181,15 +210,15 @@ class ProjectiveMeasurement:
 
     kind: ClassVar[str] = "projective"
     input_type: ClassVar[type] = PureState
-    matrix: np.ndarray  # read-only, columns are the states
+    matrix: np.ndarray  # read-only, owned as ``_owned`` takes it; columns are the states
 
     def __post_init__(self) -> None:
-        x = as_complex(self.matrix, 2).copy()
-        if not x.size or x.shape[1] != x.shape[0]:
-            raise ValueError(f"projective measurement needs exactly d={len(x)} states of dimension d")
-        check_hs_orthogonal(x.T, 1.0, "measurement basis is not orthonormal")
-        x.flags.writeable = False
-        object.__setattr__(self, "matrix", x)
+        object.__setattr__(self, "matrix", _check_projective(_owned(self.matrix), False))
+
+    @classmethod
+    def stack(cls, x) -> list["ProjectiveMeasurement"]:
+        """The bases of the matrices of ``x``, checked as one stack; each owns its matrix as is."""
+        return _built(cls, matrix=_check_projective(_owned(x), True))
 
     @property
     def dim(self) -> int:
@@ -221,6 +250,16 @@ class ProjectiveMeasurement:
         if not columns or any(c.size != len(columns) for c in columns):
             raise ValueError("projective measurement needs exactly d states of dimension d")
         return cls(np.column_stack(columns))
+
+
+def _check_projective(x: np.ndarray, stacked: bool) -> np.ndarray:
+    """``ProjectiveMeasurement``'s rule on a matrix, or each of a stack: d orthonormal columns."""
+    x = as_complex(x, 2, stacked)
+    if not x.size or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"projective measurement needs exactly d={x.shape[-2]} states of dimension d")
+    states = x.swapaxes(-1, -2)[..., None, :]  # each a 1 x d operator
+    check_hs_orthogonal(states, 1.0, "measurement basis is not orthonormal")
+    return x
 
 
 def computational_basis(d: int) -> ProjectiveMeasurement:
@@ -316,10 +355,9 @@ def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
 class MesMeasurement:
     """Orthonormal basis of d^2 maximally entangled bipartite states.
 
-    ``elements`` is one read-only (d^2, d, d) array: R_i, the row-major reshape of the
-    basis state |nu_i> = sqrt(d) (R_i (x) I) |Phi>.  Each sqrt(d) R_i must be unitary.
-    A read-only complex128 stack is owned as is: whoever made it read-only hands it over
-    and must not write it through another view.  Any other stack is copied.
+    ``elements`` is one read-only (d^2, d, d) array, owned as ``_owned`` takes it: R_i, the
+    row-major reshape of the basis state |nu_i> = sqrt(d) (R_i (x) I) |Phi>.  Each sqrt(d) R_i
+    must be unitary.
     """
 
     kind: ClassVar[str] = "mes"
@@ -327,17 +365,12 @@ class MesMeasurement:
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        r = self.elements
-        if not (isinstance(r, np.ndarray) and r.dtype == np.complex128 and not r.flags.writeable):
-            r = np.array(r, dtype=complex)
-            r.flags.writeable = False
-        d = r.shape[-1] if r.ndim == 3 else 0
-        if r.shape != (d * d, d, d) or d < 2:
-            raise ValueError("MES measurement needs a (d^2, d, d) stack, d >= 2")
-        check_hs_orthogonal(r, 1.0, "MES basis is not orthonormal")  # refuses NaN and Inf too
-        if not unitarity_residual(r, d)[1].max() <= MES_RESHAPE_TOL:  # is sqrt(d) R_i unitary?
-            raise ValueError("MES basis element is not maximally entangled")
-        object.__setattr__(self, "elements", r)
+        object.__setattr__(self, "elements", _check_mes(_owned(self.elements), False))
+
+    @classmethod
+    def stack(cls, r) -> list["MesMeasurement"]:
+        """The bases of the (d^2, d, d) entries of ``r``, checked as one stack; each owns one."""
+        return _built(cls, elements=_check_mes(_owned(r), True))
 
     @property
     def local_dim(self) -> int:
@@ -382,6 +415,28 @@ class MesMeasurement:
         return cls(np.stack([s.amplitudes for s in states]).reshape(d * d, d, d))
 
 
+def _check_mes(r: np.ndarray, stacked: bool) -> np.ndarray:
+    """``MesMeasurement``'s rule on a (d^2, d, d) stack r, or, ``stacked``, on each of a stack.
+
+    Past HS_BLOCK_MIN_PRODUCT products (n d^3 for the dense d R_i† R_i), R_i that are all
+    monomial, one nonzero a row and a column (as the Weyl operators are), have d R_i† R_i
+    diagonal, so its residual is max |d |c|^2 - 1| over the nonzeros c, each its column's sum.
+    """
+    d = r.shape[-1] if r.ndim == 3 + stacked else 0
+    if r.shape[-3:] != (d * d, d, d) or d < 2:
+        raise ValueError("MES measurement needs a (d^2, d, d) stack, d >= 2")
+    check_hs_orthogonal(r, 1.0, "MES basis is not orthonormal")  # refuses NaN and Inf too
+    support = r != 0 if r.size * d > HS_BLOCK_MIN_PRODUCT else None
+    if support is not None and all((support.sum(axis=k) == 1).all() for k in (-2, -1)):
+        c = r.sum(axis=-2)
+        dev = np.abs(d * (c.real ** 2 + c.imag ** 2) - 1.0).max()
+    else:
+        dev = unitarity_residual(r, d)[1].max()
+    if not dev <= MES_RESHAPE_TOL:  # is sqrt(d) R_i unitary?
+        raise ValueError("MES basis element is not maximally entangled")
+    return r
+
+
 _MEASUREMENT_TYPES = (ProjectiveMeasurement, MesMeasurement, Povm)
 
 
@@ -393,17 +448,13 @@ class Tester:
     measurement: ProjectiveMeasurement | MesMeasurement | Povm
 
     def __post_init__(self) -> None:
-        m = self.measurement
-        if not isinstance(m, _MEASUREMENT_TYPES):
-            raise ValueError(f"not a measurement: {type(m).__name__}")
-        if not isinstance(self.input, m.input_type):
-            raise ValueError(f"a {m.kind} tester needs a {m.input_type.__name__} input")
-        if self.input.dim != m.dim:
-            raise ValueError(f"input dimension {self.input.dim} != measurement dimension {m.dim}")
-        if isinstance(m, MesMeasurement):
-            phi = mes_state(m.local_dim).amplitudes
-            if np.abs(self.input.amplitudes - phi).max() > DEFAULT_TOL:
-                raise ValueError("mes tester input must be the canonical MES")
+        _check_testers((self.input,), (self.measurement,))
+
+    @classmethod
+    def stack(cls, inputs, measurements) -> list["Tester"]:
+        """One tester per (inputs[k], measurements[k]), checked as one stack."""
+        _check_testers(inputs, measurements)
+        return _built(cls, input=inputs, measurement=measurements)
 
     @property
     def kind(self) -> str:
@@ -427,6 +478,21 @@ class Tester:
     @classmethod
     def povm(cls, rho: DensityMatrix, m: Povm) -> "Tester":
         return cls(rho, m)
+
+
+def _check_testers(inputs, measurements) -> None:
+    """``Tester``'s rule on each pair (inputs[k], measurements[k])."""
+    for state, m in zip(inputs, measurements, strict=True):
+        if not isinstance(m, _MEASUREMENT_TYPES):
+            raise ValueError(f"not a measurement: {type(m).__name__}")
+        if not isinstance(state, m.input_type):
+            raise ValueError(f"a {m.kind} tester needs a {m.input_type.__name__} input")
+        if state.dim != m.dim:
+            raise ValueError(f"input dimension {state.dim} != measurement dimension {m.dim}")
+        # the cached canonical MES, which MES testers share, passes without a comparison
+        phi = mes_state(m.local_dim) if isinstance(m, MesMeasurement) else state
+        if phi is not state and np.abs(state.amplitudes - phi.amplitudes).max() > DEFAULT_TOL:
+            raise ValueError("mes tester input must be the canonical MES")
 
 
 @lru_cache(maxsize=1)

@@ -63,12 +63,20 @@ class EntropicBound:
 
         Ties and a maximum near 1 follow the two rules stated on ``projective_bound``.
         """
+        return cls.stack(overlaps[None], base, power)[0]
+
+    @classmethod
+    def stack(cls, tables, base: float = 2.0, power: float = 1.0) -> list["EntropicBound"]:
+        """``from_overlaps`` of each table of a (k, n, m) stack, from its stacked maxima."""
         validate_base(base)
-        top = float(overlaps.max())
-        i, j = np.unravel_index(int(np.argmax(overlaps >= top - TIE_TOL)), overlaps.shape)
-        m = float(snap_to_one(top))
-        value = float(-power * _log(m, base)) + 0.0
-        return cls(value, base, (int(i), int(j)), m)
+        flat = tables.reshape(len(tables), -1)
+        top = flat.max(axis=1)
+        first = (flat >= (top - TIE_TOL)[:, None]).argmax(axis=1)  # row-major: (i, j) = divmod
+        m = snap_to_one(top)
+        value = -power * _log(m, base) + 0.0
+        n = tables.shape[-1]
+        return [cls(v, base, divmod(f, n), x) for v, f, x in zip(value.tolist(), first.tolist(),
+                                                                m.tolist())]
 
 
 def snap_to_one(overlap):
@@ -155,26 +163,32 @@ def mes_bound(
     On the Weyl basis of ``bell_basis`` the table is ``weyl_table``'s row 0.
     """
     a = pair_operator(m.local_dim, v, w)
-    table = weyl_table(m, a)
-    return EntropicBound.from_overlaps(m.overlaps(a) if table is None else table, base)
+    table = weyl_table(m.elements, a) if weyl_bases(m.elements) else m.overlaps(a)
+    return EntropicBound.from_overlaps(table, base)
 
 
-def weyl_table(m: MesMeasurement, a: np.ndarray) -> np.ndarray | None:
-    """Row 0 of m's overlap table of a when m is the Weyl basis of ``bell_basis``, else None.
+def weyl_bases(r: np.ndarray) -> np.ndarray:
+    """Whether r, or each of a stack of (d^2, d, d) stacks, is ``bell_elements(d)`` bit for bit."""
+    d = r.shape[-1]
+    # element 0 of the Weyl stack is I / sqrt(d) bit for bit, whose first entry most other
+    # stacks fail: only those that pass are compared whole
+    weyl = r[..., 0, 0, 0] == 1 / math.sqrt(d)
+    if weyl.any() and r is not bell_elements(d):
+        weyl &= (r == bell_elements(d)).all(axis=(-3, -2, -1))
+    return weyl
+
+
+def weyl_table(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row 0 of the overlap table of a in the Weyl basis r of ``bell_basis``; or of each a_k in
+    r_k, for stacks of both.
 
     There N_j N_i† is a phase times N_(j-i): every row of the table permutes row 0,
     |Tr(a N_j)|^2 / d^2, which holds the max and argmax.
     """
-    d = m.local_dim
-    r = m.elements
-    # element 0 of the Weyl stack is I / sqrt(d) bit for bit, which most other stacks fail,
-    # most of them at its first entry
-    weyl = r[0, 0, 0] == 1 / math.sqrt(d) and np.array_equal(r[0], np.eye(d) / math.sqrt(d)) and (
-        r is bell_elements(d) or np.array_equal(r, bell_elements(d)))
-    if not weyl:
-        return None
-    traces = r.reshape(d * d, -1) @ a.T.reshape(-1)  # Tr(a R_j) = Tr(a N_j) / sqrt(d)
-    return np.abs(traces[None, :]) ** 2 / d
+    n = r.shape[-3]
+    # Tr(a R_j) = Tr(a N_j) / sqrt(d)
+    traces = r.reshape(*r.shape[:-3], n, n) @ a.swapaxes(-1, -2).reshape(*a.shape[:-2], n, 1)
+    return np.abs(traces.swapaxes(-1, -2)) ** 2 / r.shape[-1]
 
 
 def povm_bound(

@@ -740,6 +740,23 @@ def test_sweep_bound_bits_off_by_1e9_exit_1(run_cli, monkeypatch):
         saturation.su2_overlap_point("i-omega", 0.3, 0.4)
 
 
+def test_sweep_grid_too_large_to_allocate_exits_2(run_cli, monkeypatch):
+    # a grid whose columns cannot be allocated is a flag value that cannot take effect; the
+    # allocation is made to fail here, since under overcommit a real one may not fail at once
+    empty = np.empty
+
+    def refuse_the_columns(shape, *args, **kwargs):
+        if np.prod(shape) >= 10**12:
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_the_columns)
+    code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "1000000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: grid 1000000 is too large: its three columns of 1000000000000 points "
+                   "do not fit in memory\n")
+
+
 def test_search_result_below_its_bound_exits_1(run_cli, monkeypatch):
     # a computed achieved value that undercuts the bound is a numerical failure, not usage
     # every report's entropies come from one stacked call: each side 0.25 low, 0.5 in all

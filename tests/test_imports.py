@@ -199,6 +199,32 @@ def test_reports_and_basis_conjugation_each_have_one_definition():
     assert list(_sites(ast.parse("x @ w @ x.conj().T"), _is_basis_conjugation)) == []
 
 
+# each validation message and the one stack-capable rule that raises it, for one item or a stack
+VALIDATION_RULES = {
+    "state is not normalized": "testers._check_states",
+    "measurement basis is not orthonormal": "testers._check_projective",
+    "MES basis is not orthonormal": "testers._check_mes",
+    "MES basis element is not maximally entangled": "testers._check_mes",
+}
+
+
+def _names_message(message: str):
+    def match(node: ast.AST) -> bool:  # f-string parts are constants too
+        return isinstance(node, ast.Constant) and message in str(node.value)
+
+    return match
+
+
+def test_each_validation_message_has_one_rule():
+    # a constructor's check and its stack constructor's check are one function, so the two
+    # paths cannot drift apart
+    for message, where in VALIDATION_RULES.items():
+        sites = [f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), _names_message(message))]
+        assert sites == [where], message
+    text = 'def f(n):\n    raise ValueError(f"state is not normalized: {n}")'
+    assert list(_sites(ast.parse(text), _names_message("state is not normalized"))) == [("f", 2)]
+
+
 def _names_scipy_optimize(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("scipy.optimize") for alias in node.names)

@@ -24,6 +24,7 @@ from utp.operators import (
     is_muub,
     is_perfectly_distinguishable,
     omega,
+    pair_operator,
     pauli,
     weyl_operators,
 )
@@ -49,16 +50,21 @@ from utp.testers import (
     bell_basis,
     computational_basis,
     is_trivial_measurement,
+    mes_state,
     outcome_distribution,
     povm_from_projective,
+    row_inputs,
     trivial_tester,
 )
 from utp.uncertainty import (
+    EntropicBound,
     mes_bound,
     pair_uncertainty,
     povm_bound,
     projective_bound,
     snap_to_one,
+    weyl_bases,
+    weyl_table,
 )
 
 
@@ -1455,10 +1461,38 @@ def test_every_pair_entry_point_refuses_a_dimension_mismatch_with_one_message():
             trivial_tester(v, w)
 
 
+def _bound_fields(b):
+    return b.value.hex(), b.base, b.argmax, b.max_overlap.hex()
+
+
 def _assert_public_bound(report, v, w):
     m = report.tester.measurement
     public = (mes_bound if isinstance(m, MesMeasurement) else projective_bound)(m, v, w)
-    assert report.bound == public  # value, base, argmax and maximum overlap, bit for bit
+    assert _bound_fields(report.bound) == _bound_fields(public)  # bit for bit
+
+
+def _array_fields(a):
+    return a.dtype, a.shape, a.flags.writeable, a.tobytes()
+
+
+def _assert_one_by_one_tester_and_bound(report, v, w):
+    """The report's tester is, byte for byte, the one its pair's own constructors build, and its
+    bound is ``EntropicBound.from_overlaps`` of the table that its measurement's bound reads."""
+    t, a = report.tester, pair_operator(v.dim, v, w)
+    if isinstance(t.measurement, ProjectiveMeasurement):
+        x = t.measurement.matrix
+        one = Tester.projective(PureState(row_inputs(x, v.matrix)), ProjectiveMeasurement(x))
+        table = one.measurement.overlaps(a)
+        pairs = ((t.measurement.matrix, one.measurement.matrix),)
+    else:
+        one = Tester.mes(MesMeasurement(t.measurement.elements))
+        r = one.measurement.elements
+        table = weyl_table(r, a) if weyl_bases(r) else one.measurement.overlaps(a)
+        assert t.input is mes_state(t.dim)  # every MES tester shares the cached input
+        pairs = ((t.measurement.elements, r),)
+    for stacked, single in ((t.input.amplitudes, one.input.amplitudes), *pairs):
+        assert _array_fields(stacked) == _array_fields(single)
+    assert _bound_fields(report.bound) == _bound_fields(EntropicBound.from_overlaps(table))
 
 
 def test_reports_carry_the_public_bound():
@@ -1498,8 +1532,9 @@ def contract_instances(benchmark_instances):
 @pytest.mark.parametrize("block", [1, 7, saturation.REPORT_BLOCK_PAIRS])
 def test_certification_reports_equal_the_one_pair_public_computation(monkeypatch,
                                                                      contract_instances, block):
-    # reports are built in stacked blocks of pairs; each must be, bit for bit, what the public
-    # single-pair functions give for its tester, wherever the block edges fall
+    # reports are built in stacked blocks of pairs, their testers and bounds too; each must be,
+    # bit for bit, what the public single-pair functions give for its tester, and its tester
+    # what the single constructors build, wherever the block edges fall
     monkeypatch.setattr(saturation, "REPORT_BLOCK_PAIRS", block)
     found = 0
     for name, (b1, b2) in contract_instances.items():
@@ -1512,6 +1547,7 @@ def test_certification_reports_equal_the_one_pair_public_computation(monkeypatch
                 public = pair_uncertainty(r.tester, vn, wm)
                 assert (r.achieved.value.hex(), r.achieved.base) == (public.value.hex(), 2.0), name
                 _assert_public_bound(r, vn, wm)
+                _assert_one_by_one_tester_and_bound(r, vn, wm)
                 m = r.tester.measurement
                 assert r.trivial == (isinstance(m, ProjectiveMeasurement)
                                      and is_trivial_measurement(m, vn, wm)), name

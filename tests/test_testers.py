@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_matrix, random_state
+from utp import testers
 from utp.linalg import InvariantError
 from utp.operators import UnitaryOperator, haar_random_unitary, identity, omega, pauli
 from utp.testers import (
@@ -480,3 +481,112 @@ def _e(d: int, k: int = 0) -> PureState:
 def test_testers_refuse_malformed_input_with_its_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# --- stack constructors --------------------------------------------------------
+
+def _one_bad(good: np.ndarray, bad, k: int = 2, n: int = 5) -> np.ndarray:
+    """n copies of ``good`` with ``bad`` at index k."""
+    block = np.array([good] * n, dtype=complex)
+    block[k] = bad
+    return block
+
+
+def _spoiled(a: np.ndarray, index: tuple, value) -> np.ndarray:
+    a = np.array(a, dtype=complex)
+    a[index] = value
+    return a
+
+
+_STATE = np.array([0.6, 0.8j, 0.0])
+_BASIS = haar_matrix(3, np.random.default_rng(3))
+_MES = bell_elements(2).copy()
+
+
+@pytest.mark.parametrize("cls, good, bad", [
+    (PureState, _STATE, 1.1 * _STATE),
+    (PureState, _STATE, _spoiled(_STATE, (2,), np.nan)),
+    (ProjectiveMeasurement, _BASIS, _spoiled(_BASIS, (0, 1), 0.0)),
+    (ProjectiveMeasurement, _BASIS, _spoiled(_BASIS, (1, 2), np.inf)),
+    (ProjectiveMeasurement, _BASIS, _BASIS @ np.diag([1, 1, 1 + 1e-6])),
+    (MesMeasurement, _MES, np.eye(4).reshape(4, 2, 2)),  # orthonormal, not entangled
+    (MesMeasurement, _MES, 1.01 * _MES),
+    (MesMeasurement, _MES, _spoiled(_MES, (3, 1, 0), np.nan)),
+], ids=["state-norm", "state-nan", "basis-orthonormal", "basis-inf", "basis-column-norm",
+        "mes-entangled", "mes-orthonormal", "mes-nan"])
+def test_stack_constructors_refuse_one_bad_entry_as_its_own_check_does(cls, good, bad):
+    # one rule per type: the stack names the bad entry as the single constructor names it
+    with pytest.raises(ValueError) as single:
+        cls(bad)
+    with pytest.raises(ValueError) as stacked:
+        cls.stack(_one_bad(good, bad))
+    assert str(stacked.value) == str(single.value)
+    assert len(cls.stack(_one_bad(good, good))) == 5
+
+
+def test_tester_stack_refuses_one_bad_pair_as_its_own_check_does():
+    m, mes = computational_basis(2), bell_basis(2)
+    other = PureState(np.array([0, 1, 0, 0], dtype=complex))
+    rho = DensityMatrix(np.eye(2) / 2)
+    for state, measurement in ((_e(3), m), (rho, m), (other, mes), (_e(2), "basis")):
+        with pytest.raises(ValueError) as single:
+            Tester(state, measurement)
+        inputs, measurements = [_e(2)] * 4 + [state], [m] * 4 + [measurement]
+        with pytest.raises(ValueError) as stacked:
+            Tester.stack(inputs, measurements)
+        assert str(stacked.value) == str(single.value)
+    built = Tester.stack([mes_state(2)] * 3, [mes] * 3)
+    assert [(t.input, t.measurement, t.kind) for t in built] == [(mes_state(2), mes, "mes")] * 3
+
+
+def test_stack_constructors_own_read_only_slices_of_one_checked_array():
+    x = np.array([_BASIS, _BASIS.conj()])
+    x.flags.writeable = False  # handed over: owned as is
+    built = ProjectiveMeasurement.stack(x)
+    assert [np.shares_memory(m.matrix, x) for m in built] == [True, True]
+    writable = np.array([_STATE, _STATE])  # not handed over: copied once, read-only
+    states = PureState.stack(writable)
+    assert not np.shares_memory(states[0].amplitudes, writable)
+    for item, array in ((built[1], "matrix"), (states[0], "amplitudes")):
+        assert not getattr(item, array).flags.writeable
+    assert built[1].matrix.tobytes() == ProjectiveMeasurement(_BASIS.conj()).matrix.tobytes()
+    with pytest.raises(ValueError, match="expected a vector stack, got ndim=1"):
+        PureState.stack(_STATE)
+    with pytest.raises(ValueError, match=re.escape("MES measurement needs a (d^2, d, d) stack")):
+        MesMeasurement.stack(_MES)
+
+
+def _monomial_not_entangled_32() -> np.ndarray:
+    # the shift-0 elements diag(u_b), u_b the columns of a Haar unitary with no zero entry:
+    # orthonormal and monomial, but the moduli of each are not flat
+    r = bell_elements(32).copy()
+    r[:32] = np.einsum("ij,jb->bij", np.eye(32), haar_matrix(32, np.random.default_rng(0)))
+    return r
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda r: r, None),
+    (lambda r: _monomial_not_entangled_32(), "MES basis element is not maximally entangled"),
+    (lambda r: _spoiled(r, (40, 9, 8), np.nan), "MES basis is not orthonormal"),
+    (lambda r: _spoiled(r, (5, 3, 2), 1e-6), "MES basis is not orthonormal"),
+], ids=["weyl", "not-entangled", "nan", "off-support"])
+def test_mes_check_of_monomial_stacks_gives_the_dense_verdict(monkeypatch, spoil, message):
+    # at d = 32 a stack of monomial elements, such as the Weyl stack, is checked on its
+    # nonzeros without the 1024 dense 32 x 32 products; forced dense, the verdict is the same
+    r, crossover = spoil(bell_elements(32)), testers.HS_BLOCK_MIN_PRODUCT
+    for dense_from in (crossover, 10**18):
+        monkeypatch.setattr(testers, "HS_BLOCK_MIN_PRODUCT", dense_from)
+        if message is None:
+            assert MesMeasurement(r).local_dim == 32
+        else:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                MesMeasurement(r)
+    monkeypatch.setattr(testers, "HS_BLOCK_MIN_PRODUCT", crossover)
+    calls = []
+    residual = testers.unitarity_residual
+    monkeypatch.setattr(testers, "unitarity_residual", lambda *a: calls.append(1) or residual(*a))
+    MesMeasurement(bell_elements(32))
+    MesMeasurement(bell_elements(8))  # below the crossover: dense
+    x = haar_matrix(32, np.random.default_rng(1))
+    MesMeasurement(x @ bell_elements(32) @ x.conj().T)  # not monomial: dense
+    assert len(calls) == 2
