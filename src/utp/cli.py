@@ -3,7 +3,7 @@
 Every subcommand prints its result to stdout (JSON by default; CSV for
 grids) and keeps diagnostics on stderr, controlled by the UTP_LOG
 environment variable (quiet | info | debug).  Exit codes: 0 success,
-2 usage error, 1 numerical failure.
+2 usage error (a size too large for memory included), 1 numerical failure.
 """
 
 from __future__ import annotations
@@ -412,6 +412,9 @@ def run(argv) -> int:
         return 1
     except ValueError as exc:  # UsageError included; a LinAlgError exits 1 above
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size that cannot be allocated: bad input, not numerics
+        print(f"error: too large for memory: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader stopped early, as `utp sweep | head` does; stdout goes to devnull so

@@ -72,6 +72,17 @@ def as_complex(a, ndim: int, stacked: bool = False) -> np.ndarray:
     return m
 
 
+def owned(a, dtype=complex) -> np.ndarray:
+    """``a`` as is if it is a read-only, C-contiguous array of ``dtype``: whoever made it
+    read-only hands it over and must not write it through another view.  Any other array is
+    copied in C order, read-only, so no value computed from it depends on the caller's layout."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable
+            and a.flags.c_contiguous):
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+    return a
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
     try:

@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_complex,
     eig_unitary,
+    owned,
     unitarity_residual,
     validate_tol,
 )
@@ -44,14 +45,12 @@ class UnitaryOperator:
     unitarity_error: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = as_complex(self.matrix, 2)
+        m = as_complex(owned(self.matrix), 2)
         if m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"unitary operator must be square of dimension >= 1, got {m.shape}")
         residual, dev = unitarity_residual(m)
         if not dev <= DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: |U†U - I| = {dev:.3e}")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unitarity_error", float(np.linalg.norm(residual)))
 

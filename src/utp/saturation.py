@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvformat import format_rows
-from .linalg import (DEFAULT_TOL, InvariantError, computed, eig_unitary, validate_base,
+from .linalg import (DEFAULT_TOL, InvariantError, computed, eig_unitary, owned, validate_base,
                      validate_counts, validate_tol)
 from .operators import (
     UnitaryBasis,
@@ -164,10 +164,7 @@ class SweepSurface:
     ``max_deviation`` is the largest closed-form-versus-matrix deviation over
     the grid.
 
-    Every array is a read-only float64 array.  An array passed in as one is
-    owned as is, not copied: whoever made it read-only hands it over and must
-    not write it through another view.  Any other array is copied, so the
-    surface shares no writable memory with its caller.
+    Every array is a read-only float64 array, owned as ``owned`` takes it.
     """
 
     angles: np.ndarray
@@ -179,10 +176,7 @@ class SweepSurface:
     def __post_init__(self) -> None:
         g = np.size(self.angles)
         for name in ("angles", *SWEEP_COLUMNS[2:]):
-            c = getattr(self, name)
-            if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and not c.flags.writeable):
-                c = np.array(c, dtype=float)
-                c.flags.writeable = False
+            c = owned(getattr(self, name), float)
             shape = (g,) if name == "angles" else (g * g,)
             if c.shape != shape:
                 raise ValueError(f"sweep {name} has shape {c.shape}, want {shape}")
@@ -361,12 +355,8 @@ def su2_overlap_surface(pair: str, grid: int) -> SweepSurface:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
-    try:
-        angles = np.linspace(0.0, np.pi, grid)
-        columns = [np.empty(grid * grid) for _ in range(3)]
-    except MemoryError:  # a grid this size cannot be swept: bad input, not a numerical failure
-        raise ValueError(f"grid {grid} is too large: its three columns of {grid * grid} "
-                         "points do not fit in memory") from None
+    angles = np.linspace(0.0, np.pi, grid)
+    columns = [np.empty(grid * grid) for _ in range(3)]
     rows = max(1, SWEEP_BLOCK_POINTS // grid)
     deviation = 0.0
     for start in range(0, grid, rows):
@@ -747,7 +737,7 @@ def _projective_flatness(d: int) -> _Flatness:
     def testers(x: np.ndarray, v: np.ndarray) -> list[Tester]:
         """The inputs V†|x_0> of ``row_tester``, formed and checked for the whole stack."""
         x.flags.writeable = False  # each measurement owns its read-only slice as is
-        return Tester.stack(PureState.stack(row_inputs(x, v)), ProjectiveMeasurement.stack(x))
+        return list(map(Tester, PureState.stack(row_inputs(x, v)), ProjectiveMeasurement.stack(x)))
 
     return _Flatness("flat-basis search", _same, _same, 1.0 / d, 1, (), fourier + zadoff_chu,
                      testers)
@@ -777,7 +767,7 @@ def _mes_flatness(weyl: np.ndarray) -> _Flatness:
         x = x[:, None]
         r = x @ weyl @ x.conj().swapaxes(-1, -2) @ v[:, None] / math.sqrt(d)
         r.flags.writeable = False  # each measurement owns its read-only slice as is
-        return Tester.stack([mes_state(d)] * len(r), MesMeasurement.stack(r))
+        return [Tester(mes_state(d), m) for m in MesMeasurement.stack(r)]
 
     rotations = ((np.eye(d, dtype=complex), "row-construction"),)
     return _Flatness("MES search", table, adjoint, 1.0 / (d * d), d * d, rotations, (), testers)

@@ -28,6 +28,7 @@ from .linalg import (
     check_hermitian_psd,
     computed,
     eig_unitary,
+    owned,
     unitarity_residual,
 )
 from .operators import (
@@ -138,15 +139,6 @@ def row_inputs(x: np.ndarray, v: np.ndarray, k: int = 0) -> np.ndarray:
     return (v.conj().swapaxes(-1, -2) @ x[..., k:k + 1])[..., 0]
 
 
-def _owned(a) -> np.ndarray:
-    """``a`` as is if it is a read-only complex128 array: whoever made it read-only hands it
-    over and must not write it through another view.  Any other array is copied, read-only."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.complex128 and not a.flags.writeable):
-        a = np.array(a, dtype=complex)
-        a.flags.writeable = False
-    return a
-
-
 def _built(cls, **fields) -> list:
     """One ``cls`` per row of the fields, checked as a stack: no ``__post_init__`` runs."""
     first, *_ = fields.values()
@@ -169,17 +161,17 @@ def _check_states(a: np.ndarray, stacked: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm state vector, read-only, owned as ``_owned`` takes it."""
+    """Unit-norm state vector, read-only, owned as ``owned`` takes it."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _check_states(_owned(self.amplitudes), False))
+        object.__setattr__(self, "amplitudes", _check_states(owned(self.amplitudes), False))
 
     @classmethod
     def stack(cls, a) -> list["PureState"]:
         """The states of the rows of ``a``, checked as one stack; each owns its row as is."""
-        return _built(cls, amplitudes=_check_states(_owned(a), True))
+        return _built(cls, amplitudes=_check_states(owned(a), True))
 
     @property
     def dim(self) -> int:
@@ -210,15 +202,15 @@ class ProjectiveMeasurement:
 
     kind: ClassVar[str] = "projective"
     input_type: ClassVar[type] = PureState
-    matrix: np.ndarray  # read-only, owned as ``_owned`` takes it; columns are the states
+    matrix: np.ndarray  # read-only, owned as ``owned`` takes it; columns are the states
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_projective(_owned(self.matrix), False))
+        object.__setattr__(self, "matrix", _check_projective(owned(self.matrix), False))
 
     @classmethod
     def stack(cls, x) -> list["ProjectiveMeasurement"]:
         """The bases of the matrices of ``x``, checked as one stack; each owns its matrix as is."""
-        return _built(cls, matrix=_check_projective(_owned(x), True))
+        return _built(cls, matrix=_check_projective(owned(x), True))
 
     @property
     def dim(self) -> int:
@@ -273,14 +265,12 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex(self.matrix, 2)
+        m = as_complex(owned(self.matrix), 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         check_hermitian_psd(m, "density matrix")
         if abs(np.trace(m).real - 1.0) > DEFAULT_TOL or abs(np.trace(m).imag) > DEFAULT_TOL:
             raise ValueError(f"density matrix trace {np.trace(m):.6g} != 1")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -313,7 +303,7 @@ class Povm:
 
     def __post_init__(self) -> None:
         try:
-            e = np.array(self.elements, dtype=complex)
+            e = owned(self.elements)
         except ValueError as exc:  # ragged element shapes
             raise ValueError("POVM elements must share one square shape") from exc
         if not e.size:
@@ -324,7 +314,6 @@ class Povm:
         dev = np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max()
         if dev > POVM_SUM_TOL:
             raise ValueError(f"POVM elements do not sum to identity: deviation {dev:.3e}")
-        e.flags.writeable = False
         object.__setattr__(self, "elements", e)
 
     @property
@@ -355,7 +344,7 @@ def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
 class MesMeasurement:
     """Orthonormal basis of d^2 maximally entangled bipartite states.
 
-    ``elements`` is one read-only (d^2, d, d) array, owned as ``_owned`` takes it: R_i, the
+    ``elements`` is one read-only (d^2, d, d) array, owned as ``owned`` takes it: R_i, the
     row-major reshape of the basis state |nu_i> = sqrt(d) (R_i (x) I) |Phi>.  Each sqrt(d) R_i
     must be unitary.
     """
@@ -365,12 +354,12 @@ class MesMeasurement:
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", _check_mes(_owned(self.elements), False))
+        object.__setattr__(self, "elements", _check_mes(owned(self.elements), False))
 
     @classmethod
     def stack(cls, r) -> list["MesMeasurement"]:
         """The bases of the (d^2, d, d) entries of ``r``, checked as one stack; each owns one."""
-        return _built(cls, elements=_check_mes(_owned(r), True))
+        return _built(cls, elements=_check_mes(owned(r), True))
 
     @property
     def local_dim(self) -> int:
@@ -448,13 +437,17 @@ class Tester:
     measurement: ProjectiveMeasurement | MesMeasurement | Povm
 
     def __post_init__(self) -> None:
-        _check_testers((self.input,), (self.measurement,))
-
-    @classmethod
-    def stack(cls, inputs, measurements) -> list["Tester"]:
-        """One tester per (inputs[k], measurements[k]), checked as one stack."""
-        _check_testers(inputs, measurements)
-        return _built(cls, input=inputs, measurement=measurements)
+        state, m = self.input, self.measurement
+        if not isinstance(m, _MEASUREMENT_TYPES):
+            raise ValueError(f"not a measurement: {type(m).__name__}")
+        if not isinstance(state, m.input_type):
+            raise ValueError(f"a {m.kind} tester needs a {m.input_type.__name__} input")
+        if state.dim != m.dim:
+            raise ValueError(f"input dimension {state.dim} != measurement dimension {m.dim}")
+        # the cached canonical MES, which MES testers share, passes without a comparison
+        phi = mes_state(m.local_dim) if isinstance(m, MesMeasurement) else state
+        if phi is not state and np.abs(state.amplitudes - phi.amplitudes).max() > DEFAULT_TOL:
+            raise ValueError("mes tester input must be the canonical MES")
 
     @property
     def kind(self) -> str:
@@ -478,21 +471,6 @@ class Tester:
     @classmethod
     def povm(cls, rho: DensityMatrix, m: Povm) -> "Tester":
         return cls(rho, m)
-
-
-def _check_testers(inputs, measurements) -> None:
-    """``Tester``'s rule on each pair (inputs[k], measurements[k])."""
-    for state, m in zip(inputs, measurements, strict=True):
-        if not isinstance(m, _MEASUREMENT_TYPES):
-            raise ValueError(f"not a measurement: {type(m).__name__}")
-        if not isinstance(state, m.input_type):
-            raise ValueError(f"a {m.kind} tester needs a {m.input_type.__name__} input")
-        if state.dim != m.dim:
-            raise ValueError(f"input dimension {state.dim} != measurement dimension {m.dim}")
-        # the cached canonical MES, which MES testers share, passes without a comparison
-        phi = mes_state(m.local_dim) if isinstance(m, MesMeasurement) else state
-        if phi is not state and np.abs(state.amplitudes - phi.amplitudes).max() > DEFAULT_TOL:
-            raise ValueError("mes tester input must be the canonical MES")
 
 
 @lru_cache(maxsize=1)

@@ -80,14 +80,8 @@ class EntropicBound:
 
 
 def snap_to_one(overlap):
-    """``overlap`` with each value within TIE_TOL of 1, or above 1, set to exactly 1.
-
-    A float comes back as a float, without a trip through numpy.
-    """
-    near_one = overlap >= 1.0 - TIE_TOL
-    if isinstance(overlap, float):
-        return 1.0 if near_one else overlap
-    return np.where(near_one, 1.0, overlap)
+    """``overlap`` with each value within TIE_TOL of 1, or above 1, set to exactly 1."""
+    return np.where(overlap >= 1.0 - TIE_TOL, 1.0, overlap)
 
 
 def _log(x: np.ndarray | float, base: float):

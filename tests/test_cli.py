@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from utp import cli, operators, saturation
 from utp.linalg import ConvergenceError, InvariantError
 from utp.operators import array_to_literal, haar_matrix
 from utp.saturation import su2_overlap_surface, sweep_to_csv, sweep_to_json
-from utp.testers import ProjectiveMeasurement
+from utp.testers import ProjectiveMeasurement, computational_basis
 
 
 def test_bound_golden(run_cli):
@@ -480,6 +481,12 @@ def test_povm_bound_from_json_file(run_cli, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["bound_bits"] == pytest.approx(2.0, abs=1e-9)
+    # a file of basis states is the rank-1 POVM of that basis, as a named basis is
+    path.write_text(json.dumps(computational_basis(2).to_literal()))
+    argv = ["povm-bound", "--v", "identity", "--w", "omega-minus", "--measurement"]
+    named = run_cli(argv + ["computational"])
+    assert named[0] == 0 and named[2] == ""
+    assert run_cli(argv + [str(path)]) == named
 
 
 @pytest.mark.parametrize("command", ["entropy", "game"])
@@ -753,8 +760,64 @@ def test_sweep_grid_too_large_to_allocate_exits_2(run_cli, monkeypatch):
     monkeypatch.setattr(np, "empty", refuse_the_columns)
     code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "1000000"])
     assert (code, out) == (2, "")
-    assert err == ("error: grid 1000000 is too large: its three columns of 1000000000000 points "
-                   "do not fit in memory\n")
+    assert err == ("error: too large for memory: Unable to allocate 7.28 TiB for an array with "
+                   "shape (10**12,)\n")
+
+
+@pytest.mark.parametrize("argv, allocator, size, message", [
+    (["bound", "--v", "clock", "--w", "shift", "--dim", "100000", "--measurement", "computational"],
+     "diag", lambda v, *args, **kwargs: np.size(v) ** 2,
+     "Unable to allocate 149. GiB for an array with shape (100000, 100000) and data type "
+     "complex128"),
+    (["mes-bound", "--v", "i", "--w", "i", "--dim", "300"],
+     "zeros", lambda shape, *args, **kwargs: math.prod(shape),
+     "Unable to allocate 121. GiB for an array with shape (300, 300, 300, 300) and data type "
+     "complex128"),
+], ids=["bound", "mes-bound"])
+def test_size_too_large_to_allocate_exits_2(run_cli, monkeypatch, argv, allocator, size, message):
+    # each of these once ended in numpy's traceback with exit 1, the code of a numerical
+    # failure; the allocation is made to fail here, as in the sweep test above
+    allocate = getattr(np, allocator)
+
+    def refuse_large(*args, **kwargs):
+        if size(*args, **kwargs) >= 10**9:
+            raise MemoryError(message)
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(np, allocator, refuse_large)
+    assert run_cli(argv) == (2, "", f"error: too large for memory: {message}\n")
+
+
+ENTROPY_ARGV = ["entropy", "--v", "i", "--w", "pauli-x", "--measurement", "computational",
+                "--input"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--v", "i", "--w", "pauli-x", "--measurement", "su2:pi/4"],
+     "su2 measurement needs two angles, e.g. su2:pi/4,0"),
+    (["bound", "--v", "i", "--w", "i", "--dim", "3", "--measurement", "su2:pi/4,0"],
+     "su2 measurement is qubit-only; got --dim 3"),
+    (["bound", "--v", "i", "--w", "pauli-x", "--measurement", "bogus"],
+     "unknown measurement 'bogus'; expected computational, su2:theta,phi, or a JSON file path"),
+    (["mes-bound", "--v", "i", "--w", "i", "--measurement", "bogus"],
+     "unknown MES measurement 'bogus'; expected bell or a JSON file path"),
+    (ENTROPY_ARGV + ["bogus"],
+     "unknown input state 'bogus'; expected chi:K, e:K, or a JSON file path"),
+    (ENTROPY_ARGV + ["chi:x"], "chi:K needs an integer index, got 'x'"),
+    (ENTROPY_ARGV + ["e:5"], "e index 5 out of range for dimension 2"),
+    (["distinguish", "--v", "{op3}", "--w", "i"],
+     "dimension mismatch: --v is 3-dimensional, --w is 2"),
+    (["bound", "--v", "{dir}", "--w", "i", "--measurement", "computational"],
+     "cannot read {dir}: Is a directory"),
+], ids=["su2-one-angle", "su2-qutrit", "measurement", "mes-measurement", "input", "chi-index",
+        "e-range", "operator-dims", "directory"])
+def test_each_refusal_exits_2_with_its_one_line(run_cli, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # no file named bogus
+    op3 = tmp_path / "op3.json"
+    op3.write_text(json.dumps(array_to_literal(np.eye(3))))
+    paths = {"op3": str(op3), "dir": str(tmp_path)}
+    argv = [part.format(**paths) for part in argv]
+    assert run_cli(argv) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 def test_search_result_below_its_bound_exits_1(run_cli, monkeypatch):

@@ -225,6 +225,41 @@ def test_each_validation_message_has_one_rule():
     assert list(_sites(ast.parse(text), _names_message("state is not normalized"))) == [("f", 2)]
 
 
+# each type whose constructor validates an array, and its module: every one takes its array,
+# or a stack constructor its block, by linalg.owned, so none keeps its caller's layout
+OWNING_TYPES = {
+    "UnitaryOperator": "operators",
+    "PureState": "testers",
+    "ProjectiveMeasurement": "testers",
+    "DensityMatrix": "testers",
+    "Povm": "testers",
+    "MesMeasurement": "testers",
+    "SweepSurface": "saturation",
+}
+
+
+def _array_takers(tree: ast.AST) -> dict[str, bool]:
+    """Each ``__post_init__`` and ``stack`` method of each class, and whether it calls owned."""
+    return {
+        f"{c.name}.{f.name}": any(isinstance(n, ast.Call) and ast.unparse(n.func) == "owned"
+                                  for n in ast.walk(f))
+        for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name in ("__post_init__", "stack")
+    }
+
+
+def test_every_validated_array_is_owned_by_one_rule():
+    defined = [f"{m}.{node.name}" for m in MODULES for node in ast.walk(_tree(m))
+               if isinstance(node, ast.FunctionDef) and node.name.endswith("owned")]
+    assert defined == ["linalg.owned"]
+    for cls, module in OWNING_TYPES.items():
+        takers = {k: v for k, v in _array_takers(_tree(module)).items() if k.startswith(f"{cls}.")}
+        assert takers and all(takers.values()), takers
+    text = ("class A:\n    def __post_init__(self):\n        self.a = owned(self.a)\n"
+            "    @classmethod\n    def stack(cls, a):\n        return np.array(a)\n")
+    assert _array_takers(ast.parse(text)) == {"A.__post_init__": True, "A.stack": False}
+
+
 def _names_scipy_optimize(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("scipy.optimize") for alias in node.names)

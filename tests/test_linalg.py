@@ -266,3 +266,22 @@ def test_validators_keep_their_tolerance_and_refuse_nan(case):
         build((1 + 1e-3) * tol)
     with pytest.raises(ValueError):
         build(np.nan)
+
+
+def test_owned_takes_a_read_only_c_ordered_array_as_is_and_copies_any_other():
+    # whoever made an array read-only hands it over; any other is copied in C order, read-only
+    a = haar_matrix(4, np.random.default_rng(0))
+    a.flags.writeable = False
+    assert linalg.owned(a) is a
+    writable = np.array(a)
+    for given, dtype in ((writable, complex), (np.asfortranarray(a), complex),
+                         (np.eye(3), float), (writable.real, float)):
+        kept = linalg.owned(given, dtype)
+        assert not np.shares_memory(kept, given)
+        assert kept.dtype == dtype and kept.flags.c_contiguous and not kept.flags.writeable
+        assert np.array_equal(kept, given)
+    fortran = np.asfortranarray(a)
+    fortran.flags.writeable = False  # read-only, but not in C order
+    kept = linalg.owned(fortran)
+    assert not np.shares_memory(kept, fortran) and kept.flags.c_contiguous
+    assert kept.tobytes() == a.tobytes()

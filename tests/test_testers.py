@@ -524,21 +524,6 @@ def test_stack_constructors_refuse_one_bad_entry_as_its_own_check_does(cls, good
     assert len(cls.stack(_one_bad(good, good))) == 5
 
 
-def test_tester_stack_refuses_one_bad_pair_as_its_own_check_does():
-    m, mes = computational_basis(2), bell_basis(2)
-    other = PureState(np.array([0, 1, 0, 0], dtype=complex))
-    rho = DensityMatrix(np.eye(2) / 2)
-    for state, measurement in ((_e(3), m), (rho, m), (other, mes), (_e(2), "basis")):
-        with pytest.raises(ValueError) as single:
-            Tester(state, measurement)
-        inputs, measurements = [_e(2)] * 4 + [state], [m] * 4 + [measurement]
-        with pytest.raises(ValueError) as stacked:
-            Tester.stack(inputs, measurements)
-        assert str(stacked.value) == str(single.value)
-    built = Tester.stack([mes_state(2)] * 3, [mes] * 3)
-    assert [(t.input, t.measurement, t.kind) for t in built] == [(mes_state(2), mes, "mes")] * 3
-
-
 def test_stack_constructors_own_read_only_slices_of_one_checked_array():
     x = np.array([_BASIS, _BASIS.conj()])
     x.flags.writeable = False  # handed over: owned as is
