@@ -381,17 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _stderr_handler(stream) -> logging.Handler:
+    """The ``utp`` log handler writing to ``stream``, built again only for another stream."""
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    return handler
+
+
 def _configure_logging() -> None:
+    """Point the ``utp`` logger at the current sys.stderr, at the level UTP_LOG names."""
     level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("UTP_LOG", "quiet").lower(), logging.WARNING
     )
-    # rebuild the handler each invocation so it tracks the current stderr
-    for handler in list(log.handlers):
-        log.removeHandler(handler)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    log.addHandler(handler)
-    log.setLevel(level)
+    handler = _stderr_handler(sys.stderr)
+    if log.handlers != [handler]:
+        for old in list(log.handlers):
+            log.removeHandler(old)
+        log.addHandler(handler)
+    if log.level != level:  # setLevel clears every logger's cache
+        log.setLevel(level)
     log.propagate = False
 
 

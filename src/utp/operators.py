@@ -389,23 +389,51 @@ def array_to_literal(a: np.ndarray) -> dict:
 
 
 def array_from_literal(data, ndim: int) -> np.ndarray:
-    """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal.
+    """Vector (``ndim`` 1) or d x d matrix (``ndim`` 2) from its literal: the one-item call of
+    ``arrays_from_literals``."""
+    return arrays_from_literals([data], ndim)[0]
 
-    ``dim`` is an integer, and ``re`` and ``im`` both have the literal's shape,
-    (d,) or (d, d), and finite entries: nothing is cast, broadcast or flattened.
+
+def arrays_from_literals(items: list, ndim: int, ragged: str = "", rows=None) -> np.ndarray:
+    """The vectors (``ndim`` 1) or d x d matrices (``ndim`` 2) of a list of literals, read as
+    one (n, d) or (n, d, d) array and mapped by ``rows`` (a check of the stack) when given.
+
+    Each ``dim`` is an integer >= 1, and each ``re`` and ``im`` has its literal's shape, (d,)
+    or (d, d), and finite entries: nothing is cast, broadcast or flattened.  An empty list
+    gives an empty array.  When the stack cannot be read, each item is read, and ``rows``
+    applied, alone and in order, so the first bad item names the fault as it would alone; a
+    list whose items all pass alone has unequal ``dim``, and ``ragged`` is raised.
     """
     what = "vector" if ndim == 1 else "matrix"
-    d, re, im = (literal_field(data, key, what) for key in ("dim", "re", "im"))
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"malformed {what} literal: dim must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError(f"malformed {what} literal: dim must be >= 1, got {d}")
+    if not items:
+        return np.zeros((0,) * (ndim + 1), dtype=complex)
     try:
-        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed {what} literal: {exc}") from exc
-    if re.shape != (d,) * ndim or im.shape != (d,) * ndim:
-        raise ValueError(f"malformed {what} literal: re and im must both have shape {(d,) * ndim}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # NaN, Infinity, or 1e400
-        raise ValueError(f"malformed {what} literal: entries must be finite")
-    return as_complex(re + 1j * im, ndim)
+        dims = []
+        for data in items:
+            d = literal_field(data, "dim", what)
+            literal_field(data, "re", what), literal_field(data, "im", what)
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError(f"malformed {what} literal: dim must be an integer, got {d!r}")
+            if d < 1:
+                raise ValueError(f"malformed {what} literal: dim must be >= 1, got {d}")
+            dims.append(d)
+        if len(set(dims)) > 1:
+            raise ValueError(ragged)
+        shape = (dims[0],) * ndim
+        try:  # one item converts alone, so that numpy's message reads as for it alone
+            re, im = (np.array(data[key], dtype=float)[None] if len(items) == 1 else
+                      np.array([data[key] for data in items], dtype=float) for key in ("re", "im"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed {what} literal: {exc}") from exc
+        if re.shape[1:] != shape or im.shape[1:] != shape:
+            raise ValueError(f"malformed {what} literal: re and im must both have shape {shape}")
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):  # NaN, Infinity, or 1e400
+            raise ValueError(f"malformed {what} literal: entries must be finite")
+        a = re + 1j * im
+        return a if rows is None else rows(a)
+    except ValueError:
+        if len(items) == 1:
+            raise
+    for data in items:
+        arrays_from_literals([data], ndim, rows=rows)
+    raise ValueError(ragged)

@@ -30,6 +30,7 @@ rule, ended it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -719,8 +720,9 @@ def _match_up_to_phase(lam: np.ndarray, target: np.ndarray,
     return sigma, matched.any(axis=1)
 
 
+@functools.cache
 def _projective_flatness(d: int) -> _Flatness:
-    """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d.
+    """Flat bases X: every |<x_i| a |x_j>|^2 = 1/d; built once per d, its arrays read-only.
 
     The references are first the Fourier orders E_σ F of an eigenbasis E of a and the
     DFT F, flat iff the ordered spectrum is bi-unimodular: Y = F with its rows permuted.
@@ -730,9 +732,12 @@ def _projective_flatness(d: int) -> _Flatness:
     dft = dft_matrix(d)
     # every order at d <= 4 also covers bi-unimodular families that are not Zadoff-Chu,
     # such as (1, a, 1, -a) at d = 4
-    orders = permutations(range(d)) if d <= 4 else [range(d)]
-    fourier = tuple(_Reference(None, dft[np.argsort(o)], "row-construction") for o in orders)
-    zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in _zadoff_chu(d))
+    orders = np.array(list(permutations(range(d))) if d <= 4 else [range(d)])
+    ys, zs = dft[np.argsort(orders, axis=1)], _zadoff_chu(d)
+    for shared in (dft, ys, zs):
+        shared.flags.writeable = False
+    fourier = tuple(_Reference(None, y, "row-construction") for y in ys)
+    zadoff_chu = tuple(_Reference(z, dft, "zadoff-chu-order") for z in zs)
 
     def testers(x: np.ndarray, v: np.ndarray) -> list[Tester]:
         """The inputs V†|x_0> of ``row_tester``, formed and checked for the whole stack."""

@@ -36,6 +36,7 @@ from .operators import (
     UnitaryOperator,
     array_from_literal,
     array_to_literal,
+    arrays_from_literals,
     check_hs_orthogonal,
     hs_moduli,
     literal_field,
@@ -159,6 +160,19 @@ def _check_states(a: np.ndarray, stacked: bool) -> np.ndarray:
     return a
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a literal stack, checked by ``PureState``'s rule, each then divided in place
+    by its norm; the constructor each is handed to checks them again.
+
+    A literal may be off unit norm by up to DEFAULT_TOL; left so, its outcome probabilities
+    could leave [0, 1] by more than ``OutcomeDistribution`` allows.  Each row takes its own
+    ``np.linalg.norm``: the norms along axis 1 differ from it in the last bit.
+    """
+    for row in _check_states(a, True):
+        row /= np.linalg.norm(row)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm state vector, read-only, owned as ``owned`` takes it."""
@@ -187,13 +201,8 @@ class PureState:
 
     @classmethod
     def from_literal(cls, data) -> "PureState":
-        """The literal's state, divided by its norm once it passes the norm check.
-
-        A literal may be off unit norm by up to DEFAULT_TOL; left so, its outcome
-        probabilities could leave [0, 1] by more than ``OutcomeDistribution`` allows.
-        """
-        a = cls(array_from_literal(data, ndim=1)).amplitudes
-        return cls(a / np.linalg.norm(a))
+        """The literal's state, divided by its norm once it passes the norm check."""
+        return cls(arrays_from_literals([data], 1, rows=_unit_rows)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +246,14 @@ class ProjectiveMeasurement:
 
     @classmethod
     def from_literal(cls, data) -> "ProjectiveMeasurement":
+        """The basis of the literal's states, read as one stack and normalised as
+        ``PureState.from_literal`` normalises one."""
+        message = "projective measurement needs exactly d states of dimension d"
         states = literal_field(data, "states", "projective measurement", list)
-        columns = [PureState.from_literal(s).amplitudes for s in states]
-        if not columns or any(c.size != len(columns) for c in columns):
-            raise ValueError("projective measurement needs exactly d states of dimension d")
-        return cls(np.column_stack(columns))
+        a = arrays_from_literals(states, 1, message, _unit_rows)
+        if not a.size or a.shape[0] != a.shape[1]:
+            raise ValueError(message)
+        return cls(a.T)
 
 
 def _check_projective(x: np.ndarray, stacked: bool) -> np.ndarray:
@@ -331,7 +343,7 @@ class Povm:
     @classmethod
     def from_literal(cls, data) -> "Povm":
         elements = literal_field(data, "elements", "POVM", list)
-        return cls(tuple(array_from_literal(e, ndim=2) for e in elements))
+        return cls(arrays_from_literals(elements, 2, "POVM elements must share one square shape"))
 
 
 def povm_from_projective(m: ProjectiveMeasurement) -> Povm:
@@ -397,11 +409,12 @@ class MesMeasurement:
     @classmethod
     def from_literal(cls, data) -> "MesMeasurement":
         d = literal_field(data, "local_dim", "MES measurement", int)
-        states = [PureState.from_literal(s)
-                  for s in literal_field(data, "states", "MES measurement", list)]
-        if d < 2 or len(states) != d * d or any(s.dim != d * d for s in states):
-            raise ValueError(f"MES measurement needs d^2={d * d} states of dimension d^2, d >= 2")
-        return cls(np.stack([s.amplitudes for s in states]).reshape(d * d, d, d))
+        message = f"MES measurement needs d^2={d * d} states of dimension d^2, d >= 2"
+        states = literal_field(data, "states", "MES measurement", list)
+        a = arrays_from_literals(states, 1, message, _unit_rows)
+        if d < 2 or a.shape != (d * d, d * d):
+            raise ValueError(message)
+        return cls(a.reshape(d * d, d, d))
 
 
 def _check_mes(r: np.ndarray, stacked: bool) -> np.ndarray:

@@ -202,12 +202,12 @@ def povm_bound(
     lam = np.where(lam > m.dim * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
     r, n = int(np.count_nonzero(lam, axis=1).max()), len(lam)
     f = vecs[:, :, -r:] * np.sqrt(lam[:, None, -r:])  # (n, d, r): eigh sorts ascending
-    right = np.moveaxis(a @ f, 0, 1).reshape(m.dim, n * r)
-    # one row block of Phi† (v w†) Phi, Phi = [F_1 ... F_n], at a time: O(n r^2) memory
-    blocks = ((fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f)
-    # a 1 x 1 block's norm is its modulus; norm(ord=2) would run one SVD per block
-    norms = np.array([np.abs(b[:, 0, 0]) if r == 1 else np.linalg.norm(b, ord=2, axis=(-2, -1))
-                      for b in blocks])
+    right = (a @ f).swapaxes(0, 1).reshape(m.dim, n * r)
+    if r == 1:  # a 1 x 1 block's norm is its modulus: the table is one stacked product
+        norms = np.abs((f.conj().swapaxes(-1, -2) @ right)[:, 0, :])
+    else:  # one row block of Phi† (v w†) Phi, Phi = [F_1 ... F_n], at a time: O(n r^2) memory
+        blocks = ((fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f)
+        norms = np.array([np.linalg.norm(b, ord=2, axis=(-2, -1)) for b in blocks])
     return EntropicBound.from_overlaps(norms, base, power=2.0)
 
 

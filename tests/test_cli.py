@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import math
 import os
 import re
@@ -621,6 +623,56 @@ def test_non_finite_literal_exits_2_as_malformed(run_cli, tmp_path, command, fla
     assert err == f"error: malformed {what} literal: entries must be finite\n"
 
 
+def _vec(*entries) -> dict:
+    return array_to_literal(np.array(entries, dtype=complex))
+
+
+_E0, _E1 = _vec(1, 0), _vec(0, 1)
+_HALF = array_to_literal(np.eye(2) / 2)
+_MISSING = "malformed vector literal: missing field"
+
+
+@pytest.mark.parametrize("command, literal, message", [
+    ("bound", {"states": [_E0, _vec(0, 1, 0)]},
+     "projective measurement needs exactly d states of dimension d"),
+    ("povm-bound", {"elements": [_HALF, array_to_literal(np.eye(3) / 2)]},
+     "POVM elements must share one square shape"),
+    ("mes-bound", {"local_dim": 2, "states": [_vec(1, 0, 0, 0)] * 3 + [_E0]},
+     "MES measurement needs d^2=4 states of dimension d^2, d >= 2"),
+    ("bound", {"states": [_E0, [0, 1]]}, f"{_MISSING} 'dim'"),
+    ("povm-bound", {"elements": [_HALF, {"dim": 2, "re": [[0.5, 0], [0, 0.5]]}]},
+     "malformed matrix literal: missing field 'im'"),
+    ("bound", {"states": []}, "projective measurement needs exactly d states of dimension d"),
+    ("povm-bound", {"elements": []}, "POVM needs at least one element"),
+    ("mes-bound", {"local_dim": 2, "states": []},
+     "MES measurement needs d^2=4 states of dimension d^2, d >= 2"),
+    ("povm-bound", {"elements": {"dim": 2}}, "malformed POVM literal: field 'elements' is not a list"),
+    ("povm-bound", {"elements": [_HALF, {"dim": 2, "re": [[0.5, 0], [0, None]], "im": [[0] * 2] * 2}]},
+     "malformed matrix literal: entries must be finite"),
+    ("bound", {"states": [_E0, _E1, {"dim": 2, "re": [0, 1, 0], "im": [0, 0]}]},
+     "malformed vector literal: re and im must both have shape (2,)"),
+    # the first bad item names the fault, whatever a later one holds
+    ("bound", {"states": [_vec(1.1, 0), {"dim": 2, "re": [0, 1]}]},
+     "state is not normalized: |norm - 1| = 1.000e-01"),
+    ("bound", {"states": [{"dim": 2, "re": [0, "x"], "im": [0, 0]}, {"dim": 3}]},
+     "malformed vector literal: could not convert string to float: 'x'"),
+    ("povm-bound", {"elements": [{"dim": 2, "re": [[0.5, 0]], "im": [[0] * 2] * 2},
+                                 array_to_literal(np.eye(3))]},
+     "malformed matrix literal: re and im must both have shape (2, 2)"),
+    ("bound", {"states": [_vec(1.1, 0), _vec(0, 1, 0)]},
+     "state is not normalized: |norm - 1| = 1.000e-01"),
+], ids=["ragged-states", "ragged-elements", "ragged-mes", "not-an-object", "missing-im",
+        "no-states", "no-elements", "no-mes-states", "elements-not-a-list", "non-finite",
+        "later-shape", "unnormalized-then-missing", "string-then-missing", "shape-then-ragged",
+        "unnormalized-then-ragged"])
+def test_list_literal_refusals_keep_their_one_line_message(run_cli, tmp_path, command, literal,
+                                                           message):
+    path = tmp_path / "measurement.json"
+    path.write_text(json.dumps(literal))
+    pair = ["--v", "identity", "--w", "identity"]
+    assert run_cli([command, *pair, "--measurement", str(path)]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("rows, invariant", [
     (np.eye(4), "MES basis element is not maximally entangled"),  # separable
     (np.array([[1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2),
@@ -894,6 +946,17 @@ def test_log_env_is_read_on_every_call(run_cli, monkeypatch):
     assert "sweep i-omega over 9 points" in run_cli(argv)[2]
     monkeypatch.setenv("UTP_LOG", "quiet")
     assert run_cli(argv)[2] == ""
+    monkeypatch.setenv("UTP_LOG", "info")
+    # a replaced sys.stderr gets the lines, and each stream keeps one handler between calls
+    replaced = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", replaced)
+    assert cli.run(argv) == 0
+    assert replaced.getvalue().startswith("INFO sweep i-omega over 9 points")
+    kept = list(logging.getLogger("utp").handlers)
+    for _ in range(100):
+        cli.run(argv)
+    assert logging.getLogger("utp").handlers == kept and len(kept) == 1  # the same handler
+    assert replaced.getvalue().count("INFO sweep") == 101
 
 
 def test_named_operators_are_shared_and_read_only(tmp_path):

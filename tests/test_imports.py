@@ -159,6 +159,46 @@ def test_row_input_and_hs_product_each_have_one_definition():
         assert list(_sites(ast.parse(text), _is_hs_product)) == [("f", 2)]
 
 
+def _reads_re_or_im(tree: ast.AST):
+    """A match for each "re" or "im" constant of ``tree`` but the keys of the dicts it builds."""
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+    return lambda node: (isinstance(node, ast.Constant) and node.value in ("re", "im")
+                         and id(node) not in keys)
+
+
+# the one-item literal readers, which no from_literal may call once per item of a list
+ITEM_READERS = ("array_from_literal", "PureState.from_literal")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _item_reads_in_loops(tree: ast.AST) -> list[tuple[str, int]]:
+    """(method, line) of each one-item reader call inside a loop of a ``from_literal``."""
+    return [(f.name, call.lineno) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "from_literal"
+            for loop in ast.walk(f) if isinstance(loop, LOOPS)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) in ITEM_READERS]
+
+
+def test_literal_lists_have_one_parser():
+    # the fields "re" and "im" of a vector or matrix literal are read only by
+    # operators.arrays_from_literals, which reads a list of them as one array; no from_literal
+    # reads a list item by item
+    trees = {m: _tree(m) for m in MODULES}
+    sites = {f"{m}.{f}" for m, tree in trees.items() for f, _ in _sites(tree, _reads_re_or_im(tree))}
+    assert sites == {"operators.arrays_from_literals"}
+    assert [site for tree in trees.values() for site in _item_reads_in_loops(tree)] == []
+    reads = ast.parse('def f(data):\n    return data["re"], {"im": data["im"]}')
+    assert list(_sites(reads, _reads_re_or_im(reads))) == [("f", 2), ("f", 2)]
+    for text in ('class A:\n    def from_literal(cls, data):\n'
+                 '        return cls(tuple(array_from_literal(e, 2) for e in data))',
+                 'class A:\n    def from_literal(cls, data):\n        for s in data:\n'
+                 '            PureState.from_literal(s)'):
+        assert len(_item_reads_in_loops(ast.parse(text))) == 1
+    text = 'class A:\n    def from_literal(cls, data):\n        return cls(array_from_literal(data, 2))'
+    assert _item_reads_in_loops(ast.parse(text)) == []
+
+
 def _builds_saturation_report(node: ast.AST) -> bool:
     """Whether ``node`` is SaturationReport(...) or computed(SaturationReport, ...)."""
     if not isinstance(node, ast.Call):

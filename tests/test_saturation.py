@@ -826,6 +826,29 @@ def test_fourier_orders_are_spectrum_references_checked_on_one_pair(monkeypatch)
             assert ref.method == "zadoff-chu-order"
 
 
+def _report_fields(cert):
+    return [(r.achieved.value.hex(), _bound_fields(r.bound), r.trivial, r.method, r.evaluations,
+             r.converged, _array_fields(r.tester.input.amplitudes),
+             _array_fields(r.tester.measurement.matrix)) for row in cert.reports for r in row]
+
+
+def test_projective_flavour_is_built_once_per_d_with_read_only_references(monkeypatch):
+    # certifications that alternate d, as the benchmark's d = 2, 3 and 5 do, each share the one
+    # flavour of their d, and report bit for bit what a freshly built flavour gives
+    built, cached = [], saturation._projective_flatness
+    monkeypatch.setattr(saturation, "_projective_flatness",
+                        lambda d: built.append(cached(d)) or built[-1])
+    certs = [muub_certify_by_saturation(*_chirp_bases(d), budget=500, seed=0) for d in (3, 5, 3, 5)]
+    assert built[0] is built[2] and built[1] is built[3] and built[0] is not built[1]
+    for kind in built[:2]:
+        arrays = [a for ref in kind.references for a in ref if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+    monkeypatch.setattr(saturation, "_projective_flatness", cached.__wrapped__)
+    for cert, d in zip(certs[2:], (3, 5)):
+        fresh = muub_certify_by_saturation(*_chirp_bases(d), budget=500, seed=0)
+        assert _report_fields(cert) == _report_fields(fresh)
+
+
 def test_zadoff_chu_order_at_d32():
     # the advertised size: 8 seeded chirp pairs, each conjugated by its own Haar unitary.
     # A search of budget 1 cannot flatten a d = 32 pair, so each must be constructed

@@ -8,7 +8,14 @@ import pytest
 from conftest import haar_matrix, random_state
 from utp import testers
 from utp.linalg import InvariantError
-from utp.operators import UnitaryOperator, haar_random_unitary, identity, omega, pauli
+from utp.operators import (
+    UnitaryOperator,
+    array_to_literal,
+    haar_random_unitary,
+    identity,
+    omega,
+    pauli,
+)
 from utp.testers import (
     DensityMatrix,
     MesMeasurement,
@@ -481,6 +488,50 @@ def _e(d: int, k: int = 0) -> PureState:
 def test_testers_refuse_malformed_input_with_its_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# --- literal lists -------------------------------------------------------------
+
+def _item_array(data: dict) -> np.ndarray:
+    """One literal read alone, as each item of a list once was."""
+    return np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+
+
+def _item_state(data: dict) -> np.ndarray:
+    a = _item_array(data)
+    return a / np.linalg.norm(a)
+
+
+def _array_bytes(a: np.ndarray):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _off_norm(rows: np.ndarray, rng) -> list[dict]:
+    """The literals of the rows, each scaled off unit norm by up to 1e-10, as a literal may be."""
+    return [array_to_literal(r * (1 + rng.uniform(-1e-10, 1e-10))) for r in rows]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 32])
+def test_list_literals_read_as_one_array_give_the_item_by_item_bits(d):
+    # each row is normalised by its own norm: the norms of the stack along axis 1 differ from
+    # them in the last bit for about a quarter of the rows at d = 32
+    rng = np.random.default_rng(300 + d)
+    states = _off_norm(haar_matrix(d, rng).T, rng)
+    frame = np.linalg.qr(rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))[0]
+    elements = [array_to_literal(np.outer(r, r.conj())) for r in frame]
+    pairs = [
+        (ProjectiveMeasurement.from_literal({"states": states}).matrix,
+         np.column_stack([_item_state(s) for s in states])),
+        (Povm.from_literal({"elements": elements}).elements,
+         np.stack([_item_array(e) for e in elements])),
+        (PureState.from_literal(states[-1]).amplitudes, _item_state(states[-1])),
+    ]
+    if d <= 4:
+        mes = _off_norm((haar_matrix(d, rng) @ bell_elements(d)).reshape(d * d, d * d), rng)
+        pairs.append((MesMeasurement.from_literal({"local_dim": d, "states": mes}).elements,
+                      np.stack([_item_state(s) for s in mes]).reshape(d * d, d, d)))
+    for got, want in pairs:
+        assert _array_bytes(got) == _array_bytes(want)
 
 
 # --- stack constructors --------------------------------------------------------

@@ -435,6 +435,33 @@ def test_povm_bound_matches_per_element_roots_beyond_rank_1(d):
         assert_bounds_agree(povm_bound(povm, v, w), per_element_povm_bound(povm, v, w))
 
 
+def row_block_povm_bound(m: Povm, v: UnitaryOperator, w: UnitaryOperator) -> EntropicBound:
+    """``povm_bound`` with its table taken one element's row block at a time at every rank."""
+    a = v.matrix @ w.matrix.conj().T
+    lam, vecs = np.linalg.eigh(m.elements)
+    lam = np.where(lam > m.dim * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
+    r, n = int(np.count_nonzero(lam, axis=1).max()), len(lam)
+    f = vecs[:, :, -r:] * np.sqrt(lam[:, None, -r:])
+    right = np.moveaxis(a @ f, 0, 1).reshape(m.dim, n * r)
+    blocks = [(fi.conj().T @ right).reshape(r, n, r).swapaxes(0, 1) for fi in f]
+    norms = np.array([np.abs(b[:, 0, 0]) if r == 1 else np.linalg.norm(b, ord=2, axis=(-2, -1))
+                      for b in blocks])
+    return EntropicBound.from_overlaps(norms, 2.0, power=2.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 32])
+def test_povm_bound_equals_the_row_block_loop_bit_for_bit(d):
+    # the rank-1 table is one stacked product, which numpy runs entry by entry through the
+    # product the loop takes: the same bits, where one (n, d)(d, n) product moves the last one
+    rng = np.random.default_rng(200 + d)
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    povms = [rank1_frame(d, n, rng) for n in (d, 2 * d, 3 * d)] + mixed_rank_povms(d, rng)
+    for povm in povms:
+        got, want = povm_bound(povm, v, w), row_block_povm_bound(povm, v, w)
+        assert (got.value.hex(), got.argmax, got.max_overlap.hex()) == (
+            want.value.hex(), want.argmax, want.max_overlap.hex())
+
+
 def test_povm_bound_takes_one_eigh_and_no_square_root(monkeypatch):
     rng = np.random.default_rng(9)
     v, w = UnitaryOperator(haar_matrix(8, rng)), UnitaryOperator(haar_matrix(8, rng))
