@@ -2,8 +2,9 @@
 
 Every subcommand prints its result to stdout (JSON by default; CSV for
 grids) and keeps diagnostics on stderr, controlled by the UTP_LOG
-environment variable (quiet | info | debug).  Exit codes: 0 success,
-2 usage error (a size too large for memory included), 1 numerical failure.
+environment variable (quiet | info | debug; any other value is a usage
+error).  Exit codes: 0 success, 2 usage error (a size too large for
+memory included), 1 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .testers import (
     povm_from_projective,
 )
 from .uncertainty import (
+    entropies,
     mes_bound,
     povm_bound,
     projective_bound,
-    shannon_entropy,
 )
 
 log = logging.getLogger("utp")
@@ -223,7 +224,7 @@ def cmd_entropy(args) -> str:
     m = resolve_projective(args.measurement, v.dim)
     t = Tester.projective(resolve_input(args.input, m), m)
     base = _base(args)
-    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
+    hv, hw = entropies(np.array([outcome_distribution(t, u).probs for u in (v, w)]), base).tolist()
     unit = _unit(args)
     return _json_line(
         {
@@ -390,10 +391,13 @@ def _stderr_handler(stream) -> logging.Handler:
 
 
 def _configure_logging() -> None:
-    """Point the ``utp`` logger at the current sys.stderr, at the level UTP_LOG names."""
+    """Point the ``utp`` logger at the current sys.stderr, at the level UTP_LOG names; unset or
+    empty is quiet, and a name it does not know is a ``UsageError``."""
+    name = os.environ.get("UTP_LOG") or "quiet"
     level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("UTP_LOG", "quiet").lower(), logging.WARNING
-    )
+        name.lower())
+    if level is None:
+        raise UsageError(f"UTP_LOG must be quiet, info or debug, got {name!r}")
     handler = _stderr_handler(sys.stderr)
     if log.handlers != [handler]:
         for old in list(log.handlers):
@@ -406,13 +410,13 @@ def _configure_logging() -> None:
 
 def run(argv) -> int:
     """Parse and execute one invocation; returns the process exit code."""
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code or 0)
     try:
+        _configure_logging()
         output = args.func(args)
         for block in [output] if isinstance(output, str) else output:
             sys.stdout.write(block)

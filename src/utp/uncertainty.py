@@ -91,37 +91,31 @@ def _log(x: np.ndarray | float, base: float):
 
 
 def shannon_entropy(p, base: float = 2.0) -> EntropyValue:
-    """Shannon entropy -sum p log p with 0 log 0 = 0."""
+    """Shannon entropy -sum p log p with 0 log 0 = 0: the one-row call of ``entropies``."""
     validate_base(base)
     if not isinstance(p, OutcomeDistribution):
         p = OutcomeDistribution(np.asarray(p, dtype=float))
-    q = p.probs[p.probs > ZERO_PROBABILITY]
-    return EntropyValue(float(_kept_entropies(q[None], len(p), base)[0]), base)
+    return EntropyValue(float(entropies(p.probs[None], base)[0]), base)
 
 
 def entropies(p: np.ndarray, base: float) -> np.ndarray:
-    """``shannon_entropy`` of each row of a table of distributions, bit for bit.
+    """-sum q log q of each row of a table of n-outcome distributions, each checked to lie in
+    [0, log n]; q are the row's probabilities above ZERO_PROBABILITY (0 log 0 = 0).
 
-    Each row keeps its probabilities above ZERO_PROBABILITY, and the rows that keep equally
-    many are summed as one table: numpy sums each row of a table as it sums that row alone.
+    The rows that keep equally many probabilities are summed as one table: numpy sums each row
+    of a table as it sums that row alone, so a row's entropy does not depend on its table.
     """
     keep = p > ZERO_PROBABILITY
     counts = keep.sum(axis=1)
     values = np.empty(len(p))
     for n in set(counts.tolist()):
         rows = counts == n
-        values[rows] = _kept_entropies(p[rows][keep[rows]].reshape(-1, n), p.shape[1], base)
-    return values
-
-
-def _kept_entropies(q: np.ndarray, n: int, base: float) -> np.ndarray:
-    """-sum q log q of each row of q, the probabilities kept from an n-outcome distribution,
-    each checked to lie in [0, log n]."""
-    values = -(q * _log(q, base)).sum(axis=1) + 0.0  # normalize -0.0
-    cap = math.log(n) / math.log(base) + 1e-9
+        q = p[keep & rows[:, None]].reshape(-1, n)
+        values[rows] = -(q * _log(q, base)).sum(axis=1) + 0.0  # normalize -0.0
+    cap = math.log(p.shape[1]) / math.log(base) + 1e-9
     for value in values.tolist():  # as Python floats: a few rows check faster so, NaN too
         if not -1e-12 <= value <= cap:
-            raise ValueError(f"entropy {value} outside [0, log {n}]")
+            raise ValueError(f"entropy {value} outside [0, log {p.shape[1]}]")
     return values
 
 
@@ -129,7 +123,9 @@ def pair_uncertainty(
     t: Tester, v: UnitaryOperator, w: UnitaryOperator, base: float = 2.0
 ) -> EntropyValue:
     """H(T|v) + H(T|w): summed outcome entropies of one tester on two unitaries."""
-    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
+    p = np.array([outcome_distribution(t, u).probs for u in (v, w)])
+    validate_base(base)
+    hv, hw = entropies(p, base).tolist()
     return EntropyValue(hv + hw, base)
 
 

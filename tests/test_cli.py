@@ -16,7 +16,8 @@ from utp import cli, operators, saturation
 from utp.linalg import ConvergenceError, InvariantError
 from utp.operators import array_to_literal, haar_matrix
 from utp.saturation import su2_overlap_surface, sweep_to_csv, sweep_to_json
-from utp.testers import ProjectiveMeasurement, computational_basis
+from utp.testers import ProjectiveMeasurement, Tester, computational_basis, outcome_distribution
+from utp.uncertainty import shannon_entropy
 
 
 def test_bound_golden(run_cli):
@@ -159,6 +160,38 @@ def test_entropy_natural_base(run_cli):
     assert code == 0
     payload = json.loads(out)
     assert payload["pair_uncertainty_nats"] == pytest.approx(np.log(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("d, uneven", [(2, False), (3, False), (4, False), (8, False),
+                                       (3, True)])
+@pytest.mark.parametrize("base", ["2", "e"])
+def test_entropy_fields_are_the_per_side_shannon_entropies_bit_for_bit(run_cli, tmp_path, d,
+                                                                        uneven, base):
+    # the reference reads the same files and takes each side's shannon_entropy on its own;
+    # uneven: e:0 in the computational basis with v = I keeps one outcome against w's d
+    rng = np.random.default_rng(40 + d)
+    basis = np.eye(d) if uneven else haar_matrix(d, rng)
+    psi = np.eye(d)[0] if uneven else haar_matrix(d, rng)[:, 0]
+    literals = {"v": array_to_literal(np.eye(d) if uneven else haar_matrix(d, rng)),
+                "w": array_to_literal(haar_matrix(d, rng)),
+                "m": ProjectiveMeasurement.from_matrix(basis).to_literal(),
+                "input": array_to_literal(psi)}
+    paths = {}
+    for name, literal in literals.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(literal))
+    code, out, err = run_cli(["entropy", "--v", str(paths["v"]), "--w", str(paths["w"]),
+                              "--measurement", str(paths["m"]), "--input", str(paths["input"]),
+                              "--log-base", base])
+    assert (code, err) == (0, "")
+    m = cli.resolve_projective(str(paths["m"]), d)
+    t = Tester.projective(cli.resolve_input(str(paths["input"]), m), m)
+    hv, hw = [shannon_entropy(outcome_distribution(t, cli.resolve_operator(str(paths[side]), d)),
+                              2.0 if base == "2" else math.e).value for side in ("v", "w")]
+    unit = "bits" if base == "2" else "nats"
+    assert out == json.dumps({f"pair_uncertainty_{unit}": hv + hw, f"h_v_{unit}": hv,
+                              f"h_w_{unit}": hw}) + "\n"
+    assert (hv == 0.0) == uneven
 
 
 def test_sweep_csv_default(run_cli):
@@ -920,6 +953,21 @@ def test_log_quiet_by_default(run_cli, monkeypatch):
     code, out, err = run_cli(["sweep", "--pair", "i-omega", "--grid", "3"])
     assert code == 0
     assert err == ""
+
+
+def test_unknown_log_env_exits_2(run_cli, monkeypatch):
+    # an unknown UTP_LOG once ran quiet without a word; empty is quiet, and names match in any case
+    argv = ["bound", "--v", "i", "--w", "pauli-y", "--measurement", "computational"]
+    for value in ("verbose", "warning", " info"):
+        monkeypatch.setenv("UTP_LOG", value)
+        message = f"error: UTP_LOG must be quiet, info or debug, got {value!r}\n"
+        assert run_cli(argv) == (2, "", message)
+    monkeypatch.delenv("UTP_LOG")
+    expected = run_cli(argv)
+    assert expected[::2] == (0, "")
+    for value in ("", "INFO", "Debug", "QUIET"):
+        monkeypatch.setenv("UTP_LOG", value)
+        assert run_cli(argv) == expected  # a bound logs nothing at any level
 
 
 # --- one parser and one set of named operators per process ------------------------

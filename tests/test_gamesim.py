@@ -18,7 +18,7 @@ from utp.testers import (
     computational_basis,
     outcome_distribution,
 )
-from utp.uncertainty import pair_uncertainty
+from utp.uncertainty import pair_uncertainty, shannon_entropy
 
 
 def equator_config(trials=100000, seed=7, bias=0.5):
@@ -120,6 +120,29 @@ def test_game_analytic_matches_pair_uncertainty():
     )
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("bias", [0.0, 0.37, 1.0])
+def test_game_entropy_sums_are_the_per_side_sums_bit_for_bit(sparse, bias):
+    # the reference sums each drawn side's empirical_entropy, and each side's shannon_entropy,
+    # on its own; at bias 0 or 1 one side is never drawn, and on the sparse pair the sides
+    # keep different numbers of outcomes
+    rng = np.random.default_rng(5)
+    if sparse:  # |0> through I and a Haar w: the v side keeps one outcome, the w side three
+        tester = Tester.projective(PureState(np.eye(3)[0]), computational_basis(3))
+        v, w = identity(3), UnitaryOperator(haar_matrix(3, rng))
+    else:
+        m = ProjectiveMeasurement.from_matrix(haar_matrix(3, rng))
+        tester = Tester.projective(PureState(random_state(3, rng)), m)
+        v, w = UnitaryOperator(haar_matrix(3, rng)), UnitaryOperator(haar_matrix(3, rng))
+    t = run_game(GameConfig(tester=tester, v=v, w=w, trials=3001, seed=8, operator_bias=bias))
+    drawn = [c for c in (t.counts_v, t.counts_w) if c.any()]
+    assert len(drawn) == (2 if 0.0 < bias < 1.0 else 1)
+    assert t.empirical_entropy_sum.value == sum(empirical_entropy(c).value for c in drawn)
+    assert t.analytic_entropy_sum.value == sum(
+        shannon_entropy(outcome_distribution(tester, u)).value for u in (v, w))
+    assert t.analytic_entropy_sum.value == pair_uncertainty(tester, v, w).value
+
+
 def test_game_config_validation():
     m = computational_basis(2)
     t = Tester.projective(PureState(np.array([1.0, 0])), m)
@@ -172,6 +195,22 @@ def test_small_game_asks_for_no_cpu_count(monkeypatch):
     run_game(equator_config(trials=8 * gamesim.GAME_CHUNK - 1))
     with pytest.raises(AssertionError, match="_cpu_count called"):
         run_game(equator_config(trials=8 * gamesim.GAME_CHUNK))
+
+
+def test_cpu_count_falls_back_where_affinity_is_missing(monkeypatch):
+    # without os.sched_getaffinity the game reads os.cpu_count, and one worker if that is None
+    cfg = _haar_game(3, 999)
+    single = transcript_to_json(run_game(cfg))  # below 8 chunks: one worker
+    monkeypatch.delattr(gamesim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(gamesim, "GAME_CHUNK", 7)  # 999 trials are above 8 chunks
+    started = _count_thread_starts(monkeypatch)
+    for cpus in (None, 1, 3):
+        monkeypatch.setattr(gamesim.os, "cpu_count", lambda: cpus)
+        assert gamesim._cpu_count() == (cpus or 1)
+        del started[:]
+        assert transcript_to_json(run_game(cfg)) == single
+        assert len(started) == (cpus or 1) - 1
+        assert not any(thread.is_alive() for thread in started)
 
 
 def test_rng_stream_is_splittable_per_trial():

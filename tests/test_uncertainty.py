@@ -33,8 +33,11 @@ from utp.testers import (
     trivial_tester,
 )
 from utp.uncertainty import (
+    ZERO_PROBABILITY,
     EntropicBound,
+    EntropyValue,
     OutcomeDistribution,
+    entropies,
     mes_bound,
     pair_uncertainty,
     povm_bound,
@@ -320,6 +323,74 @@ def test_pair_uncertainty_povm_matches_projective():
     assert pair_uncertainty(t1, v, w).value == pytest.approx(
         pair_uncertainty(t2, v, w).value, abs=1e-9
     )
+
+
+def per_side_entropies(t: Tester, v: UnitaryOperator, w: UnitaryOperator, base: float):
+    """The reference: each side's ``shannon_entropy`` on its own, v then w."""
+    return [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
+
+
+def tester_on_a_pair(kind: str, d: int):
+    """(tester, v, w) of one kind; "uneven" is |0> in the computational basis with v = I, so
+    the v side keeps one outcome and the w side all d."""
+    rng = np.random.default_rng(1000 * d + len(kind))
+    v, w = UnitaryOperator(haar_matrix(d, rng)), UnitaryOperator(haar_matrix(d, rng))
+    if kind == "projective":
+        m = ProjectiveMeasurement.from_matrix(haar_matrix(d, rng))
+        return Tester.projective(PureState(random_state(d, rng)), m), v, w
+    if kind == "mes":
+        return Tester.mes(bell_basis(d)), v, w
+    if kind == "povm":  # a mixed input on 2d rank-1 elements of a tight frame
+        psi = random_state(d, rng)
+        rho = DensityMatrix(0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(d) / d)
+        return Tester.povm(rho, rank1_frame(d, 2 * d, rng)), v, w
+    return Tester.projective(PureState(np.eye(d)[0]), computational_basis(d)), identity(d), w
+
+
+ENTROPY_CASES = [("projective", 2), ("projective", 3), ("projective", 4), ("projective", 8),
+                 ("mes", 2), ("mes", 3), ("povm", 3), ("uneven", 2), ("uneven", 5)]
+
+
+@pytest.mark.parametrize("kind, d", ENTROPY_CASES)
+@pytest.mark.parametrize("base", [2.0, math.e])
+def test_pair_uncertainty_is_the_per_side_sum_bit_for_bit(kind, d, base):
+    # one entropies call on the two-row table gives each side's shannon_entropy, whether
+    # the sides keep equally many outcomes (one group) or not (two groups)
+    t, v, w = tester_on_a_pair(kind, d)
+    hv, hw = per_side_entropies(t, v, w, base)
+    assert pair_uncertainty(t, v, w, base) == EntropyValue(hv + hw, base)
+    p = np.array([outcome_distribution(t, u).probs for u in (v, w)])
+    kept = (p > ZERO_PROBABILITY).sum(axis=1)
+    assert (kept[0] == kept[1]) == (kind != "uneven")
+    assert entropies(p, base).tolist() == [hv, hw]
+
+
+def kept_entropy(p: np.ndarray, base: float) -> float:
+    """The reference: -sum q log q of the probabilities q of p above ZERO_PROBABILITY alone."""
+    q = p[p > ZERO_PROBABILITY]
+    return float(-(q * (np.log2(q) if base == 2.0 else np.log(q) / math.log(base))).sum() + 0.0)
+
+
+def test_entropies_of_a_table_are_each_rows_kept_entropy():
+    # rows that keep 6, 12, 18 and 24 of 24 probabilities, interleaved, so that several groups
+    # are summed and written back in place; numpy sums 8 or more terms in unrolled partial
+    # sums, so a row summed with its zeros in place can differ in the last bit
+    rng = np.random.default_rng(9)
+    rows = []
+    for k in range(48):
+        p = rng.random(24) * (rng.permutation(24) < 6 * (1 + k % 4))
+        rows.append(p / p.sum())
+    table = np.array(rows)
+    for base in (2.0, math.e, 10.0):
+        want = [kept_entropy(r, base) for r in rows]
+        assert entropies(table, base).tolist() == want
+        assert [shannon_entropy(r, base).value for r in rows] == want
+
+
+def test_entropies_refuse_a_value_outside_0_and_log_n():
+    # a probability above 1 gives a negative entropy, which no checked row can reach
+    with pytest.raises(ValueError, match=re.escape("entropy -2.0 outside [0, log 2]")):
+        entropies(np.array([[2.0, -1.0]]), 2.0)
 
 
 def frame_vectors(d: int, n: int, rng) -> np.ndarray:
