@@ -51,10 +51,10 @@ from .testers import (
     povm_from_projective,
 )
 from .uncertainty import (
-    entropies,
     mes_bound,
     povm_bound,
     projective_bound,
+    shannon_entropy,
 )
 
 log = logging.getLogger("utp")
@@ -224,7 +224,7 @@ def cmd_entropy(args) -> str:
     m = resolve_projective(args.measurement, v.dim)
     t = Tester.projective(resolve_input(args.input, m), m)
     base = _base(args)
-    hv, hw = entropies(np.array([outcome_distribution(t, u).probs for u in (v, w)]), base).tolist()
+    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
     unit = _unit(args)
     return _json_line(
         {

@@ -45,7 +45,7 @@ import numpy as np
 
 from .linalg import validate_counts
 from .operators import UnitaryOperator
-from .testers import Tester, checked_probabilities, outcome_distribution
+from .testers import Tester, outcome_distribution
 from .uncertainty import EntropyValue, entropies, shannon_entropy
 
 GAME_CHUNK = 1 << 15  # trials drawn per block; bounds run_game's memory
@@ -185,9 +185,7 @@ def run_game(cfg: GameConfig) -> GameTranscript:
     for side in range(2):
         np.add.at(counts[side], np.searchsorted(cum[side], below, side="right"), fine[side])
 
-    seen = counts[counts.any(axis=1)]  # a side never drawn has no frequencies
-    frequencies = checked_probabilities(seen / seen.sum(axis=1, keepdims=True))
-    empirical = float(entropies(frequencies, 2.0).sum())
+    empirical = sum(empirical_entropy(c).value for c in counts if c.any())
     analytic = float(entropies(p, 2.0).sum())  # p was checked as it was formed
     successes = counts[(0, 1), p.argmax(axis=1)].sum()
     return GameTranscript(

@@ -123,9 +123,7 @@ def pair_uncertainty(
     t: Tester, v: UnitaryOperator, w: UnitaryOperator, base: float = 2.0
 ) -> EntropyValue:
     """H(T|v) + H(T|w): summed outcome entropies of one tester on two unitaries."""
-    p = np.array([outcome_distribution(t, u).probs for u in (v, w)])
-    validate_base(base)
-    hv, hw = entropies(p, base).tolist()
+    hv, hw = [shannon_entropy(outcome_distribution(t, u), base).value for u in (v, w)]
     return EntropyValue(hv + hw, base)
 
 

@@ -160,7 +160,6 @@ def test_row_input_and_hs_product_each_have_one_definition():
 
 
 LOGARITHMS = ("_log", "np.log", "np.log2", "np.log10", "math.log")
-ENTROPY_CALLS = ("shannon_entropy", "empirical_entropy")
 
 
 def _is_shannon_term(node: ast.AST) -> bool:
@@ -172,34 +171,18 @@ def _is_shannon_term(node: ast.AST) -> bool:
                for q, log in ((node.left, node.right), (node.right, node.left)))
 
 
-def _loops_over_entropies(node: ast.AST) -> bool:
-    """Whether ``node`` is a loop or comprehension that calls shannon_entropy or
-    empirical_entropy."""
-    return isinstance(node, LOOPS) and any(
-        isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] in ENTROPY_CALLS
-        for call in ast.walk(node))
-
-
 def test_shannon_entropy_is_summed_in_one_place():
-    # every Shannon entropy, of one distribution, both sides of a pair or a table, is summed by
-    # uncertainty.entropies, and no module calls a one-distribution entropy once per side; the
-    # search objective keeps ln p for its gradient and sums p * ln_p, which is no match
+    # every Shannon entropy, of one distribution or of a table, is summed by
+    # uncertainty.entropies; the search objective keeps ln p for its gradient and sums
+    # p * ln_p, which is no match
     terms = {f"{m}.{f}" for m in MODULES for f, _ in _sites(_tree(m), _is_shannon_term)}
     assert terms == {"uncertainty.entropies"}
-    assert [f"{m}.{f}:{line}" for m in MODULES
-            for f, line in _sites(_tree(m), _loops_over_entropies)] == []
     for text in ("def f(q, base):\n    return -(q * _log(q, base)).sum(axis=1)",
                  "def f(p):\n    return -np.sum(np.log2(p[p > 0]) * p[p > 0])"):
         assert list(_sites(ast.parse(text), _is_shannon_term)) == [("f", 2)]
     for text in ("def f(p, ln_p):\n    return -(p * ln_p).sum()",
                  "def f(p, q):\n    return p * np.log2(q)"):
         assert list(_sites(ast.parse(text), _is_shannon_term)) == []
-    for text in ("def f(t, v, w):\n    return [shannon_entropy(t.probs(u)) for u in (v, w)]",
-                 "def f(counts):\n    return sum(gamesim.empirical_entropy(c).value for c in counts)",
-                 "def f(rows):\n    for p in rows:\n        shannon_entropy(p)"):
-        assert list(_sites(ast.parse(text), _loops_over_entropies)) == [("f", 2)]
-    text = "def f(t, v, w):\n    return entropies(np.array([t.probs(u) for u in (v, w)]), 2.0)"
-    assert list(_sites(ast.parse(text), _loops_over_entropies)) == []
 
 
 def _reads_re_or_im(tree: ast.AST):

@@ -354,7 +354,8 @@ ENTROPY_CASES = [("projective", 2), ("projective", 3), ("projective", 4), ("proj
 @pytest.mark.parametrize("kind, d", ENTROPY_CASES)
 @pytest.mark.parametrize("base", [2.0, math.e])
 def test_pair_uncertainty_is_the_per_side_sum_bit_for_bit(kind, d, base):
-    # one entropies call on the two-row table gives each side's shannon_entropy, whether
+    # pair_uncertainty sums each side's shannon_entropy, and one entropies call on the
+    # two-row table, as the game's analytic sum makes, gives the same two values, whether
     # the sides keep equally many outcomes (one group) or not (two groups)
     t, v, w = tester_on_a_pair(kind, d)
     hv, hw = per_side_entropies(t, v, w, base)
